@@ -1,11 +1,17 @@
+import hashlib
 import json
 from itertools import combinations
 
 import pytest
 
 from posheaf.cli import main
-from posheaf.io import complex_from_json, complex_to_json, dumps, poset_to_json
+from posheaf.derived import proper_pullback
+from posheaf.field import PrimeField
+from posheaf.io import complex_from_json, complex_to_json, dumps, poset_to_json, sheaf_to_json
+from posheaf.poset import LocallyClosedSet, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
+
+from conftest import extension_by_zero_sheaf
 
 
 TETRA_FACETS = "\n".join("".join(c) for c in combinations("1234", 3)) + "\n# comment\n"
@@ -20,6 +26,11 @@ MORSE_JSON = {
     },
     "order": list("ABCDEFGHIJK"),
 }
+
+
+def _sha256(text: str) -> str:
+    """Digest of a command's stdout; golden digests pin byte-identical output."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture
@@ -119,10 +130,27 @@ class TestResolve:
         assert main(
             ["resolve", str(poset_path), "--sheaf", str(sheaf_path), "--format", "json"]
         ) == 0
-        data = json.loads(capsys.readouterr().out)
-        complex_ = complex_from_json(data)
+        out = capsys.readouterr().out
+        complex_ = complex_from_json(json.loads(out))
         table = {d: dict(c) for d, c in complex_.multiplicities().items()}
         assert table == {0: {"x": 1}, 1: {"y": 1}}
+        assert _sha256(out) == "407f185ae82012dc6963c095097949caa1576298158a05fb40cdb53d65af5384"
+
+    def test_sheaf_input_gf3_golden(self, tmp_path, capsys):
+        poset = skeleton_of_simplex(3, 2).face_poset
+        field = PrimeField(3)
+        sheaf = extension_by_zero_sheaf(
+            poset, field, [poset.star("1"), poset.star("2"), poset.star("12")]
+        )
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps(poset_to_json(poset)))
+        sheaf_path = tmp_path / "sheaf.json"
+        sheaf_path.write_text(json.dumps(sheaf_to_json(sheaf)))
+        assert main(
+            ["resolve", str(poset_path), "--sheaf", str(sheaf_path), "--field", "3",
+             "--format", "json"]
+        ) == 0
+        assert _sha256(capsys.readouterr().out) == "7d6180d3d1dfb9fcd007aeb96e0f84b387cf80416453bb73fb7f3167209d561f"
 
 
 class TestFunctor:
@@ -164,10 +192,29 @@ class TestFunctor:
             ["functor", "shriek-pull", rh_complex_file, "--set", "4,24",
              "--format", "json"]
         ) == 0
-        data = json.loads(capsys.readouterr().out)
-        complex_ = complex_from_json(data)
+        out = capsys.readouterr().out
+        complex_ = complex_from_json(json.loads(out))
         table = {d: dict(c) for d, c in complex_.multiplicities().items()}
         assert table == {1: {"24": 1, "4": 2}, 2: {"4": 1}}
+        assert _sha256(out) == "c11fae08560b755e6c8f0d3bcd00ce0d95ac428d222e9079563fe735f09d98a4"
+
+    def test_shriek_push_section7(self, tmp_path, capsys, sphere_wedge, pushforward_complexes):
+        lam = sphere_wedge["lambda"].face_poset
+        zset = LocallyClosedSet(lam, ["4", "24"])
+        sub_path = tmp_path / "sub.json"
+        sub_path.write_text(
+            dumps(complex_to_json(proper_pullback(zset, pushforward_complexes["Rh"])))
+        )
+        ambient_path = tmp_path / "lam.json"
+        ambient_path.write_text(json.dumps(poset_to_json(lam)))
+        assert main(
+            ["functor", "shriek-push", str(sub_path), "--set", "4,24",
+             "--ambient", str(ambient_path), "--format", "json"]
+        ) == 0
+        out = capsys.readouterr().out
+        complex_ = complex_from_json(json.loads(out))
+        assert complex_.poset == lam
+        assert _sha256(out) == "f05903d977f22c527d9f1ab1e2be0bc07554d270b4afea1ce563797cb7a37c91"
 
     def test_pull_section7(self, rg_complex_file, tmp_path, capsys, sphere_wedge):
         lam = sphere_wedge["lambda"].face_poset
@@ -180,11 +227,12 @@ class TestFunctor:
             ["functor", "pull", rg_complex_file, "--map", str(map_path),
              "--source-poset", str(src_path), "--format", "json"]
         ) == 0
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
         table = {
-            d: dict(c) for d, c in complex_from_json(data).multiplicities().items()
+            d: dict(c) for d, c in complex_from_json(json.loads(out)).multiplicities().items()
         }
         assert table == {0: {"24": 1}, 1: {"4": 1}}
+        assert _sha256(out) == "2a3d45994a3d7cfabadb44c812295c79b3567fe481d518e2f10ea8494bc0b89b"
 
     def test_non_locally_closed_set_rejected(self, lambda_complex_file):
         assert main(
