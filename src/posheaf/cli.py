@@ -17,7 +17,7 @@ import sys
 
 from . import io as pio
 from .errors import InputError, SizeCapExceeded
-from .field import PrimeField
+from .field import NotPrimeError, PrimeField
 from .matrix import InjectiveComplex
 from .poset import LocallyClosedSet, Poset, SimplicialComplex, star_subposet
 from .resolution import (
@@ -180,9 +180,7 @@ def cmd_morse(args) -> int:
         for variant in ("shriek", "star")
     }
     tables = {
-        (direction, variant): betti_table(
-            mf, complex_, direction, variant, jobs=args.jobs
-        )
+        (direction, variant): betti_table(mf, complex_, direction, variant)
         for direction in ("sublevel", "superlevel")
         for variant in ("shriek", "star")
     }
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the Morse theorem and inequalities; exit 2 on violation",
     )
-    morse.add_argument("--jobs", type=int, default=1, help="parallel Betti levels")
     morse.set_defaults(func=cmd_morse)
     return parser
 
@@ -306,10 +303,8 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, NotPrimeError, FileNotFoundError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

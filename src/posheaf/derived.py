@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .errors import InputError, SizeCapExceeded
 from .field import PrimeField
-from .matrix import InjectiveComplex, LabeledMatrix, _sparse_rank
+from .matrix import InjectiveComplex, LabeledMatrix, _col_add, _row_add, _sparse_rank
 from .poset import LocallyClosedSet, MonotoneMap, mapping_cylinder
-from .resolution import _make_exact_inplace, cohomology_sheaf_dims
+from .resolution import cohomology_sheaf_dims, force_exact
 
 HOM_SYSTEM_VARIABLE_CAP = 20_000
 
@@ -32,24 +32,13 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
     """
     ms = [m.copy() for m in complex_.matrices]
     field = complex_.field
-
-    def diagonal_entry(m: LabeledMatrix):
-        for i, row_lab in enumerate(m.row_labels):
-            for j, v in m.rows[i].items():
-                if m.col_labels[j] == row_lab:
-                    return i, j, v
-        return None
-
     order = list(_scan_order) if _scan_order is not None else list(range(len(ms)))
     progress = True
     while progress:
         progress = False
         for k in order:
             m = ms[k]
-            while True:
-                hit = diagonal_entry(m)
-                if hit is None:
-                    break
+            while (hit := m.diagonal_entry()) is not None:
                 progress = True
                 i, j, c = hit
                 prev_m = ms[k - 1] if k > 0 else None
@@ -67,43 +56,17 @@ def _clear_pivot(field: PrimeField, m, prev_m, next_m, i, j, c):
     for i2 in range(m.nrows):
         if i2 != i and j in m.rows[i2]:
             f = (m.rows[i2][j] * inv) % p
-            _add_row_into(p, m.rows, i, i2, -f)
+            _row_add(field, m.rows, i, i2, -f)
             if next_m is not None:
-                _add_col_into(p, next_m.rows, i2, i, f)
+                _col_add(field, next_m.rows, i2, i, f)
     # clear row i using column j; columns meeting a pi-labeled row are labeled
     # >= pi, so the column addition is allowed
     for j2 in list(m.rows[i]):
         if j2 != j:
             f = (m.rows[i][j2] * inv) % p
-            _add_col_into(p, m.rows, j, j2, -f)
+            _col_add(field, m.rows, j, j2, -f)
             if prev_m is not None:
-                _add_row_into(p, prev_m.rows, j2, j, f)
-
-
-def _add_row_into(p, rows, src, dest, scalar):
-    s = scalar % p
-    if not s:
-        return
-    target = rows[dest]
-    for col, v in rows[src].items():
-        new = (target.get(col, 0) + s * v) % p
-        if new:
-            target[col] = new
-        else:
-            target.pop(col, None)
-
-
-def _add_col_into(p, rows, src, dest, scalar):
-    s = scalar % p
-    if not s:
-        return
-    for row in rows:
-        if src in row:
-            new = (row.get(dest, 0) + s * row[src]) % p
-            if new:
-                row[dest] = new
-            else:
-                row.pop(dest, None)
+                _row_add(field, prev_m.rows, j2, j, f)
 
 
 def _delete_pivot(m, prev_m, next_m, i, j):
@@ -155,40 +118,14 @@ def pullback(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
     if complex_.is_empty():
         return InjectiveComplex.empty(f.source, field)
     cyl, inc_src, inc_tgt = mapping_cylinder(f)
-    ms = complex_.matrices
-    off = complex_.degree_offset
-    top = off + len(ms) - 1
-    relabeled = [m.relabel(inc_tgt.assignment, poset=cyl) for m in ms]
-    src_order = [inc_src(e) for e in f.source.linear_extension]
-
-    gammas: dict[int, LabeledMatrix] = {
-        off - 2: LabeledMatrix(cyl, field, [], relabeled[0].col_labels)
-    }
-    d = off - 1
-    safety = len(ms) + cyl.height + 4
-    while True:
-        prev = gammas[d - 1]
-        gamma = LabeledMatrix(cyl, field, prev.row_labels)
-        if off <= d + 1 <= top:
-            source = relabeled[d + 1 - off]
-            for lab, row in zip(source.row_labels, source.rows):
-                gamma.row_labels.append(lab)
-                gamma.rows.append({j: field.neg(v) for j, v in row.items()})
-        for element in reversed(src_order):
-            _make_exact_inplace(prev, gamma, element)
-        gammas[d] = gamma
-        if not gamma.rows and d >= top:
-            break
-        d += 1
-        if d - off > safety:
-            raise AssertionError("pullback construction did not terminate")
-
-    back = {inc_src(e): e for e in f.source.elements}
-    result = [
-        gammas[dd].submatrix(back.keys(), back.keys()).relabel(back, poset=f.source)
-        for dd in range(off - 1, d + 1)
+    seeds = [
+        m.relabel(inc_tgt.assignment, poset=cyl).scale(field.neg(1)) for m in complex_.matrices
     ]
-    return InjectiveComplex(f.source, field, result, off - 1).trimmed()
+    start = LabeledMatrix(cyl, field, [], seeds[0].col_labels)
+    gammas = force_exact(start, [inc_src(e) for e in f.source.linear_extension], seeds)
+    back = {inc_src(e): e for e in f.source.elements}
+    result = [g.submatrix(back.keys(), back.keys()).relabel(back, poset=f.source) for g in gammas]
+    return InjectiveComplex(f.source, field, result, complex_.degree_offset - 1).trimmed()
 
 
 def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> InjectiveComplex:
@@ -200,36 +137,12 @@ def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> In
         raise InputError("complex does not live on the locally closed set")
     if complex_.is_empty():
         return InjectiveComplex.empty(ambient, field)
-    ms = complex_.matrices
-    off = complex_.degree_offset
-    top = off + len(ms) - 1
-    lifted = [m.rebind(ambient) for m in ms]
+    lifted = [m.rebind(ambient) for m in complex_.matrices]
     position = {e: k for k, e in enumerate(ambient.linear_extension)}
     boundary = sorted(zset.boundary(), key=position.__getitem__)
-
-    deltas: dict[int, LabeledMatrix] = {
-        off - 1: LabeledMatrix(ambient, field, [], lifted[0].col_labels)
-    }
-    d = off
-    safety = len(ms) + ambient.height + 4
-    while True:
-        prev = deltas[d - 1]
-        delta = LabeledMatrix(ambient, field, prev.row_labels)
-        if off <= d <= top:
-            source = lifted[d - off]
-            for lab, row in zip(source.row_labels, source.rows):
-                delta.row_labels.append(lab)
-                delta.rows.append(dict(row))
-        for element in reversed(boundary):
-            _make_exact_inplace(prev, delta, element)
-        deltas[d] = delta
-        if not delta.rows and d >= top:
-            break
-        d += 1
-        if d - off > safety:
-            raise AssertionError("proper pushforward did not terminate")
-    result = [deltas[dd] for dd in range(off, d + 1)]
-    return InjectiveComplex(ambient, field, result, off).trimmed()
+    start = LabeledMatrix(ambient, field, [], lifted[0].col_labels)
+    deltas = force_exact(start, boundary, lifted)
+    return InjectiveComplex(ambient, field, deltas, complex_.degree_offset).trimmed()
 
 
 def proper_pullback(zset: LocallyClosedSet, complex_: InjectiveComplex) -> InjectiveComplex:

@@ -12,6 +12,14 @@ from .poset import MonotoneMap, Poset, SimplicialComplex
 from .sheaf import Sheaf
 
 
+def _as_int(value, what: str) -> int:
+    """A number field of JSON input as an int; anything else is an input error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def read_facets_text(text: str) -> SimplicialComplex:
     """One facet per line, whitespace-separated vertex ids, '#' comments."""
     facets = []
@@ -34,12 +42,15 @@ def poset_to_json(poset: Poset) -> dict:
 
 def poset_from_json(data: dict) -> Poset:
     try:
-        return Poset.from_covers(
-            [str(e) for e in data["elements"]],
-            [(str(a), str(b)) for a, b in data["covers"]],
-        )
+        elements = [str(e) for e in data["elements"]]
+        covers = [(str(a), str(b)) for a, b in data["covers"]]
     except KeyError as missing:
         raise InputError(f"poset JSON missing key {missing}") from None
+    except (TypeError, ValueError):
+        raise InputError(
+            "poset JSON needs an element list and [lower, upper] cover pairs"
+        ) from None
+    return Poset.from_covers(elements, covers)
 
 
 def map_from_json(data: dict, source: Poset, target: Poset) -> MonotoneMap:
@@ -62,7 +73,9 @@ def vertex_map_from_json(
 
 def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are zero."""
-    stalks = {str(k): int(v) for k, v in data.get("stalks", {}).items()}
+    stalks = {
+        str(k): _as_int(v, f"stalk dimension of {k!r}") for k, v in data.get("stalks", {}).items()
+    }
     maps = {}
     for key, mat in data.get("maps", {}).items():
         if "<" not in key:
@@ -70,7 +83,7 @@ def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
         a, b = key.split("<", 1)
         if (a, b) not in set(poset.covers):
             raise InputError(f"restriction key {key!r} is not a cover relation")
-        maps[(a, b)] = mat
+        maps[(a, b)] = [[_as_int(x, f"entry of restriction {key!r}") for x in row] for row in mat]
     return Sheaf(poset, field, stalks, maps)
 
 
@@ -98,7 +111,11 @@ def matrix_to_json(m: LabeledMatrix) -> dict:
 def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatrix:
     m = LabeledMatrix(poset, field, [str(c) for c in data["cols"]])
     for row in data["rows"]:
-        m.add_row(str(row["label"]), {int(j): int(v) for j, v in row["entries"].items()})
+        entries = {
+            _as_int(j, "matrix column index"): _as_int(v, "matrix entry")
+            for j, v in row["entries"].items()
+        }
+        m.add_row(str(row["label"]), entries)
     return m
 
 
@@ -113,10 +130,10 @@ def complex_to_json(complex_: InjectiveComplex) -> dict:
 
 def complex_from_json(data: dict) -> InjectiveComplex:
     try:
-        field = PrimeField(int(data["field"]))
+        field = PrimeField(_as_int(data["field"], "field"))
         poset = poset_from_json(data["poset"])
         matrices = [matrix_from_json(m, poset, field) for m in data["matrices"]]
-        offset = int(data.get("degree_offset", 0))
+        offset = _as_int(data.get("degree_offset", 0), "degree_offset")
     except KeyError as missing:
         raise InputError(f"complex JSON missing key {missing}") from None
     complex_ = InjectiveComplex(poset, field, matrices, offset)

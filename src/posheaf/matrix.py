@@ -66,6 +66,8 @@ class LabeledMatrix:
         p = self.field.p
         clean = {j: v % p for j, v in entries.items() if v % p}
         for j in clean:
+            if not 0 <= j < self.ncols:
+                raise InputError(f"column index {j} out of range for {self.ncols} columns")
             if not self.poset.leq(label, self.col_labels[j]):
                 raise InputError(
                     f"entry ({label}, {self.col_labels[j]}) violates the label order"
@@ -121,6 +123,15 @@ class LabeledMatrix:
         bits = self.poset.up_bits(element)
         idx = self.poset.index
         return [j for j, lab in enumerate(self.col_labels) if (bits >> idx[lab]) & 1]
+
+    def diagonal_entry(self) -> tuple[int, int, int] | None:
+        """First nonzero entry (row, column, value) in a same-label diagonal
+        block, scanning rows in order; None if every such block is zero."""
+        for i, row_lab in enumerate(self.row_labels):
+            for j, v in self.rows[i].items():
+                if self.col_labels[j] == row_lab:
+                    return i, j, v
+        return None
 
     def stalk_matrix(self, element: str) -> list[list[int]]:
         """Dense stalk map at an element: rows/cols are the star-labeled ones."""

@@ -151,7 +151,6 @@ def betti_table(
     complex_: InjectiveComplex,
     direction: str,
     variant: str,
-    jobs: int = 1,
 ) -> dict[str, dict[int, int]]:
     """Hypercohomology dimensions of sub/superlevel restrictions per level.
 
@@ -159,8 +158,6 @@ def betti_table(
     sets {f >= x}.  variant 'shriek' restricts by submatrices, 'star' by the
     cylinder pullback; on open sets the two agree.
     """
-    levels = list(mf.total_order)
-
     def row(x):
         members = mf.sublevel(x) if direction == "sublevel" else mf.superlevel(x)
         if not members:
@@ -170,13 +167,7 @@ def betti_table(
             return hypercohomology(proper_pullback(zset, complex_))
         return hypercohomology(restrict_star(zset, complex_))
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, levels))
-        return dict(zip(levels, rows))
-    return {x: row(x) for x in levels}
+    return {x: row(x) for x in mf.total_order}
 
 
 @dataclass

@@ -1,11 +1,15 @@
-"""Minimal injective resolutions.
+"""Minimal injective resolutions and the exactness-forcing driver.
 
-The core routine adds rows to the current matrix at one element so that the
-stalk sequence becomes exact there; running it over all elements in a
-non-increasing order and iterating over degrees yields the minimal
-resolution.  The constant-sheaf bootstrap seeds the process with a column of
-ones under a virtual top element; general sheaves seed it with the stalk
-images of the minimal hull inclusion.
+MakeExact adds rows to the current matrix at one element so that the stalk
+sequence becomes exact there.  `resolution_step` runs it over a list of
+elements in non-increasing order, and `force_exact` repeats that step degree
+by degree until a matrix comes out empty.  `force_exact` is the single
+exactness-forcing path: the minimal resolutions here and the pullback and
+proper pushforward in `derived` all call it, differing only in the starting
+matrix, the element list and the rows each degree is seeded with.  The
+constant-sheaf bootstrap starts from a column of ones under a virtual top
+element; general sheaves first make degree 0 exact against the stalk images
+of the minimal hull inclusion.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .matrix import (
     IncrementalRowBasis,
     InjectiveComplex,
     LabeledMatrix,
+    _sparse_rank,
     image_complement_rows,
 )
 from .poset import Poset, SimplicialComplex, chain_tuple, order_complex, signed_incidence
@@ -35,57 +40,77 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
 
 
 def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) -> int:
-    """In-place MakeExact; returns the number of rows added."""
-    field = eta_cur.field
-    star_bits = eta_cur.poset.up_bits(element)
-    idx = eta_cur.poset.index
-    # rows of eta_prev labeled in the star carry the stalk coordinates; their
-    # global row indices equal eta_cur's global column indices
-    stalk_prev_rows = [
-        i for i, lab in enumerate(eta_prev.row_labels) if (star_bits >> idx[lab]) & 1
-    ]
-    stalk_matrix = [eta_prev.rows[i] for i in stalk_prev_rows]
-    complement = image_complement_rows(field, stalk_matrix)
+    """In-place MakeExact against the stalk image of eta_prev, whose rows are
+    eta_cur's columns; returns the number of rows added."""
+    stalk = eta_cur.stalk_col_indices(element)
+    return _append_complement(eta_cur, element, stalk, [eta_prev.rows[i] for i in stalk])
 
+
+def _make_exact_against_image(image_columns, eta_cur: LabeledMatrix, element: str) -> int:
+    """In-place MakeExact against an image given explicitly as sparse column
+    vectors over eta_cur's global column indices; returns the number of rows
+    added."""
+    stalk = eta_cur.stalk_col_indices(element)
+    pos_of = {j: pos for pos, j in enumerate(stalk)}
+    # transpose: rows indexed by the stalk coordinates, columns spanning the image
+    rows = [dict() for _ in stalk]
+    for c, col in enumerate(image_columns):
+        for j, v in col.items():
+            rows[pos_of[j]][c] = v
+    return _append_complement(eta_cur, element, stalk, rows)
+
+
+def _append_complement(eta_cur: LabeledMatrix, element: str, stalk: list[int],
+                       image_rows: list[dict[int, int]]) -> int:
+    """The MakeExact body.  `image_rows[pos]` is the row of the image matrix at
+    stalk coordinate `stalk[pos]` (a star-labeled column of eta_cur).  Each
+    basis vector of the image's complement that is independent of eta_cur's
+    star-labeled rows is appended as a row labeled `element`."""
+    field = eta_cur.field
     screen = IncrementalRowBasis(field)
-    for i, lab in enumerate(eta_cur.row_labels):
-        if (star_bits >> idx[lab]) & 1:
-            screen.add(eta_cur.rows[i])
+    for i in eta_cur.stalk_row_indices(element):
+        screen.add(eta_cur.rows[i])
     added = 0
-    for vector in complement:
-        global_row = {stalk_prev_rows[pos]: v for pos, v in vector.items()}
-        if screen.add(global_row):
+    for vector in image_complement_rows(field, image_rows):
+        row = {stalk[pos]: v for pos, v in vector.items()}
+        if screen.add(row):
             eta_cur.row_labels.append(element)
-            eta_cur.rows.append(global_row)
+            eta_cur.rows.append(row)
             added += 1
     return added
 
 
-def resolution_step(eta_prev: LabeledMatrix, elements=None) -> LabeledMatrix:
-    """One degree of the resolution: start from an empty matrix over the rows
-    of eta_prev and run MakeExact over `elements` (default: the whole poset)
-    in non-increasing order."""
+def resolution_step(
+    eta_prev: LabeledMatrix, elements=None, seed: LabeledMatrix | None = None
+) -> LabeledMatrix:
+    """One degree of the resolution: start from a copy of the rows of `seed`
+    (none by default) over the rows of eta_prev and run MakeExact over
+    `elements` (default: the whole poset) in non-increasing order."""
     poset = eta_prev.poset
     eta_next = LabeledMatrix(poset, eta_prev.field, eta_prev.row_labels)
+    if seed is not None:
+        eta_next.row_labels += seed.row_labels
+        eta_next.rows += [dict(row) for row in seed.rows]
     order = elements if elements is not None else poset.linear_extension
     for element in reversed(list(order)):
         _make_exact_inplace(eta_prev, eta_next, element)
     return eta_next
 
 
-def _iterate_resolution(seed: LabeledMatrix, elements, poset: Poset, field: PrimeField,
-                        max_steps: int) -> list[LabeledMatrix]:
+def force_exact(prev: LabeledMatrix, elements, seeds=()) -> list[LabeledMatrix]:
+    """The exactness-forcing driver: one resolution_step per degree, each
+    starting from that degree's seed matrix, if any, and taking the previous
+    step's matrix as its eta_prev.  Returns the matrices in degree order.
+
+    Stops at the first matrix with no rows from the step that takes the last
+    seed on; any later step would have no columns and add nothing."""
     matrices = []
-    current = seed
-    for _ in range(max_steps):
-        nxt = resolution_step(current, elements)
-        matrices.append(nxt)
-        if not nxt.rows:
-            break
-        current = nxt
-    else:
-        raise AssertionError("resolution did not terminate within the length bound")
-    return matrices
+    for k in range(len(seeds) + prev.poset.height + 4):
+        prev = resolution_step(prev, elements, seeds[k] if k < len(seeds) else None)
+        matrices.append(prev)
+        if not prev.rows and k + 1 >= len(seeds):
+            return matrices
+    raise AssertionError("exactness forcing did not terminate within the length bound")
 
 
 def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -> InjectiveComplex:
@@ -98,9 +123,7 @@ def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -
     seed = LabeledMatrix(extended, field, [top])
     for m in poset.maximal_elements():
         seed.add_row(m, {0: 1})
-    matrices = _iterate_resolution(
-        seed, poset.linear_extension, extended, field, poset.height + 3
-    )
+    matrices = force_exact(seed, poset.linear_extension)
     rebound = [m.rebind(poset) for m in matrices]
     return InjectiveComplex(poset, field, rebound, 0).trimmed()
 
@@ -116,9 +139,6 @@ def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
         return InjectiveComplex.empty(poset, field)
     alpha, seed = injective_hull(sheaf)
     hull_labels = seed.matrices[0].col_labels
-    coord_index = {}
-    for i, lab in enumerate(hull_labels):
-        coord_index.setdefault(lab, []).append(i)
 
     def alpha_image_rows(element: str) -> list[dict[int, int]]:
         """Columns of alpha(element) as sparse vectors over hull coordinates."""
@@ -135,42 +155,8 @@ def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
         _make_exact_against_image(alpha_image_rows(element), eta0, element)
     matrices = [eta0]
     if eta0.rows:
-        matrices += _iterate_resolution(
-            eta0, poset.linear_extension, poset, field, poset.height + 3
-        )
+        matrices += force_exact(eta0, poset.linear_extension)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
-
-
-def _make_exact_against_image(image_columns, eta_cur: LabeledMatrix, element: str) -> int:
-    """MakeExact variant whose previous-map image is given explicitly as sparse
-    column vectors over eta_cur's global column indices."""
-    field = eta_cur.field
-    star_bits = eta_cur.poset.up_bits(element)
-    idx = eta_cur.poset.index
-    stalk_cols = [
-        j for j, lab in enumerate(eta_cur.col_labels) if (star_bits >> idx[lab]) & 1
-    ]
-    pos_of = {j: pos for pos, j in enumerate(stalk_cols)}
-    # transpose the image columns into the row format image_complement_rows expects:
-    # conceptually we reduce the matrix whose columns span im(alpha(element));
-    # its rows are indexed by the stalk coordinates
-    rows = [dict() for _ in stalk_cols]
-    for c, col in enumerate(image_columns):
-        for j, v in col.items():
-            rows[pos_of[j]][c] = v
-    complement = image_complement_rows(field, rows)
-    screen = IncrementalRowBasis(field)
-    for i, lab in enumerate(eta_cur.row_labels):
-        if (star_bits >> idx[lab]) & 1:
-            screen.add(eta_cur.rows[i])
-    added = 0
-    for vector in complement:
-        global_row = {stalk_cols[pos]: v for pos, v in vector.items()}
-        if screen.add(global_row):
-            eta_cur.row_labels.append(element)
-            eta_cur.rows.append(global_row)
-            added += 1
-    return added
 
 
 def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
@@ -232,12 +218,7 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
 
 def is_minimal(complex_: InjectiveComplex) -> bool:
     """True iff every same-label diagonal block of every matrix is zero."""
-    for m in complex_.matrices:
-        for i, row_lab in enumerate(m.row_labels):
-            for j in m.rows[i]:
-                if m.col_labels[j] == row_lab:
-                    return False
-    return True
+    return all(m.diagonal_entry() is None for m in complex_.matrices)
 
 
 def multiplicities(complex_: InjectiveComplex):
@@ -267,8 +248,6 @@ def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int
 def _stalk_rank(m: LabeledMatrix, e: str, cache, d) -> int:
     key = (d, e)
     if key not in cache:
-        from .matrix import _sparse_rank
-
         rows = [m.rows[i] for i in m.stalk_row_indices(e)]
         cache[key] = _sparse_rank(m.field, rows)
     return cache[key]

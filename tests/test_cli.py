@@ -28,8 +28,18 @@ MORSE_JSON = {
 }
 
 
+# sha256 of the `--format json` stdout of the golden cases below: CLI output
+# must stay byte-identical on them.
+GOLDEN_SHA256 = {
+    "sheaf-small": "407f185ae82012dc6963c095097949caa1576298158a05fb40cdb53d65af5384",
+    "sheaf-gf3": "7d6180d3d1dfb9fcd007aeb96e0f84b387cf80416453bb73fb7f3167209d561f",
+    "shriek-pull": "c11fae08560b755e6c8f0d3bcd00ce0d95ac428d222e9079563fe735f09d98a4",
+    "shriek-push": "f05903d977f22c527d9f1ab1e2be0bc07554d270b4afea1ce563797cb7a37c91",
+    "pull": "2a3d45994a3d7cfabadb44c812295c79b3567fe481d518e2f10ea8494bc0b89b",
+}
+
+
 def _sha256(text: str) -> str:
-    """Digest of a command's stdout; golden digests pin byte-identical output."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -120,6 +130,28 @@ class TestResolve:
     def test_max_elements_cap(self, tetra_file):
         assert main(["resolve", tetra_file, "--max-elements", "3"]) == 3
 
+    def test_non_prime_field_exit_code(self, tetra_file, capsys):
+        assert main(["resolve", tetra_file, "--field", "4"]) == 1
+        assert "not prime" in capsys.readouterr().err
+
+    def test_list_valued_stalk_exit_code(self, tmp_path, capsys):
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps({"elements": ["a"], "covers": []}))
+        sheaf_path = tmp_path / "sheaf.json"
+        sheaf_path.write_text(json.dumps({"stalks": {"a": [1]}, "maps": {}}))
+        assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == 1
+        assert "stalk dimension" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_an_input_error(self, tetra_file, monkeypatch):
+        import posheaf.cli as cli_module
+
+        def broken(poset, field):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli_module, "minimal_resolution_constant", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["resolve", tetra_file])
+
     def test_sheaf_input(self, tmp_path, capsys):
         poset_path = tmp_path / "poset.json"
         poset_path.write_text(
@@ -134,7 +166,7 @@ class TestResolve:
         complex_ = complex_from_json(json.loads(out))
         table = {d: dict(c) for d, c in complex_.multiplicities().items()}
         assert table == {0: {"x": 1}, 1: {"y": 1}}
-        assert _sha256(out) == "407f185ae82012dc6963c095097949caa1576298158a05fb40cdb53d65af5384"
+        assert _sha256(out) == GOLDEN_SHA256["sheaf-small"]
 
     def test_sheaf_input_gf3_golden(self, tmp_path, capsys):
         poset = skeleton_of_simplex(3, 2).face_poset
@@ -150,7 +182,7 @@ class TestResolve:
             ["resolve", str(poset_path), "--sheaf", str(sheaf_path), "--field", "3",
              "--format", "json"]
         ) == 0
-        assert _sha256(capsys.readouterr().out) == "7d6180d3d1dfb9fcd007aeb96e0f84b387cf80416453bb73fb7f3167209d561f"
+        assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256["sheaf-gf3"]
 
 
 class TestFunctor:
@@ -196,7 +228,7 @@ class TestFunctor:
         complex_ = complex_from_json(json.loads(out))
         table = {d: dict(c) for d, c in complex_.multiplicities().items()}
         assert table == {1: {"24": 1, "4": 2}, 2: {"4": 1}}
-        assert _sha256(out) == "c11fae08560b755e6c8f0d3bcd00ce0d95ac428d222e9079563fe735f09d98a4"
+        assert _sha256(out) == GOLDEN_SHA256["shriek-pull"]
 
     def test_shriek_push_section7(self, tmp_path, capsys, sphere_wedge, pushforward_complexes):
         lam = sphere_wedge["lambda"].face_poset
@@ -214,7 +246,7 @@ class TestFunctor:
         out = capsys.readouterr().out
         complex_ = complex_from_json(json.loads(out))
         assert complex_.poset == lam
-        assert _sha256(out) == "f05903d977f22c527d9f1ab1e2be0bc07554d270b4afea1ce563797cb7a37c91"
+        assert _sha256(out) == GOLDEN_SHA256["shriek-push"]
 
     def test_pull_section7(self, rg_complex_file, tmp_path, capsys, sphere_wedge):
         lam = sphere_wedge["lambda"].face_poset
@@ -232,7 +264,26 @@ class TestFunctor:
             d: dict(c) for d, c in complex_from_json(json.loads(out)).multiplicities().items()
         }
         assert table == {0: {"24": 1}, 1: {"4": 1}}
-        assert _sha256(out) == "2a3d45994a3d7cfabadb44c812295c79b3567fe481d518e2f10ea8494bc0b89b"
+        assert _sha256(out) == GOLDEN_SHA256["pull"]
+
+    @pytest.mark.parametrize("field", ["x", [2]])
+    def test_non_integer_field_exit_code(self, tetra_file, tmp_path, capsys, field):
+        assert main(["resolve", tetra_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data["field"] = field
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
+        assert "field must be an integer" in capsys.readouterr().err
+
+    def test_column_index_out_of_range_exit_code(self, tetra_file, tmp_path, capsys):
+        assert main(["resolve", tetra_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data["matrices"][0]["rows"][0]["entries"] = {"999": 1}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
+        assert "out of range" in capsys.readouterr().err
 
     def test_non_locally_closed_set_rejected(self, lambda_complex_file):
         assert main(
@@ -268,7 +319,7 @@ class TestMorseCommand:
         morse_path = tmp_path / "morse.json"
         morse_path.write_text(json.dumps(MORSE_JSON))
         assert main(
-            ["morse", rg_complex_file, str(morse_path), "--format", "csv", "--jobs", "2"]
+            ["morse", rg_complex_file, str(morse_path), "--format", "csv"]
         ) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("table,level,critical")

@@ -200,12 +200,6 @@ class TestBettiTables:
         shriek = betti_table(sphere_morse, rg, "superlevel", "shriek")
         assert star == shriek
 
-    def test_jobs_parallel_same_result(self, sphere_morse, pushforward_complexes):
-        rg = pushforward_complexes["Rg"]
-        sequential = betti_table(sphere_morse, rg, "sublevel", "shriek")
-        parallel = betti_table(sphere_morse, rg, "sublevel", "shriek", jobs=4)
-        assert sequential == parallel
-
 
 class TestMorseTheorem:
     def test_section7_complexes_pass(self, sphere_morse, pushforward_complexes):
