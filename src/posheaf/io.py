@@ -13,11 +13,15 @@ from .sheaf import Sheaf
 
 
 def _as_int(value, what: str) -> int:
-    """A number field of JSON input as an int; anything else is an input error."""
+    """A number field of JSON input as an int; anything else, a fractional
+    number included, is an input error."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def read_facets_text(text: str) -> SimplicialComplex:

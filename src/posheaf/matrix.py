@@ -185,7 +185,7 @@ class LabeledMatrix:
 
     def scale(self, c: int) -> "LabeledMatrix":
         p = self.field.p
-        out = self.copy()
+        out = LabeledMatrix(self.poset, self.field, self.col_labels, self.row_labels)
         out.rows = [
             {j: (v * c) % p for j, v in row.items() if (v * c) % p} for row in self.rows
         ]

@@ -134,11 +134,12 @@ class TestResolve:
         assert main(["resolve", tetra_file, "--field", "4"]) == 1
         assert "not prime" in capsys.readouterr().err
 
-    def test_list_valued_stalk_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dim", [[1], 1.5])
+    def test_non_integer_stalk_exit_code(self, tmp_path, capsys, dim):
         poset_path = tmp_path / "poset.json"
         poset_path.write_text(json.dumps({"elements": ["a"], "covers": []}))
         sheaf_path = tmp_path / "sheaf.json"
-        sheaf_path.write_text(json.dumps({"stalks": {"a": [1]}, "maps": {}}))
+        sheaf_path.write_text(json.dumps({"stalks": {"a": dim}, "maps": {}}))
         assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == 1
         assert "stalk dimension" in capsys.readouterr().err
 
@@ -266,7 +267,7 @@ class TestFunctor:
         assert table == {0: {"24": 1}, 1: {"4": 1}}
         assert _sha256(out) == GOLDEN_SHA256["pull"]
 
-    @pytest.mark.parametrize("field", ["x", [2]])
+    @pytest.mark.parametrize("field", ["x", [2], float("inf")])
     def test_non_integer_field_exit_code(self, tetra_file, tmp_path, capsys, field):
         assert main(["resolve", tetra_file, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
