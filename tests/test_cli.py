@@ -36,6 +36,9 @@ GOLDEN_SHA256 = {
     "shriek-pull": "c11fae08560b755e6c8f0d3bcd00ce0d95ac428d222e9079563fe735f09d98a4",
     "shriek-push": "f05903d977f22c527d9f1ab1e2be0bc07554d270b4afea1ce563797cb7a37c91",
     "pull": "2a3d45994a3d7cfabadb44c812295c79b3567fe481d518e2f10ea8494bc0b89b",
+    "peel-gf2": "bdcd791a1301db75d7a2ea8cd7b23349785e7cf8f26216961e877b26dd738056",
+    "peel-gf3": "c94fe2a240f669e4ba4f51304222794800762865c0ba3c531269005b0f1ac0e1",
+    "push-g": "d0bdd5bca731dbf3746a9c6019589717cbf2bf0ff93dfc8dfbffea5ebd676d06",
 }
 
 
@@ -109,10 +112,18 @@ class TestResolve:
             ["resolve", tetra_file, "--method", "order-complex", "--peel",
              "--format", "json"]
         ) == 0
-        data = json.loads(capsys.readouterr().out)
-        complex_ = complex_from_json(data)
+        out = capsys.readouterr().out
+        complex_ = complex_from_json(json.loads(out))
         table = {d: dict(c) for d, c in complex_.multiplicities().items()}
         assert {d: sum(c.values()) for d, c in table.items()} == {0: 4, 1: 6, 2: 4}
+        assert _sha256(out) == GOLDEN_SHA256["peel-gf2"]
+
+    def test_order_complex_method_gf3_golden(self, tetra_file, capsys):
+        assert main(
+            ["resolve", tetra_file, "--method", "order-complex", "--peel",
+             "--field", "3", "--format", "json"]
+        ) == 0
+        assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256["peel-gf3"]
 
     def test_field_three(self, tetra_file, capsys):
         assert main(["resolve", tetra_file, "--field", "3", "--format", "json"]) == 0
@@ -214,11 +225,12 @@ class TestFunctor:
             ["functor", "push", str(complex_path), "--map", str(map_path),
              "--target-poset", str(tgt_path), "--format", "json"]
         ) == 0
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
         table = {
-            d: dict(c) for d, c in complex_from_json(data).multiplicities().items()
+            d: dict(c) for d, c in complex_from_json(json.loads(out)).multiplicities().items()
         }
         assert table[1]["4"] == 1 and len(table[0]) == 6
+        assert _sha256(out) == GOLDEN_SHA256["push-g"]
 
     def test_shriek_pull_section7(self, rh_complex_file, capsys):
         assert main(
