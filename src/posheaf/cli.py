@@ -71,12 +71,10 @@ def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
 
 
 def _face_lookup(complex_: SimplicialComplex, requested: str) -> str:
-    from .poset import face_name
-
     if requested in complex_.face_poset.index:
         return requested
     tokens = requested.split(",") if "," in requested else list(requested)
-    name = face_name(tokens)
+    name = complex_.name(tokens)
     if name in complex_.face_poset.index:
         return name
     raise InputError(f"face {requested!r} not in the complex")

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from .errors import InputError, SizeCapExceeded
 from .field import PrimeField
-from .matrix import InjectiveComplex, LabeledMatrix, _col_add, _row_add, _sparse_rank
+from .matrix import (
+    InjectiveComplex,
+    LabeledMatrix,
+    _col_add,
+    _column_index,
+    _row_add,
+    _rows_meeting,
+    _sparse_rank,
+)
 from .poset import LocallyClosedSet, MonotoneMap, mapping_cylinder
 from .resolution import cohomology_sheaf_dims, force_exact
 
@@ -27,72 +35,82 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
 
     Each pivot in a same-label diagonal block is cleared with allowed row and
     column operations (mirrored on the neighbor matrices), after which its row
-    and column split off and are deleted.  The output's multiplicity table is
+    and column split off.  Every matrix keeps a column -> rows index of plain
+    lists, so a pivot costs time in proportion to the entries it touches.
+    Split-off rows and columns are emptied and marked dead instead of deleted,
+    and each matrix is compacted once at the end, keeping the order of rows,
+    columns and entries.  Within one visit to a matrix the diagonal scan
+    resumes at the row of the last pivot: rows above it have no same-label
+    entry, and adding the pivot row into them cannot create one, since their
+    labels lie strictly below the pivot's.  The output's multiplicity table is
     independent of the scan order.
     """
     ms = [m.copy() for m in complex_.matrices]
     field = complex_.field
+    cols = [_column_index(m.rows, m.ncols) for m in ms]
+    # dead[k]: split-off summands of term k, i.e. columns of ms[k] and rows of ms[k - 1]
+    dead: list[set[int]] = [set() for _ in range(len(ms) + 1)]
     order = list(_scan_order) if _scan_order is not None else list(range(len(ms)))
     progress = True
     while progress:
         progress = False
         for k in order:
             m = ms[k]
-            while (hit := m.diagonal_entry()) is not None:
+            start = 0
+            while (hit := m.diagonal_entry(start)) is not None:
                 progress = True
                 i, j, c = hit
-                prev_m = ms[k - 1] if k > 0 else None
-                next_m = ms[k + 1] if k + 1 < len(ms) else None
-                _clear_pivot(field, m, prev_m, next_m, i, j, c)
-                _delete_pivot(m, prev_m, next_m, i, j)
+                start = i
+                _split_pivot(field, ms, cols, k, i, j, c)
+                dead[k].add(j)
+                dead[k + 1].add(i)
+    for k, m in enumerate(ms):
+        _compact(m, dead[k + 1], dead[k])
     return InjectiveComplex(complex_.poset, field, ms, complex_.degree_offset).trimmed()
 
 
-def _clear_pivot(field: PrimeField, m, prev_m, next_m, i, j, c):
+def _split_pivot(field: PrimeField, ms, cols, k, i, j, c):
+    """Clear row i and column j of ms[k] around the pivot (i, j) = c, mirrored
+    on ms[k - 1] and ms[k + 1], and empty the pivot row."""
     p = field.p
     inv = field.inv(c)
+    rows = ms[k].rows
+    has_prev, has_next = k > 0, k + 1 < len(ms)
     # clear column j using row i; rows meeting a pi-labeled column are labeled
     # <= pi, so the row addition is allowed
-    for i2 in range(m.nrows):
-        if i2 != i and j in m.rows[i2]:
-            f = (m.rows[i2][j] * inv) % p
-            _row_add(field, m.rows, i, i2, -f)
-            if next_m is not None:
-                _col_add(field, next_m.rows, i2, i, f)
+    for i2 in _rows_meeting(rows, cols[k], j):
+        if i2 != i:
+            f = (rows[i2][j] * inv) % p
+            _row_add(field, rows, i, i2, -f, cols[k])
+            if has_next:
+                _col_add(field, ms[k + 1].rows, i2, i, f, cols[k + 1])
     # clear row i using column j; columns meeting a pi-labeled row are labeled
     # >= pi, so the column addition is allowed
-    for j2 in list(m.rows[i]):
+    for j2 in list(rows[i]):
         if j2 != j:
-            f = (m.rows[i][j2] * inv) % p
-            _col_add(field, m.rows, j, j2, -f)
-            if prev_m is not None:
-                _row_add(field, prev_m.rows, j2, j, f)
-
-
-def _delete_pivot(m, prev_m, next_m, i, j):
+            f = (rows[i][j2] * inv) % p
+            _col_add(field, rows, j, j2, -f, cols[k])
+            if has_prev:
+                _row_add(field, ms[k - 1].rows, j2, j, f, cols[k - 1])
     # composition zero forces the split-off row/column in the neighbors to
-    # vanish, so deleting them preserves the complex
-    if prev_m is not None and prev_m.rows[j]:
+    # vanish, so dropping them preserves the complex
+    if has_prev and ms[k - 1].rows[j]:
         raise AssertionError("peel invariant violated: nonzero row feeding a pivot")
-    if next_m is not None and any(i in r for r in next_m.rows):
+    if has_next and _rows_meeting(ms[k + 1].rows, cols[k + 1], i):
         raise AssertionError("peel invariant violated: nonzero column above a pivot")
-    _delete_row(m, i)
-    _delete_col(m, j)
-    if prev_m is not None:
-        _delete_row(prev_m, j)
-    if next_m is not None:
-        _delete_col(next_m, i)
+    rows[i] = {}
 
 
-def _delete_row(m: LabeledMatrix, i: int):
-    del m.rows[i]
-    del m.row_labels[i]
-
-
-def _delete_col(m: LabeledMatrix, j: int):
-    del m.col_labels[j]
-    for k, row in enumerate(m.rows):
-        m.rows[k] = {(col - 1 if col > j else col): v for col, v in row.items() if col != j}
+def _compact(m: LabeledMatrix, dead_rows: set[int], dead_cols: set[int]):
+    """Drop dead (empty) rows and columns in place, renumbering columns in order."""
+    if not dead_rows and not dead_cols:
+        return
+    keep = [j for j in range(m.ncols) if j not in dead_cols]
+    pos = {j: k for k, j in enumerate(keep)}
+    live = [i for i in range(m.nrows) if i not in dead_rows]
+    m.col_labels = [m.col_labels[j] for j in keep]
+    m.row_labels = [m.row_labels[i] for i in live]
+    m.rows = [{pos[j]: v for j, v in m.rows[i].items()} for i in live]
 
 
 # -- derived functors ----------------------------------------------------------

@@ -24,6 +24,20 @@ def _as_int(value, what: str) -> int:
     return number
 
 
+def _as_object(value, what: str) -> dict:
+    """A JSON object field of the input; anything else is an input error."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _as_array(value, what: str) -> list:
+    """A JSON array field of the input; anything else is an input error."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def read_facets_text(text: str) -> SimplicialComplex:
     """One facet per line, whitespace-separated vertex ids, '#' comments."""
     facets = []
@@ -57,37 +71,42 @@ def poset_from_json(data: dict) -> Poset:
     return Poset.from_covers(elements, covers)
 
 
-def map_from_json(data: dict, source: Poset, target: Poset) -> MonotoneMap:
+def _assignment_from_json(data: dict) -> dict[str, str]:
     try:
-        assignment = {str(k): str(v) for k, v in data["assignment"].items()}
+        assignment = _as_object(_as_object(data, "map JSON")["assignment"], "map 'assignment'")
     except KeyError:
         raise InputError("map JSON missing 'assignment'") from None
-    return MonotoneMap(source, target, assignment)
+    return {str(k): str(v) for k, v in assignment.items()}
+
+
+def map_from_json(data: dict, source: Poset, target: Poset) -> MonotoneMap:
+    return MonotoneMap(source, target, _assignment_from_json(data))
 
 
 def vertex_map_from_json(
     data: dict, source: SimplicialComplex, target: SimplicialComplex
 ) -> MonotoneMap:
-    try:
-        assignment = {str(k): str(v) for k, v in data["assignment"].items()}
-    except KeyError:
-        raise InputError("map JSON missing 'assignment'") from None
-    return MonotoneMap.simplicial(source, target, assignment)
+    return MonotoneMap.simplicial(source, target, _assignment_from_json(data))
 
 
 def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are zero."""
+    data = _as_object(data, "sheaf JSON")
     stalks = {
-        str(k): _as_int(v, f"stalk dimension of {k!r}") for k, v in data.get("stalks", {}).items()
+        str(k): _as_int(v, f"stalk dimension of {k!r}")
+        for k, v in _as_object(data.get("stalks", {}), "sheaf 'stalks'").items()
     }
     maps = {}
-    for key, mat in data.get("maps", {}).items():
+    for key, mat in _as_object(data.get("maps", {}), "sheaf 'maps'").items():
         if "<" not in key:
             raise InputError(f"restriction key {key!r} is not of the form 'a<b'")
         a, b = key.split("<", 1)
         if (a, b) not in set(poset.covers):
             raise InputError(f"restriction key {key!r} is not a cover relation")
-        maps[(a, b)] = [[_as_int(x, f"entry of restriction {key!r}") for x in row] for row in mat]
+        maps[(a, b)] = [
+            [_as_int(x, f"entry of restriction {key!r}") for x in _as_array(row, f"row of {key!r}")]
+            for row in _as_array(mat, f"restriction {key!r}")
+        ]
     return Sheaf(poset, field, stalks, maps)
 
 
@@ -113,11 +132,13 @@ def matrix_to_json(m: LabeledMatrix) -> dict:
 
 
 def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatrix:
-    m = LabeledMatrix(poset, field, [str(c) for c in data["cols"]])
-    for row in data["rows"]:
+    data = _as_object(data, "matrix")
+    m = LabeledMatrix(poset, field, [str(c) for c in _as_array(data["cols"], "matrix 'cols'")])
+    for row in _as_array(data["rows"], "matrix 'rows'"):
+        row = _as_object(row, "matrix row")
         entries = {
             _as_int(j, "matrix column index"): _as_int(v, "matrix entry")
-            for j, v in row["entries"].items()
+            for j, v in _as_object(row["entries"], "row 'entries'").items()
         }
         m.add_row(str(row["label"]), entries)
     return m
@@ -134,9 +155,13 @@ def complex_to_json(complex_: InjectiveComplex) -> dict:
 
 def complex_from_json(data: dict) -> InjectiveComplex:
     try:
+        data = _as_object(data, "complex JSON")
         field = PrimeField(_as_int(data["field"], "field"))
         poset = poset_from_json(data["poset"])
-        matrices = [matrix_from_json(m, poset, field) for m in data["matrices"]]
+        matrices = [
+            matrix_from_json(m, poset, field)
+            for m in _as_array(data["matrices"], "complex 'matrices'")
+        ]
         offset = _as_int(data.get("degree_offset", 0), "degree_offset")
     except KeyError as missing:
         raise InputError(f"complex JSON missing key {missing}") from None
@@ -150,8 +175,9 @@ def morse_from_json(data: dict, domain: Poset):
     from .morse import MorseFunction
 
     try:
-        levels = {str(k): str(v) for k, v in data["levels"].items()}
-        order = [str(x) for x in data["order"]]
+        data = _as_object(data, "morse JSON")
+        levels = {str(k): str(v) for k, v in _as_object(data["levels"], "morse 'levels'").items()}
+        order = [str(x) for x in _as_array(data["order"], "morse 'order'")]
     except KeyError as missing:
         raise InputError(f"morse JSON missing key {missing}") from None
     for e in domain.elements:

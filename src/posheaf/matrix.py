@@ -124,12 +124,15 @@ class LabeledMatrix:
         idx = self.poset.index
         return [j for j, lab in enumerate(self.col_labels) if (bits >> idx[lab]) & 1]
 
-    def diagonal_entry(self) -> tuple[int, int, int] | None:
+    def diagonal_entry(self, start: int = 0) -> tuple[int, int, int] | None:
         """First nonzero entry (row, column, value) in a same-label diagonal
-        block, scanning rows in order; None if every such block is zero."""
-        for i, row_lab in enumerate(self.row_labels):
+        block, scanning rows in order from row `start`; None if every such
+        block there is zero."""
+        col_labels = self.col_labels
+        for i in range(start, self.nrows):
+            row_lab = self.row_labels[i]
             for j, v in self.rows[i].items():
-                if self.col_labels[j] == row_lab:
+                if col_labels[j] == row_lab:
                     return i, j, v
         return None
 
@@ -375,7 +378,9 @@ def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: in
     raise InputError(f"unknown column operation {kind!r}")
 
 
-def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int):
+def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):
+    """rows[dest] += scalar * rows[src].  `cols`, if given, is a column -> rows
+    index (see `_rows_meeting`) that learns every entry the addition creates."""
     p = field.p
     s = scalar % p
     if not s:
@@ -384,23 +389,48 @@ def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int):
     for j, v in rows[src].items():
         new = (target.get(j, 0) + s * v) % p
         if new:
+            if cols is not None and j not in target:
+                cols[j].append(dest)
             target[j] = new
         else:
             target.pop(j, None)
 
 
-def _col_add(field: PrimeField, rows, src: int, dest: int, scalar: int):
+def _col_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):
+    """col[dest] += scalar * col[src], over all rows or, given a column index
+    `cols`, over the rows it lists for `src` (the index learns new entries)."""
     p = field.p
     s = scalar % p
     if not s:
         return
-    for row in rows:
+    for r in range(len(rows)) if cols is None else _rows_meeting(rows, cols, src):
+        row = rows[r]
         if src in row:
             new = (row.get(dest, 0) + s * row[src]) % p
             if new:
+                if cols is not None and dest not in row:
+                    cols[dest].append(r)
                 row[dest] = new
             else:
                 row.pop(dest, None)
+
+
+def _column_index(rows, ncols: int) -> list[list[int]]:
+    """Column -> ascending list of the rows with an entry there."""
+    cols: list[list[int]] = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            cols[j].append(r)
+    return cols
+
+
+def _rows_meeting(rows, cols, j: int) -> list[int]:
+    """Rows with an entry in column j, ascending.  The index lists only grow
+    (an entry that vanishes leaves its row behind, one that reappears lists it
+    again), so the list is filtered, sorted and stored back on each read."""
+    live = sorted({r for r in cols[j] if j in rows[r]})
+    cols[j] = live
+    return live
 
 
 def _sparse_rank(field: PrimeField, rows) -> int:

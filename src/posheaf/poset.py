@@ -58,7 +58,6 @@ class Poset:
         if len(index) != len(elements):
             raise InputError("duplicate element ids")
         n = len(elements)
-        up = [1 << i for i in range(n)]
         cover_pairs = []
         succ = [[] for _ in range(n)]
         for a, b in covers:
@@ -68,23 +67,27 @@ class Poset:
                 raise InputError(f"cover ({a}, {b}) is reflexive")
             succ[index[a]].append(index[b])
             cover_pairs.append((a, b))
-        # transitive closure in reverse topological attempt; iterate to fixpoint
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                for j in succ[i]:
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+        # Kahn pass: up[i] is the OR of its cover successors' up-sets, taken in
+        # reverse topological order
+        indegree = [0] * n
         for i in range(n):
-            for j in range(n):
-                if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                    raise InputError(
-                        f"relation is not antisymmetric: {elements[i]} and {elements[j]}"
-                    )
+            for j in succ[i]:
+                indegree[j] += 1
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:
+            for j in succ[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        if len(order) < n:
+            a, b = _cycle_pair(succ, indegree)
+            raise InputError(f"relation is not antisymmetric: {elements[a]} and {elements[b]}")
+        up = [1 << i for i in range(n)]
+        for i in reversed(order):
+            acc = up[i]
+            for j in succ[i]:
+                acc |= up[j]
+            up[i] = acc
         return cls(elements, up, cover_pairs)
 
     @classmethod
@@ -282,6 +285,28 @@ class Poset:
         return issues
 
 
+def _cycle_pair(succ, indegree) -> tuple[int, int]:
+    """Two distinct elements on one cycle of the cover graph, given the
+    in-degrees Kahn's pass left behind (nonzero exactly off its order).
+
+    Every element left over has a left-over predecessor, so walking
+    predecessors from the first one must come back to an element already seen.
+    """
+    pred = {}
+    for i, targets in enumerate(succ):
+        if indegree[i]:
+            for j in targets:
+                pred.setdefault(j, i)
+    seen = []
+    i = next(k for k, d in enumerate(indegree) if d)
+    while i not in seen:
+        seen.append(i)
+        i = pred[i]
+    cycle = seen[seen.index(i):]
+    a = min(cycle)
+    return a, min(k for k in cycle if k != a)
+
+
 def _bit_indices(bits: int):
     while bits:
         low = bits & -bits
@@ -296,18 +321,22 @@ def _vertex_key(v: str):
     return (len(v), v)
 
 
-def face_name(vertices) -> str:
+def face_name(vertices, separator: str | None = None) -> str:
+    """Sorted vertex tokens joined by `separator`; by default by "" when every
+    token is one character, else by ",".  A complex passes its own separator,
+    chosen once from all of its vertices, so that names never collide."""
     toks = sorted((str(v) for v in vertices), key=_vertex_key)
-    if all(len(t) == 1 for t in toks):
-        return "".join(toks)
-    return ",".join(toks)
+    if separator is None:
+        separator = "" if all(len(t) == 1 for t in toks) else ","
+    return separator.join(toks)
 
 
 class SimplicialComplex:
     """An abstract simplicial complex together with its face poset.
 
     Faces are nonempty vertex sets; the face poset is ordered by inclusion and
-    its elements are named by the sorted vertex tokens (e.g. ``013``).
+    its elements are named by the sorted vertex tokens (e.g. ``013``), joined
+    by commas (``1,12``) if any vertex token is longer than one character.
     """
 
     def __init__(self, faces: list[frozenset]):
@@ -318,7 +347,8 @@ class SimplicialComplex:
             if not f:
                 raise InputError("empty face")
         self.vertices = sorted({str(v) for f in self.faces for v in f}, key=_vertex_key)
-        self.name_of = {f: face_name(f) for f in self.faces}
+        self.separator = "" if all(len(v) == 1 for v in self.vertices) else ","
+        self.name_of = {f: self.name(f) for f in self.faces}
         self.face_of = {name: f for f, name in self.name_of.items()}
         if len(self.face_of) != len(self.faces):
             raise InputError("face names collide; use distinct vertex ids")
@@ -330,7 +360,7 @@ class SimplicialComplex:
             for v in sorted((str(x) for x in f), key=_vertex_key):
                 sub = frozenset(x for x in f if str(x) != v)
                 if sub not in face_set:
-                    raise InputError(f"face {face_name(f)} is missing its subset {face_name(sub)}")
+                    raise InputError(f"face {self.name(f)} is missing its subset {self.name(sub)}")
                 covers.append((self.name_of[sub], self.name_of[f]))
         self.face_poset = Poset.from_covers([self.name_of[f] for f in self.faces], covers)
 
@@ -345,6 +375,10 @@ class SimplicialComplex:
                 for sub in combinations(sorted(facet, key=_vertex_key), k):
                     faces.add(frozenset(sub))
         return cls(sorted(faces, key=lambda f: (len(f), tuple(sorted(f, key=_vertex_key)))))
+
+    def name(self, vertices) -> str:
+        """Name of a vertex set under this complex's naming rule."""
+        return face_name(vertices, self.separator)
 
     def dim(self, name: str) -> int:
         return len(self.face_of[name]) - 1
@@ -374,7 +408,7 @@ def star_subposet(complex_: SimplicialComplex, face: str, empty_name: str = "∅
 
     def relabel(name):
         rest = complex_.face_of[name] - base
-        return face_name(rest) if rest else empty_name
+        return complex_.name(rest) if rest else empty_name
 
     new_names = {m: relabel(m) for m in members}
     pairs = [
@@ -433,7 +467,7 @@ class MonotoneMap:
         assignment = {}
         for f in source.faces:
             image = frozenset(vm.get(str(v), str(v)) for v in f)
-            name = face_name(image)
+            name = target.name(image)
             if name not in target.face_poset.index:
                 raise InputError(f"image face {name} not in target complex")
             assignment[source.name_of[f]] = name

@@ -154,6 +154,33 @@ class TestResolve:
         assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == 1
         assert "stalk dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sheaf",
+        [
+            {"stalks": {"a": 1}, "maps": {"a<ab": 7}},
+            {"stalks": {"a": 1}, "maps": {"a<ab": [7]}},
+            {"stalks": [1, 2]},
+            {"stalks": {"a": 1}, "maps": []},
+            [1],
+        ],
+        ids=["map-number", "map-row-number", "stalks-list", "maps-list", "sheaf-list"],
+    )
+    def test_wrong_json_container_exit_code(self, tmp_path, capsys, sheaf):
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps({"elements": ["a", "ab"], "covers": [["a", "ab"]]}))
+        sheaf_path = tmp_path / "sheaf.json"
+        sheaf_path.write_text(json.dumps(sheaf))
+        assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == 1
+        assert "input error:" in capsys.readouterr().err
+
+    def test_facet_names_that_would_collide(self, tmp_path, capsys):
+        # vertex 12 and edge {1,2}: names are comma-joined for the whole complex
+        path = tmp_path / "collide.txt"
+        path.write_text("1 2\n2 12\n")
+        assert main(["resolve", str(path), "--star", "2", "--format", "json"]) == 0
+        complex_ = complex_from_json(json.loads(capsys.readouterr().out))
+        assert sorted(complex_.poset.elements) == ["1", "12", "∅"]
+
     def test_internal_value_error_is_not_an_input_error(self, tetra_file, monkeypatch):
         import posheaf.cli as cli_module
 
@@ -297,6 +324,38 @@ class TestFunctor:
         path.write_text(json.dumps(data))
         assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
         assert "out of range" in capsys.readouterr().err
+
+    def test_assignment_list_exit_code(self, lambda_complex_file, tmp_path, capsys, sphere_wedge):
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"assignment": ["4", "24"]}))
+        tgt_path = tmp_path / "tgt.json"
+        tgt_path.write_text(json.dumps(poset_to_json(sphere_wedge["lambda"].face_poset)))
+        assert main(
+            ["functor", "push", lambda_complex_file, "--map", str(map_path),
+             "--target-poset", str(tgt_path)]
+        ) == 1
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("matrices", {"0": 1}), ("cols", 3), ("rows", 5), ("row", [1]), ("entries", [1])],
+    )
+    def test_wrong_complex_container_exit_code(self, tetra_file, tmp_path, capsys, where, value):
+        assert main(["resolve", tetra_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        matrix = data["matrices"][0]
+        if where == "matrices":
+            data["matrices"] = value
+        elif where == "row":
+            matrix["rows"][0] = value
+        elif where == "entries":
+            matrix["rows"][0]["entries"] = value
+        else:
+            matrix[where] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
+        assert "input error:" in capsys.readouterr().err
 
     def test_non_locally_closed_set_rejected(self, lambda_complex_file):
         assert main(

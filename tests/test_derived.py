@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -97,6 +98,28 @@ class TestPeel:
             order = list(range(len(res.matrices)))
             rng.shuffle(order)
             assert mult_table(peel(res, _scan_order=order)) == reference
+
+    @pytest.mark.parametrize(
+        "n, d, p, order, digest",
+        [
+            (4, 2, 3, None, "1c6fb53483b7c0fa4ad2eb9230434b43bf4f783b29ea92162c11bbb175b11a4c"),
+            (4, 3, 5, [2, 0, 3, 1],
+             "6c9d996f7b0b0c038b2eb9574016cece89ebfff86f9c3a559a35e43501e4a556"),
+        ],
+    )
+    def test_raw_output_pinned(self, n, d, p, order, digest):
+        # sha256 of the JSON of peel's raw output, entry order included, as
+        # computed by the peel that deleted every pivot row and column at once
+        from posheaf.field import PrimeField
+        from posheaf.io import complex_to_json, dumps
+        from posheaf.poset import skeleton_of_simplex
+        from posheaf.resolution import order_complex_resolution
+        from posheaf.sheaf import constant_sheaf
+
+        poset = skeleton_of_simplex(n, d).face_poset
+        res = order_complex_resolution(constant_sheaf(poset, PrimeField(p)))
+        text = dumps(complex_to_json(peel(res, _scan_order=order)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_agrees_with_identity_pullback_minimization(self):
         # two independent minimization routes: pivot peeling and the exact

@@ -53,6 +53,18 @@ class TestFromFacets:
         with pytest.raises(InputError):
             SimplicialComplex.from_facets([[]])
 
+    def test_multi_character_vertices_get_comma_names(self):
+        # vertex 12 and edge {1,2} would both be "12" under the one-character rule
+        sc = SimplicialComplex.from_facets([["1", "2"], ["2", "12"]])
+        assert sorted(sc.face_poset.elements) == ["1", "1,2", "12", "2", "2,12"]
+        assert sc.face_poset.leq("12", "2,12") and not sc.face_poset.leq("12", "1,2")
+
+    def test_skeleton_with_two_digit_vertices(self):
+        sc = skeleton_of_simplex(12, 1)
+        assert len(sc.faces) == 13 + 78
+        assert {"12", "1,2", "10,12"} <= set(sc.face_poset.elements)
+        assert not sc.face_poset.validate()
+
     def test_deterministic_order(self):
         sc = SimplicialComplex.from_facets(["21", "13"])
         dims = [sc.dim(e) for e in sc.face_poset.elements]
@@ -140,6 +152,10 @@ class TestLinearExtension:
 
     def test_height(self, tetra):
         assert tetra.face_poset.height == 2
+
+    def test_antisymmetry_rejected_on_a_longer_cycle(self):
+        with pytest.raises(InputError, match="antisymmetric: b and c"):
+            Poset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("c", "b")])
 
     def test_antisymmetry_rejected(self):
         with pytest.raises(InputError):

@@ -1,0 +1,83 @@
+"""Differential property tests: peel against the inductive minimal resolution,
+and `Poset.from_covers` against `Poset.from_leq_pairs`, on random inputs.
+
+Examples are derandomized and few, so the suite stays within seconds and
+gives the same verdict on every run.
+"""
+
+import random
+import re
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from posheaf.derived import peel, same_derived_object
+from posheaf.errors import InputError
+from posheaf.field import PrimeField
+from posheaf.poset import Poset
+from posheaf.resolution import is_minimal, minimal_resolution_sheaf, order_complex_resolution
+
+from conftest import random_sheaf
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def dags(draw, max_elements=9):
+    """(elements, edges): an acyclic relation, edges going up a hidden order."""
+    n = draw(st.integers(1, max_elements))
+    elements = [f"e{i}" for i in range(n)]
+    rank = draw(st.permutations(elements))
+    pairs = [(a, b) for k, a in enumerate(rank) for b in rank[k + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return elements, edges
+
+
+@st.composite
+def functorial_sheaves(draw):
+    """A sheaf over GF(2), GF(3) or GF(5) on a random poset: constant, a sum
+    of constant sheaves on open sets, or the kernel of a random map of
+    injectives (functorial by construction)."""
+    elements, edges = draw(dags(max_elements=6))
+    poset = Poset.from_leq_pairs(elements, edges)
+    field = PrimeField(draw(st.sampled_from([2, 3, 5])))
+    style = draw(st.sampled_from(["constant", "open", "kernel"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_sheaf(rng, poset, field, style)
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), data=st.data())
+def test_peel_reaches_the_minimal_resolution(sheaf, data):
+    raw = order_complex_resolution(sheaf)
+    order = data.draw(st.permutations(range(len(raw.matrices))), label="scan order")
+    peeled = peel(raw, _scan_order=order)
+    assert peeled.validate().ok
+    assert is_minimal(peeled)
+    assert same_derived_object(peeled, minimal_resolution_sheaf(sheaf))
+
+
+@PROPERTY_SETTINGS
+@given(dag=dags())
+def test_from_covers_closes_like_from_leq_pairs(dag):
+    elements, edges = dag
+    assert Poset.from_covers(elements, edges)._up == Poset.from_leq_pairs(elements, edges)._up
+
+
+@PROPERTY_SETTINGS
+@given(dag=dags(), data=st.data())
+def test_from_covers_rejects_a_back_edge(dag, data):
+    elements, edges = dag
+    poset = Poset.from_leq_pairs(elements, edges)
+    strict = [(a, b) for a in elements for b in elements if a != b and poset.leq(a, b)]
+    assume(strict)
+    low, high = data.draw(st.sampled_from(strict), label="reversed pair")
+    position = data.draw(st.integers(0, len(edges)), label="insert at")
+    with pytest.raises(InputError) as caught:
+        Poset.from_covers(elements, edges[:position] + [(high, low)] + edges[position:])
+    named = re.fullmatch(r"relation is not antisymmetric: (\S+) and (\S+)", str(caught.value))
+    assert named and named[1] != named[2]
+    # every cycle runs through the back edge, inside the interval [low, high]
+    for e in named.groups():
+        assert poset.leq(low, e) and poset.leq(e, high)
