@@ -60,8 +60,8 @@ def poset_to_json(poset: Poset) -> dict:
 
 def poset_from_json(data: dict) -> Poset:
     try:
-        elements = [str(e) for e in data["elements"]]
-        covers = [(str(a), str(b)) for a, b in data["covers"]]
+        elements = [str(e) for e in _as_array(data["elements"], "poset 'elements'")]
+        covers = [(str(a), str(b)) for a, b in (_as_array(c, "cover") for c in data["covers"])]
     except KeyError as missing:
         raise InputError(f"poset JSON missing key {missing}") from None
     except (TypeError, ValueError):

@@ -288,21 +288,14 @@ class Poset:
 def _cycle_pair(succ, indegree) -> tuple[int, int]:
     """Two distinct elements on one cycle of the cover graph, given the
     in-degrees Kahn's pass left behind (nonzero exactly off its order).
-
     Every element left over has a left-over predecessor, so walking
-    predecessors from the first one must come back to an element already seen.
-    """
-    pred = {}
-    for i, targets in enumerate(succ):
-        if indegree[i]:
-            for j in targets:
-                pred.setdefault(j, i)
-    seen = []
-    i = next(k for k, d in enumerate(indegree) if d)
-    while i not in seen:
-        seen.append(i)
-        i = pred[i]
-    cycle = seen[seen.index(i):]
+    predecessors must come back to an element already on the path."""
+    left = [i for i, d in enumerate(indegree) if d]
+    pred = {j: i for i in left for j in succ[i]}
+    path = [left[0]]
+    while pred[path[-1]] not in path:
+        path.append(pred[path[-1]])
+    cycle = path[path.index(pred[path[-1]]):]
     a = min(cycle)
     return a, min(k for k in cycle if k != a)
 

@@ -44,6 +44,15 @@ class TestPosetJson:
         with pytest.raises(InputError):
             poset_from_json({"elements": ["a"]})
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"elements": "ab", "covers": []}, {"elements": ["a", "b"], "covers": ["ab"]}],
+        ids=["elements-string", "cover-string"],
+    )
+    def test_strings_for_arrays_rejected(self, data):
+        with pytest.raises(InputError):
+            poset_from_json(data)
+
 
 class TestSheafJson:
     def test_round_trip(self):
