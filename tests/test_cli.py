@@ -28,8 +28,9 @@ MORSE_JSON = {
 }
 
 
-# sha256 of the `--format json` stdout of the golden cases below: CLI output
-# must stay byte-identical on them.
+# sha256 of the stdout of the golden cases below (`--format json` for
+# complexes, text and CSV for Morse tables): CLI output must stay
+# byte-identical on them.
 GOLDEN_SHA256 = {
     "sheaf-small": "407f185ae82012dc6963c095097949caa1576298158a05fb40cdb53d65af5384",
     "sheaf-gf3": "7d6180d3d1dfb9fcd007aeb96e0f84b387cf80416453bb73fb7f3167209d561f",
@@ -39,6 +40,8 @@ GOLDEN_SHA256 = {
     "peel-gf2": "bdcd791a1301db75d7a2ea8cd7b23349785e7cf8f26216961e877b26dd738056",
     "peel-gf3": "c94fe2a240f669e4ba4f51304222794800762865c0ba3c531269005b0f1ac0e1",
     "push-g": "d0bdd5bca731dbf3746a9c6019589717cbf2bf0ff93dfc8dfbffea5ebd676d06",
+    "morse-verify": "6e998d7f46fb652e914f9f92083c5674818c41de9ca19c98b635230951611201",
+    "morse-verify-csv": "0ec64a1842a8b7a42cfd75c54cce1daf3d4497fd819b3232956c46f6b64fe0b4",
 }
 
 
@@ -371,6 +374,15 @@ class TestMorseCommand:
         out = capsys.readouterr().out
         assert "critical elements:" in out
         assert "verified" in out
+        assert _sha256(out) == GOLDEN_SHA256["morse-verify"]
+
+    def test_verify_csv_golden(self, rg_complex_file, tmp_path, capsys):
+        morse_path = tmp_path / "morse.json"
+        morse_path.write_text(json.dumps(MORSE_JSON))
+        assert main(
+            ["morse", rg_complex_file, str(morse_path), "--verify", "--format", "csv"]
+        ) == 0
+        assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256["morse-verify-csv"]
 
     def test_verify_rh(self, rh_complex_file, tmp_path):
         morse_path = tmp_path / "morse.json"
