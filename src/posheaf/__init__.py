@@ -46,6 +46,7 @@ from .derived import (
     same_derived_object,
 )
 from .morse import (
+    MorseAnalysis,
     MorseFunction,
     betti_table,
     compact_support_cohomology,

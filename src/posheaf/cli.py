@@ -33,7 +33,7 @@ from .derived import (
     pullback,
     pushforward,
 )
-from .morse import betti_table, critical_elements, morse_inequalities, verify_morse_theorem
+from .morse import MorseAnalysis
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -63,6 +63,11 @@ def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
             poset = star_subposet(complex_, face)
         else:
             poset = complex_.face_poset
+    return _capped(poset, max_elements)
+
+
+def _capped(poset: Poset, max_elements: int) -> Poset:
+    """The poset itself, or SizeCapExceeded (exit 3) above --max-elements."""
     if len(poset) > max_elements:
         raise SizeCapExceeded(
             f"input has {len(poset)} elements, above --max-elements={max_elements}"
@@ -111,12 +116,18 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
-def _load_complex(path: str) -> InjectiveComplex:
-    return pio.complex_from_json(json.loads(_read(path)))
+def _load_complex(path: str, max_elements: int) -> InjectiveComplex:
+    complex_ = pio.complex_from_json(json.loads(_read(path)))
+    _capped(complex_.poset, max_elements)
+    return complex_
+
+
+def _load_poset(path: str, max_elements: int) -> Poset:
+    return _capped(pio.poset_from_json(json.loads(_read(path))), max_elements)
 
 
 def cmd_functor(args) -> int:
-    complex_ = _load_complex(args.complex)
+    complex_ = _load_complex(args.complex, args.max_elements)
     if args.kind in ("push", "pull"):
         if not args.map:
             raise InputError(f"functor {args.kind} needs --map")
@@ -124,7 +135,7 @@ def cmd_functor(args) -> int:
         if args.kind == "push":
             source = complex_.poset
             target = (
-                pio.poset_from_json(json.loads(_read(args.target_poset)))
+                _load_poset(args.target_poset, args.max_elements)
                 if args.target_poset
                 else _image_poset(source, map_data)
             )
@@ -133,7 +144,7 @@ def cmd_functor(args) -> int:
         else:
             if not args.source_poset:
                 raise InputError("functor pull needs --source-poset")
-            source = pio.poset_from_json(json.loads(_read(args.source_poset)))
+            source = _load_poset(args.source_poset, args.max_elements)
             f = pio.map_from_json(map_data, source, complex_.poset)
             result = pullback(f, complex_)
     elif args.kind in ("shriek-push", "shriek-pull"):
@@ -146,7 +157,7 @@ def cmd_functor(args) -> int:
         else:
             if not args.ambient:
                 raise InputError("functor shriek-push needs --ambient")
-            ambient = pio.poset_from_json(json.loads(_read(args.ambient)))
+            ambient = _load_poset(args.ambient, args.max_elements)
             zset = LocallyClosedSet(ambient, members)
             result = proper_pushforward(zset, complex_)
     else:
@@ -171,14 +182,12 @@ def _image_poset(source: Poset, map_data: dict) -> Poset:
 
 
 def cmd_morse(args) -> int:
-    complex_ = _load_complex(args.complex)
+    complex_ = _load_complex(args.complex, args.max_elements)
     mf = pio.morse_from_json(json.loads(_read(args.morse)), complex_.poset)
-    crit = {
-        variant: critical_elements(mf, complex_, variant)
-        for variant in ("shriek", "star")
-    }
+    analysis = MorseAnalysis(mf, complex_)
+    crit = {variant: analysis.critical(variant) for variant in ("shriek", "star")}
     tables = {
-        (direction, variant): betti_table(mf, complex_, direction, variant)
+        (direction, variant): analysis.table(direction, variant)
         for direction in ("sublevel", "superlevel")
         for variant in ("shriek", "star")
     }
@@ -187,10 +196,10 @@ def cmd_morse(args) -> int:
     else:
         _print_morse_text(mf, crit, tables)
     if args.verify:
-        theorem = verify_morse_theorem(mf, complex_)
+        theorem = analysis.theorem()
         failures = list(theorem.violations)
         for variant in ("shriek", "star"):
-            report = morse_inequalities(mf, complex_, variant)
+            report = analysis.inequalities(variant)
             failures += [f"{variant}: {v}" for v in report.violations]
         if failures:
             for line in failures:
@@ -278,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     functor.add_argument("--set", help="comma-separated locally closed set")
     functor.add_argument("--ambient", help="poset JSON for shriek-push")
     functor.add_argument("--format", choices=("text", "json"), default="text")
+    functor.add_argument("--max-elements", type=int, default=10_000)
     functor.set_defaults(func=cmd_functor)
 
     morse = sub.add_parser("morse", help="Morse tables for a complex")
@@ -289,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the Morse theorem and inequalities; exit 2 on violation",
     )
+    morse.add_argument("--max-elements", type=int, default=10_000)
     morse.set_defaults(func=cmd_morse)
     return parser
 

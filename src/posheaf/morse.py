@@ -48,13 +48,11 @@ def restrict_star(zset: LocallyClosedSet, complex_: InjectiveComplex) -> Injecti
 def in_microsupport_star(zset: LocallyClosedSet, complex_: InjectiveComplex) -> bool:
     """Z is in the *-microsupport iff the extension by zero of the restriction
     has nonzero hypercohomology."""
-    restricted = restrict_star(zset, complex_)
-    extended = proper_pushforward(zset, restricted)
-    return bool(hypercohomology(extended))
+    return bool(star_microsupport_dims(zset, complex_))
 
 
 def in_microsupport_shriek(zset: LocallyClosedSet, complex_: InjectiveComplex) -> bool:
-    return bool(hypercohomology(proper_pullback(zset, complex_)))
+    return bool(shriek_microsupport_dims(zset, complex_))
 
 
 def star_microsupport_dims(zset, complex_):
@@ -133,17 +131,7 @@ def critical_elements(
     mf: MorseFunction, complex_: InjectiveComplex, variant: str
 ) -> set[str]:
     """Level elements whose fiber lies in the chosen discrete microsupport."""
-    test = {
-        "star": in_microsupport_star,
-        "shriek": in_microsupport_shriek,
-    }[variant]
-    out = set()
-    for x in mf.total_order:
-        if not mf.fibers[x]:
-            continue
-        if test(mf.fiber_set(x), complex_):
-            out.add(x)
-    return out
+    return MorseAnalysis(mf, complex_).critical(variant)
 
 
 def betti_table(
@@ -156,14 +144,15 @@ def betti_table(
 
     direction 'sublevel' uses closed sets {f <= x}; 'superlevel' uses open
     sets {f >= x}.  variant 'shriek' restricts by submatrices, 'star' by the
-    cylinder pullback; on open sets the two agree.
+    cylinder pullback.  On an open set Ri^* = Ri^!, so superlevel rows of
+    both variants restrict by submatrices.
     """
     def row(x):
         members = mf.sublevel(x) if direction == "sublevel" else mf.superlevel(x)
         if not members:
             return {}
         zset = LocallyClosedSet(mf.map.source, members)
-        if variant == "shriek":
+        if variant == "shriek" or direction == "superlevel":
             return hypercohomology(proper_pullback(zset, complex_))
         return hypercohomology(restrict_star(zset, complex_))
 
@@ -181,44 +170,8 @@ class MorseTheoremReport:
 
 
 def verify_morse_theorem(mf: MorseFunction, complex_: InjectiveComplex) -> MorseTheoremReport:
-    """Dimension-level check of the three Morse isomorphism families.
-
-    Between consecutive levels a < b of the total order:
-      - sublevel-! rows at a and b agree unless b is !-critical,
-      - sublevel-* rows at a and b agree unless b is *-critical,
-      - superlevel-* rows at a and b agree unless a is !-critical
-        (the restriction drops the fiber of a).
-    The boundary rows (empty sublevel before the first level, empty superlevel
-    after the last) are included in the comparison.
-    """
-    report = MorseTheoremReport()
-    crit_shriek = critical_elements(mf, complex_, "shriek")
-    crit_star = critical_elements(mf, complex_, "star")
-    sub_shriek = betti_table(mf, complex_, "sublevel", "shriek")
-    sub_star = betti_table(mf, complex_, "sublevel", "star")
-    super_star = betti_table(mf, complex_, "superlevel", "star")
-    levels = mf.total_order
-
-    def compare(kind, x, row_a, row_b):
-        report.checks += 1
-        if row_a != row_b:
-            report.violations.append(
-                f"{kind}: rows differ across non-critical level {x} ({row_a} vs {row_b})"
-            )
-
-    prev_shriek: dict[int, int] = {}
-    prev_star: dict[int, int] = {}
-    for x in levels:
-        if x not in crit_shriek:
-            compare("sublevel-shriek", x, prev_shriek, sub_shriek[x])
-        if x not in crit_star:
-            compare("sublevel-star", x, prev_star, sub_star[x])
-        prev_shriek, prev_star = sub_shriek[x], sub_star[x]
-    for k, x in enumerate(levels):
-        nxt = super_star[levels[k + 1]] if k + 1 < len(levels) else {}
-        if x not in crit_shriek:
-            compare("superlevel-star", x, super_star[x], nxt)
-    return report
+    """`MorseAnalysis.theorem` on a fresh analysis."""
+    return MorseAnalysis(mf, complex_).theorem()
 
 
 @dataclass
@@ -236,48 +189,121 @@ class MorseInequalityReport:
 def morse_inequalities(
     mf: MorseFunction, complex_: InjectiveComplex, variant: str
 ) -> MorseInequalityReport:
-    """Alternating partial-sum inequalities and the Euler equality.
+    """`MorseAnalysis.inequalities` on a fresh analysis."""
+    return MorseAnalysis(mf, complex_).inequalities(variant)
 
-    For every truncation level, the signed partial sum of the global
-    hypercohomology dimensions is bounded by the corresponding sum over
-    critical fibers; the full alternating sums agree.
+
+class MorseAnalysis:
+    """The Morse quantities of one complex under one Morse function: Betti
+    tables, fiber microsupport dims, critical sets, the theorem check and the
+    inequalities.  Each table and each variant's fiber dims are computed on
+    first use and kept.
     """
-    report = MorseInequalityReport()
-    total = hypercohomology(complex_)
-    fibers = {}
-    for x in critical_elements(mf, complex_, variant):
-        zset = mf.fiber_set(x)
-        if variant == "shriek":
-            fibers[x] = shriek_microsupport_dims(zset, complex_)
-        else:
-            fibers[x] = star_microsupport_dims(zset, complex_)
-    degrees = set(total)
-    for dims in fibers.values():
-        degrees |= set(dims)
-    if not degrees:
-        report.euler_total = 0
-        report.euler_critical_sum = 0
+
+    def __init__(self, mf: MorseFunction, complex_: InjectiveComplex):
+        self.mf = mf
+        self.complex = complex_
+        self._tables: dict[tuple[str, str], dict[str, dict[int, int]]] = {}
+        self._fiber_dims: dict[str, dict[str, dict[int, int]]] = {}
+
+    def table(self, direction: str, variant: str) -> dict[str, dict[int, int]]:
+        """`betti_table` rows.  Superlevel sets are open, so both variants
+        share one superlevel table."""
+        key = (direction, "shriek" if direction == "superlevel" else variant)
+        if key not in self._tables:
+            self._tables[key] = betti_table(self.mf, self.complex, *key)
+        return self._tables[key]
+
+    def fiber_dims(self, variant: str) -> dict[str, dict[int, int]]:
+        """Microsupport dims of the fiber of every level with a non-empty fiber."""
+        if variant not in self._fiber_dims:
+            dims = {"star": star_microsupport_dims, "shriek": shriek_microsupport_dims}[variant]
+            self._fiber_dims[variant] = {
+                x: dims(self.mf.fiber_set(x), self.complex)
+                for x in self.mf.total_order
+                if self.mf.fibers[x]
+            }
+        return self._fiber_dims[variant]
+
+    def critical(self, variant: str) -> set[str]:
+        """Levels whose fiber lies in the chosen discrete microsupport."""
+        return {x for x, dims in self.fiber_dims(variant).items() if dims}
+
+    def theorem(self) -> MorseTheoremReport:
+        """Dimension-level check of the three Morse isomorphism families.
+
+        Between consecutive levels a < b of the total order:
+          - sublevel-! rows at a and b agree unless b is !-critical,
+          - sublevel-* rows at a and b agree unless b is *-critical,
+          - superlevel-* rows at a and b agree unless a is !-critical
+            (the restriction drops the fiber of a).
+        The boundary rows (empty sublevel before the first level, empty
+        superlevel after the last) are included in the comparison.
+        """
+        report = MorseTheoremReport()
+        crit_shriek = self.critical("shriek")
+        crit_star = self.critical("star")
+        sub_shriek = self.table("sublevel", "shriek")
+        sub_star = self.table("sublevel", "star")
+        super_star = self.table("superlevel", "star")
+        levels = self.mf.total_order
+
+        def compare(kind, x, row_a, row_b):
+            report.checks += 1
+            if row_a != row_b:
+                report.violations.append(
+                    f"{kind}: rows differ across non-critical level {x} ({row_a} vs {row_b})"
+                )
+
+        prev_shriek: dict[int, int] = {}
+        prev_star: dict[int, int] = {}
+        for x in levels:
+            if x not in crit_shriek:
+                compare("sublevel-shriek", x, prev_shriek, sub_shriek[x])
+            if x not in crit_star:
+                compare("sublevel-star", x, prev_star, sub_star[x])
+            prev_shriek, prev_star = sub_shriek[x], sub_star[x]
+        for k, x in enumerate(levels):
+            nxt = super_star[levels[k + 1]] if k + 1 < len(levels) else {}
+            if x not in crit_shriek:
+                compare("superlevel-star", x, super_star[x], nxt)
         return report
-    lo, hi = min(degrees), max(degrees)
-    for ell in range(lo - 1, hi + 2):
-        lhs = sum((-1) ** (ell - j) * total.get(j, 0) for j in range(lo, ell + 1))
-        rhs = sum(
-            (-1) ** (ell - j) * dims.get(j, 0)
-            for dims in fibers.values()
-            for j in range(lo, ell + 1)
+
+    def inequalities(self, variant: str) -> MorseInequalityReport:
+        """Alternating partial-sum inequalities and the Euler equality.
+
+        For every truncation level, the signed partial sum of the global
+        hypercohomology dimensions is bounded by the corresponding sum over
+        critical fibers; the full alternating sums agree.
+        """
+        report = MorseInequalityReport()
+        total = hypercohomology(self.complex)
+        fibers = [dims for dims in self.fiber_dims(variant).values() if dims]
+        degrees = set(total)
+        for dims in fibers:
+            degrees |= set(dims)
+        if not degrees:
+            return report
+        lo, hi = min(degrees), max(degrees)
+        for ell in range(lo - 1, hi + 2):
+            lhs = sum((-1) ** (ell - j) * total.get(j, 0) for j in range(lo, ell + 1))
+            rhs = sum(
+                (-1) ** (ell - j) * dims.get(j, 0)
+                for dims in fibers
+                for j in range(lo, ell + 1)
+            )
+            report.rows.append((ell, lhs, rhs))
+            if lhs > rhs:
+                report.violations.append(f"partial sums at level {ell}: {lhs} > {rhs}")
+        report.euler_total = sum((-1) ** j * v for j, v in total.items())
+        report.euler_critical_sum = sum(
+            (-1) ** j * v for dims in fibers for j, v in dims.items()
         )
-        report.rows.append((ell, lhs, rhs))
-        if lhs > rhs:
-            report.violations.append(f"partial sums at level {ell}: {lhs} > {rhs}")
-    report.euler_total = sum((-1) ** j * v for j, v in total.items())
-    report.euler_critical_sum = sum(
-        (-1) ** j * v for dims in fibers.values() for j, v in dims.items()
-    )
-    if report.euler_total != report.euler_critical_sum:
-        report.violations.append(
-            f"Euler equality fails: {report.euler_total} != {report.euler_critical_sum}"
-        )
-    return report
+        if report.euler_total != report.euler_critical_sum:
+            report.violations.append(
+                f"Euler equality fails: {report.euler_total} != {report.euler_critical_sum}"
+            )
+        return report
 
 
 # -- compactly supported cochain oracle ------------------------------------------

@@ -67,27 +67,7 @@ class Poset:
                 raise InputError(f"cover ({a}, {b}) is reflexive")
             succ[index[a]].append(index[b])
             cover_pairs.append((a, b))
-        # Kahn pass: up[i] is the OR of its cover successors' up-sets, taken in
-        # reverse topological order
-        indegree = [0] * n
-        for i in range(n):
-            for j in succ[i]:
-                indegree[j] += 1
-        order = [i for i in range(n) if not indegree[i]]
-        for i in order:
-            for j in succ[i]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    order.append(j)
-        if len(order) < n:
-            a, b = _cycle_pair(succ, indegree)
-            raise InputError(f"relation is not antisymmetric: {elements[a]} and {elements[b]}")
-        up = [1 << i for i in range(n)]
-        for i in reversed(order):
-            acc = up[i]
-            for j in succ[i]:
-                acc |= up[j]
-            up[i] = acc
+        up = _up_sets(elements, succ)
         return cls(elements, up, cover_pairs)
 
     @classmethod
@@ -97,45 +77,26 @@ class Poset:
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
             raise InputError("duplicate element ids")
-        n = len(elements)
-        up = [1 << i for i in range(n)]
+        succ = [[] for _ in elements]
         for a, b in leq_pairs:
             if a not in index or b not in index:
                 raise InputError(f"relation ({a}, {b}) uses unknown element")
-            up[index[a]] |= 1 << index[b]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                bits = up[i]
-                while bits:
-                    low = bits & -bits
-                    acc |= up[low.bit_length() - 1]
-                    bits ^= low
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                    raise InputError(
-                        f"relation is not antisymmetric: {elements[i]} and {elements[j]}"
-                    )
-        covers = cls._covers_from_up(elements, up)
-        return cls(elements, up, covers)
+            if a != b:
+                succ[index[a]].append(index[b])
+        up = _up_sets(elements, succ)
+        return cls(elements, up, cls._covers_from_up(elements, up))
 
     @staticmethod
     def _covers_from_up(elements, up):
-        n = len(elements)
+        """(a, b) is a cover iff b is strictly above a and not strictly above
+        any element strictly above a."""
         covers = []
-        for i in range(n):
+        for i in range(len(elements)):
             strict = up[i] & ~(1 << i)
-            for j in _bit_indices(strict):
-                if not any(
-                    (up[k] >> j) & 1 for k in _bit_indices(strict & ~(1 << j))
-                ):
-                    covers.append((elements[i], elements[j]))
+            above = 0
+            for k in _bit_indices(strict):
+                above |= up[k] & ~(1 << k)
+            covers.extend((elements[i], elements[j]) for j in _bit_indices(strict & ~above))
         return covers
 
     def _compute_heights(self):
@@ -243,14 +204,17 @@ class Poset:
         for e in mem:
             if e not in self.index:
                 raise InputError(f"unknown element {e!r}")
-        sub_elements = [e for e in self.elements if e in mem]
-        pairs = [
-            (a, b)
-            for a in sub_elements
-            for b in sub_elements
-            if a != b and self.leq(a, b)
-        ]
-        return Poset.from_leq_pairs(sub_elements, pairs)
+        kept = [i for i, e in enumerate(self.elements) if e in mem]
+        position = {i: k for k, i in enumerate(kept)}
+        mask = self.bits_of(mem)
+        up = []
+        for i in kept:
+            bits = 0
+            for j in _bit_indices(self._up[i] & mask):
+                bits |= 1 << position[j]
+            up.append(bits)
+        sub_elements = [self.elements[i] for i in kept]
+        return Poset(sub_elements, up, Poset._covers_from_up(sub_elements, up))
 
     def with_virtual_top(self, name: str | None = None) -> tuple["Poset", str]:
         """The poset with one extra element above everything (internal helper)."""
@@ -285,6 +249,34 @@ class Poset:
         return issues
 
 
+def _up_sets(elements, succ) -> list[int]:
+    """Up-set bitsets of the reflexive-transitive closure of the relation
+    i -> succ[i], by one Kahn pass: up[i] is the OR of its successors'
+    up-sets, taken in reverse topological order.  A cycle is an InputError
+    naming two of its elements."""
+    n = len(elements)
+    indegree = [0] * n
+    for i in range(n):
+        for j in succ[i]:
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        a, b = _cycle_pair(succ, indegree)
+        raise InputError(f"relation is not antisymmetric: {elements[a]} and {elements[b]}")
+    up = [1 << i for i in range(n)]
+    for i in reversed(order):
+        acc = up[i]
+        for j in succ[i]:
+            acc |= up[j]
+        up[i] = acc
+    return up
+
+
 def _cycle_pair(succ, indegree) -> tuple[int, int]:
     """Two distinct elements on one cycle of the cover graph, given the
     in-degrees Kahn's pass left behind (nonzero exactly off its order).
@@ -314,6 +306,12 @@ def _vertex_key(v: str):
     return (len(v), v)
 
 
+def _face_key(face):
+    """Faces by size, then by their sorted vertex keys, so that face order
+    follows vertex order (``2`` before ``10``)."""
+    return (len(face), sorted(_vertex_key(str(v)) for v in face))
+
+
 def face_name(vertices, separator: str | None = None) -> str:
     """Sorted vertex tokens joined by `separator`; by default by "" when every
     token is one character, else by ",".  A complex passes its own separator,
@@ -333,9 +331,7 @@ class SimplicialComplex:
     """
 
     def __init__(self, faces: list[frozenset]):
-        self.faces = sorted(
-            set(faces), key=lambda f: (len(f), tuple(sorted((str(v) for v in f), key=_vertex_key)))
-        )
+        self.faces = sorted(set(faces), key=_face_key)
         for f in self.faces:
             if not f:
                 raise InputError("empty face")
@@ -367,7 +363,7 @@ class SimplicialComplex:
             for k in range(1, len(facet) + 1):
                 for sub in combinations(sorted(facet, key=_vertex_key), k):
                     faces.add(frozenset(sub))
-        return cls(sorted(faces, key=lambda f: (len(f), tuple(sorted(f, key=_vertex_key)))))
+        return cls(faces)
 
     def name(self, vertices) -> str:
         """Name of a vertex set under this complex's naming rule."""

@@ -360,6 +360,12 @@ class TestFunctor:
         assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
         assert "input error:" in capsys.readouterr().err
 
+    def test_max_elements_cap(self, lambda_complex_file, capsys):
+        argv = ["functor", "shriek-pull", lambda_complex_file, "--set", "4,24"]
+        assert main(argv + ["--max-elements", "5"]) == 3
+        assert "above --max-elements=5" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_non_locally_closed_set_rejected(self, lambda_complex_file):
         assert main(
             ["functor", "shriek-pull", lambda_complex_file, "--set", "4,234"]
@@ -417,14 +423,21 @@ class TestMorseCommand:
     def test_verification_failure_exit_code(
         self, rg_complex_file, tmp_path, monkeypatch
     ):
-        import posheaf.cli as cli_module
-        from posheaf.morse import MorseTheoremReport
+        from posheaf.morse import MorseAnalysis, MorseTheoremReport
 
         morse_path = tmp_path / "morse.json"
         morse_path.write_text(json.dumps(MORSE_JSON))
         monkeypatch.setattr(
-            cli_module,
-            "verify_morse_theorem",
-            lambda mf, c: MorseTheoremReport(violations=["forced failure"]),
+            MorseAnalysis,
+            "theorem",
+            lambda self: MorseTheoremReport(violations=["forced failure"]),
         )
         assert main(["morse", rg_complex_file, str(morse_path), "--verify"]) == 2
+
+    def test_max_elements_cap(self, rg_complex_file, tmp_path, capsys):
+        morse_path = tmp_path / "morse.json"
+        morse_path.write_text(json.dumps(MORSE_JSON))
+        argv = ["morse", rg_complex_file, str(morse_path), "--max-elements"]
+        assert main(argv + ["19"]) == 3
+        assert "above --max-elements=19" in capsys.readouterr().err
+        assert main(argv + ["20"]) == 0

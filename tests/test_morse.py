@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from posheaf.poset import LocallyClosedSet, SimplicialComplex
 from posheaf.resolution import minimal_resolution_constant, minimal_resolution_sheaf
 from posheaf.derived import hypercohomology
 from posheaf.morse import (
+    MorseAnalysis,
     MorseFunction,
     betti_table,
     compact_support_cohomology,
@@ -17,6 +19,7 @@ from posheaf.morse import (
     in_microsupport_star,
     morse_inequalities,
     multiplicity_oracle,
+    restrict_star,
     shriek_microsupport_dims,
     supp_shriek,
     supp_star,
@@ -195,10 +198,55 @@ class TestBettiTables:
         assert table["A"] == hypercohomology(rh)
 
     def test_open_sets_star_equals_shriek(self, sphere_morse, pushforward_complexes):
+        # superlevel rows restrict by submatrices; the cylinder pullback agrees
         rg = pushforward_complexes["Rg"]
         star = betti_table(sphere_morse, rg, "superlevel", "star")
         shriek = betti_table(sphere_morse, rg, "superlevel", "shriek")
         assert star == shriek
+        for x in sphere_morse.total_order:
+            zset = LocallyClosedSet(rg.poset, sphere_morse.superlevel(x))
+            assert star[x] == hypercohomology(restrict_star(zset, rg))
+
+
+class TestMorseAnalysis:
+    def test_each_table_and_fiber_computed_once(
+        self, sphere_morse, pushforward_complexes, monkeypatch
+    ):
+        import posheaf.morse as morse_module
+
+        calls = Counter()
+
+        def count(name):
+            original = getattr(morse_module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(morse_module, name, counted)
+
+        for name in ("betti_table", "pullback", "star_microsupport_dims", "shriek_microsupport_dims"):
+            count(name)
+        rg = pushforward_complexes["Rg"]
+        analysis = MorseAnalysis(sphere_morse, rg)
+        for _ in range(2):
+            crit = {v: analysis.critical(v) for v in ("shriek", "star")}
+            tables = {
+                (d, v): analysis.table(d, v)
+                for d in ("sublevel", "superlevel")
+                for v in ("shriek", "star")
+            }
+            assert analysis.theorem().ok
+            assert all(analysis.inequalities(v).ok for v in ("shriek", "star"))
+        levels = sphere_morse.total_order
+        fibers = sum(1 for x in levels if sphere_morse.fibers[x])
+        assert calls["betti_table"] == 3
+        assert calls["star_microsupport_dims"] == calls["shriek_microsupport_dims"] == fibers
+        # one cylinder pullback per sublevel-star row and per star fiber
+        assert calls["pullback"] == len(levels) + fibers
+        assert crit == {v: critical_elements(sphere_morse, rg, v) for v in ("shriek", "star")}
+        for (d, v), table in tables.items():
+            assert table == betti_table(sphere_morse, rg, d, v)
 
 
 class TestMorseTheorem:

@@ -65,6 +65,13 @@ class TestFromFacets:
         assert {"12", "1,2", "10,12"} <= set(sc.face_poset.elements)
         assert not sc.face_poset.validate()
 
+    def test_face_order_follows_vertex_order(self):
+        sc = skeleton_of_simplex(12, 1)
+        elements = sc.face_poset.elements
+        assert elements[:13] == sc.vertices == [str(i) for i in range(13)]
+        assert elements[13:16] == ["0,1", "0,2", "0,3"]
+        assert elements.index("0,9") < elements.index("0,10") < elements.index("1,2")
+
     def test_deterministic_order(self):
         sc = SimplicialComplex.from_facets(["21", "13"])
         dims = [sc.dim(e) for e in sc.face_poset.elements]
@@ -160,6 +167,12 @@ class TestLinearExtension:
     def test_antisymmetry_rejected(self):
         with pytest.raises(InputError):
             Poset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+
+    def test_leq_pairs_cycle_rejected_and_reflexive_pairs_ignored(self):
+        with pytest.raises(InputError, match="antisymmetric: b and c"):
+            Poset.from_leq_pairs(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "b")])
+        p = Poset.from_leq_pairs(["a", "b"], [("a", "a"), ("a", "b"), ("b", "b")])
+        assert p.covers == [("a", "b")]
 
 
 class TestMappingCylinder:

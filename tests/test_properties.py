@@ -1,5 +1,7 @@
 """Differential property tests: peel against the inductive minimal resolution,
-and `Poset.from_covers` against `Poset.from_leq_pairs`, on random inputs.
+`Poset.from_covers` against `Poset.from_leq_pairs`, `Poset.restrict` and
+covers against their definitions, and the cylinder pullback
+against the submatrix restriction on open sets, on random inputs.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from posheaf.derived import peel, same_derived_object
+from posheaf.derived import hypercohomology, peel, proper_pullback, same_derived_object
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
-from posheaf.poset import Poset
+from posheaf.morse import MorseAnalysis, MorseFunction, restrict_star
+from posheaf.poset import LocallyClosedSet, Poset
 from posheaf.resolution import is_minimal, minimal_resolution_sheaf, order_complex_resolution
 
 from conftest import random_sheaf
@@ -65,6 +68,29 @@ def test_from_covers_closes_like_from_leq_pairs(dag):
     assert Poset.from_covers(elements, edges)._up == Poset.from_leq_pairs(elements, edges)._up
 
 
+def _naive_covers(poset):
+    """(a, b) with a < b and nothing strictly between, in element order."""
+    strictly = [(a, b) for a in poset.elements for b in poset.elements if a != b and poset.leq(a, b)]
+    return [
+        (a, b) for a, b in strictly
+        if not any(poset.leq(a, c) and poset.leq(c, b) for c in poset.elements if c not in (a, b))
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(dag=dags(), data=st.data())
+def test_restrict_is_the_induced_order(dag, data):
+    elements, edges = dag
+    poset = Poset.from_leq_pairs(elements, edges)
+    members = data.draw(st.sets(st.sampled_from(elements)), label="members")
+    sub = poset.restrict(members)
+    assert sub.elements == [e for e in elements if e in members]
+    assert all(sub.leq(a, b) == poset.leq(a, b) for a in sub.elements for b in sub.elements)
+    assert poset.covers == _naive_covers(poset)
+    assert sub.covers == _naive_covers(sub)
+    assert sub.validate() == []
+
+
 @PROPERTY_SETTINGS
 @given(dag=dags(), data=st.data())
 def test_from_covers_rejects_a_back_edge(dag, data):
@@ -81,3 +107,41 @@ def test_from_covers_rejects_a_back_edge(dag, data):
     # every cycle runs through the back edge, inside the interval [low, high]
     for e in named.groups():
         assert poset.leq(low, e) and poset.leq(e, high)
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), data=st.data())
+def test_open_set_star_restriction_is_the_submatrix_restriction(sheaf, data):
+    """Ri_U^* = Ri_U^! on an open set U: the cylinder pullback and the
+    submatrix restriction give the same derived object."""
+    poset = sheaf.poset
+    complex_ = minimal_resolution_sheaf(sheaf)
+    seeds = data.draw(st.lists(st.sampled_from(poset.elements), min_size=1, max_size=3))
+    zset = LocallyClosedSet(poset, poset.star_of_set(seeds))
+    star = restrict_star(zset, complex_)
+    shriek = proper_pullback(zset, complex_)
+    assert same_derived_object(star, shriek)
+    assert hypercohomology(star) == hypercohomology(shriek)
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), data=st.data())
+def test_morse_tables_match_cylinder_rows(sheaf, data):
+    """Every `MorseAnalysis` table row, superlevel rows included, equals the
+    hypercohomology of the cylinder pullback to that sub/superlevel set."""
+    poset = sheaf.poset
+    complex_ = minimal_resolution_sheaf(sheaf)
+    # f(e) = max weight below e is monotone into a chain, so its fibers are
+    # order-convex
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(poset), max_size=len(poset)))
+    value = {e: max(w for d, w in zip(poset.elements, weights) if poset.leq(d, e))
+             for e in poset.elements}
+    order = sorted({str(v) for v in value.values()}, key=int)
+    mf = MorseFunction.from_levels(poset, {e: str(v) for e, v in value.items()}, order)
+    analysis = MorseAnalysis(mf, complex_)
+    for direction in ("sublevel", "superlevel"):
+        for x in order:
+            members = mf.sublevel(x) if direction == "sublevel" else mf.superlevel(x)
+            expected = hypercohomology(restrict_star(LocallyClosedSet(poset, members), complex_))
+            for variant in ("star", "shriek") if direction == "superlevel" else ("star",):
+                assert analysis.table(direction, variant)[x] == expected
