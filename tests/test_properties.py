@@ -1,7 +1,7 @@
-"""Differential property tests: peel against the inductive minimal resolution,
-`Poset.from_covers` against `Poset.from_leq_pairs`, `Poset.restrict` and
-covers against their definitions, and the cylinder pullback
-against the submatrix restriction on open sets, on random inputs.
+"""Differential property tests on random inputs: peel against the inductive
+minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
+`Poset.restrict` and covers against their definitions, and the cylinder
+pullback against the submatrix restriction on open sets.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
