@@ -149,6 +149,31 @@ class TestMinimalResolutionConstant:
         assert res3.validate().ok
         check_resolution_health(res3, tetra.face_poset)
 
+    @pytest.mark.parametrize(
+        "n, skip, p, summands, digest",
+        [
+            (8, 7, 2, 1131, "8c182ea82c792418b5043b80398f5e104b009aeaf1c82d22e156f6ca4fcf5881"),
+            (7, 5, 3, 524, "81c2e455e8a6f7f4eaaba1528746f49bd44a4ff9560909de85e887559dc5ec60"),
+        ],
+    )
+    def test_raw_output_pinned(self, n, skip, p, summands, digest):
+        # sha256 of every matrix's labels and rows, dict entry order included,
+        # as computed by the dict-row kernel; the complex is the 3-skeleton of
+        # the n-simplex without every skip-th tetrahedron
+        import hashlib
+        from itertools import combinations
+
+        from posheaf.field import PrimeField
+        from posheaf.poset import SimplicialComplex
+
+        facets = [f for i, f in enumerate(combinations(range(n + 1), 4)) if i % skip]
+        poset = SimplicialComplex.from_facets(facets).face_poset
+        res = minimal_resolution_constant(poset, PrimeField(p))
+        assert res.total_summands() == summands
+        raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
+               for m in res.matrices]
+        assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == digest
+
 
 class TestMinimalResolutionSheaf:
     def test_constant_agrees_with_bootstrap(self, tetra):
