@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import io as pio
@@ -57,7 +58,8 @@ def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
         if star is not None:
             raise InputError("--star applies to simplicial complex inputs only")
     else:
-        complex_ = pio.read_facets_text(text)
+        # the cap stops face enumeration, except that with --star it caps the star
+        complex_ = pio.read_facets_text(text, max_elements if star is None else math.inf)
         if star is not None:
             face = _face_lookup(complex_, star)
             poset = star_subposet(complex_, face)

@@ -4,6 +4,7 @@ and the figure-style text rendering."""
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import InputError
 from .field import PrimeField
@@ -38,8 +39,9 @@ def _as_array(value, what: str) -> list:
     return value
 
 
-def read_facets_text(text: str) -> SimplicialComplex:
-    """One facet per line, whitespace-separated vertex ids, '#' comments."""
+def read_facets_text(text: str, max_faces: float = math.inf) -> SimplicialComplex:
+    """One facet per line, whitespace-separated vertex ids, '#' comments.
+    Refuses (SizeCapExceeded) a complex with more than `max_faces` faces."""
     facets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -51,7 +53,7 @@ def read_facets_text(text: str) -> SimplicialComplex:
         facets.append(verts)
     if not facets:
         raise InputError("no facets found")
-    return SimplicialComplex.from_facets(facets)
+    return SimplicialComplex.from_facets(facets, max_faces)
 
 
 def poset_to_json(poset: Poset) -> dict:

@@ -9,9 +9,10 @@ extraction cheap; everything is immutable after construction.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, SizeCapExceeded
 
 
 class Poset:
@@ -354,15 +355,19 @@ class SimplicialComplex:
         self.face_poset = Poset.from_covers([self.name_of[f] for f in self.faces], covers)
 
     @classmethod
-    def from_facets(cls, facets) -> "SimplicialComplex":
+    def from_facets(cls, facets, max_faces: float = math.inf) -> "SimplicialComplex":
+        """The complex the facets generate; SizeCapExceeded as soon as it is
+        known to have more than `max_faces` distinct faces."""
         faces = set()
         for facet in facets:
-            facet = frozenset(str(v) for v in facet)
+            facet = sorted({str(v) for v in facet}, key=_vertex_key)
             if not facet:
                 raise InputError("empty facet")
             for k in range(1, len(facet) + 1):
-                for sub in combinations(sorted(facet, key=_vertex_key), k):
+                for sub in combinations(facet, k):
                     faces.add(frozenset(sub))
+                    if len(faces) > max_faces:
+                        raise SizeCapExceeded(f"input has more than {max_faces} faces")
         return cls(faces)
 
     def name(self, vertices) -> str:

@@ -144,6 +144,32 @@ class TestResolve:
     def test_max_elements_cap(self, tetra_file):
         assert main(["resolve", tetra_file, "--max-elements", "3"]) == 3
 
+    def test_max_elements_stops_face_enumeration(self, tmp_path, capsys):
+        # one facet on 15 vertices has 2^15 - 1 faces; the cap stops the
+        # enumeration instead of refusing the finished face poset
+        import time
+
+        path = tmp_path / "big.txt"
+        path.write_text(" ".join(str(v) for v in range(15)) + "\n")
+        start = time.perf_counter()
+        assert main(["resolve", str(path), "--max-elements", "100"]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert "more than 100 faces" in capsys.readouterr().err
+
+    def test_max_elements_counts_distinct_faces(self, tetra_file):
+        # four triangles of the tetrahedron boundary: 14 faces, though the
+        # facets list 4 * 7 = 28 subsets
+        assert main(["resolve", tetra_file, "--max-elements", "14"]) == 0
+        assert main(["resolve", tetra_file, "--max-elements", "13"]) == 3
+
+    def test_max_elements_caps_the_star(self, tmp_path):
+        # with --star the cap applies to the star of vertex 0 (32 faces), not
+        # to the complex (68 faces)
+        path = tmp_path / "big.txt"
+        path.write_text(" ".join(str(v) for v in range(6)) + "\n9 10\n10 11\n")
+        assert main(["resolve", str(path), "--star", "0", "--max-elements", "32"]) == 0
+        assert main(["resolve", str(path), "--star", "0", "--max-elements", "31"]) == 3
+
     def test_non_prime_field_exit_code(self, tetra_file, capsys):
         assert main(["resolve", tetra_file, "--field", "4"]) == 1
         assert "not prime" in capsys.readouterr().err
