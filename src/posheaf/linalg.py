@@ -58,20 +58,6 @@ def mat_vec(field: PrimeField, a: Matrix, v: list[int]) -> list[int]:
     return out
 
 
-def vec_mat(field: PrimeField, v: list[int], mat: Matrix) -> list[int]:
-    """v @ mat for a row vector v."""
-    p = field.p
-    ncols = len(mat[0]) if mat else 0
-    out = [0] * ncols
-    for i, vi in enumerate(v):
-        if vi % p:
-            row = mat[i]
-            for j in range(ncols):
-                if row[j]:
-                    out[j] = (out[j] + vi * row[j]) % p
-    return out
-
-
 def rref(field: PrimeField, mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     p = field.p
@@ -119,11 +105,6 @@ def nullspace(field: PrimeField, mat: Matrix, ncols: int | None = None) -> Matri
             v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
-
-
-def row_space_basis(field: PrimeField, rows: Matrix) -> Matrix:
-    red, pivots = rref(field, rows)
-    return [red[i] for i in range(len(pivots))]
 
 
 def solve_in_span(field: PrimeField, spanning_rows: Matrix, target: list[int]) -> list[int] | None:

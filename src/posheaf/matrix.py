@@ -5,7 +5,8 @@ indecomposable injective sheaves: columns are the domain summands, rows the
 codomain summands, and an entry in a row labeled ``s`` and a column labeled
 ``p`` can be nonzero only if ``s <= p``.  Rows are stored sparsely as
 ``column index -> nonzero value`` dicts, so extracting the stalk map at an
-element is just a row selection.
+element is just a row selection.  Dict rows are the stored and rendered form;
+the elimination kernel reduces GF(2) rows as int bitsets (`packed_row`).
 """
 
 from __future__ import annotations
@@ -381,12 +382,14 @@ def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: in
 def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):
     """rows[dest] += scalar * rows[src].  `cols`, if given, is a column -> rows
     index (see `_rows_meeting`) that learns every entry the addition creates."""
-    p = field.p
-    s = scalar % p
-    if not s:
-        return
-    target = rows[dest]
-    for j, v in rows[src].items():
+    if scalar % field.p:
+        _axpy(rows[dest], rows[src], scalar % field.p, field.p, cols, dest)
+
+
+def _axpy(target: dict, src: dict, s: int, p: int, cols=None, dest: int | None = None):
+    """target += s * src over GF(p), new entries going in at the end in src's
+    order; a column index `cols` learns that row `dest` (the target) has them."""
+    for j, v in src.items():
         new = (target.get(j, 0) + s * v) % p
         if new:
             if cols is not None and j not in target:
@@ -433,101 +436,124 @@ def _rows_meeting(rows, cols, j: int) -> list[int]:
     return live
 
 
-def _sparse_rank(field: PrimeField, rows) -> int:
-    """Rank by the deterministic leftmost-pivot, first-row-wins reduction."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        current = dict(row)
-        reduced = _reduce_against(field, current, pivots)
-        if reduced:
-            lead = min(reduced)
-            inv = field.inv(reduced[lead])
-            pivots[lead] = {j: (v * inv) % field.p for j, v in reduced.items()}
-            rank += 1
-    return rank
+# -- the elimination kernel -----------------------------------------------------
 
 
-def _reduce_against(field: PrimeField, row: dict[int, int], pivots: dict[int, dict[int, int]]):
-    p = field.p
-    current = {j: v % p for j, v in row.items() if v % p}
-    while current:
-        lead = min(current)
-        piv = pivots.get(lead)
-        if piv is None:
-            return current
-        f = current[lead]
-        for j, v in piv.items():
-            new = (current.get(j, 0) - f * v) % p
-            if new:
-                current[j] = new
-            else:
-                current.pop(j, None)
-    return current
-
-
-def image_complement_rows(field: PrimeField, stalk_rows: list[dict[int, int]]):
-    """Basis of the orthogonal complement of the column space of a stalk matrix.
-
-    `stalk_rows` are the rows of eta^{d-1}(pi) keyed by global column indices.
-    Row-reduces the matrix with an augmented identity; the identity rows that
-    end with a zero matrix row span (im)^perp.  Coordinates of the output
-    vectors refer to stalk row positions (0-based).
-    """
-    p = field.p
-    n = len(stalk_rows)
-    reduced: list[dict[int, int]] = []
-    witness: list[dict[int, int]] = []
-    pivot_of: dict[int, int] = {}
-    complement = []
-    for i in range(n):
-        current = {j: v % p for j, v in stalk_rows[i].items() if v % p}
-        u = {i: 1}
-        while current:
-            lead = min(current)
-            k = pivot_of.get(lead)
-            if k is None:
-                break
-            f = current[lead]
-            for j, v in reduced[k].items():
-                new = (current.get(j, 0) - f * v) % p
-                if new:
-                    current[j] = new
-                else:
-                    current.pop(j, None)
-            for j, v in witness[k].items():
-                new = (u.get(j, 0) - f * v) % p
-                if new:
-                    u[j] = new
-                else:
-                    u.pop(j, None)
-        if current:
-            lead = min(current)
-            inv = field.inv(current[lead])
-            pivot_of[lead] = len(reduced)
-            reduced.append({j: (v * inv) % p for j, v in current.items()})
-            witness.append({j: (v * inv) % p for j, v in u.items()})
-        else:
-            complement.append(u)
-    return complement
+def packed_row(field: PrimeField, row):
+    """A row in the kernel's form: over GF(2) an int whose bit j is set iff
+    column j holds an odd entry (ints pass through); over odd p the dict."""
+    if field.p != 2 or type(row) is int:
+        return row
+    bits = 0
+    for j, v in row.items():
+        if v & 1:
+            bits |= 1 << j
+    return bits
 
 
 class IncrementalRowBasis:
-    """Row space accumulator used for the linear-independence screen."""
+    """The elimination kernel, which every rank, screen and complement runs
+    through: a pivot table under the leftmost-pivot, first-row-wins rule.
+    Rows are {column: value} dicts over any GF(p), and stored rows have
+    leading value 1.  A row may carry a witness dict (the input rows it
+    combines), which each reduction step updates alike, in stored order."""
 
     def __init__(self, field: PrimeField):
         self.field = field
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict = {}
+        self.witnesses: dict = {}
 
-    def add(self, row: dict[int, int]) -> bool:
+    def reduce(self, row, witness: dict | None = None):
+        """The row reduced against the table, as a new object; `witness`, if
+        given, is updated in place."""
+        p, pivots = self.field.p, self.pivots
+        row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            f = p - row[lead]
+            _axpy(row, piv, f, p)
+            if witness is not None:
+                _axpy(witness, self.witnesses[lead], f, p)
+        return row
+
+    def insert(self, row, witness: dict | None = None) -> None:
+        """Store a nonzero reduced row, and its witness, scaled to leading value 1."""
+        p = self.field.p
+        lead = min(row)
+        inv = self.field.inv(row[lead])
+        self.pivots[lead] = {j: (v * inv) % p for j, v in row.items()}
+        if witness is not None:
+            self.witnesses[lead] = {j: (v * inv) % p for j, v in witness.items()}
+
+    def add(self, row) -> bool:
         """Insert if independent from the current span; returns True if added."""
-        reduced = _reduce_against(self.field, row, self.pivots)
-        if not reduced:
-            return False
-        lead = min(reduced)
-        inv = self.field.inv(reduced[lead])
-        self.pivots[lead] = {j: (v * inv) % self.field.p for j, v in reduced.items()}
-        return True
+        reduced = self.reduce(row)
+        if reduced:
+            self.insert(reduced)
+        return bool(reduced)
+
+
+class BitRowBasis(IncrementalRowBasis):
+    """The kernel over GF(2) on bitset rows (`packed_row`): the pivot is the
+    lowest set bit and a step is an XOR, so it makes the dict form's choices
+    and reaches the same pivots and witnesses, entry order included."""
+
+    def reduce(self, row, witness: dict | None = None):
+        pivots, witnesses = self.pivots, self.witnesses
+        row = packed_row(self.field, row)
+        while row:
+            lead = row & -row
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            row ^= piv
+            if witness is not None:
+                for j in witnesses[lead]:
+                    if not witness.pop(j, 0):
+                        witness[j] = 1
+        return row
+
+    def insert(self, row, witness: dict | None = None) -> None:
+        lead = row & -row
+        self.pivots[lead] = row
+        self.witnesses[lead] = witness
+
+
+def row_basis(field: PrimeField) -> IncrementalRowBasis:
+    """An empty kernel for `field`: bitset rows over GF(2), dict rows otherwise."""
+    return (BitRowBasis if field.p == 2 else IncrementalRowBasis)(field)
+
+
+def _sparse_rank(field: PrimeField, rows) -> int:
+    """Rank by the deterministic leftmost-pivot, first-row-wins reduction."""
+    return sum(map(row_basis(field).add, rows))
+
+
+def image_complement_rows(field: PrimeField, stalk_rows) -> list[dict[int, int]]:
+    """Basis of the orthogonal complement of the column space of a stalk matrix.
+
+    `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
+    by global column indices.  Row-reduces the matrix with an augmented
+    identity; the identity rows that end with a zero matrix row span
+    (im)^perp.  Coordinates of the output vectors refer to stalk row
+    positions (0-based).
+    """
+    return _complement(row_basis(field), stalk_rows)
+
+
+def _complement(basis: IncrementalRowBasis, stalk_rows) -> list[dict[int, int]]:
+    complement = []
+    for i, row in enumerate(stalk_rows):
+        u = {i: 1}
+        reduced = basis.reduce(row, u)
+        if reduced:
+            basis.insert(reduced, u)
+        else:
+            complement.append(u)
+    return complement
 
 
 # -- complexes ----------------------------------------------------------------

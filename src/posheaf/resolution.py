@@ -18,14 +18,10 @@ import math
 
 from .errors import InputError
 from .field import PrimeField
-from .matrix import (
-    IncrementalRowBasis,
-    InjectiveComplex,
-    LabeledMatrix,
-    _sparse_rank,
-    image_complement_rows,
-)
-from .poset import Poset, SimplicialComplex, chain_tuple, order_complex, signed_incidence
+from .matrix import (InjectiveComplex, LabeledMatrix, _sparse_rank, image_complement_rows,
+                     packed_row, row_basis)
+from .poset import (Poset, SimplicialComplex, _bit_indices, chain_tuple, order_complex,
+                    signed_incidence)
 from .sheaf import Sheaf, injective_hull
 
 
@@ -39,43 +35,74 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
     return out
 
 
-def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) -> int:
+class _Stalks:
+    """Row and column indices of a matrix bucketed by label, its rows packed
+    (`packed_row`) and, as `image`, the packed rows of the previous matrix.
+    For one step or call only: `append` tracks MakeExact's rows, but any other
+    change to the matrix (swaps, peel, outside appends) leaves it stale."""
+
+    def __init__(self, m: LabeledMatrix, prev: LabeledMatrix | None = None):
+        self.m = m
+        self.cols, self.rows = self._buckets(m.col_labels), self._buckets(m.row_labels)
+        self.packed = [packed_row(m.field, row) for row in m.rows]
+        self.image = [packed_row(m.field, row) for row in prev.rows] if prev is not None else None
+
+    def _buckets(self, labels) -> list[list[int]]:
+        buckets = [[] for _ in self.m.poset.index]
+        for i, lab in enumerate(labels):
+            buckets[self.m.poset.index[lab]].append(i)
+        return buckets
+
+    def at(self, buckets, element: str) -> list[int]:
+        """The indices in `buckets` whose labels are above `element`, ascending."""
+        return sorted(i for k in _bit_indices(self.m.poset.up_bits(element)) for i in buckets[k])
+
+    def append(self, label: str, row: dict[int, int], packed) -> None:
+        self.rows[self.m.poset.index[label]].append(len(self.packed))
+        self.packed.append(packed)
+        self.m.row_labels.append(label)
+        self.m.rows.append(row)
+
+
+def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str,
+                        _stalks: _Stalks | None = None) -> int:
     """In-place MakeExact against the stalk image of eta_prev, whose rows are
-    eta_cur's columns; returns the number of rows added."""
-    stalk = eta_cur.stalk_col_indices(element)
-    return _append_complement(eta_cur, element, stalk, [eta_prev.rows[i] for i in stalk])
+    eta_cur's columns; returns the number of rows added.  `resolution_step`
+    passes the step's `_Stalks(eta_cur, eta_prev)`."""
+    stalks = _stalks or _Stalks(eta_cur, eta_prev)
+    stalk = stalks.at(stalks.cols, element)
+    return _append_complement(stalks, element, stalk, [stalks.image[i] for i in stalk])
 
 
-def _make_exact_against_image(image_columns, eta_cur: LabeledMatrix, element: str) -> int:
-    """In-place MakeExact against an image given explicitly as sparse column
-    vectors over eta_cur's global column indices; returns the number of rows
-    added."""
-    stalk = eta_cur.stalk_col_indices(element)
+def _make_exact_against_image(image_columns, stalks: _Stalks, element: str) -> int:
+    """In-place MakeExact on `stalks.m` against an image given explicitly as
+    sparse column vectors over its global column indices; returns the number
+    of rows added."""
+    stalk = stalks.at(stalks.cols, element)
     pos_of = {j: pos for pos, j in enumerate(stalk)}
     # transpose: rows indexed by the stalk coordinates, columns spanning the image
     rows = [dict() for _ in stalk]
     for c, col in enumerate(image_columns):
         for j, v in col.items():
             rows[pos_of[j]][c] = v
-    return _append_complement(eta_cur, element, stalk, rows)
+    return _append_complement(stalks, element, stalk, rows)
 
 
-def _append_complement(eta_cur: LabeledMatrix, element: str, stalk: list[int],
-                       image_rows: list[dict[int, int]]) -> int:
+def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_rows) -> int:
     """The MakeExact body.  `image_rows[pos]` is the row of the image matrix at
-    stalk coordinate `stalk[pos]` (a star-labeled column of eta_cur).  Each
-    basis vector of the image's complement that is independent of eta_cur's
-    star-labeled rows is appended as a row labeled `element`."""
-    field = eta_cur.field
-    screen = IncrementalRowBasis(field)
-    for i in eta_cur.stalk_row_indices(element):
-        screen.add(eta_cur.rows[i])
+    stalk coordinate `stalk[pos]` (a star-labeled column of the matrix).  Each
+    basis vector of the image's complement that is independent of the
+    matrix's star-labeled rows is appended as a row labeled `element`."""
+    field = stalks.m.field
+    screen = row_basis(field)
+    for i in stalks.at(stalks.rows, element):
+        screen.add(stalks.packed[i])
     added = 0
     for vector in image_complement_rows(field, image_rows):
         row = {stalk[pos]: v for pos, v in vector.items()}
-        if screen.add(row):
-            eta_cur.row_labels.append(element)
-            eta_cur.rows.append(row)
+        packed = packed_row(field, row)
+        if screen.add(packed):
+            stalks.append(element, row, packed)
             added += 1
     return added
 
@@ -91,9 +118,10 @@ def resolution_step(
     if seed is not None:
         eta_next.row_labels += seed.row_labels
         eta_next.rows += [dict(row) for row in seed.rows]
+    stalks = _Stalks(eta_next, eta_prev)
     order = elements if elements is not None else poset.linear_extension
     for element in reversed(list(order)):
-        _make_exact_inplace(eta_prev, eta_next, element)
+        _make_exact_inplace(eta_prev, eta_next, element, stalks)
     return eta_next
 
 
@@ -151,8 +179,9 @@ def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
         return columns
 
     eta0 = LabeledMatrix(poset, field, hull_labels)
+    stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
-        _make_exact_against_image(alpha_image_rows(element), eta0, element)
+        _make_exact_against_image(alpha_image_rows(element), stalks, element)
     matrices = [eta0]
     if eta0.rows:
         matrices += force_exact(eta0, poset.linear_extension)
@@ -229,28 +258,22 @@ def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int
     """dim H^d at every element: stalk kernel minus previous stalk rank.
     Only nonzero entries are reported."""
     out: dict[int, dict[str, int]] = {}
+    stalks = {d: _Stalks(complex_.matrix(d)) for d in complex_.degrees}
     ranks: dict[tuple[int, str], int] = {}
-    for d in complex_.degrees:
-        m = complex_.matrix(d)
+
+    def rank(d: int, e: str) -> int:
+        s = stalks.get(d)
+        if s is not None and (d, e) not in ranks:
+            ranks[d, e] = _sparse_rank(s.m.field, [s.packed[i] for i in s.at(s.rows, e)])
+        return ranks.get((d, e), 0)
+
+    for d, s in stalks.items():
         for e in complex_.poset.elements:
-            stalk_dim = len(m.stalk_col_indices(e))
-            if not stalk_dim:
-                continue
-            r_here = _stalk_rank(m, e, ranks, d)
-            prev = complex_.matrix(d - 1)
-            r_prev = _stalk_rank(prev, e, ranks, d - 1) if prev is not None else 0
-            h = stalk_dim - r_here - r_prev
+            stalk_dim = len(s.at(s.cols, e))
+            h = stalk_dim and stalk_dim - rank(d, e) - rank(d - 1, e)
             if h:
                 out.setdefault(d, {})[e] = h
     return out
-
-
-def _stalk_rank(m: LabeledMatrix, e: str, cache, d) -> int:
-    key = (d, e)
-    if key not in cache:
-        rows = [m.rows[i] for i in m.stalk_row_indices(e)]
-        cache[key] = _sparse_rank(m.field, rows)
-    return cache[key]
 
 
 def star_generators(simplicial: SimplicialComplex, face: str, degree: int, resolution=None) -> int:

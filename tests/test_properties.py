@@ -1,7 +1,9 @@
 """Differential property tests on random inputs: peel against the inductive
 minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
-`Poset.restrict` and covers against their definitions, and the cylinder
-pullback against the submatrix restriction on open sets.
+`Poset.restrict` and covers against their definitions, the cylinder
+pullback against the submatrix restriction on open sets, the GF(2) bitset
+kernel against the dict kernel, and the constant sheaf's multiplicities
+against the compact-support oracle.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -17,9 +19,22 @@ from hypothesis import strategies as st
 from posheaf.derived import hypercohomology, peel, proper_pullback, same_derived_object
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
-from posheaf.morse import MorseAnalysis, MorseFunction, restrict_star
-from posheaf.poset import LocallyClosedSet, Poset
-from posheaf.resolution import is_minimal, minimal_resolution_sheaf, order_complex_resolution
+from posheaf.matrix import (
+    IncrementalRowBasis,
+    _complement,
+    _sparse_rank,
+    image_complement_rows,
+    packed_row,
+    row_basis,
+)
+from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
+from posheaf.poset import LocallyClosedSet, Poset, SimplicialComplex
+from posheaf.resolution import (
+    is_minimal,
+    minimal_resolution_constant,
+    minimal_resolution_sheaf,
+    order_complex_resolution,
+)
 
 from conftest import random_sheaf
 
@@ -145,3 +160,65 @@ def test_morse_tables_match_cylinder_rows(sheaf, data):
             expected = hypercohomology(restrict_star(LocallyClosedSet(poset, members), complex_))
             for variant in ("star", "shriek") if direction == "superlevel" else ("star",):
                 assert analysis.table(direction, variant)[x] == expected
+
+
+GF2 = PrimeField(2)
+
+
+@st.composite
+def gf2_row_lists(draw):
+    """Sparse GF(2) rows as dicts, with zero rows, repeats of earlier rows and
+    sums of two earlier rows mixed in; some entries are even (zero) or odd
+    but above 1, so both kernels must reduce them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ncols = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(0, 16)):
+        kind = rng.choice(["random", "zero", "repeat", "sum", "sum"]) if rows else "random"
+        if kind == "random":
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            row = {j: rng.choice([1, 1, 1, 2, 3]) for j in cols}
+        elif kind == "zero":
+            row = {}
+        elif kind == "repeat":
+            row = dict(rng.choice(rows))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = {j: 1 for j in a.keys() | b.keys() if (a.get(j, 0) + b.get(j, 0)) % 2}
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=gf2_row_lists())
+def test_gf2_bitset_kernel_matches_the_dict_kernel(rows):
+    """The bitset form must make the dict form's choices: the same complement
+    vectors with the same entry order (the CLI renders that order), the same
+    rank and the same screen verdict for every row, from dict or packed rows."""
+    expected = _complement(IncrementalRowBasis(GF2), rows)
+    for given_rows in (rows, [packed_row(GF2, r) for r in rows]):
+        got = image_complement_rows(GF2, given_rows)
+        assert [list(u.items()) for u in got] == [list(u.items()) for u in expected]
+        bits, dicts = row_basis(GF2), IncrementalRowBasis(GF2)
+        assert [bits.add(r) for r in given_rows] == [dicts.add(r) for r in rows]
+        assert _sparse_rank(GF2, given_rows) == sum(map(IncrementalRowBasis(GF2).add, rows))
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """A complex generated by up to five random facets on up to six vertices."""
+    n = draw(st.integers(1, 6))
+    vertices = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    return SimplicialComplex.from_facets(draw(st.lists(vertices, min_size=1, max_size=5)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(complex_=simplicial_complexes(), p=st.sampled_from([2, 3, 5]))
+def test_constant_sheaf_multiplicities_match_the_oracle(complex_, p):
+    """m^d(s) of the minimal resolution of the constant sheaf is the
+    compactly supported cohomology of the open star of s, shifted by dim s."""
+    res = minimal_resolution_constant(complex_.face_poset, PrimeField(p))
+    table = res.multiplicities()
+    for face in complex_.face_poset.elements:
+        got = {d: counts[face] for d, counts in table.items() if counts.get(face)}
+        assert got == multiplicity_oracle(complex_, face, p=p)
