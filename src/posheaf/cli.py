@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import io as pio
 from .errors import InputError, SizeCapExceeded
 from .field import NotPrimeError, PrimeField
 from .matrix import InjectiveComplex
-from .poset import LocallyClosedSet, Poset, SimplicialComplex, star_subposet
+from .poset import (LocallyClosedSet, Poset, SimplicialComplex, face_name, generated_faces,
+                    star_subposet, vertex_separator)
 from .resolution import (
     minimal_resolution_constant,
     minimal_resolution_sheaf,
@@ -57,15 +57,28 @@ def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
         poset = pio.poset_from_json(json.loads(text))
         if star is not None:
             raise InputError("--star applies to simplicial complex inputs only")
+    elif star is None:
+        poset = pio.read_facets_text(text, max_elements).face_poset
     else:
-        # the cap stops face enumeration, except that with --star it caps the star
-        complex_ = pio.read_facets_text(text, max_elements if star is None else math.inf)
-        if star is not None:
-            face = _face_lookup(complex_, star)
-            poset = star_subposet(complex_, face)
-        else:
-            poset = complex_.face_poset
+        poset = _star_poset(pio.parse_facets(text), star, max_elements)
     return _capped(poset, max_elements)
+
+
+def _star_poset(facets, requested: str, max_elements: int) -> Poset:
+    """The star of the requested face, counted from the facets first: a star
+    with more than `max_elements` faces is refused before the complex is
+    built."""
+    vertex_sets = [frozenset(facet) for facet in facets]
+    face = _face_lookup(requested, vertex_sets)
+    try:
+        # the star's faces other than `face`, with the vertices of `face` removed
+        generated_faces([g - face for g in vertex_sets if g > face], max_elements - 1)
+    except SizeCapExceeded:
+        raise SizeCapExceeded(
+            f"the star of {requested!r} has more than {max_elements} faces"
+        ) from None
+    complex_ = SimplicialComplex.from_facets(facets)
+    return star_subposet(complex_, complex_.name(face))
 
 
 def _capped(poset: Poset, max_elements: int) -> Poset:
@@ -77,13 +90,18 @@ def _capped(poset: Poset, max_elements: int) -> Poset:
     return poset
 
 
-def _face_lookup(complex_: SimplicialComplex, requested: str) -> str:
-    if requested in complex_.face_poset.index:
-        return requested
+def _face_lookup(requested: str, facets: list[frozenset]) -> frozenset:
+    """The face --star names: `requested` if it is a face's name under the
+    complex's separator, else its comma-separated or, without commas,
+    one-character vertex tokens."""
+    separator = vertex_separator(set().union(*facets))
+    named = requested.split(separator) if separator else list(requested)
     tokens = requested.split(",") if "," in requested else list(requested)
-    name = complex_.name(tokens)
-    if name in complex_.face_poset.index:
-        return name
+    for candidate, must_be_name in ((named, True), (tokens, False)):
+        face = frozenset(candidate)
+        if (face and len(face) == len(candidate) and any(face <= g for g in facets)
+                and (not must_be_name or face_name(face, separator) == requested)):
+            return face
     raise InputError(f"face {requested!r} not in the complex")
 
 
@@ -98,7 +116,11 @@ def cmd_resolve(args) -> int:
     field = PrimeField(args.field)
     poset = _load_poset_input(args.input, args.star, args.max_elements)
     if args.sheaf:
-        sheaf = pio.sheaf_from_json(json.loads(_read(args.sheaf)), poset, field)
+        data = json.loads(_read(args.sheaf))
+        total = sum(pio.stalks_from_json(data, poset).values())  # before any zero-filled map
+        if total > args.max_elements:
+            raise SizeCapExceeded(f"sheaf has total stalk dimension {total}, above --max-elements")
+        sheaf = pio.sheaf_from_json(data, poset, field)
         report = sheaf.validate()
         if not report.ok:
             print(f"invalid sheaf: {report.first_violation}", file=sys.stderr)
@@ -169,7 +191,7 @@ def cmd_functor(args) -> int:
 
 
 def _image_poset(source: Poset, map_data: dict) -> Poset:
-    assignment = {str(k): str(v) for k, v in map_data.get("assignment", {}).items()}
+    assignment = pio._assignment_from_json(map_data)
     names = []
     for e in source.elements:
         img = assignment.get(e, e)
@@ -275,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument(
         "--peel", action="store_true", help="minimize an order-complex resolution"
     )
-    resolve.add_argument("--max-elements", type=int, default=10_000)
+    resolve.add_argument("--max-elements", type=int, default=10_000,
+                         help="cap on elements and on a --sheaf's total stalk dimension")
     resolve.set_defaults(func=cmd_resolve)
 
     functor = sub.add_parser("functor", help="derived functors of a complex")
@@ -315,7 +338,7 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (InputError, NotPrimeError, FileNotFoundError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, RecursionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -40,8 +40,13 @@ def _as_array(value, what: str) -> list:
 
 
 def read_facets_text(text: str, max_faces: float = math.inf) -> SimplicialComplex:
-    """One facet per line, whitespace-separated vertex ids, '#' comments.
-    Refuses (SizeCapExceeded) a complex with more than `max_faces` faces."""
+    """The complex of a facets file (see `parse_facets`).  Refuses
+    (SizeCapExceeded) a complex with more than `max_faces` faces."""
+    return SimplicialComplex.from_facets(parse_facets(text), max_faces)
+
+
+def parse_facets(text: str) -> list[list[str]]:
+    """One facet per line, whitespace-separated vertex ids, '#' comments."""
     facets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -53,7 +58,7 @@ def read_facets_text(text: str, max_faces: float = math.inf) -> SimplicialComple
         facets.append(verts)
     if not facets:
         raise InputError("no facets found")
-    return SimplicialComplex.from_facets(facets, max_faces)
+    return facets
 
 
 def poset_to_json(poset: Poset) -> dict:
@@ -91,13 +96,22 @@ def vertex_map_from_json(
     return MonotoneMap.simplicial(source, target, _assignment_from_json(data))
 
 
+def stalks_from_json(data: dict, poset: Poset) -> dict[str, int]:
+    """The "stalks" object of sheaf JSON: a nonnegative dimension per element."""
+    stalks = {}
+    given = _as_object(_as_object(data, "sheaf JSON").get("stalks", {}), "sheaf 'stalks'")
+    for k, v in given.items():
+        if k not in poset.index:
+            raise InputError(f"stalk given for unknown element {k!r}")
+        stalks[k] = _as_int(v, f"stalk dimension of {k!r}")
+        if stalks[k] < 0:
+            raise InputError(f"stalk dimension of {k!r} is negative")
+    return stalks
+
+
 def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are zero."""
-    data = _as_object(data, "sheaf JSON")
-    stalks = {
-        str(k): _as_int(v, f"stalk dimension of {k!r}")
-        for k, v in _as_object(data.get("stalks", {}), "sheaf 'stalks'").items()
-    }
+    stalks = stalks_from_json(data, poset)
     maps = {}
     for key, mat in _as_object(data.get("maps", {}), "sheaf 'maps'").items():
         if "<" not in key:

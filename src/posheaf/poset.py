@@ -313,14 +313,35 @@ def _face_key(face):
     return (len(face), sorted(_vertex_key(str(v)) for v in face))
 
 
+def vertex_separator(vertices) -> str:
+    """The empty separator when every vertex token is one character, else ","."""
+    return "" if all(len(str(v)) == 1 for v in vertices) else ","
+
+
 def face_name(vertices, separator: str | None = None) -> str:
-    """Sorted vertex tokens joined by `separator`; by default by "" when every
-    token is one character, else by ",".  A complex passes its own separator,
+    """Sorted vertex tokens joined by `separator`, by default the
+    `vertex_separator` of these tokens.  A complex passes its own separator,
     chosen once from all of its vertices, so that names never collide."""
     toks = sorted((str(v) for v in vertices), key=_vertex_key)
     if separator is None:
-        separator = "" if all(len(t) == 1 for t in toks) else ","
+        separator = vertex_separator(toks)
     return separator.join(toks)
+
+
+def generated_faces(facets, max_faces: float = math.inf) -> set[frozenset]:
+    """Every nonempty vertex set inside a facet, once; SizeCapExceeded as
+    soon as there are more than `max_faces`."""
+    faces = set()
+    for facet in facets:
+        facet = sorted({str(v) for v in facet}, key=_vertex_key)
+        if not facet:
+            raise InputError("empty facet")
+        for k in range(1, len(facet) + 1):
+            for sub in combinations(facet, k):
+                faces.add(frozenset(sub))
+                if len(faces) > max_faces:
+                    raise SizeCapExceeded(f"input has more than {max_faces} faces")
+    return faces
 
 
 class SimplicialComplex:
@@ -337,7 +358,7 @@ class SimplicialComplex:
             if not f:
                 raise InputError("empty face")
         self.vertices = sorted({str(v) for f in self.faces for v in f}, key=_vertex_key)
-        self.separator = "" if all(len(v) == 1 for v in self.vertices) else ","
+        self.separator = vertex_separator(self.vertices)
         self.name_of = {f: self.name(f) for f in self.faces}
         self.face_of = {name: f for f, name in self.name_of.items()}
         if len(self.face_of) != len(self.faces):
@@ -358,17 +379,7 @@ class SimplicialComplex:
     def from_facets(cls, facets, max_faces: float = math.inf) -> "SimplicialComplex":
         """The complex the facets generate; SizeCapExceeded as soon as it is
         known to have more than `max_faces` distinct faces."""
-        faces = set()
-        for facet in facets:
-            facet = sorted({str(v) for v in facet}, key=_vertex_key)
-            if not facet:
-                raise InputError("empty facet")
-            for k in range(1, len(facet) + 1):
-                for sub in combinations(facet, k):
-                    faces.add(frozenset(sub))
-                    if len(faces) > max_faces:
-                        raise SizeCapExceeded(f"input has more than {max_faces} faces")
-        return cls(faces)
+        return cls(generated_faces(facets, max_faces))
 
     def name(self, vertices) -> str:
         """Name of a vertex set under this complex's naming rule."""

@@ -74,18 +74,11 @@ def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element
     return _append_complement(stalks, element, stalk, [stalks.image[i] for i in stalk])
 
 
-def _make_exact_against_image(image_columns, stalks: _Stalks, element: str) -> int:
-    """In-place MakeExact on `stalks.m` against an image given explicitly as
-    sparse column vectors over its global column indices; returns the number
-    of rows added."""
-    stalk = stalks.at(stalks.cols, element)
-    pos_of = {j: pos for pos, j in enumerate(stalk)}
-    # transpose: rows indexed by the stalk coordinates, columns spanning the image
-    rows = [dict() for _ in stalk]
-    for c, col in enumerate(image_columns):
-        for j, v in col.items():
-            rows[pos_of[j]][c] = v
-    return _append_complement(stalks, element, stalk, rows)
+def _make_exact_against_image(image_rows, stalks: _Stalks, element: str) -> int:
+    """In-place MakeExact on `stalks.m` against an image given explicitly:
+    `image_rows[pos]` is the image matrix's row at the element's `pos`-th
+    star-labeled column.  Returns the number of rows added."""
+    return _append_complement(stalks, element, stalks.at(stalks.cols, element), image_rows)
 
 
 def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_rows) -> int:
@@ -166,22 +159,12 @@ def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
     alpha, seed = injective_hull(sheaf)
-    hull_labels = seed.matrices[0].col_labels
-
-    def alpha_image_rows(element: str) -> list[dict[int, int]]:
-        """Columns of alpha(element) as sparse vectors over hull coordinates."""
-        coords = [i for i, lab in enumerate(hull_labels) if poset.leq(element, lab)]
-        mat = alpha.components[element]
-        columns = []
-        for c in range(sheaf.stalk_dim[element]):
-            col = {coords[r]: mat[r][c] for r in range(len(coords)) if mat[r][c]}
-            columns.append(col)
-        return columns
-
-    eta0 = LabeledMatrix(poset, field, hull_labels)
+    eta0 = LabeledMatrix(poset, field, seed.matrices[0].col_labels)
     stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
-        _make_exact_against_image(alpha_image_rows(element), stalks, element)
+        # alpha's rows at `element` are the hull summands above it, in order
+        image_rows = [dict(enumerate(row)) for row in alpha.components[element]]
+        _make_exact_against_image(image_rows, stalks, element)
     matrices = [eta0]
     if eta0.rows:
         matrices += force_exact(eta0, poset.linear_extension)

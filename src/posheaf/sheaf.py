@@ -3,16 +3,34 @@
 Restriction matrices are stored only on cover relations; a general
 restriction is composed along one canonical cover path (well defined by
 functoriality, which `validate` checks).  The minimal injective hull follows
-the maximal-vector construction.
+the maximal-vector construction and runs on the elimination kernel of
+:mod:`posheaf.matrix`: the maximal vectors at an element are the complement
+vectors `image_complement_rows` returns for the transposed stack of cover
+restrictions out of it.
 """
 
 from __future__ import annotations
 
-from . import linalg
 from .errors import InputError
 from .field import PrimeField
-from .matrix import InjectiveComplex, ValidationReport
+from .matrix import InjectiveComplex, ValidationReport, _sparse_rank, image_complement_rows
 from .poset import Poset
+
+
+def _matmul(field: PrimeField, a, b, ncols: int) -> list[list[int]]:
+    """a @ b over GF(p) on dense rows.  `ncols` is b's column count, which b
+    does not carry when it has no rows (a composition through a zero stalk)."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{ncols}")
+    p = field.p
+    out = [[0] * ncols for _ in a]
+    for out_row, row in zip(out, a):
+        for aik, brow in zip(row, b):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        out_row[j] = (out_row[j] + aik * bkj) % p
+    return out
 
 
 class Sheaf:
@@ -29,7 +47,7 @@ class Sheaf:
         for a, b in poset.covers:
             mat = restriction.get((a, b))
             if mat is None:
-                mat = linalg.zeros(self.stalk_dim[b], self.stalk_dim[a])
+                mat = [[0] * self.stalk_dim[a] for _ in range(self.stalk_dim[b])]
             else:
                 mat = [[x % p for x in row] for row in mat]
                 if len(mat) != self.stalk_dim[b] or any(
@@ -68,7 +86,7 @@ class Sheaf:
         for a, b in poset.covers:
             above_a = [lab for lab in summands if poset.leq(a, lab)]
             above_b = {lab_i for lab_i, lab in enumerate(above_a) if poset.leq(b, lab)}
-            mat = linalg.zeros(dims[b], dims[a])
+            mat = [[0] * dims[a] for _ in range(dims[b])]
             r = 0
             for i, lab in enumerate(above_a):
                 if i in above_b:
@@ -78,22 +96,26 @@ class Sheaf:
         return cls(poset, field, dims, restriction)
 
     def restriction_map(self, a: str, b: str) -> list[list[int]]:
-        """F(a <= b), composing cover restrictions along one canonical path."""
-        if a == b:
-            return linalg.identity(self.stalk_dim[a])
-        key = (a, b)
-        cached = self._map_cache.get(key)
-        if cached is not None:
-            return cached
+        """F(a <= b), composing cover restrictions along one canonical path:
+        from each element, its first cover that is still below b.  Cached,
+        so callers must not modify the result."""
         if not self.poset.leq(a, b):
             raise InputError(f"{a} is not below {b}")
-        step = next(
-            t for (s, t) in self.poset.covers if s == a and self.poset.leq(t, b)
-        )
-        mat = self.restriction[(a, step)]
-        if step != b:
-            mat = linalg.matmul(self.field, self.restriction_map(step, b), mat)
-        self._map_cache[key] = mat
+        # walk up to b, or to an element whose map to b is cached, then
+        # compose back down; a loop, since paths may outrun the recursion limit
+        path = []
+        while (a, b) not in self._map_cache:
+            if a == b:
+                n = self.stalk_dim[b]
+                self._map_cache[(b, b)] = [[int(i == j) for j in range(n)] for i in range(n)]
+                break
+            step = next(t for (s, t) in self.poset.covers if s == a and self.poset.leq(t, b))
+            path.append((a, step))
+            a = step
+        mat = self._map_cache[(a, b)]
+        for s, t in reversed(path):
+            mat = _matmul(self.field, mat, self.restriction[(s, t)], self.stalk_dim[s])
+            self._map_cache[(s, b)] = mat
         return mat
 
     def validate(self) -> ValidationReport:
@@ -105,8 +127,9 @@ class Sheaf:
             seen: dict[str, tuple[str, list[list[int]]]] = {}
             for b in covers_from.get(a, []):
                 for c in covers_from.get(b, []):
-                    composite = linalg.matmul(
-                        self.field, self.restriction[(b, c)], self.restriction[(a, b)]
+                    composite = _matmul(
+                        self.field, self.restriction[(b, c)], self.restriction[(a, b)],
+                        self.stalk_dim[a],
                     )
                     if c in seen:
                         b0, reference = seen[c]
@@ -122,16 +145,19 @@ class Sheaf:
         return ValidationReport([])
 
     def maximal_vectors(self, element: str) -> list[list[int]]:
-        """Row basis of M_F(pi) = intersection of cover-restriction kernels."""
+        """Row basis of M_F(pi) = intersection of cover-restriction kernels.
+
+        One vector per stalk coordinate whose column of the stacked cover
+        restrictions depends on the earlier columns, in coordinate order:
+        1 at that coordinate, nonzero elsewhere only at earlier independent
+        coordinates.  This is the reduced-row-echelon nullspace basis."""
         if element not in self.poset.index:
             raise InputError(f"unknown element {element!r}")
-        stacked = []
-        for a, b in self.poset.covers:
-            if a == element:
-                stacked += self.restriction[(a, b)]
-        if not stacked:
-            return linalg.identity(self.stalk_dim[element])
-        return linalg.nullspace(self.field, stacked, ncols=self.stalk_dim[element])
+        dim = self.stalk_dim[element]
+        stacked = [row for (a, _b), mat in self.restriction.items() if a == element for row in mat]
+        columns = [{r: row[i] for r, row in enumerate(stacked)} for i in range(dim)]
+        return [[u.get(i, 0) for i in range(dim)]
+                for u in image_complement_rows(self.field, columns)]
 
     def support(self) -> list[str]:
         return [e for e in self.poset.elements if self.stalk_dim[e]]
@@ -150,7 +176,7 @@ class NaturalTransformation:
         for e in source.poset.elements:
             mat = components.get(e)
             if mat is None:
-                mat = linalg.zeros(target.stalk_dim[e], source.stalk_dim[e])
+                mat = [[0] * source.stalk_dim[e] for _ in range(target.stalk_dim[e])]
             else:
                 mat = [[x % p for x in row] for row in mat]
             self.components[e] = mat
@@ -159,8 +185,9 @@ class NaturalTransformation:
         issues = []
         field = self.source.field
         for a, b in self.source.poset.covers:
-            left = linalg.matmul(field, self.target.restriction[(a, b)], self.components[a])
-            right = linalg.matmul(field, self.components[b], self.source.restriction[(a, b)])
+            ncols = self.source.stalk_dim[a]
+            left = _matmul(field, self.target.restriction[(a, b)], self.components[a], ncols)
+            right = _matmul(field, self.components[b], self.source.restriction[(a, b)], ncols)
             if left != right:
                 issues.append(f"naturality square fails on {a} < {b}")
         return ValidationReport(issues)
@@ -168,7 +195,8 @@ class NaturalTransformation:
     def is_injective(self) -> bool:
         field = self.source.field
         return all(
-            linalg.rank(field, self.components[e]) == self.source.stalk_dim[e]
+            _sparse_rank(field, [dict(enumerate(row)) for row in self.components[e]])
+            == self.source.stalk_dim[e]
             for e in self.source.poset.elements
         )
 
@@ -185,34 +213,27 @@ def injective_hull(sheaf: Sheaf) -> tuple[NaturalTransformation, InjectiveComple
     """
     sheaf.validate().raise_if_failed()
     poset, field = sheaf.poset, sheaf.field
-    maximal = {e: sheaf.maximal_vectors(e) for e in poset.elements}
-    hull_mult = {e: len(maximal[e]) for e in poset.elements}
+    # Each maximal vector is 1 at its own (last nonzero) coordinate, where the
+    # others vanish.  Completing the basis with the standard vectors at the
+    # remaining coordinates, the coordinate along a maximal vector is therefore
+    # the entry at its own coordinate, so projecting onto M_F(tau) reads rows.
+    own = {
+        e: [max(i for i, v in enumerate(vec) if v) for vec in sheaf.maximal_vectors(e)]
+        for e in poset.elements
+    }
+    hull_mult = {e: len(own[e]) for e in poset.elements}
     hull = Sheaf.injective(poset, field, hull_mult)
-    projections = {e: _maximal_projection(field, maximal[e], sheaf.stalk_dim[e])
-                   for e in poset.elements}
     components = {}
     for sigma in poset.elements:
-        blocks = []
+        components[sigma] = []
         for tau in poset.elements:
-            if hull_mult[tau] and poset.leq(sigma, tau):
-                blocks += linalg.matmul(
-                    field, projections[tau], sheaf.restriction_map(sigma, tau)
-                )
-        components[sigma] = blocks or linalg.zeros(0, sheaf.stalk_dim[sigma])
+            if own[tau] and poset.leq(sigma, tau):
+                restriction = sheaf.restriction_map(sigma, tau)
+                components[sigma] += [restriction[i] for i in own[tau]]
     alpha = NaturalTransformation(sheaf, hull, components)
     seed_labels = [lab for lab in poset.elements for _ in range(hull_mult[lab])]
     seed = InjectiveComplex.single_term(poset, field, seed_labels)
     return alpha, seed
-
-
-def _maximal_projection(field, max_basis, dim):
-    """Projection matrix onto M_F(tau) coordinates, in a basis completing the
-    row-reduced maximal basis (the non-maximal part maps to 0)."""
-    if not max_basis:
-        return linalg.zeros(0, dim)
-    full = linalg.complete_basis(field, max_basis, dim)
-    inv = linalg.inverse(field, linalg.transpose(full))
-    return inv[: len(max_basis)]
 
 
 def hom_dim_injective(i_decomposition: dict, j_decomposition: dict, poset: Poset) -> int:

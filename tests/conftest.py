@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 
 from posheaf.field import PrimeField
-from posheaf.linalg import nullspace, zeros
 from posheaf.matrix import InjectiveComplex, LabeledMatrix, _sparse_rank
 from posheaf.poset import (
     MonotoneMap,
@@ -20,6 +19,8 @@ from posheaf.poset import (
 )
 from posheaf.resolution import minimal_resolution_constant
 from posheaf.sheaf import Sheaf
+
+from dense_oracle import nullspace, zeros
 
 
 GF2 = PrimeField(2)
@@ -117,6 +118,27 @@ def sphere_morse(sphere_wedge):
     )
 
 
+# -- zero stalks inside cover paths ---------------------------------------------
+
+
+def zero_stalk_chain() -> Sheaf:
+    """x < y < z with stalks k, 0, k and no maps: the restriction from x to z
+    composes through the zero stalk at y."""
+    poset = Poset.from_covers(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    return Sheaf(poset, GF2, {"x": 1, "y": 0, "z": 1}, {})
+
+
+def zero_stalk_diamond() -> Sheaf:
+    """a < b, c < d with stalks k, 0, k, k over GF(3), a < c the identity and
+    c < d zero: both paths from a to d compose to zero, one through b."""
+    poset = Poset.from_covers(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    )
+    return Sheaf(
+        poset, GF3, {"a": 1, "b": 0, "c": 1, "d": 1}, {("a", "c"): [[1]], ("c", "d"): [[0]]}
+    )
+
+
 # -- random generators -----------------------------------------------------------
 
 
@@ -137,7 +159,8 @@ def random_up_set(rng: random.Random, poset: Poset) -> set[str]:
 
 
 def extension_by_zero_sheaf(poset: Poset, field: PrimeField, up_sets) -> Sheaf:
-    """Direct sum of constant sheaves on open sets, extended by zero."""
+    """Direct sum of constant sheaves on locally closed sets (open sets, say),
+    extended by zero."""
     dims = {e: sum(1 for u in up_sets if e in u) for e in poset.elements}
     restriction = {}
     for a, b in poset.covers:
@@ -202,7 +225,7 @@ def kernel_sheaf(matrix: LabeledMatrix) -> Sheaf:
 
 
 def _solve_rows(field, basis_rows, target):
-    from posheaf.linalg import solve_in_span
+    from dense_oracle import solve_in_span
 
     if not basis_rows:
         assert all(x % field.p == 0 for x in target)

@@ -1,14 +1,13 @@
-"""Dense exact linear algebra over GF(p) on small matrices.
+"""Dense exact linear algebra over GF(p) on small matrices, kept as an
+independent oracle: the library reduces sparse rows with the pivot-table
+kernel of `posheaf.matrix`, and the tests check it against these routines.
 
-Matrices are lists of rows, each row a list of ints in [0, p).  These
-routines back the sheaf-level computations (maximal vectors, hulls,
-naturality systems); the sparse labeled-matrix reduction lives in
-:mod:`posheaf.matrix`.
+Matrices are lists of rows, each row a list of ints in [0, p).
 """
 
 from __future__ import annotations
 
-from .field import PrimeField
+from posheaf.field import PrimeField
 
 Matrix = list[list[int]]
 
@@ -22,29 +21,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def transpose(mat: Matrix) -> Matrix:
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
-
-
-def matmul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
-    p = field.p
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    ncols = len(b[0]) if b else 0
-    out = zeros(len(a), ncols)
-    for i, row in enumerate(a):
-        oi = out[i]
-        for k, aik in enumerate(row):
-            if aik % p:
-                brow = b[k]
-                for j in range(ncols):
-                    if brow[j]:
-                        oi[j] = (oi[j] + aik * brow[j]) % p
-    return out
 
 
 def mat_vec(field: PrimeField, a: Matrix, v: list[int]) -> list[int]:
@@ -120,25 +96,3 @@ def solve_in_span(field: PrimeField, spanning_rows: Matrix, target: list[int]) -
     for r, pc in enumerate(pivots):
         x[pc] = red[r][k]
     return x
-
-
-def inverse(field: PrimeField, mat: Matrix) -> Matrix:
-    n = len(mat)
-    aug = [row[:] + ident_row for row, ident_row in zip(mat, identity(n))]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def complete_basis(field: PrimeField, rows: Matrix, dim: int) -> Matrix:
-    """Extend linearly independent `rows` to a basis of k^dim by standard vectors."""
-    basis = [r[:] for r in rows]
-    for j in range(dim):
-        e = [0] * dim
-        e[j] = 1
-        if rank(field, basis + [e]) > len(basis):
-            basis.append(e)
-        if len(basis) == dim:
-            break
-    return basis

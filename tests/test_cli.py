@@ -11,7 +11,7 @@ from posheaf.io import complex_from_json, complex_to_json, dumps, poset_to_json,
 from posheaf.poset import LocallyClosedSet, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
 
-from conftest import extension_by_zero_sheaf
+from conftest import extension_by_zero_sheaf, zero_stalk_chain, zero_stalk_diamond
 
 
 TETRA_FACETS = "\n".join("".join(c) for c in combinations("1234", 3)) + "\n# comment\n"
@@ -170,6 +170,18 @@ class TestResolve:
         assert main(["resolve", str(path), "--star", "0", "--max-elements", "32"]) == 0
         assert main(["resolve", str(path), "--star", "0", "--max-elements", "31"]) == 3
 
+    def test_max_elements_refuses_the_star_before_enumeration(self, tmp_path, capsys):
+        # the star of a vertex of one 13-vertex facet has 2^12 faces; the
+        # whole complex, 2^13 - 1, is never built
+        import time
+
+        path = tmp_path / "big13.txt"
+        path.write_text(" ".join(str(v) for v in range(13)) + "\n")
+        start = time.perf_counter()
+        assert main(["resolve", str(path), "--star", "0", "--max-elements", "100"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "the star of '0' has more than 100 faces" in capsys.readouterr().err
+
     def test_non_prime_field_exit_code(self, tetra_file, capsys):
         assert main(["resolve", tetra_file, "--field", "4"]) == 1
         assert "not prime" in capsys.readouterr().err
@@ -182,6 +194,22 @@ class TestResolve:
         sheaf_path.write_text(json.dumps({"stalks": {"a": dim}, "maps": {}}))
         assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == 1
         assert "stalk dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stalks, code, message",
+        [
+            ({"a": -1}, 1, "negative"),
+            ({"zz": 1}, 1, "unknown element"),
+            ({"a": 10**12}, 3, "total stalk dimension 1000000000000"),
+        ],
+    )
+    def test_hostile_stalks_exit_code(self, tmp_path, capsys, stalks, code, message):
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps({"elements": ["a", "ab"], "covers": [["a", "ab"]]}))
+        sheaf_path = tmp_path / "sheaf.json"
+        sheaf_path.write_text(json.dumps({"stalks": stalks, "maps": {}}))
+        assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == code
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sheaf",
@@ -235,6 +263,19 @@ class TestResolve:
         table = {d: dict(c) for d, c in complex_.multiplicities().items()}
         assert table == {0: {"x": 1}, 1: {"y": 1}}
         assert _sha256(out) == GOLDEN_SHA256["sheaf-small"]
+
+    @pytest.mark.parametrize("make_sheaf", [zero_stalk_chain, zero_stalk_diamond])
+    def test_sheaf_with_a_zero_stalk_inside_a_cover_path(self, tmp_path, capsys, make_sheaf):
+        sheaf = make_sheaf()
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps(poset_to_json(sheaf.poset)))
+        sheaf_path = tmp_path / "sheaf.json"
+        sheaf_path.write_text(json.dumps(sheaf_to_json(sheaf)))
+        field = str(sheaf.field.p)
+        for method in ("inductive", "order-complex"):
+            assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path),
+                         "--field", field, "--method", method]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_sheaf_input_gf3_golden(self, tmp_path, capsys):
         poset = skeleton_of_simplex(3, 2).face_poset

@@ -172,7 +172,7 @@ class TestImageComplement:
 
     def test_spans_left_kernel(self):
         rng = random.Random(21)
-        from posheaf.linalg import rank as dense_rank
+        from dense_oracle import rank as dense_rank
 
         for _ in range(60):
             field = rng.choice((GF2, GF3))

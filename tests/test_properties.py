@@ -2,8 +2,10 @@
 minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 `Poset.restrict` and covers against their definitions, the cylinder
 pullback against the submatrix restriction on open sets, the GF(2) bitset
-kernel against the dict kernel, and the constant sheaf's multiplicities
-against the compact-support oracle.
+kernel against the dict kernel, the constant sheaf's multiplicities
+against the compact-support oracle, the maximal vectors against a dense
+nullspace, pullback against its proper-functor expression, and the
+invariants of peel and of double dualization.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -13,10 +15,18 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from posheaf.derived import hypercohomology, peel, proper_pullback, same_derived_object
+from posheaf.derived import (
+    dualize,
+    euler_characteristic,
+    hypercohomology,
+    peel,
+    proper_pullback,
+    pullback_via_proper_check,
+    same_derived_object,
+)
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
 from posheaf.matrix import (
@@ -28,7 +38,7 @@ from posheaf.matrix import (
     row_basis,
 )
 from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
-from posheaf.poset import LocallyClosedSet, Poset, SimplicialComplex
+from posheaf.poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex
 from posheaf.resolution import (
     is_minimal,
     minimal_resolution_constant,
@@ -36,7 +46,15 @@ from posheaf.resolution import (
     order_complex_resolution,
 )
 
-from conftest import random_sheaf
+from conftest import (
+    extension_by_zero_sheaf,
+    kernel_sheaf,
+    random_labeled_matrix,
+    random_sheaf,
+    zero_stalk_chain,
+    zero_stalk_diamond,
+)
+from dense_oracle import nullspace
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -53,15 +71,31 @@ def dags(draw, max_elements=9):
 
 
 @st.composite
-def functorial_sheaves(draw):
+def functorial_sheaves(draw, max_generators=2):
     """A sheaf over GF(2), GF(3) or GF(5) on a random poset: constant, a sum
-    of constant sheaves on open sets, or the kernel of a random map of
-    injectives (functorial by construction)."""
+    of constant sheaves on open or on locally closed sets, or the kernel of
+    a random map of injectives (functorial by construction).  Up to
+    `max_generators` sets or kernel generators bound the stalk dimensions.
+    The sums over locally closed sets, and some kernels, have zero stalks
+    between nonzero ones."""
     elements, edges = draw(dags(max_elements=6))
     poset = Poset.from_leq_pairs(elements, edges)
     field = PrimeField(draw(st.sampled_from([2, 3, 5])))
-    style = draw(st.sampled_from(["constant", "open", "kernel"]))
+    style = draw(st.sampled_from(["constant", "open", "kernel", "locally closed"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if style == "kernel":
+        matrix = random_labeled_matrix(rng, poset, field, max_cols=max_generators, max_rows=3)
+        return kernel_sheaf(matrix)
+    if style == "locally closed":
+        # constant sheaves on down-sets and up-sets that all miss one element,
+        # put inside a chain: its stalk is zero, those below and above it
+        # need not be
+        order = poset.linear_extension
+        hole = order[len(order) // 2]
+        poset = Poset.from_leq_pairs(elements, edges + [(order[0], hole), (hole, order[-1])])
+        pieces = [poset.closure([e]) if poset.leq(e, hole) else poset.star(e)
+                  for e in rng.choices(elements, k=max_generators) if e != hole]
+        return extension_by_zero_sheaf(poset, field, pieces)
     return random_sheaf(rng, poset, field, style)
 
 
@@ -74,6 +108,54 @@ def test_peel_reaches_the_minimal_resolution(sheaf, data):
     assert peeled.validate().ok
     assert is_minimal(peeled)
     assert same_derived_object(peeled, minimal_resolution_sheaf(sheaf))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(sheaf=zero_stalk_chain())
+@example(sheaf=zero_stalk_diamond())
+@given(sheaf=functorial_sheaves(max_generators=5))
+def test_hull_matches_the_dense_nullspace(sheaf):
+    """The maximal vectors are the dense RREF nullspace basis of the stacked
+    cover restrictions, and the resolution built on the hull agrees with
+    the peeled order-complex resolution."""
+    poset = sheaf.poset
+    for e in poset.elements:
+        stacked = [row for a, b in poset.covers if a == e for row in sheaf.restriction[(a, b)]]
+        assert sheaf.maximal_vectors(e) == nullspace(sheaf.field, stacked, sheaf.stalk_dim[e])
+    assert same_derived_object(minimal_resolution_sheaf(sheaf),
+                               peel(order_complex_resolution(sheaf)))
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), source=dags(max_elements=5), data=st.data())
+def test_pullback_agrees_with_the_proper_route(sheaf, source, data):
+    """Rf^* C = Rp^! Rl_! C, shifted, for a random monotone map f into the
+    sheaf's poset; values are drawn freely, so f is often not injective."""
+    target = sheaf.poset
+    poset = Poset.from_leq_pairs(*source)
+    assignment = {}
+    for e in poset.linear_extension:
+        below = [assignment[a] for a, b in poset.covers if b == e]
+        allowed = [t for t in target.elements if all(target.leq(lo, t) for lo in below)]
+        assume(allowed)
+        assignment[e] = data.draw(st.sampled_from(allowed), label=e)
+    complex_ = minimal_resolution_sheaf(sheaf)
+    assume(not complex_.is_empty())
+    assert pullback_via_proper_check(MonotoneMap(poset, target, assignment), complex_)
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves())
+def test_peel_and_double_dual_invariants(sheaf):
+    """Peel is idempotent and keeps hypercohomology and the Euler
+    characteristic; dualizing twice gives the complex back."""
+    raw = order_complex_resolution(sheaf)
+    peeled = peel(raw)
+    assert peel(peeled) == peeled
+    assert hypercohomology(peeled) == hypercohomology(raw)
+    assert euler_characteristic(peeled) == euler_characteristic(raw)
+    for complex_ in (raw, peeled):
+        assert dualize(dualize(complex_)) == complex_
 
 
 @PROPERTY_SETTINGS

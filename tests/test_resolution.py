@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from posheaf.derived import peel, same_derived_object
 from posheaf.matrix import InjectiveComplex, LabeledMatrix
 from posheaf.poset import Poset, skeleton_of_simplex
 from posheaf.resolution import (
@@ -27,6 +28,8 @@ from conftest import (
     random_poset,
     random_sheaf,
     stalkwise_exactness_against_sheaf,
+    zero_stalk_chain,
+    zero_stalk_diamond,
 )
 
 
@@ -121,7 +124,7 @@ class TestMinimalResolutionConstant:
         for edge in ("2", "3", "4", "5"):
             stalk = eta0.stalk_matrix(edge)
             assert len(stalk) == 3 and all(len(r) == 3 for r in stalk)
-            from posheaf.linalg import rank as dense_rank
+            from dense_oracle import rank as dense_rank
 
             assert dense_rank(GF2, stalk) == 2
             ones = [sum(row) % 2 for row in stalk]
@@ -194,6 +197,14 @@ class TestMinimalResolutionSheaf:
         res = minimal_resolution_sheaf(f)
         assert mult_table(res) == {0: {"x": 1}, 1: {"y": 1}}
         stalkwise_exactness_against_sheaf(res, f)
+
+    @pytest.mark.parametrize("make_sheaf", [zero_stalk_chain, zero_stalk_diamond])
+    def test_zero_stalk_inside_a_cover_path(self, make_sheaf):
+        sheaf = make_sheaf()
+        res = minimal_resolution_sheaf(sheaf)
+        check_resolution_health(res, sheaf.poset)
+        stalkwise_exactness_against_sheaf(res, sheaf)
+        assert same_derived_object(res, peel(order_complex_resolution(sheaf)))
 
     def test_random_sheaves_exact(self):
         rng = random.Random(71)

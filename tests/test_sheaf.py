@@ -1,9 +1,9 @@
 import random
+import sys
 
 import pytest
 
 from posheaf.errors import InputError
-from posheaf.linalg import identity, rank
 from posheaf.poset import Poset
 from posheaf.sheaf import (
     NaturalTransformation,
@@ -13,6 +13,7 @@ from posheaf.sheaf import (
     injective_hull,
 )
 
+from dense_oracle import identity, rank
 from conftest import (
     GF2,
     GF3,
@@ -21,6 +22,8 @@ from conftest import (
     random_labeled_matrix,
     random_poset,
     random_sheaf,
+    zero_stalk_chain,
+    zero_stalk_diamond,
 )
 
 
@@ -89,6 +92,25 @@ class TestValidateSheaf:
         report = sheaf.validate()
         assert not report.ok
         assert "functoriality" in report.first_violation
+
+
+class TestRestrictionMap:
+    def test_composition_along_a_path_longer_than_the_recursion_limit(self):
+        names = [f"e{i}" for i in range(400)]
+        sheaf = constant_sheaf(Poset.from_covers(names, list(zip(names, names[1:]))))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            assert sheaf.restriction_map(names[0], names[-1]) == [[1]]
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_composition_through_a_zero_stalk(self):
+        chain, diamond = zero_stalk_chain(), zero_stalk_diamond()
+        assert chain.validate().ok
+        assert diamond.validate().ok
+        assert chain.restriction_map("x", "z") == [[0]]
+        assert diamond.restriction_map("a", "d") == [[0]]
 
 
 class TestMaximalVectors:
@@ -179,7 +201,7 @@ class TestInjectiveHull:
     def test_every_vector_reaches_a_maximal_one(self):
         # nonzero stalk vectors restrict to a nonzero maximal vector somewhere above
         rng = random.Random(29)
-        from posheaf.linalg import mat_vec
+        from dense_oracle import mat_vec
 
         for _ in range(25):
             poset = random_poset(rng, 6)
