@@ -224,6 +224,18 @@ def kernel_sheaf(matrix: LabeledMatrix) -> Sheaf:
     return Sheaf(poset, field, dims, restriction)
 
 
+def incidence_kernel_sheaf(complex_: SimplicialComplex, field: PrimeField, d: int) -> Sheaf:
+    """A fixed, non-random kernel sheaf: the kernel of the map of injectives
+    whose columns are the d- and (d-1)-faces and whose rows, on the (d-1)-
+    and (d-2)-faces, put (i + 2j) mod p on every allowed entry."""
+    poset = complex_.face_poset
+    cols = complex_.simplices_of_dim(d) + complex_.simplices_of_dim(d - 1)
+    m = LabeledMatrix(poset, field, cols)
+    for i, e in enumerate(complex_.simplices_of_dim(d - 1) + complex_.simplices_of_dim(d - 2)):
+        m.add_row(e, {j: (i + 2 * j) % field.p for j, t in enumerate(cols) if poset.leq(e, t)})
+    return kernel_sheaf(m)
+
+
 def _solve_rows(field, basis_rows, target):
     from dense_oracle import solve_in_span
 

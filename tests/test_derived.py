@@ -32,6 +32,7 @@ from conftest import (
     GF2,
     GF3,
     check_resolution_health,
+    incidence_kernel_sheaf,
     random_monotone_map,
     random_poset,
     random_sheaf,
@@ -236,6 +237,24 @@ class TestPullback:
             assert is_minimal(pulled)
             assert pulled.validate().ok
             done += 1
+
+    def test_raw_output_pinned_non_injective_simplicial(self):
+        # sha256 of every matrix's labels and rows, dict entry order included,
+        # as computed by MakeExact with the row-basis screen: a fixed GF(3)
+        # kernel sheaf on the 2-skeleton of the 4-simplex, resolved and pulled
+        # back along the simplicial map that folds vertex 5 onto vertex 0
+        from posheaf.field import PrimeField
+        from posheaf.poset import skeleton_of_simplex
+
+        src, tgt = skeleton_of_simplex(5, 2), skeleton_of_simplex(4, 2)
+        f = MonotoneMap.simplicial(src, tgt, {"5": "0"})
+        res = minimal_resolution_sheaf(incidence_kernel_sheaf(tgt, PrimeField(3), 2))
+        pulled = pullback(f, res)
+        assert pulled.total_summands() == 93
+        raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
+               for m in pulled.matrices]
+        assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == (
+            "34455aa6b4c44199030735a546e2c4c18a0f0d450cfc3a9c40b2206e26f79d9b")
 
 
 class TestProperPushforward:

@@ -25,6 +25,7 @@ from conftest import (
     GF2,
     GF3,
     check_resolution_health,
+    incidence_kernel_sheaf,
     random_poset,
     random_sheaf,
     stalkwise_exactness_against_sheaf,
@@ -197,6 +198,23 @@ class TestMinimalResolutionSheaf:
         res = minimal_resolution_sheaf(f)
         assert mult_table(res) == {0: {"x": 1}, 1: {"y": 1}}
         stalkwise_exactness_against_sheaf(res, f)
+
+    def test_raw_output_pinned_gf5(self):
+        # sha256 of every matrix's labels and rows, dict entry order included,
+        # as computed by MakeExact with the row-basis screen; the sheaf is a
+        # fixed kernel sheaf on the 3-skeleton of the 6-simplex
+        import hashlib
+
+        from posheaf.field import PrimeField
+        from posheaf.poset import skeleton_of_simplex
+
+        sheaf = incidence_kernel_sheaf(skeleton_of_simplex(6, 3), PrimeField(5), 3)
+        res = minimal_resolution_sheaf(sheaf)
+        assert res.total_summands() == 71
+        raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
+               for m in res.matrices]
+        assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == (
+            "3bf993f0e31361140f72a0929c42cfc7c9c684aedf4363f6f5770462dfa6852c")
 
     @pytest.mark.parametrize("make_sheaf", [zero_stalk_chain, zero_stalk_diamond])
     def test_zero_stalk_inside_a_cover_path(self, make_sheaf):
