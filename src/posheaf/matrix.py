@@ -532,21 +532,46 @@ def _sparse_rank(field: PrimeField, rows) -> int:
     return sum(map(row_basis(field).add, rows))
 
 
-def image_complement_rows(field: PrimeField, stalk_rows) -> list[dict[int, int]]:
+def _top_pivots(field: PrimeField, rows) -> set[int]:
+    """The top pivots of the span of `rows` (`packed_row`s): the columns that
+    are the highest nonzero coordinate of some vector in it, one per
+    dimension.  Elimination on the highest coordinate; `rows` are unchanged."""
+    p, table = field.p, {}
+    for row in rows:
+        if p == 2:
+            while row and (piv := table.get(top := row.bit_length() - 1)) is not None:
+                row ^= piv
+            if row:
+                table[top] = row
+        else:
+            row = dict(row)
+            while row and (piv := table.get(top := max(row))) is not None:
+                _axpy(row, piv, p - row[top], p)
+            if row:
+                inv = field.inv(row[top])
+                table[top] = {j: (v * inv) % p for j, v in row.items()}
+    return set(table)
+
+
+def image_complement_rows(field: PrimeField, stalk_rows, skip=()) -> list[dict[int, int]]:
     """Basis of the orthogonal complement of the column space of a stalk matrix.
 
     `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
     by global column indices.  Row-reduces the matrix with an augmented
     identity; the identity rows that end with a zero matrix row span
     (im)^perp.  Coordinates of the output vectors refer to stalk row
-    positions (0-based).
+    positions (0-based).  Positions in `skip` are not reduced and give no
+    vector; each must be a row that would reduce to zero, so that the other
+    vectors come out as without it.
     """
-    return _complement(row_basis(field), stalk_rows)
+    return _complement(row_basis(field), stalk_rows, skip)
 
 
-def _complement(basis: IncrementalRowBasis, stalk_rows) -> list[dict[int, int]]:
+def _complement(basis: IncrementalRowBasis, stalk_rows, skip=()) -> list[dict[int, int]]:
     complement = []
     for i, row in enumerate(stalk_rows):
+        if i in skip:
+            continue
         u = {i: 1}
         reduced = basis.reduce(row, u)
         if reduced:

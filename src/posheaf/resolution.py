@@ -1,7 +1,11 @@
 """Minimal injective resolutions and the exactness-forcing driver.
 
 MakeExact adds rows to the current matrix at one element so that the stalk
-sequence becomes exact there.  `resolution_step` runs it over a list of
+sequence becomes exact there: the basis vectors of the complement of the
+previous matrix's stalk image that the current star-labeled rows do not
+already span.  It reads which ones those are off the top pivots of the star
+rows (see `_append_complement`), which needs the current matrix to compose
+to zero with the previous one.  `resolution_step` runs it over a list of
 elements in non-increasing order, and `force_exact` repeats that step degree
 by degree until a matrix comes out empty.  `force_exact` is the single
 exactness-forcing path: the minimal resolutions here and the pullback and
@@ -18,8 +22,8 @@ import math
 
 from .errors import InputError
 from .field import PrimeField
-from .matrix import (InjectiveComplex, LabeledMatrix, _sparse_rank, image_complement_rows,
-                     packed_row, row_basis)
+from .matrix import (InjectiveComplex, LabeledMatrix, _sparse_rank, _top_pivots,
+                     image_complement_rows, packed_row)
 from .poset import (Poset, SimplicialComplex, _bit_indices, chain_tuple, order_complex,
                     signed_incidence)
 from .sheaf import Sheaf, injective_hull
@@ -27,9 +31,14 @@ from .sheaf import Sheaf, injective_hull
 
 def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) -> LabeledMatrix:
     """Extend eta_cur by new rows labeled `element` so that the stalk sequence
-    at it is exact in the middle.  Returns a new matrix; inputs unchanged."""
+    at it is exact in the middle.  Returns a new matrix; inputs unchanged.
+
+    Precondition, checked: eta_cur . eta_prev = 0 (every row of eta_cur
+    composes to zero with eta_prev)."""
     if eta_prev.row_labels != eta_cur.col_labels:
         raise InputError("columns of the current matrix must match rows of the previous")
+    if not eta_cur.multiply(eta_prev).is_zero():
+        raise InputError("the current matrix does not compose to zero with the previous")
     out = eta_cur.copy()
     _make_exact_inplace(eta_prev, out, element)
     return out
@@ -85,19 +94,30 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     """The MakeExact body.  `image_rows[pos]` is the row of the image matrix at
     stalk coordinate `stalk[pos]` (a star-labeled column of the matrix).  Each
     basis vector of the image's complement that is independent of the
-    matrix's star-labeled rows is appended as a row labeled `element`."""
+    matrix's star-labeled rows is appended as a row labeled `element`.
+
+    Which vectors those are is read off the star rows' top pivots, without
+    a screen.  In stalk coordinates (ascending columns) let M be the image
+    rows, A = {u : uM = 0}, and W the span of the star-labeled rows.  The
+    precondition eta_cur . eta_prev = 0 gives W in A (for the hull seed, by
+    naturality of the inclusion).  `_complement` yields one u_t per row t
+    that reduces to zero; u_t has its highest coordinate at t, and the u_t'
+    with t' <= t span the vectors of A supported on positions <= t.  By
+    induction on t, W plus the u_t' accepted so far spans W plus every u_t'
+    with t' < t, so u_t is dependent exactly when some w in W has its highest
+    coordinate at t (subtract w from u_t; what is left lies in A below t).
+    Those t are W's top pivots, and each is a zero row of M (wM = 0 writes
+    row t through the rows below it), so skipping them in the reduction
+    inserts nothing another row's witness would see: the vectors left are
+    the ones the screen would accept, in the same order and form."""
     field = stalks.m.field
-    screen = row_basis(field)
-    for i in stalks.at(stalks.rows, element):
-        screen.add(stalks.packed[i])
-    added = 0
-    for vector in image_complement_rows(field, image_rows):
+    tops = _top_pivots(field, [stalks.packed[i] for i in stalks.at(stalks.rows, element)])
+    skip = {pos for pos, j in enumerate(stalk) if j in tops}
+    vectors = image_complement_rows(field, image_rows, skip)
+    for vector in vectors:
         row = {stalk[pos]: v for pos, v in vector.items()}
-        packed = packed_row(field, row)
-        if screen.add(packed):
-            stalks.append(element, row, packed)
-            added += 1
-    return added
+        stalks.append(element, row, packed_row(field, row))
+    return len(vectors)
 
 
 def resolution_step(
@@ -105,7 +125,10 @@ def resolution_step(
 ) -> LabeledMatrix:
     """One degree of the resolution: start from a copy of the rows of `seed`
     (none by default) over the rows of eta_prev and run MakeExact over
-    `elements` (default: the whole poset) in non-increasing order."""
+    `elements` (default: the whole poset) in non-increasing order.
+
+    Precondition: seed . eta_prev = 0, as MakeExact needs; the rows it adds
+    keep the product zero."""
     poset = eta_prev.poset
     eta_next = LabeledMatrix(poset, eta_prev.field, eta_prev.row_labels)
     if seed is not None:

@@ -4,8 +4,10 @@ minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 pullback against the submatrix restriction on open sets, the GF(2) bitset
 kernel against the dict kernel, the constant sheaf's multiplicities
 against the compact-support oracle, the maximal vectors against a dense
-nullspace, pullback against its proper-functor expression, and the
-invariants of peel and of double dualization.
+nullspace, pullback against its proper-functor expression, the
+invariants of peel and of double dualization, MakeExact against the
+row-basis screen it replaced (`screen_oracle`), and the down-sets, heights
+and linear extension against their definitions.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -13,6 +15,7 @@ gives the same verdict on every run.
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,6 +27,8 @@ from posheaf.derived import (
     hypercohomology,
     peel,
     proper_pullback,
+    proper_pushforward,
+    pullback,
     pullback_via_proper_check,
     same_derived_object,
 )
@@ -54,6 +59,7 @@ from conftest import (
     zero_stalk_chain,
     zero_stalk_diamond,
 )
+import screen_oracle
 from dense_oracle import nullspace
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -304,3 +310,75 @@ def test_constant_sheaf_multiplicities_match_the_oracle(complex_, p):
     for face in complex_.face_poset.elements:
         got = {d: counts[face] for d, counts in table.items() if counts.get(face)}
         assert got == multiplicity_oracle(complex_, face, p=p)
+
+
+# -- MakeExact against the row-basis screen ------------------------------------------
+
+
+def assert_same_as_the_screen(build):
+    """`build()` gives the same raw complex, dict entry order included, with
+    the top-pivot MakeExact (its skips checked) as with the screen."""
+    with mock.patch("posheaf.resolution.image_complement_rows", screen_oracle.checked_complement):
+        new = screen_oracle.raw(build())
+    with mock.patch("posheaf.resolution._append_complement", screen_oracle.append_complement):
+        old = screen_oracle.raw(build())
+    assert new == old
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(max_generators=3))
+def test_make_exact_matches_the_screen_on_resolutions(sheaf):
+    assert_same_as_the_screen(lambda: minimal_resolution_constant(sheaf.poset, sheaf.field))
+    assert_same_as_the_screen(lambda: minimal_resolution_sheaf(sheaf))
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), source=dags(max_elements=5), data=st.data())
+def test_make_exact_matches_the_screen_on_pullbacks(sheaf, source, data):
+    """Pullback along a random monotone map that is not injective."""
+    target = sheaf.poset
+    poset = Poset.from_leq_pairs(*source)
+    assignment = {}
+    for e in poset.linear_extension:
+        below = [assignment[a] for a, b in poset.covers if b == e]
+        allowed = [t for t in target.elements if all(target.leq(lo, t) for lo in below)]
+        assume(allowed)
+        assignment[e] = data.draw(st.sampled_from(allowed), label=e)
+    assume(len(set(assignment.values())) < len(assignment))
+    f = MonotoneMap(poset, target, assignment)
+    assert_same_as_the_screen(lambda: pullback(f, minimal_resolution_sheaf(sheaf)))
+
+
+@PROPERTY_SETTINGS
+@given(facets=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+                       min_size=1, max_size=4),
+       fold=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+       p=st.sampled_from([2, 3, 5]))
+def test_make_exact_matches_the_screen_on_simplicial_pullbacks(facets, fold, p):
+    """Pullback of the constant sheaf's resolution along a simplicial map
+    onto the image complex, vertex v going to fold[v]; six vertices onto
+    five, so the map is never injective on vertices."""
+    source = SimplicialComplex.from_facets(facets)
+    target = SimplicialComplex.from_facets([{fold[v] for v in facet} for facet in facets])
+    f = MonotoneMap.simplicial(source, target, {str(v): str(fold[v]) for v in range(6)})
+    assume(len(set(f.assignment.values())) < len(f.assignment))
+    field = PrimeField(p)
+    assert_same_as_the_screen(
+        lambda: pullback(f, minimal_resolution_constant(target.face_poset, field)))
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), data=st.data())
+def test_make_exact_matches_the_screen_on_proper_pushforward(sheaf, data):
+    """Extension by zero from a random locally closed set: an open star cut
+    down to the closure of some of its elements."""
+    poset = sheaf.poset
+    star = poset.star(data.draw(st.sampled_from(poset.elements), label="open"))
+    tops = data.draw(st.lists(st.sampled_from(sorted(star)), min_size=1, max_size=2), label="closed")
+    zset = LocallyClosedSet(poset, star & poset.closure(tops))
+
+    def build():
+        on_z = proper_pullback(zset, minimal_resolution_sheaf(sheaf))
+        return proper_pushforward(zset, on_z)
+
+    assert_same_as_the_screen(build)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from posheaf.derived import peel, same_derived_object
+from posheaf.errors import InputError
 from posheaf.matrix import InjectiveComplex, LabeledMatrix
 from posheaf.poset import Poset, skeleton_of_simplex
 from posheaf.resolution import (
@@ -70,6 +71,44 @@ class TestMakeExact:
         res = minimal_resolution_constant(poset)
         with pytest.raises(Exception):
             make_exact(res.matrices[1], res.matrices[0], "0")
+
+    def test_nonzero_composition_refused(self, tetra):
+        res = minimal_resolution_constant(tetra.face_poset)
+        eta0, eta1 = res.matrices[0], res.matrices[1].copy()
+        # one allowed entry, in a column that eta0 maps nonzero
+        j = next(j for j, row in enumerate(eta0.rows) if row)
+        eta1.add_row(eta0.row_labels[j], {j: 1})
+        assert not eta1.multiply(eta0).is_zero()
+        with pytest.raises(InputError, match="compose to zero"):
+            make_exact(eta0, eta1, "0")
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_skipped_positions_reduce_to_zero(self, p):
+        # every position MakeExact skips is a stalk row that reduces to zero,
+        # and the rows it appends are the screen's, on the constant sheaf of
+        # the 3-skeleton of the 5-simplex and on a kernel sheaf over it
+        from unittest import mock
+
+        import screen_oracle
+        from posheaf.field import PrimeField
+        from posheaf.poset import skeleton_of_simplex
+
+        skipped = []
+
+        def recording(field, stalk_rows, skip=()):
+            skipped.extend(skip)
+            return screen_oracle.checked_complement(field, stalk_rows, skip)
+
+        complex_ = skeleton_of_simplex(5, 3)
+        field = PrimeField(p)
+        for build in (lambda: minimal_resolution_constant(complex_.face_poset, field),
+                      lambda: minimal_resolution_sheaf(incidence_kernel_sheaf(complex_, field, 3))):
+            with mock.patch("posheaf.resolution.image_complement_rows", recording):
+                new = screen_oracle.raw(build())
+            with mock.patch("posheaf.resolution._append_complement",
+                            screen_oracle.append_complement):
+                assert new == screen_oracle.raw(build())
+        assert skipped
 
 
 def _extra_edges_first_step_at(element, star_poset, run_all=False):
