@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument(
         "--method", choices=("inductive", "order-complex"), default="inductive"
     )
-    resolve.add_argument("--field", type=int, default=2, help="prime modulus (default 2)")
+    resolve.add_argument("--field", type=int, default=2,
+                         help="prime modulus below 3.3e24 (default 2); a larger one exits 3")
     resolve.add_argument("--format", choices=("text", "json"), default="text")
     resolve.add_argument("--star", help="restrict to the star of a face, relabeled")
     resolve.add_argument(

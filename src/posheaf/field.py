@@ -8,23 +8,40 @@ odd primes work as well.
 
 from __future__ import annotations
 
+from .errors import SizeCapExceeded
+
 
 class NotPrimeError(ValueError):
     pass
 
 
+# Miller-Rabin with the first 13 prime bases is exact below the smallest
+# strong pseudoprime to all of them (Sorenson and Webster, 2015); the first
+# 12, up to 37, already pass the composite 318665857834031151167461.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < MODULUS_BOUND."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -34,6 +51,8 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int = 2):
+        if p >= MODULUS_BOUND:
+            raise SizeCapExceeded(f"modulus {p} is not below {MODULUS_BOUND}")
         if not _is_prime(p):
             raise NotPrimeError(f"modulus {p} is not prime")
         self.p = p

@@ -186,6 +186,17 @@ class TestResolve:
         assert main(["resolve", tetra_file, "--field", "4"]) == 1
         assert "not prime" in capsys.readouterr().err
 
+    def test_huge_field_is_a_size_cap(self, tetra_file, tmp_path, capsys):
+        huge = str(4 * 10**24)
+        assert main(["resolve", tetra_file, "--field", huge]) == 3
+        assert "modulus" in capsys.readouterr().err
+        assert main(["resolve", tetra_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data["field"] = int(huge)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 3
+
     @pytest.mark.parametrize("dim", [[1], 1.5])
     def test_non_integer_stalk_exit_code(self, tmp_path, capsys, dim):
         poset_path = tmp_path / "poset.json"
