@@ -38,14 +38,7 @@ class Poset:
             raise InputError("duplicate element ids")
         self._up = leq_bits  # up[i] = bitset of {j : elements[i] <= elements[j]}
         self.covers = covers
-        self._down = [0] * len(self.elements)
-        for i in range(len(self.elements)):
-            bits = self._up[i]
-            while bits:
-                low = bits & -bits
-                self._down[low.bit_length() - 1] |= 1 << i
-                bits ^= low
-        self._height_below = self._compute_heights()
+        self._down, self._height_below = self._down_sets_and_heights()
         order = sorted(range(len(self.elements)), key=lambda i: (self._height_below[i], i))
         self.linear_extension = [self.elements[i] for i in order]
         self.height = max(self._height_below, default=0)
@@ -100,17 +93,20 @@ class Poset:
             covers.extend((elements[i], elements[j]) for j in _bit_indices(strict & ~above))
         return covers
 
-    def _compute_heights(self):
+    def _down_sets_and_heights(self) -> tuple[list[int], list[int]]:
+        """Down-set bitsets and longest chains strictly below, in one pass
+        over the covers (which generate the order) in a topological order:
+        a < b implies that a's up-set is the larger."""
         n = len(self.elements)
-        below = [0] * n
-        order = sorted(range(n), key=lambda i: bin(self._down[i]).count("1"))
-        for i in order:
-            h = 0
-            bits = self._down[i] & ~(1 << i)
-            for j in _bit_indices(bits):
-                h = max(h, below[j] + 1)
-            below[i] = h
-        return below
+        lower = [[] for _ in range(n)]
+        for a, b in self.covers:
+            lower[self.index[b]].append(self.index[a])
+        down, below = [1 << i for i in range(n)], [0] * n
+        for j in sorted(range(n), key=lambda i: -self._up[i].bit_count()):
+            for i in lower[j]:
+                down[j] |= down[i]
+                below[j] = max(below[j], below[i] + 1)
+        return down, below
 
     # -- queries ------------------------------------------------------------
 

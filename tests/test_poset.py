@@ -160,6 +160,16 @@ class TestLinearExtension:
     def test_height(self, tetra):
         assert tetra.face_poset.height == 2
 
+    def test_long_chain_builds_fast(self):
+        import time
+
+        names = [f"c{i}" for i in range(1100)]
+        start = time.perf_counter()
+        chain = Poset.from_covers(names, list(zip(names, names[1:])))
+        assert time.perf_counter() - start < 0.1
+        assert chain.height == 1099 and chain.linear_extension == names
+        assert chain.down_bits("c1099") == (1 << 1100) - 1
+
     def test_antisymmetry_rejected_on_a_longer_cycle(self):
         with pytest.raises(InputError, match="antisymmetric: b and c"):
             Poset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("c", "b")])

@@ -171,6 +171,31 @@ def test_from_covers_closes_like_from_leq_pairs(dag):
     assert Poset.from_covers(elements, edges)._up == Poset.from_leq_pairs(elements, edges)._up
 
 
+def _naive_down_sets_and_heights(poset):
+    """Down-sets by transposing every up-set bit, and heights as the longest
+    chain strictly below, element by element in order of down-set size."""
+    n = len(poset.elements)
+    down = [sum(1 << i for i in range(n) if (poset._up[i] >> j) & 1) for j in range(n)]
+    below = [0] * n
+    for j in sorted(range(n), key=lambda i: bin(down[i]).count("1")):
+        below[j] = max((below[i] + 1 for i in range(n) if i != j and (down[j] >> i) & 1), default=0)
+    order = sorted(range(n), key=lambda i: (below[i], i))
+    return down, below, [poset.elements[i] for i in order]
+
+
+@PROPERTY_SETTINGS
+@given(dag=dags(), data=st.data())
+def test_down_sets_heights_and_linear_extension_match_the_naive_route(dag, data):
+    elements, edges = dag
+    poset = data.draw(st.sampled_from([Poset.from_covers, Poset.from_leq_pairs]))(elements, edges)
+    for p in (poset, poset.opposite(), poset.with_virtual_top()[0]):
+        down, below, linear_extension = _naive_down_sets_and_heights(p)
+        assert p._down == down
+        assert p._height_below == below
+        assert p.height == max(below)
+        assert p.linear_extension == linear_extension
+
+
 def _naive_covers(poset):
     """(a, b) with a < b and nothing strictly between, in element order."""
     strictly = [(a, b) for a in poset.elements for b in poset.elements if a != b and poset.leq(a, b)]
