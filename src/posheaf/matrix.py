@@ -452,7 +452,7 @@ def packed_row(field: PrimeField, row):
 
 
 class IncrementalRowBasis:
-    """The elimination kernel, which every rank, screen and complement runs
+    """The elimination kernel, which every rank and complement runs
     through: a pivot table under the leftmost-pivot, first-row-wins rule.
     Rows are {column: value} dicts over any GF(p), and stored rows have
     leading value 1.  A row may carry a witness dict (the input rows it

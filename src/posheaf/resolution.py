@@ -97,7 +97,7 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     matrix's star-labeled rows is appended as a row labeled `element`.
 
     Which vectors those are is read off the star rows' top pivots, without
-    a screen.  In stalk coordinates (ascending columns) let M be the image
+    reducing any vector against those rows.  In stalk coordinates (ascending columns) let M be the image
     rows, A = {u : uM = 0}, and W the span of the star-labeled rows.  The
     precondition eta_cur . eta_prev = 0 gives W in A (for the hull seed, by
     naturality of the inclusion).  `_complement` yields one u_t per row t
@@ -109,7 +109,7 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     Those t are W's top pivots, and each is a zero row of M (wM = 0 writes
     row t through the rows below it), so skipping them in the reduction
     inserts nothing another row's witness would see: the vectors left are
-    the ones the screen would accept, in the same order and form."""
+    exactly the independent ones, in the order and form `_complement` gives."""
     field = stalks.m.field
     tops = _top_pivots(field, [stalks.packed[i] for i in stalks.at(stalks.rows, element)])
     skip = {pos for pos, j in enumerate(stalk) if j in tops}
