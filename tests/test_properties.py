@@ -137,7 +137,15 @@ def test_hull_matches_the_dense_nullspace(sheaf):
 def test_pullback_agrees_with_the_proper_route(sheaf, source, data):
     """Rf^* C = Rp^! Rl_! C, shifted, for a random monotone map f into the
     sheaf's poset; values are drawn freely, so f is often not injective."""
-    target = sheaf.poset
+    f = _draw_monotone_map(data, source, sheaf.poset)
+    complex_ = minimal_resolution_sheaf(sheaf)
+    assume(not complex_.is_empty())
+    assert pullback_via_proper_check(f, complex_)
+
+
+def _draw_monotone_map(data, source, target):
+    """A monotone map from the poset on the DAG `source` into `target`, each
+    value drawn among those above the values of the element's lower covers."""
     poset = Poset.from_leq_pairs(*source)
     assignment = {}
     for e in poset.linear_extension:
@@ -145,9 +153,7 @@ def test_pullback_agrees_with_the_proper_route(sheaf, source, data):
         allowed = [t for t in target.elements if all(target.leq(lo, t) for lo in below)]
         assume(allowed)
         assignment[e] = data.draw(st.sampled_from(allowed), label=e)
-    complex_ = minimal_resolution_sheaf(sheaf)
-    assume(not complex_.is_empty())
-    assert pullback_via_proper_check(MonotoneMap(poset, target, assignment), complex_)
+    return MonotoneMap(poset, target, assignment)
 
 
 @PROPERTY_SETTINGS
@@ -361,16 +367,8 @@ def test_make_exact_matches_the_screen_on_resolutions(sheaf):
 @given(sheaf=functorial_sheaves(), source=dags(max_elements=5), data=st.data())
 def test_make_exact_matches_the_screen_on_pullbacks(sheaf, source, data):
     """Pullback along a random monotone map that is not injective."""
-    target = sheaf.poset
-    poset = Poset.from_leq_pairs(*source)
-    assignment = {}
-    for e in poset.linear_extension:
-        below = [assignment[a] for a, b in poset.covers if b == e]
-        allowed = [t for t in target.elements if all(target.leq(lo, t) for lo in below)]
-        assume(allowed)
-        assignment[e] = data.draw(st.sampled_from(allowed), label=e)
-    assume(len(set(assignment.values())) < len(assignment))
-    f = MonotoneMap(poset, target, assignment)
+    f = _draw_monotone_map(data, source, sheaf.poset)
+    assume(len(set(f.assignment.values())) < len(f.assignment))
     assert_same_as_the_screen(lambda: pullback(f, minimal_resolution_sheaf(sheaf)))
 
 
