@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -306,6 +307,26 @@ class TestOrderComplexResolution:
             res = order_complex_resolution(sheaf)
             assert res.validate().ok
             stalkwise_exactness_against_sheaf(res, sheaf)
+
+    @pytest.mark.parametrize("case, summands, digest", [
+        ("constant-gf2", 540, "c87b9c2c0dc8848244597ebbb419e81793050a20510b6f81acbc04dc66ac1217"),
+        ("kernel-gf3", 245, "50187d974b5e8b1484382b1f317be84c892983fb7f458248347adf4afc27180f"),
+    ])
+    def test_raw_output_pinned(self, case, summands, digest):
+        # sha256 of every matrix's labels and rows, dict entry order included,
+        # as computed by the route that built the order complex as a
+        # SimplicialComplex and signed each incidence by `signed_incidence`
+        from posheaf.field import PrimeField
+
+        if case == "constant-gf2":
+            sheaf = constant_sheaf(skeleton_of_simplex(4, 3).face_poset, PrimeField(2))
+        else:
+            sheaf = incidence_kernel_sheaf(skeleton_of_simplex(4, 2), PrimeField(3), 2)
+        res = order_complex_resolution(sheaf)
+        assert res.total_summands() == summands
+        raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
+               for m in res.matrices]
+        assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == digest
 
 
 class TestMinimality:
