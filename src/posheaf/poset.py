@@ -525,30 +525,31 @@ def mapping_cylinder(f: MonotoneMap) -> tuple[Poset, MonotoneMap, MonotoneMap]:
 # -- order complex ----------------------------------------------------------
 
 
+def _chains(poset: Poset) -> list[list[tuple[str, ...]]]:
+    """The strictly increasing chains as element tuples, grouped by length:
+    group k holds the chains on k + 1 elements, in lexicographic order of
+    their element indices.  Each chain of a group is extended, in index
+    order, by every element strictly above its last one."""
+    groups = [[(e,) for e in poset.elements]]
+    while groups[-1]:
+        groups.append([
+            chain + (e,)
+            for chain in groups[-1]
+            for e in poset.elements_of(poset.up_bits(chain[-1]) & ~(1 << poset.index[chain[-1]]))
+        ])
+    return groups[:-1]
+
+
 def order_complex(poset: Poset) -> tuple[SimplicialComplex, MonotoneMap]:
     """The complex of strictly increasing chains, with the terminal-element map.
 
     Chain vertices are named by the poset's elements; a chain is the face on
     its member set, so faces of the order complex are exactly the chains.
     """
-    chains = [frozenset([e]) for e in poset.elements]
-    frontier = [(e,) for e in poset.elements]
-    while frontier:
-        new_frontier = []
-        for chain in frontier:
-            last = chain[-1]
-            for e in poset.elements:
-                if e != last and poset.leq(last, e):
-                    ext = chain + (e,)
-                    chains.append(frozenset(ext))
-                    new_frontier.append(ext)
-        frontier = new_frontier
-    complex_ = SimplicialComplex(chains)
-    terminal = {
-        complex_.name_of[face]: chain_tuple(poset, face)[-1] for face in complex_.faces
-    }
-    t = MonotoneMap(complex_.face_poset, poset, terminal)
-    return complex_, t
+    last = {frozenset(chain): chain[-1] for group in _chains(poset) for chain in group}
+    complex_ = SimplicialComplex(list(last))
+    terminal = {complex_.name_of[face]: last[face] for face in complex_.faces}
+    return complex_, MonotoneMap(complex_.face_poset, poset, terminal)
 
 
 def chain_tuple(poset: Poset, chain_members) -> tuple[str, ...]:

@@ -24,8 +24,7 @@ from .errors import InputError
 from .field import PrimeField
 from .matrix import (InjectiveComplex, LabeledMatrix, _sparse_rank, _top_pivots,
                      image_complement_rows, packed_row)
-from .poset import (Poset, SimplicialComplex, _bit_indices, chain_tuple, order_complex,
-                    signed_incidence)
+from .poset import Poset, SimplicialComplex, _bit_indices, _chains
 from .sheaf import Sheaf, injective_hull
 
 
@@ -198,55 +197,38 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
     """The non-inductive resolution indexed by chains of the poset.
 
     The degree-d term has one summand [first element]^{F(last element)} per
-    chain of length d+1; differentials combine the signed incidence of chains
-    with the sheaf restriction to the appended last element.  Generally not
-    minimal.
+    chain of length d+1, chains of one length ordered by their element
+    indices.  Dropping any one element of a chain leaves a chain, so a chain
+    has one face per position; dropping position i has the sign (-1)^i and,
+    at the last position, composes with the sheaf restriction from the new
+    last element to the old.  Generally not minimal.
     """
     sheaf.validate().raise_if_failed()
     poset, field = sheaf.poset, sheaf.field
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
-    complex_, _t = order_complex(poset)
-    chains_by_dim: dict[int, list[tuple[str, ...]]] = {}
-    for face in complex_.faces:
-        chain = chain_tuple(poset, face)
-        chains_by_dim.setdefault(len(chain) - 1, []).append(chain)
-    top_dim = max(chains_by_dim)
-    for d in chains_by_dim:
-        chains_by_dim[d].sort(key=lambda ch: tuple(poset.index[e] for e in ch))
-    chain_sets = {d: set(chains) for d, chains in chains_by_dim.items()}
 
-    def summands(d):
-        out = []
-        for chain in chains_by_dim.get(d, []):
-            for m in range(sheaf.stalk_dim[chain[-1]]):
-                out.append((chain, m))
-        return out
+    def summands(chains):
+        return [(chain, m) for chain in chains for m in range(sheaf.stalk_dim[chain[-1]])]
 
+    groups = _chains(poset)
     matrices = []
-    for d in range(top_dim + 1):
-        cols = summands(d)
-        rows = summands(d + 1)
+    for chains, longer in zip(groups, groups[1:] + [[]]):
+        cols = summands(chains)
         col_pos = {key: j for j, key in enumerate(cols)}
         mat = LabeledMatrix(poset, field, [chain[0] for chain, _ in cols])
-        row_entries = [dict() for _ in rows]
-        for i, (upper, mi) in enumerate(rows):
+        for upper, mi in summands(longer):
+            row = {}
             for drop in range(len(upper)):
                 lower = upper[:drop] + upper[drop + 1:]
-                if lower not in chain_sets.get(d, ()):
-                    continue
-                sign = signed_incidence(poset, lower, upper, modulus=field.p)
-                if not sign:
-                    continue
+                sign = -1 if drop % 2 else 1
                 restriction = sheaf.restriction_map(lower[-1], upper[-1])
                 for mj in range(sheaf.stalk_dim[lower[-1]]):
                     v = (sign * restriction[mi][mj]) % field.p
                     if v:
-                        j = col_pos[(lower, mj)]
-                        row_entries[i][j] = (row_entries[i].get(j, 0) + v) % field.p
-        for i, (upper, _mi) in enumerate(rows):
+                        row[col_pos[(lower, mj)]] = v
             mat.row_labels.append(upper[0])
-            mat.rows.append({j: v for j, v in row_entries[i].items() if v})
+            mat.rows.append(row)
         matrices.append(mat)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 

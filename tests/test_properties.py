@@ -6,8 +6,9 @@ kernel against the dict kernel, the constant sheaf's multiplicities
 against the compact-support oracle, the maximal vectors against a dense
 nullspace, pullback against its proper-functor expression, the
 invariants of peel and of double dualization, MakeExact against the
-row-basis screen it replaced (`screen_oracle`), and the down-sets, heights
-and linear extension against their definitions.
+row-basis screen it replaced (`screen_oracle`), the down-sets, heights
+and linear extension against their definitions, and the chain enumeration
+behind the order complex against every totally ordered subset.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -15,6 +16,7 @@ gives the same verdict on every run.
 
 import random
 import re
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -43,7 +45,8 @@ from posheaf.matrix import (
     row_basis,
 )
 from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
-from posheaf.poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex
+from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
+                           order_complex)
 from posheaf.resolution import (
     is_minimal,
     minimal_resolution_constant,
@@ -223,6 +226,28 @@ def test_restrict_is_the_induced_order(dag, data):
     assert poset.covers == _naive_covers(poset)
     assert sub.covers == _naive_covers(sub)
     assert sub.validate() == []
+
+
+@PROPERTY_SETTINGS
+@given(dag=dags())
+def test_chains_are_the_totally_ordered_subsets(dag):
+    elements, edges = dag
+    poset = Poset.from_leq_pairs(elements, edges)
+    expected = []
+    for k in range(1, len(elements) + 1):
+        chains = [
+            tuple(sorted(sub, key=lambda e: poset.down_bits(e).bit_count()))
+            for sub in combinations(elements, k)
+            if all(poset.leq(a, b) or poset.leq(b, a) for a, b in combinations(sub, 2))
+        ]
+        if chains:
+            expected.append(sorted(chains, key=lambda ch: [poset.index[e] for e in ch]))
+    assert _chains(poset) == expected
+    complex_, terminal = order_complex(poset)
+    assert set(complex_.faces) == {frozenset(ch) for group in expected for ch in group}
+    for face in complex_.faces:
+        top = terminal(complex_.name_of[face])
+        assert all(poset.leq(e, top) for e in face)
 
 
 @PROPERTY_SETTINGS
