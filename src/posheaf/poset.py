@@ -404,21 +404,15 @@ def star_subposet(complex_: SimplicialComplex, face: str, empty_name: str = "∅
     description of a star.
     """
     base = complex_.face_of[face]
-    poset = complex_.face_poset
-    members = sorted(poset.star(face), key=poset.index.__getitem__)
+    star = complex_.face_poset.restrict(complex_.face_poset.star(face))
 
     def relabel(name):
         rest = complex_.face_of[name] - base
         return complex_.name(rest) if rest else empty_name
 
-    new_names = {m: relabel(m) for m in members}
-    pairs = [
-        (new_names[a], new_names[b])
-        for a in members
-        for b in members
-        if a != b and poset.leq(a, b)
-    ]
-    return Poset.from_leq_pairs([new_names[m] for m in members], pairs)
+    new_names = {m: relabel(m) for m in star.elements}
+    covers = [(new_names[a], new_names[b]) for a, b in star.covers]
+    return Poset([new_names[m] for m in star.elements], star._up, covers)
 
 
 # -- monotone maps and cylinders --------------------------------------------
