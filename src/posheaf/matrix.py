@@ -12,7 +12,6 @@ the elimination kernel reduces GF(2) rows as int bitsets (`packed_row`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InputError, OperationNotAllowed
 from .field import PrimeField
@@ -202,12 +201,6 @@ class LabeledMatrix:
 
     # -- row and column operations ---------------------------------------------
 
-    def apply_op(self, op: "MatrixOp") -> "LabeledMatrix":
-        out = self.copy()
-        op.check(out)
-        op.apply(out)
-        return out
-
     def print_text(self, title: str = "", zero: str = "·") -> str:
         """Figure-style rendering: first row column labels, first column row labels."""
         header = [title] + list(self.col_labels)
@@ -223,160 +216,66 @@ class LabeledMatrix:
         return "\n".join(lines)
 
 
-@dataclass
-class RowAdd:
-    """row[dest] += scalar * row[src]; requires label(dest) <= label(src)."""
-
-    src: int
-    dest: int
-    scalar: int
-
-    def check(self, m: LabeledMatrix):
-        if self.src == self.dest:
-            raise OperationNotAllowed("source and destination rows coincide")
-        if not m.poset.leq(m.row_labels[self.dest], m.row_labels[self.src]):
-            raise OperationNotAllowed(
-                f"cannot add row labeled {m.row_labels[self.src]} into row labeled "
-                f"{m.row_labels[self.dest]}"
-            )
-
-    def apply(self, m: LabeledMatrix):
-        _row_add(m.field, m.rows, self.src, self.dest, self.scalar)
-
-    def inverse(self, field: PrimeField) -> "RowAdd":
-        return RowAdd(self.src, self.dest, field.neg(self.scalar))
-
-
-@dataclass
-class ColAdd:
-    """col[dest] += scalar * col[src]; requires label(src) <= label(dest)."""
-
-    src: int
-    dest: int
-    scalar: int
-
-    def check(self, m: LabeledMatrix):
-        if self.src == self.dest:
-            raise OperationNotAllowed("source and destination columns coincide")
-        if not m.poset.leq(m.col_labels[self.src], m.col_labels[self.dest]):
-            raise OperationNotAllowed(
-                f"cannot add column labeled {m.col_labels[self.src]} into column labeled "
-                f"{m.col_labels[self.dest]}"
-            )
-
-    def apply(self, m: LabeledMatrix):
-        _col_add(m.field, m.rows, self.src, self.dest, self.scalar)
-
-    def inverse(self, field: PrimeField) -> "ColAdd":
-        return ColAdd(self.src, self.dest, field.neg(self.scalar))
-
-
-@dataclass
-class RowScale:
-    row: int
-    scalar: int
-
-    def check(self, m: LabeledMatrix):
-        if m.field.normalize(self.scalar) == 0:
-            raise OperationNotAllowed("scaling by zero")
-
-    def apply(self, m: LabeledMatrix):
-        p = m.field.p
-        m.rows[self.row] = {
-            j: (v * self.scalar) % p for j, v in m.rows[self.row].items() if (v * self.scalar) % p
-        }
-
-    def inverse(self, field: PrimeField) -> "RowScale":
-        return RowScale(self.row, field.inv(self.scalar))
-
-
-@dataclass
-class ColScale:
-    col: int
-    scalar: int
-
-    def check(self, m: LabeledMatrix):
-        if m.field.normalize(self.scalar) == 0:
-            raise OperationNotAllowed("scaling by zero")
-
-    def apply(self, m: LabeledMatrix):
-        p = m.field.p
-        for row in m.rows:
-            if self.col in row:
-                v = (row[self.col] * self.scalar) % p
-                if v:
-                    row[self.col] = v
-                else:
-                    del row[self.col]
-
-    def inverse(self, field: PrimeField) -> "ColScale":
-        return ColScale(self.col, field.inv(self.scalar))
-
-
-@dataclass
-class RowSwap:
-    a: int
-    b: int
-
-    def check(self, m: LabeledMatrix):
-        pass
-
-    def apply(self, m: LabeledMatrix):
-        m.rows[self.a], m.rows[self.b] = m.rows[self.b], m.rows[self.a]
-        m.row_labels[self.a], m.row_labels[self.b] = m.row_labels[self.b], m.row_labels[self.a]
-
-    def inverse(self, field: PrimeField) -> "RowSwap":
-        return RowSwap(self.a, self.b)
-
-
-@dataclass
-class ColSwap:
-    a: int
-    b: int
-
-    def check(self, m: LabeledMatrix):
-        pass
-
-    def apply(self, m: LabeledMatrix):
-        for row in m.rows:
-            va, vb = row.pop(self.a, None), row.pop(self.b, None)
-            if vb is not None:
-                row[self.a] = vb
-            if va is not None:
-                row[self.b] = va
-        m.col_labels[self.a], m.col_labels[self.b] = m.col_labels[self.b], m.col_labels[self.a]
-
-    def inverse(self, field: PrimeField) -> "ColSwap":
-        return ColSwap(self.a, self.b)
-
-
-MatrixOp = RowAdd | ColAdd | RowScale | ColScale | RowSwap | ColSwap
-
-
 def row_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: int = 1):
     """Allowed elementary row operation, returning a new matrix.
 
-    kinds: 'add' (row i += scalar * row j), 'scale' (row i *= scalar),
-    'swap' (rows i, j).
+    kinds: 'add' (row i += scalar * row j, allowed when label(i) <= label(j)),
+    'scale' (row i *= scalar, nonzero), 'swap' (rows i, j).
     """
+    out = m.copy()
     if kind == "add":
-        return m.apply_op(RowAdd(src=j, dest=i, scalar=scalar))
-    if kind == "scale":
-        return m.apply_op(RowScale(row=i, scalar=scalar))
-    if kind == "swap":
-        return m.apply_op(RowSwap(a=i, b=j))
-    raise InputError(f"unknown row operation {kind!r}")
+        if i == j:
+            raise OperationNotAllowed("source and destination rows coincide")
+        if not m.poset.leq(m.row_labels[i], m.row_labels[j]):
+            raise OperationNotAllowed(
+                f"cannot add row labeled {m.row_labels[j]} into row labeled {m.row_labels[i]}"
+            )
+        _row_add(m.field, out.rows, j, i, scalar)
+    elif kind == "scale":
+        if scalar % m.field.p == 0:
+            raise OperationNotAllowed("scaling by zero")
+        out.rows[i] = {c: v * scalar % m.field.p for c, v in out.rows[i].items()}
+    elif kind == "swap":
+        out.rows[i], out.rows[j] = out.rows[j], out.rows[i]
+        out.row_labels[i], out.row_labels[j] = out.row_labels[j], out.row_labels[i]
+    else:
+        raise InputError(f"unknown row operation {kind!r}")
+    return out
 
 
 def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: int = 1):
-    """Allowed elementary column operation, returning a new matrix."""
+    """Allowed elementary column operation, returning a new matrix.
+
+    kinds: 'add' (column i += scalar * column j, allowed when
+    label(j) <= label(i)), 'scale' (column i *= scalar, nonzero), 'swap'.
+    """
+    out = m.copy()
     if kind == "add":
-        return m.apply_op(ColAdd(src=j, dest=i, scalar=scalar))
-    if kind == "scale":
-        return m.apply_op(ColScale(col=i, scalar=scalar))
-    if kind == "swap":
-        return m.apply_op(ColSwap(a=i, b=j))
-    raise InputError(f"unknown column operation {kind!r}")
+        if i == j:
+            raise OperationNotAllowed("source and destination columns coincide")
+        if not m.poset.leq(m.col_labels[j], m.col_labels[i]):
+            raise OperationNotAllowed(
+                f"cannot add column labeled {m.col_labels[j]} into column labeled "
+                f"{m.col_labels[i]}"
+            )
+        _col_add(m.field, out.rows, j, i, scalar)
+    elif kind == "scale":
+        if scalar % m.field.p == 0:
+            raise OperationNotAllowed("scaling by zero")
+        for row in out.rows:
+            if i in row:
+                row[i] = row[i] * scalar % m.field.p
+    elif kind == "swap":
+        for row in out.rows:
+            vi, vj = row.pop(i, None), row.pop(j, None)
+            if vj is not None:
+                row[i] = vj
+            if vi is not None:
+                row[j] = vi
+        out.col_labels[i], out.col_labels[j] = out.col_labels[j], out.col_labels[i]
+    else:
+        raise InputError(f"unknown column operation {kind!r}")
+    return out
 
 
 def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):

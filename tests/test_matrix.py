@@ -220,13 +220,12 @@ class TestRowColOps:
 
     def test_ops_invertible(self):
         rng = random.Random(31)
-        from posheaf.matrix import ColAdd, ColScale, ColSwap, RowAdd, RowScale, RowSwap
 
         for _ in range(60):
             p = random_poset(rng)
             field = rng.choice((GF2, GF3))
             m = random_labeled_matrix(rng, p, field, max_cols=4, max_rows=4)
-            ops = []
+            ops = []  # (operation, kind, i, j, scalar, inverse scalar)
             if m.nrows >= 2:
                 pairs = [
                     (i, j)
@@ -236,10 +235,12 @@ class TestRowColOps:
                 ]
                 if pairs:
                     src, dest = rng.choice(pairs)
-                    ops.append(RowAdd(src=src, dest=dest, scalar=rng.randint(1, field.p - 1)))
-                ops.append(RowSwap(0, m.nrows - 1))
+                    scalar = rng.randint(1, field.p - 1)
+                    ops.append((row_op, "add", dest, src, scalar, field.neg(scalar)))
+                ops.append((row_op, "swap", 0, m.nrows - 1, 1, 1))
             if m.nrows:
-                ops.append(RowScale(0, rng.randint(1, field.p - 1)))
+                scalar = rng.randint(1, field.p - 1)
+                ops.append((row_op, "scale", 0, None, scalar, field.inv(scalar)))
             if m.ncols >= 2:
                 pairs = [
                     (i, j)
@@ -249,13 +250,15 @@ class TestRowColOps:
                 ]
                 if pairs:
                     src, dest = rng.choice(pairs)
-                    ops.append(ColAdd(src=src, dest=dest, scalar=rng.randint(1, field.p - 1)))
-                ops.append(ColSwap(0, m.ncols - 1))
-            ops.append(ColScale(0, rng.randint(1, field.p - 1)))
+                    scalar = rng.randint(1, field.p - 1)
+                    ops.append((col_op, "add", dest, src, scalar, field.neg(scalar)))
+                ops.append((col_op, "swap", 0, m.ncols - 1, 1, 1))
+            scalar = rng.randint(1, field.p - 1)
+            ops.append((col_op, "scale", 0, None, scalar, field.inv(scalar)))
             current = m
-            for op in ops:
-                stepped = current.apply_op(op)
-                back = stepped.apply_op(op.inverse(field))
+            for op, kind, i, j, scalar, inverse in ops:
+                stepped = op(current, kind, i, j, scalar)
+                back = op(stepped, kind, i, j, inverse)
                 assert back == current
                 current = stepped
 
