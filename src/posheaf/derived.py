@@ -148,11 +148,14 @@ def pullback(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
 
 def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> InjectiveComplex:
     """R(i_Z)_!: extend by zero and force exactness over the closure boundary,
-    in non-increasing order."""
+    in non-increasing order.  The complex must live on Z with the order Z has
+    in the ambient poset."""
     ambient = zset.ambient
     field = complex_.field
     if set(complex_.poset.elements) != set(zset.members):
         raise InputError("complex does not live on the locally closed set")
+    if set(complex_.poset.covers) != set(zset.restricted_poset().covers):
+        raise InputError("complex's order differs from the locally closed set's order")
     if complex_.is_empty():
         return InjectiveComplex.empty(ambient, field)
     lifted = [m.rebind(ambient) for m in complex_.matrices]

@@ -8,7 +8,7 @@ from posheaf.cli import main
 from posheaf.derived import proper_pullback
 from posheaf.field import PrimeField
 from posheaf.io import complex_from_json, complex_to_json, dumps, poset_to_json, sheaf_to_json
-from posheaf.poset import LocallyClosedSet, skeleton_of_simplex
+from posheaf.poset import LocallyClosedSet, Poset, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
 
 from conftest import extension_by_zero_sheaf, zero_stalk_chain, zero_stalk_diamond
@@ -368,6 +368,21 @@ class TestFunctor:
         complex_ = complex_from_json(json.loads(out))
         assert complex_.poset == lam
         assert _sha256(out) == GOLDEN_SHA256["shriek-push"]
+
+    def test_shriek_push_refuses_a_complex_ordered_otherwise(self, tmp_path, capsys):
+        # the complex lives on a < b, c; the ambient poset has b, c < a
+        res = minimal_resolution_constant(Poset.from_covers("abc", [("a", "b"), ("a", "c")]))
+        complex_path = tmp_path / "res.json"
+        complex_path.write_text(dumps(complex_to_json(res)))
+        ambient_path = tmp_path / "ambient.json"
+        ambient = Poset.from_covers("abc", [("b", "a"), ("c", "a")])
+        ambient_path.write_text(json.dumps(poset_to_json(ambient)))
+        assert main(
+            ["functor", "shriek-push", str(complex_path), "--set", "a,b,c",
+             "--ambient", str(ambient_path)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "order differs" in captured.err
 
     def test_pull_section7(self, rg_complex_file, tmp_path, capsys, sphere_wedge):
         lam = sphere_wedge["lambda"].face_poset

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from posheaf.errors import SizeCapExceeded
+from posheaf.errors import InputError, SizeCapExceeded
 from posheaf.matrix import InjectiveComplex, LabeledMatrix
 from posheaf.poset import LocallyClosedSet, MonotoneMap, Poset
 from posheaf.resolution import (
@@ -291,6 +291,13 @@ class TestProperPushforward:
         pushed = proper_pushforward(zset, pulled)
         assert mult_table(pushed) == {0: {"24": 1}, 1: {"2": 1}}
         assert hypercohomology(pushed) == {}
+
+    def test_refuses_a_complex_ordered_otherwise_than_z(self):
+        # same elements as Z, but a < b, c here and b, c < a in the ambient poset
+        res = minimal_resolution_constant(Poset.from_covers("abc", [("a", "b"), ("a", "c")]))
+        ambient = Poset.from_covers("abc", [("b", "a"), ("c", "a")])
+        with pytest.raises(InputError, match="order differs"):
+            proper_pushforward(LocallyClosedSet(ambient, "abc"), res)
 
 
 class TestProperPullback:
