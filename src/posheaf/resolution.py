@@ -207,17 +207,13 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
     poset, field = sheaf.poset, sheaf.field
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
-
-    def summands(chains):
-        return [(chain, m) for chain in chains for m in range(sheaf.stalk_dim[chain[-1]])]
-
-    groups = _chains(poset)
+    terms = [[(chain, m) for chain in chains for m in range(sheaf.stalk_dim[chain[-1]])]
+             for chains in _chains(poset)]
     matrices = []
-    for chains, longer in zip(groups, groups[1:] + [[]]):
-        cols = summands(chains)
+    for cols, rows in zip(terms, terms[1:] + [[]]):
         col_pos = {key: j for j, key in enumerate(cols)}
         mat = LabeledMatrix(poset, field, [chain[0] for chain, _ in cols])
-        for upper, mi in summands(longer):
+        for upper, mi in rows:
             row = {}
             for drop in range(len(upper)):
                 lower = upper[:drop] + upper[drop + 1:]
