@@ -5,7 +5,8 @@ sheaves, and of sheaf JSON inputs), `functor` (the four derived functors) and
 `morse` (critical elements, Betti tables and verification).
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 size-cap
-refusal.
+refusal.  A reader that closes the output pipe early (`| head`) ends the run
+with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import io as pio
@@ -334,7 +336,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SizeCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP

@@ -175,15 +175,7 @@ def proper_pullback(zset: LocallyClosedSet, complex_: InjectiveComplex) -> Injec
     members = set(zset.members)
     out = [m.submatrix(members, members).rebind(sub_poset) for m in complex_.matrices]
     sub = InjectiveComplex(sub_poset, complex_.field, out, complex_.degree_offset)
-    return _close_tail(sub).trimmed()
-
-
-def _close_tail(complex_: InjectiveComplex) -> InjectiveComplex:
-    """Append a zero differential if the last matrix still has rows."""
-    ms = list(complex_.matrices)
-    if ms and ms[-1].nrows:
-        ms.append(LabeledMatrix(complex_.poset, complex_.field, ms[-1].row_labels))
-    return InjectiveComplex(complex_.poset, complex_.field, ms, complex_.degree_offset)
+    return sub.trimmed()
 
 
 # -- hypercohomology and Euler characteristics ----------------------------------
@@ -308,8 +300,7 @@ def mapping_cone(alpha: ComplexMorphism) -> InjectiveComplex:
             cone.row_labels.append(lab)
             cone.rows.append(row)
         ms.append(cone)
-    out = InjectiveComplex(poset, field, ms, min(lows))
-    return _close_tail(out).trimmed()
+    return InjectiveComplex(poset, field, ms, min(lows)).trimmed()
 
 
 # -- morphism spaces --------------------------------------------------------------
@@ -329,80 +320,46 @@ def hom_space_dims(
     """
     if I.poset != J.poset:
         raise InputError("complexes live on different posets")
-    field, poset = I.field, I.poset
-    p = field.p
-    degrees = sorted(set(I.degrees) | set(J.degrees))
-    if not degrees:
-        return (0, 0, 0)
-
-    alpha_vars: dict[tuple[int, int, int], int] = {}
-    for d in degrees:
-        for i, row_lab in enumerate(J.term(d)):
-            for j, col_lab in enumerate(I.term(d)):
-                if poset.leq(row_lab, col_lab):
-                    alpha_vars[(d, i, j)] = len(alpha_vars)
-    h_vars: dict[tuple[int, int, int], int] = {}
-    for d in degrees:
-        for i, row_lab in enumerate(J.term(d - 1)):
-            for j, col_lab in enumerate(I.term(d)):
-                if poset.leq(row_lab, col_lab):
-                    h_vars[(d, i, j)] = len(h_vars)
-    if len(alpha_vars) + len(h_vars) > variable_cap:
+    alphas, homotopies = _hom_unknowns(I, J, 0), _hom_unknowns(I, J, -1)
+    if len(alphas) + len(homotopies) > variable_cap:
         raise SizeCapExceeded(
-            f"morphism system has {len(alpha_vars) + len(h_vars)} unknowns, "
+            f"morphism system has {len(alphas) + len(homotopies)} unknowns, "
             f"above the cap of {variable_cap}"
         )
-
-    # commutativity: (alpha^{d+1} eta^d - delta^d alpha^d)[r, c] = 0
-    constraints = []
-    for d in degrees:
-        eta = I.matrix(d)
-        delta = J.matrix(d)
-        for r in range(len(J.term(d + 1))):
-            for c in range(len(I.term(d))):
-                coeffs: dict[int, int] = {}
-                if eta is not None:
-                    for k in range(eta.nrows):
-                        v = eta.rows[k].get(c, 0)
-                        if v:
-                            var = alpha_vars.get((d + 1, r, k))
-                            if var is not None:
-                                coeffs[var] = (coeffs.get(var, 0) + v) % p
-                if delta is not None and r < delta.nrows:
-                    for k, v in delta.rows[r].items():
-                        var = alpha_vars.get((d, k, c))
-                        if var is not None:
-                            coeffs[var] = (coeffs.get(var, 0) - v) % p
-                coeffs = {k: v for k, v in coeffs.items() if v}
-                if coeffs:
-                    constraints.append(coeffs)
-    morphism_dim = len(alpha_vars) - _sparse_rank(field, constraints)
-
-    # null-homotopic subspace = image of T(h)^d = delta^{d-1} h^d + h^{d+1} eta^d,
-    # measured by the rank of T (columns indexed by h variables)
-    columns: list[dict[int, int]] = [dict() for _ in range(len(h_vars))]
-    out_index: dict[tuple[int, int, int], int] = {}
-    for d in degrees:
-        eta = I.matrix(d)
-        delta_prev = J.matrix(d - 1)
-        for r in range(len(J.term(d))):
-            for c in range(len(I.term(d))):
-                out = out_index.setdefault((d, r, c), len(out_index))
-                if delta_prev is not None and r < delta_prev.nrows:
-                    for k, v in delta_prev.rows[r].items():
-                        var = h_vars.get((d, k, c))
-                        if var is not None:
-                            columns[var][out] = (columns[var].get(out, 0) + v) % p
-                if eta is not None:
-                    for k in range(eta.nrows):
-                        v = eta.rows[k].get(c, 0)
-                        if v:
-                            var = h_vars.get((d + 1, r, k))
-                            if var is not None:
-                                columns[var][out] = (columns[var].get(out, 0) + v) % p
-    columns = [{k: v for k, v in col.items() if v} for col in columns]
-    null_homotopic_dim = _sparse_rank(field, columns)
+    morphism_dim = len(alphas) - _hom_rank(I, J, 0, -1, alphas)
+    null_homotopic_dim = _hom_rank(I, J, -1, 1, homotopies)
     return morphism_dim, null_homotopic_dim, morphism_dim - null_homotopic_dim
+
+
+def _hom_unknowns(I: InjectiveComplex, J: InjectiveComplex, shift: int) -> list:
+    """The entries (d, i, j) of maps X^d: I^d -> J^{d+shift} that the label
+    order allows: row i of J^{d+shift}, column j of I^d."""
+    leq = I.poset.leq
+    return [
+        (d, i, j)
+        for d in I.degrees
+        for i, row_lab in enumerate(J.term(d + shift))
+        for j, col_lab in enumerate(I.term(d))
+        if leq(row_lab, col_lab)
+    ]
+
+
+def _hom_rank(I: InjectiveComplex, J: InjectiveComplex, shift: int, sign: int, unknowns) -> int:
+    """Rank of X -> X eta + sign * delta X on the given unknowns of
+    `_hom_unknowns(I, J, shift)`.  Each unknown gives one sparse column whose
+    keys, the output entries (d, row of J^{d+shift+1}, column of I^d), are
+    interned to ints."""
+    p = I.field.p
+    delta_cols = {d: _column_index(J.matrix(d).rows, J.matrix(d).ncols) for d in J.degrees}
+    keys: dict[tuple[int, int, int], int] = {}
+    columns = []
+    for d, i, j in unknowns:
+        eta = I.matrix(d - 1)
+        out = [((d - 1, i, c), v) for c, v in eta.rows[j].items()] if eta is not None else []
+        delta = J.matrix(d + shift)
+        out += [((d, r, j), sign * delta.rows[r][i] % p) for r in delta_cols[d + shift][i]]
+        columns.append({keys.setdefault(key, len(keys)): v for key, v in out})
+    return _sparse_rank(I.field, columns)
 
 
 # -- dualization -------------------------------------------------------------------
@@ -415,7 +372,6 @@ def dualize(complex_: InjectiveComplex) -> InjectiveComplex:
     if complex_.is_empty():
         return InjectiveComplex.empty(opp, complex_.field)
     ms = [m.transpose(poset=opp) for m in reversed(complex_.matrices)]
-    ms.append(LabeledMatrix(opp, complex_.field, complex_.matrices[0].col_labels))
     offset = -(complex_.degree_offset + len(complex_.matrices))
     return InjectiveComplex(opp, complex_.field, ms, offset).trimmed()
 

@@ -57,18 +57,6 @@ class PrimeField:
             raise NotPrimeError(f"modulus {p} is not prime")
         self.p = p
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def neg(self, a: int) -> int:
         return (-a) % self.p
 
@@ -77,9 +65,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

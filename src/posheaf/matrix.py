@@ -43,9 +43,6 @@ class LabeledMatrix:
     def copy(self) -> "LabeledMatrix":
         return LabeledMatrix(self.poset, self.field, self.col_labels, self.row_labels, self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i].get(j, 0)
-
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
 
@@ -544,13 +541,15 @@ class InjectiveComplex:
         return InjectiveComplex(self.poset, self.field, self.matrices, self.degree_offset - k)
 
     def trimmed(self) -> "InjectiveComplex":
+        """Closed off with a zero differential if the last matrix has rows,
+        then without its leading and trailing zero terms."""
         ms = list(self.matrices)
+        if ms and ms[-1].nrows:
+            ms.append(LabeledMatrix(self.poset, self.field, ms[-1].row_labels))
         off = self.degree_offset
         while ms and ms[0].ncols == 0:
-            head = ms.pop(0)
+            ms.pop(0)
             off += 1
-            if not ms and head.row_labels:
-                ms = [LabeledMatrix(self.poset, self.field, head.row_labels)]
         while ms and ms[-1].ncols == 0 and ms[-1].nrows == 0:
             ms.pop()
         if not ms:

@@ -159,9 +159,6 @@ class Sheaf:
         return [[u.get(i, 0) for i in range(dim)]
                 for u in image_complement_rows(self.field, columns)]
 
-    def support(self) -> list[str]:
-        return [e for e in self.poset.elements if self.stalk_dim[e]]
-
 
 class NaturalTransformation:
     """A componentwise linear map between two sheaves on the same poset."""

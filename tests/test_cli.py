@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import posheaf
 from posheaf.cli import main
 from posheaf.derived import proper_pullback
 from posheaf.field import PrimeField
@@ -132,6 +137,23 @@ class TestResolve:
         assert main(["resolve", tetra_file, "--field", "3", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["field"] == 3
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # the JSON resolution of skel(7,3) (about 170 kB) overfills a 64 kB
+        # pipe buffer, so the reader closes the pipe while the writer blocks
+        path = tmp_path / "skel73.txt"
+        path.write_text("\n".join(" ".join(map(str, f)) for f in combinations(range(8), 4)))
+        src = str(Path(posheaf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "posheaf.cli", "resolve", str(path), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(10) == b'{\n  "degre'
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -288,6 +288,18 @@ class TestValidateComplex:
         report = InjectiveComplex(poset, GF2, [eta0, shuffled, eta2]).validate()
         assert not report.ok
 
+    def test_trimmed_closes_the_tail(self, tetra_matrices):
+        poset, eta0, eta1, _ = tetra_matrices
+        closed = InjectiveComplex(poset, GF2, [eta0, eta1], 2).trimmed()
+        assert closed.validate().ok
+        assert closed.matrices[:2] == [eta0, eta1]
+        assert closed.term(4) == eta1.row_labels and not closed.matrices[2].nrows
+        # a head without columns goes, and its rows become the only term
+        head = LabeledMatrix(poset, GF2, [], ["12", "3"])
+        assert InjectiveComplex(poset, GF2, [head]).trimmed() == InjectiveComplex.single_term(
+            poset, GF2, ["12", "3"], 1
+        )
+
     def test_label_order_violation_reported(self, tetra_matrices):
         poset, eta0, _, _ = tetra_matrices
         bad = eta0.copy()

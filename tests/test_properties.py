@@ -3,8 +3,9 @@ minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 `Poset.restrict` and covers against their definitions, the cylinder
 pullback against the submatrix restriction on open sets, the GF(2) bitset
 kernel against the dict kernel, the constant sheaf's multiplicities
-against the compact-support oracle, the maximal vectors against a dense
-nullspace, pullback against its proper-functor expression, the
+against the compact-support oracle, the derived Hom into shifts against
+the hypercohomology, the maximal vectors against a dense nullspace,
+pullback against its proper-functor expression, the
 invariants of peel and of double dualization, MakeExact against the
 row-basis screen it replaced (`screen_oracle`), the down-sets, heights
 and linear extension against their definitions, and the chain enumeration
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from posheaf.derived import (
     dualize,
     euler_characteristic,
+    hom_space_dims,
     hypercohomology,
     peel,
     proper_pullback,
@@ -366,6 +368,17 @@ def test_constant_sheaf_multiplicities_match_the_oracle(complex_, p):
     for face in complex_.face_poset.elements:
         got = {d: counts[face] for d, counts in table.items() if counts.get(face)}
         assert got == multiplicity_oracle(complex_, face, p=p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(complex_=simplicial_complexes(), p=st.sampled_from([2, 3, 5]))
+def test_derived_hom_into_shifts_is_the_hypercohomology(complex_, p):
+    """Hom(R, R[n]) in the derived category is Ext^n(k, k) = H^n(X; k) for
+    the minimal resolution R of the constant sheaf k."""
+    res = minimal_resolution_constant(complex_.face_poset, PrimeField(p))
+    cohomology = hypercohomology(res)
+    for n in range(-1, complex_.dimension() + 2):
+        assert hom_space_dims(res, res.shifted(n))[2] == cohomology.get(n, 0)
 
 
 # -- MakeExact against the row-basis screen ------------------------------------------
