@@ -11,7 +11,6 @@ from .poset import (
     SimplicialComplex,
     mapping_cylinder,
     order_complex,
-    signed_incidence,
     skeleton_of_simplex,
     star_subposet,
 )
@@ -23,7 +22,6 @@ from .resolution import (
     make_exact,
     minimal_resolution_constant,
     minimal_resolution_sheaf,
-    multiplicities,
     order_complex_resolution,
     resolution_step,
     star_complexity,

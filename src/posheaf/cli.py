@@ -51,12 +51,20 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _parse_json(text: str):
+    """The JSON document in `text`; malformed or too deeply nested is an InputError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"malformed JSON: {exc}") from None
+
+
 def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
     """A facets file (.txt or anything non-JSON) or a poset JSON file."""
     text = _read(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        poset = pio.poset_from_json(json.loads(text))
+        poset = pio.poset_from_json(_parse_json(text))
         if star is not None:
             raise InputError("--star applies to simplicial complex inputs only")
     elif star is None:
@@ -118,7 +126,7 @@ def cmd_resolve(args) -> int:
     field = PrimeField(args.field)
     poset = _load_poset_input(args.input, args.star, args.max_elements)
     if args.sheaf:
-        data = json.loads(_read(args.sheaf))
+        data = _parse_json(_read(args.sheaf))
         total = sum(pio.stalks_from_json(data, poset).values())  # before any zero-filled map
         if total > args.max_elements:
             raise SizeCapExceeded(f"sheaf has total stalk dimension {total}, above --max-elements")
@@ -143,13 +151,13 @@ def cmd_resolve(args) -> int:
 
 
 def _load_complex(path: str, max_elements: int) -> InjectiveComplex:
-    complex_ = pio.complex_from_json(json.loads(_read(path)))
+    complex_ = pio.complex_from_json(_parse_json(_read(path)))
     _capped(complex_.poset, max_elements)
     return complex_
 
 
 def _load_poset(path: str, max_elements: int) -> Poset:
-    return _capped(pio.poset_from_json(json.loads(_read(path))), max_elements)
+    return _capped(pio.poset_from_json(_parse_json(_read(path))), max_elements)
 
 
 def cmd_functor(args) -> int:
@@ -157,7 +165,7 @@ def cmd_functor(args) -> int:
     if args.kind in ("push", "pull"):
         if not args.map:
             raise InputError(f"functor {args.kind} needs --map")
-        map_data = json.loads(_read(args.map))
+        map_data = _parse_json(_read(args.map))
         if args.kind == "push":
             source = complex_.poset
             target = (
@@ -209,7 +217,7 @@ def _image_poset(source: Poset, map_data: dict) -> Poset:
 
 def cmd_morse(args) -> int:
     complex_ = _load_complex(args.complex, args.max_elements)
-    mf = pio.morse_from_json(json.loads(_read(args.morse)), complex_.poset)
+    mf = pio.morse_from_json(_parse_json(_read(args.morse)), complex_.poset)
     analysis = MorseAnalysis(mf, complex_)
     crit = {variant: analysis.critical(variant) for variant in ("shriek", "star")}
     tables = {
@@ -346,8 +354,7 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (InputError, NotPrimeError, FileNotFoundError, UnicodeDecodeError,
-            json.JSONDecodeError, RecursionError) as exc:
+    except (InputError, NotPrimeError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -111,16 +111,6 @@ class LabeledMatrix:
             out.rows[k] = {col_pos[j]: v for j, v in self.rows[i].items() if j in col_pos}
         return out
 
-    def stalk_row_indices(self, element: str) -> list[int]:
-        bits = self.poset.up_bits(element)
-        idx = self.poset.index
-        return [i for i, lab in enumerate(self.row_labels) if (bits >> idx[lab]) & 1]
-
-    def stalk_col_indices(self, element: str) -> list[int]:
-        bits = self.poset.up_bits(element)
-        idx = self.poset.index
-        return [j for j, lab in enumerate(self.col_labels) if (bits >> idx[lab]) & 1]
-
     def diagonal_entry(self, start: int = 0) -> tuple[int, int, int] | None:
         """First nonzero entry (row, column, value) in a same-label diagonal
         block, scanning rows in order from row `start`; None if every such
@@ -132,17 +122,6 @@ class LabeledMatrix:
                 if col_labels[j] == row_lab:
                     return i, j, v
         return None
-
-    def stalk_matrix(self, element: str) -> list[list[int]]:
-        """Dense stalk map at an element: rows/cols are the star-labeled ones."""
-        rows = self.stalk_row_indices(element)
-        cols = self.stalk_col_indices(element)
-        pos = {j: k for k, j in enumerate(cols)}
-        out = [[0] * len(cols) for _ in rows]
-        for k, i in enumerate(rows):
-            for j, v in self.rows[i].items():
-                out[k][pos[j]] = v
-        return out
 
     def multiply(self, other: "LabeledMatrix") -> "LabeledMatrix":
         """self @ other (self's columns must match other's rows, order included)."""

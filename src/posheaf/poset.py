@@ -47,38 +47,17 @@ class Poset:
 
     @classmethod
     def from_covers(cls, elements, covers) -> "Poset":
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != len(elements):
-            raise InputError("duplicate element ids")
-        n = len(elements)
-        cover_pairs = []
-        succ = [[] for _ in range(n)]
-        for a, b in covers:
-            if a not in index or b not in index:
-                raise InputError(f"cover ({a}, {b}) uses unknown element")
-            if a == b:
-                raise InputError(f"cover ({a}, {b}) is reflexive")
-            succ[index[a]].append(index[b])
-            cover_pairs.append((a, b))
-        up = _up_sets(elements, succ)
-        return cls(elements, up, cover_pairs)
+        """Build from cover pairs.  A pair that the others imply (a < c next
+        to a < b < c) is dropped; the true covers keep their input order."""
+        elements, up, kept = _closed_relation(elements, covers, "cover")
+        return cls(elements, up, [(elements[i], elements[j]) for i, j in kept])
 
     @classmethod
     def from_leq_pairs(cls, elements, leq_pairs) -> "Poset":
         """Build from an arbitrary relation; reflexive-transitive closure is taken."""
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != len(elements):
-            raise InputError("duplicate element ids")
-        succ = [[] for _ in elements]
-        for a, b in leq_pairs:
-            if a not in index or b not in index:
-                raise InputError(f"relation ({a}, {b}) uses unknown element")
-            if a != b:
-                succ[index[a]].append(index[b])
-        up = _up_sets(elements, succ)
-        return cls(elements, up, cls._covers_from_up(elements, up))
+        pairs = [(a, b) for a, b in leq_pairs if a != b]
+        elements, up, kept = _closed_relation(elements, pairs, "relation")
+        return cls(elements, up, [(elements[i], elements[j]) for i, j in sorted(kept)])
 
     @staticmethod
     def _covers_from_up(elements, up):
@@ -244,6 +223,31 @@ class Poset:
             if pos[a] >= pos[b]:
                 issues.append(f"linear extension violates {a} < {b}")
         return issues
+
+
+def _closed_relation(elements, pairs, what: str):
+    """The elements, the up-sets of the order `pairs` generate, and the index
+    pairs among `pairs` that are covers of it, once each in input order.
+    (a, b) is one unless b lies strictly above another successor of a.
+    Duplicate elements are left to `Poset.__init__` to refuse."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    succ, edges = [[] for _ in elements], []
+    for a, b in pairs:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise InputError(f"{what} ({a}, {b}) uses unknown element")
+        if i == j:
+            raise InputError(f"{what} ({a}, {b}) is reflexive")
+        succ[i].append(j)
+        edges.append((i, j))
+    up = _up_sets(elements, succ)
+    strict = [u ^ (1 << i) for i, u in enumerate(up)]
+    beyond = [0] * len(elements)
+    for i, targets in enumerate(succ):
+        for j in targets:
+            beyond[i] |= strict[j]
+    return elements, up, [(i, j) for i, j in dict.fromkeys(edges) if not beyond[i] >> j & 1]
 
 
 def _up_sets(elements, succ) -> list[int]:
@@ -546,16 +550,6 @@ def order_complex(poset: Poset) -> tuple[SimplicialComplex, MonotoneMap]:
     return complex_, MonotoneMap(complex_.face_poset, poset, terminal)
 
 
-def chain_tuple(poset: Poset, chain_members) -> tuple[str, ...]:
-    """Sort chain members into increasing order."""
-    return tuple(
-        sorted(
-            chain_members,
-            key=lambda e: (poset._height_below[poset.index[e]], poset.index[e]),
-        )
-    )
-
-
 def signed_incidence_simplices(upper_face: frozenset, dropped_vertex: str) -> int:
     """Coboundary sign for a simplex and one of its facets: (-1)^i for the
     position of the dropped vertex in the sorted vertex list."""
@@ -563,15 +557,3 @@ def signed_incidence_simplices(upper_face: frozenset, dropped_vertex: str) -> in
     i = verts.index(str(dropped_vertex))
     return -1 if i % 2 else 1
 
-
-def signed_incidence(poset: Poset, lower, upper, modulus: int | None = None) -> int:
-    """[sigma:tau] for chains: (-1)^i when upper drops index i to give lower, else 0."""
-    low = chain_tuple(poset, lower)
-    up = chain_tuple(poset, upper)
-    if len(up) != len(low) + 1 or not set(low) <= set(up):
-        return 0
-    drop = next(i for i, e in enumerate(up) if e not in set(low))
-    if tuple(e for i, e in enumerate(up) if i != drop) != low:
-        return 0
-    sign = -1 if drop % 2 else 1
-    return sign % modulus if modulus else sign

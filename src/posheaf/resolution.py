@@ -234,10 +234,6 @@ def is_minimal(complex_: InjectiveComplex) -> bool:
     return all(m.diagonal_entry() is None for m in complex_.matrices)
 
 
-def multiplicities(complex_: InjectiveComplex):
-    return complex_.multiplicities()
-
-
 def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int]]:
     """dim H^d at every element: stalk kernel minus previous stalk rank.
     Only nonzero entries are reported."""

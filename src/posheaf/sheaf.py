@@ -44,7 +44,9 @@ class Sheaf:
         self.stalk_dim = {e: int(stalk_dim.get(e, 0)) for e in poset.elements}
         p = field.p
         self.restriction = {}
+        self._covers_up: dict[str, list[str]] = {e: [] for e in poset.elements}
         for a, b in poset.covers:
+            self._covers_up[a].append(b)
             mat = restriction.get((a, b))
             if mat is None:
                 mat = [[0] * self.stalk_dim[a] for _ in range(self.stalk_dim[b])]
@@ -109,7 +111,7 @@ class Sheaf:
                 n = self.stalk_dim[b]
                 self._map_cache[(b, b)] = [[int(i == j) for j in range(n)] for i in range(n)]
                 break
-            step = next(t for (s, t) in self.poset.covers if s == a and self.poset.leq(t, b))
+            step = next(t for t in self._covers_up[a] if self.poset.leq(t, b))
             path.append((a, step))
             a = step
         mat = self._map_cache[(a, b)]
@@ -119,29 +121,23 @@ class Sheaf:
         return mat
 
     def validate(self) -> ValidationReport:
-        """Functoriality across all length-2 cover paths; first failing triple wins."""
-        covers_from: dict[str, list[str]] = {}
-        for a, b in self.poset.covers:
-            covers_from.setdefault(a, []).append(b)
-        for a in self.poset.elements:
-            seen: dict[str, tuple[str, list[list[int]]]] = {}
-            for b in covers_from.get(a, []):
-                for c in covers_from.get(b, []):
-                    composite = _matmul(
-                        self.field, self.restriction[(b, c)], self.restriction[(a, b)],
-                        self.stalk_dim[a],
-                    )
-                    if c in seen:
-                        b0, reference = seen[c]
-                        if reference != composite:
-                            return ValidationReport(
-                                [
-                                    f"functoriality fails between {a} and {c}: paths via "
-                                    f"{b0} and {b} disagree"
-                                ]
-                            )
-                    else:
-                        seen[c] = (b, composite)
+        """Functoriality: F(b <= c) F(a < b) = F(a <= c) for every cover a < b
+        and every c >= b, both sides composed by `restriction_map`; by
+        induction on path length, any two cover paths then compose alike.
+        It holds by construction when b is a's first cover below c, the one
+        `restriction_map(a, c)` runs through.  First failure wins."""
+        poset = self.poset
+        for a, ups in self._covers_up.items():
+            reached = 0  # the elements above a's covers before b
+            for b in ups:
+                for c in poset.elements_of(poset.up_bits(b) & reached):
+                    composite = _matmul(self.field, self.restriction_map(b, c),
+                                        self.restriction[(a, b)], self.stalk_dim[a])
+                    if composite != self.restriction_map(a, c):
+                        first = next(t for t in ups if poset.leq(t, c))
+                        return ValidationReport([f"functoriality fails between {a} and {c}: "
+                                                 f"paths via {first} and {b} disagree"])
+                reached |= poset.up_bits(b)
         return ValidationReport([])
 
     def maximal_vectors(self, element: str) -> list[list[int]]:

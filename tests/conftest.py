@@ -17,7 +17,7 @@ from posheaf.poset import (
     skeleton_of_simplex,
     star_subposet,
 )
-from posheaf.resolution import minimal_resolution_constant
+from posheaf.resolution import _Stalks, minimal_resolution_constant
 from posheaf.sheaf import Sheaf
 
 from dense_oracle import nullspace, zeros
@@ -196,6 +196,26 @@ def random_labeled_matrix(
     return m
 
 
+def stalk_cols(matrix: LabeledMatrix, e: str) -> list[int]:
+    """Indices of the columns labeled above `e`, ascending, found by the
+    library's stalk index `_Stalks`."""
+    stalks = _Stalks(matrix)
+    return stalks.at(stalks.cols, e)
+
+
+def stalk_matrix(matrix: LabeledMatrix, e: str) -> list[list[int]]:
+    """Dense stalk map at `e`: the rows and columns labeled above it, found
+    by `_Stalks`."""
+    stalks = _Stalks(matrix)
+    pos = {j: k for k, j in enumerate(stalks.at(stalks.cols, e))}
+    out = []
+    for i in stalks.at(stalks.rows, e):
+        out.append([0] * len(pos))
+        for j, v in matrix.rows[i].items():
+            out[-1][pos[j]] = v
+    return out
+
+
 def kernel_sheaf(matrix: LabeledMatrix) -> Sheaf:
     """The kernel of a map of injective sheaves, as an explicit sheaf.
 
@@ -205,14 +225,14 @@ def kernel_sheaf(matrix: LabeledMatrix) -> Sheaf:
     poset, field = matrix.poset, matrix.field
     bases = {}
     for e in poset.elements:
-        stalk = matrix.stalk_matrix(e)
-        ncols = len(matrix.stalk_col_indices(e))
+        stalk = stalk_matrix(matrix, e)
+        ncols = len(stalk_cols(matrix, e))
         bases[e] = nullspace(field, stalk, ncols=ncols)
     dims = {e: len(bases[e]) for e in poset.elements}
     restriction = {}
     for a, b in poset.covers:
-        cols_a = matrix.stalk_col_indices(a)
-        cols_b = set(matrix.stalk_col_indices(b))
+        cols_a = stalk_cols(matrix, a)
+        cols_b = set(stalk_cols(matrix, b))
         proj = [k for k, j in enumerate(cols_a) if j in cols_b]
         mat = zeros(dims[b], dims[a])
         for c, vec in enumerate(bases[a]):

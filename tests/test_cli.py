@@ -281,6 +281,40 @@ class TestResolve:
         with pytest.raises(ValueError, match="internal failure"):
             main(["resolve", tetra_file])
 
+    def test_internal_recursion_error_is_not_an_input_error(self, tetra_file, monkeypatch):
+        import posheaf.cli as cli_module
+
+        def broken(poset, field):
+            raise RecursionError("internal recursion")
+
+        monkeypatch.setattr(cli_module, "minimal_resolution_constant", broken)
+        with pytest.raises(RecursionError, match="internal recursion"):
+            main(["resolve", tetra_file])
+
+    def test_overlong_json_integer_exit_code(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer longer than Python's digit limit
+        path = tmp_path / "poset.json"
+        path.write_text('{"elements": [' + "1" * 5000 + '], "covers": []}')
+        assert main(["resolve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: malformed JSON")
+
+    @pytest.mark.parametrize("case, message", [
+        ("hexagon", "invalid sheaf: functoriality fails between a and c"),
+        ("implied-cover", "input error: restriction key 'a<c' is not a cover relation"),
+    ])
+    @pytest.mark.parametrize("method", [[], ["--method", "order-complex"],
+                                        ["--method", "order-complex", "--peel"]])
+    def test_non_functorial_sheaf_exit_code(self, capsys, case, message, method):
+        # the hexagon's two cover paths from a to c, of length three, compose
+        # differently; a < c in the other poset follows from a < b < c, so
+        # it is no cover and carries no map of its own
+        data = Path(__file__).parent / "data"
+        argv = ["resolve", str(data / f"{case}-poset.json"),
+                "--sheaf", str(data / f"{case}-sheaf.json")]
+        assert main(argv + method) == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_sheaf_input(self, tmp_path, capsys):
         poset_path = tmp_path / "poset.json"
         poset_path.write_text(

@@ -8,8 +8,9 @@ the hypercohomology, the maximal vectors against a dense nullspace,
 pullback against its proper-functor expression, the
 invariants of peel and of double dualization, MakeExact against the
 row-basis screen it replaced (`screen_oracle`), the down-sets, heights
-and linear extension against their definitions, and the chain enumeration
-behind the order complex against every totally ordered subset.
+and linear extension against their definitions, the chain enumeration
+behind the order complex against every totally ordered subset, and
+`Sheaf.validate` against agreement along every cover path.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -55,6 +56,7 @@ from posheaf.resolution import (
     minimal_resolution_sheaf,
     order_complex_resolution,
 )
+from posheaf.sheaf import Sheaf
 
 from conftest import (
     extension_by_zero_sheaf,
@@ -65,7 +67,7 @@ from conftest import (
     zero_stalk_diamond,
 )
 import screen_oracle
-from dense_oracle import nullspace
+from dense_oracle import identity, nullspace
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -268,6 +270,66 @@ def test_from_covers_rejects_a_back_edge(dag, data):
     # every cycle runs through the back edge, inside the interval [low, high]
     for e in named.groups():
         assert poset.leq(low, e) and poset.leq(e, high)
+
+
+HEXAGON = ["a", "b1", "b2", "d1", "d2", "c"]
+
+
+@st.composite
+def cover_sheaves(draw):
+    """A sheaf over GF(2) or GF(3) with drawn maps on the covers of a poset
+    of at most seven elements: a random DAG's, or the hexagon a < b1 < b2 <
+    c, a < d1 < d2 < c (two chains of length three from a to c) with a
+    seventh element e put below or above some of its elements.  Stalks have
+    dimension 0 to 2 and most maps are 0/1 diagonals, so that the drawn
+    sheaves are often functorial and often not."""
+    if draw(st.booleans()):
+        elements, edges = draw(dags(max_elements=7))
+    else:
+        elements = HEXAGON + ["e"]
+        edges = [("a", "b1"), ("b1", "b2"), ("b2", "c"), ("a", "d1"), ("d1", "d2"), ("d2", "c")]
+        # e's place in the linear extension a, b1, b2, d1, d2, c
+        slot = draw(st.integers(0, len(HEXAGON)), label="slot of e")
+        for k, other in enumerate(HEXAGON):
+            if draw(st.booleans()):
+                edges.append(("e", other) if k >= slot else (other, "e"))
+    poset = Poset.from_leq_pairs(elements, edges)
+    field = PrimeField(draw(st.sampled_from([2, 3])))
+    dims = {e: draw(st.sampled_from([1, 1, 2, 0]), label=f"dim {e}") for e in poset.elements}
+    maps = {}
+    for a, b in poset.covers:
+        kind = draw(st.sampled_from(["diagonal", "diagonal", "zero", "random"]), label=f"{a}<{b}")
+        maps[a, b] = [[draw(st.integers(0, field.p - 1)) if kind == "random"
+                       else int(kind == "diagonal" and i == j)
+                       for j in range(dims[a])] for i in range(dims[b])]
+    return Sheaf(poset, field, dims, maps)
+
+
+def _every_path_composite(sheaf, a, c):
+    """F along each cover path from a up to c, composed densely."""
+    if a == c:
+        return [identity(sheaf.stalk_dim[a])]
+    p, step_of = sheaf.field.p, sheaf.restriction
+    return [
+        [[sum(x * step_of[a, b][k][j] for k, x in enumerate(row)) % p
+          for j in range(sheaf.stalk_dim[a])] for row in later]
+        for low, b in sheaf.poset.covers if low == a and sheaf.poset.leq(b, c)
+        for later in _every_path_composite(sheaf, b, c)
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sheaf=cover_sheaves())
+def test_validate_is_agreement_along_every_cover_path(sheaf):
+    """A sheaf is valid iff, for each a <= c, every cover path from a to c
+    composes to the same matrix, which `restriction_map` then returns."""
+    poset = sheaf.poset
+    composites = {(a, c): _every_path_composite(sheaf, a, c)
+                  for a in poset.elements for c in poset.elements if poset.leq(a, c)}
+    functorial = all(m == ms[0] for ms in composites.values() for m in ms)
+    assert sheaf.validate().ok == functorial
+    if functorial:
+        assert all(sheaf.restriction_map(a, c) == ms[0] for (a, c), ms in composites.items())
 
 
 @PROPERTY_SETTINGS

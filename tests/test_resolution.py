@@ -14,7 +14,6 @@ from posheaf.resolution import (
     make_exact,
     minimal_resolution_constant,
     minimal_resolution_sheaf,
-    multiplicities,
     order_complex_resolution,
     resolution_step,
     star_complexity,
@@ -30,6 +29,7 @@ from conftest import (
     incidence_kernel_sheaf,
     random_poset,
     random_sheaf,
+    stalk_matrix,
     stalkwise_exactness_against_sheaf,
     zero_stalk_chain,
     zero_stalk_diamond,
@@ -163,7 +163,7 @@ class TestMinimalResolutionConstant:
         res = minimal_resolution_constant(simplex_star)
         eta0 = res.matrices[0]
         for edge in ("2", "3", "4", "5"):
-            stalk = eta0.stalk_matrix(edge)
+            stalk = stalk_matrix(eta0, edge)
             assert len(stalk) == 3 and all(len(r) == 3 for r in stalk)
             from dense_oracle import rank as dense_rank
 
@@ -315,7 +315,7 @@ class TestOrderComplexResolution:
     def test_raw_output_pinned(self, case, summands, digest):
         # sha256 of every matrix's labels and rows, dict entry order included,
         # as computed by the route that built the order complex as a
-        # SimplicialComplex and signed each incidence by `signed_incidence`
+        # SimplicialComplex and signed each incidence by sorting both chains
         from posheaf.field import PrimeField
 
         if case == "constant-gf2":

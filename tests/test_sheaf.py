@@ -94,6 +94,22 @@ class TestValidateSheaf:
         assert "functoriality" in report.first_violation
 
 
+    def test_hexagon_paths_of_length_three_disagree(self):
+        # a < b1 < b2 < c and a < d1 < d2 < c: no two paths of length two
+        # share their ends, so only the whole paths can disagree
+        p = Poset.from_covers(
+            ["a", "b1", "b2", "d1", "d2", "c"],
+            [("a", "b1"), ("b1", "b2"), ("b2", "c"), ("a", "d1"), ("d1", "d2"), ("d2", "c")],
+        )
+        maps = {cover: [[1]] for cover in p.covers}
+        assert Sheaf(p, GF3, {e: 1 for e in p.elements}, maps).validate().ok
+        maps[("d2", "c")] = [[0]]
+        report = Sheaf(p, GF3, {e: 1 for e in p.elements}, maps).validate()
+        assert report.first_violation == (
+            "functoriality fails between a and c: paths via b1 and d1 disagree"
+        )
+
+
 class TestRestrictionMap:
     def test_composition_along_a_path_longer_than_the_recursion_limit(self):
         names = [f"e{i}" for i in range(400)]
