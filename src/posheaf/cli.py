@@ -22,7 +22,7 @@ from .errors import InputError, SizeCapExceeded
 from .field import NotPrimeError, PrimeField
 from .matrix import InjectiveComplex
 from .poset import (LocallyClosedSet, Poset, SimplicialComplex, face_name, generated_faces,
-                    star_subposet, vertex_separator)
+                    image_poset, star_subposet, vertex_separator)
 from .resolution import (
     minimal_resolution_constant,
     minimal_resolution_sheaf,
@@ -171,7 +171,7 @@ def cmd_functor(args) -> int:
             target = (
                 _load_poset(args.target_poset, args.max_elements)
                 if args.target_poset
-                else _image_poset(source, map_data)
+                else image_poset(source, pio._assignment_from_json(map_data))
             )
             f = pio.map_from_json(map_data, source, target)
             result = pushforward(f, complex_)
@@ -198,21 +198,6 @@ def cmd_functor(args) -> int:
         raise InputError(f"unknown functor kind {args.kind!r}")
     _emit_complex(result, args.format)
     return EXIT_OK
-
-
-def _image_poset(source: Poset, map_data: dict) -> Poset:
-    assignment = pio._assignment_from_json(map_data)
-    names = []
-    for e in source.elements:
-        img = assignment.get(e, e)
-        if img not in names:
-            names.append(img)
-    pairs = [
-        (assignment.get(a, a), assignment.get(b, b))
-        for a, b in source.covers
-        if assignment.get(a, a) != assignment.get(b, b)
-    ]
-    return Poset.from_leq_pairs(names, pairs)
 
 
 def cmd_morse(args) -> int:

@@ -112,12 +112,12 @@ def stalks_from_json(data: dict, poset: Poset) -> dict[str, int]:
 def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are zero."""
     stalks = stalks_from_json(data, poset)
-    maps = {}
+    maps, covers = {}, set(poset.covers)
     for key, mat in _as_object(data.get("maps", {}), "sheaf 'maps'").items():
         if "<" not in key:
             raise InputError(f"restriction key {key!r} is not of the form 'a<b'")
         a, b = key.split("<", 1)
-        if (a, b) not in set(poset.covers):
+        if (a, b) not in covers:
             raise InputError(f"restriction key {key!r} is not a cover relation")
         maps[(a, b)] = [
             [_as_int(x, f"entry of restriction {key!r}") for x in _as_array(row, f"row of {key!r}")]
@@ -196,9 +196,6 @@ def morse_from_json(data: dict, domain: Poset):
         order = [str(x) for x in _as_array(data["order"], "morse 'order'")]
     except KeyError as missing:
         raise InputError(f"morse JSON missing key {missing}") from None
-    for e in domain.elements:
-        if e not in levels:
-            raise InputError(f"morse JSON missing level for element {e!r}")
     return MorseFunction.from_levels(domain, levels, order)
 
 

@@ -177,13 +177,13 @@ class LabeledMatrix:
 
     # -- row and column operations ---------------------------------------------
 
-    def print_text(self, title: str = "", zero: str = "·") -> str:
+    def print_text(self, title: str = "") -> str:
         """Figure-style rendering: first row column labels, first column row labels."""
         header = [title] + list(self.col_labels)
         body = []
         for i, lab in enumerate(self.row_labels):
             body.append(
-                [lab] + [str(self.rows[i][j]) if j in self.rows[i] else zero
+                [lab] + [str(self.rows[i][j]) if j in self.rows[i] else "·"
                          for j in range(self.ncols)]
             )
         table = [header] + body

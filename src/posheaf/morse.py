@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InputError
 from .matrix import InjectiveComplex, _sparse_rank
-from .poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex
+from .poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, image_poset
 from .resolution import cohomology_sheaf_dims, is_minimal
 from .derived import hypercohomology, proper_pullback, proper_pushforward, pullback
 
@@ -98,14 +98,8 @@ class MorseFunction:
         for e in domain.elements:
             if e not in levels:
                 raise InputError(f"no level assigned to element {e!r}")
-        pairs = []
-        for a, b in domain.covers:
-            la, lb = str(levels[a]), str(levels[b])
-            if la != lb:
-                pairs.append((la, lb))
-        target = Poset.from_leq_pairs(order, pairs)
-        f = MonotoneMap(domain, target, {e: str(levels[e]) for e in domain.elements})
-        return cls(f, order)
+        levels = {e: str(levels[e]) for e in domain.elements}
+        return cls(MonotoneMap(domain, image_poset(domain, levels, order), levels), order)
 
     def sublevel(self, x: str) -> set[str]:
         cut = self.position[x]

@@ -192,16 +192,6 @@ class Poset:
         sub_elements = [self.elements[i] for i in kept]
         return Poset(sub_elements, up, Poset._covers_from_up(sub_elements, up))
 
-    def with_virtual_top(self, name: str | None = None) -> tuple["Poset", str]:
-        """The poset with one extra element above everything (internal helper)."""
-        top = name or "__top__"
-        while top in self.index:
-            top += "_"
-        n = len(self.elements)
-        up = [self._up[i] | (1 << n) for i in range(n)] + [1 << n]
-        covers = list(self.covers) + [(m, top) for m in self.maximal_elements()]
-        return Poset(self.elements + [top], up, covers), top
-
     def validate(self) -> list[str]:
         """Check the poset invariants; returns a list of violations (empty if ok)."""
         issues = []
@@ -401,10 +391,10 @@ def skeleton_of_simplex(n: int, d: int) -> SimplicialComplex:
     return SimplicialComplex.from_facets(combinations(verts, min(d, n) + 1))
 
 
-def star_subposet(complex_: SimplicialComplex, face: str, empty_name: str = "∅") -> Poset:
+def star_subposet(complex_: SimplicialComplex, face: str) -> Poset:
     """The star of a face as a poset, relabeled by dropping the face's vertices.
 
-    The face itself becomes `empty_name`.  Matches the usual link-with-cone
+    The face itself becomes "∅".  Matches the usual link-with-cone
     description of a star.
     """
     base = complex_.face_of[face]
@@ -412,11 +402,24 @@ def star_subposet(complex_: SimplicialComplex, face: str, empty_name: str = "∅
 
     def relabel(name):
         rest = complex_.face_of[name] - base
-        return complex_.name(rest) if rest else empty_name
+        return complex_.name(rest) if rest else "∅"
 
     new_names = {m: relabel(m) for m in star.elements}
     covers = [(new_names[a], new_names[b]) for a, b in star.covers]
     return Poset([new_names[m] for m in star.elements], star._up, covers)
+
+
+def image_poset(source: Poset, assignment: dict, elements=None) -> Poset:
+    """The order on `elements` (default: the images, in order of first
+    appearance) generated by the images of `source`'s covers under
+    `assignment`, the least one that makes the assignment monotone."""
+    try:
+        images = [assignment[e] for e in source.elements]
+    except KeyError as missing:
+        raise InputError(f"assignment missing element {missing}") from None
+    pairs = [(assignment[a], assignment[b]) for a, b in source.covers
+             if assignment[a] != assignment[b]]
+    return Poset.from_leq_pairs(dict.fromkeys(images) if elements is None else elements, pairs)
 
 
 # -- monotone maps and cylinders --------------------------------------------

@@ -10,10 +10,7 @@ elements in non-increasing order, and `force_exact` repeats that step degree
 by degree until a matrix comes out empty.  `force_exact` is the single
 exactness-forcing path: the minimal resolutions here and the pullback and
 proper pushforward in `derived` all call it, differing only in the starting
-matrix, the element list and the rows each degree is seeded with.  The
-constant-sheaf bootstrap starts from a column of ones under a virtual top
-element; general sheaves first make degree 0 exact against the stalk images
-of the minimal hull inclusion.
+matrix, the element list and the rows each degree is seeded with.
 """
 
 from __future__ import annotations
@@ -156,41 +153,37 @@ def force_exact(prev: LabeledMatrix, elements, seeds=()) -> list[LabeledMatrix]:
     raise AssertionError("exactness forcing did not terminate within the length bound")
 
 
-def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -> InjectiveComplex:
-    """Minimal injective resolution of the constant sheaf, via the virtual-top
-    seed (a column of ones over the maximal elements)."""
-    field = field or PrimeField(2)
+def _resolve_from_hull(poset: Poset, field: PrimeField, labels, image_rows) -> InjectiveComplex:
+    """The minimal resolution of a sheaf whose minimal injective hull has the
+    summands `labels`: degree 0 is made exact against the hull inclusion,
+    whose stalk image at an element is `image_rows(element)`, one row per
+    hull summand above it in order; later degrees are `force_exact`."""
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
-    extended, top = poset.with_virtual_top()
-    seed = LabeledMatrix(extended, field, [top])
-    for m in poset.maximal_elements():
-        seed.add_row(m, {0: 1})
-    matrices = force_exact(seed, poset.linear_extension)
-    rebound = [m.rebind(poset) for m in matrices]
-    return InjectiveComplex(poset, field, rebound, 0).trimmed()
-
-
-def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
-    """Minimal injective resolution of a sheaf: hull seed plus iterated steps.
-
-    Degree 0 consumes only the stalk images of the hull inclusion, supplied
-    per element; later degrees are the plain resolution step.
-    """
-    poset, field = sheaf.poset, sheaf.field
-    if not len(poset):
-        return InjectiveComplex.empty(poset, field)
-    alpha, seed = injective_hull(sheaf)
-    eta0 = LabeledMatrix(poset, field, seed.matrices[0].col_labels)
+    eta0 = LabeledMatrix(poset, field, labels)
     stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
-        # alpha's rows at `element` are the hull summands above it, in order
-        image_rows = [dict(enumerate(row)) for row in alpha.components[element]]
-        _make_exact_against_image(image_rows, stalks, element)
+        _make_exact_against_image(image_rows(element), stalks, element)
     matrices = [eta0]
     if eta0.rows:
         matrices += force_exact(eta0, poset.linear_extension)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
+
+
+def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -> InjectiveComplex:
+    """Minimal injective resolution of the constant sheaf, whose hull is one
+    [m] per maximal element m, the inclusion 1 on each."""
+    maximal = poset.maximal_elements()
+    bits = poset.bits_of(maximal)
+    return _resolve_from_hull(poset, field or PrimeField(2), maximal,
+                              lambda e: [{0: 1}] * (poset.up_bits(e) & bits).bit_count())
+
+
+def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
+    """Minimal injective resolution of a sheaf from its minimal injective hull."""
+    alpha, seed = injective_hull(sheaf)
+    return _resolve_from_hull(sheaf.poset, sheaf.field, seed.matrices[0].col_labels,
+                              lambda e: [dict(enumerate(row)) for row in alpha.components[e]])
 
 
 def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:

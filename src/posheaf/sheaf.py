@@ -65,6 +65,7 @@ class Sheaf:
             if key not in self.restriction:
                 raise InputError(f"restriction given for non-cover pair {key}")
         self._map_cache: dict[tuple[str, str], list[list[int]]] = {}
+        self._report: ValidationReport | None = None
 
     @classmethod
     def constant(cls, poset: Poset, field: PrimeField) -> "Sheaf":
@@ -125,7 +126,13 @@ class Sheaf:
         and every c >= b, both sides composed by `restriction_map`; by
         induction on path length, any two cover paths then compose alike.
         It holds by construction when b is a's first cover below c, the one
-        `restriction_map(a, c)` runs through.  First failure wins."""
+        `restriction_map(a, c)` runs through.  First failure wins.  The
+        sheaf is immutable, so the first report is kept."""
+        if self._report is None:
+            self._report = self._functoriality()
+        return self._report
+
+    def _functoriality(self) -> ValidationReport:
         poset = self.poset
         for a, ups in self._covers_up.items():
             reached = 0  # the elements above a's covers before b

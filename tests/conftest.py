@@ -139,6 +139,15 @@ def zero_stalk_diamond() -> Sheaf:
     )
 
 
+def with_top(poset: Poset) -> tuple[Poset, str]:
+    """The poset with one extra element above everything, and that element."""
+    top = "__top__"
+    while top in poset.index:
+        top += "_"
+    covers = list(poset.covers) + [(m, top) for m in poset.maximal_elements()]
+    return Poset.from_covers(poset.elements + [top], covers), top
+
+
 # -- random generators -----------------------------------------------------------
 
 

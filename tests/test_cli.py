@@ -344,6 +344,21 @@ class TestResolve:
                          "--field", field, "--method", method]) == 0
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["inductive", "order-complex"])
+    def test_sheaf_validated_once(self, tmp_path, method, capsys):
+        from unittest import mock
+
+        from posheaf.matrix import ValidationReport
+
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps(poset_to_json(skeleton_of_simplex(3, 2).face_poset)))
+        sheaf_path = tmp_path / "sheaf.json"
+        sheaf_path.write_text(json.dumps({"stalks": {"1": 1, "12": 1}, "maps": {"1<12": [[1]]}}))
+        with mock.patch("posheaf.sheaf.ValidationReport", wraps=ValidationReport) as made:
+            assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path),
+                         "--method", method]) == 0
+        assert made.call_count == 1
+
     def test_sheaf_input_gf3_golden(self, tmp_path, capsys):
         poset = skeleton_of_simplex(3, 2).face_poset
         field = PrimeField(3)
@@ -395,6 +410,23 @@ class TestFunctor:
         }
         assert table[1]["4"] == 1 and len(table[0]) == 6
         assert _sha256(out) == GOLDEN_SHA256["push-g"]
+
+    def test_push_onto_the_image_poset_by_default(self, tmp_path, capsys, sphere_wedge):
+        sigma, g = sphere_wedge["sigma"].face_poset, sphere_wedge["g"]
+        complex_path = tmp_path / "sigma.json"
+        complex_path.write_text(dumps(complex_to_json(minimal_resolution_constant(sigma))))
+        map_path = tmp_path / "g.json"
+        map_path.write_text(json.dumps({"assignment": g.assignment}))
+        # the order the images of all comparable pairs generate
+        names = list(dict.fromkeys(g(e) for e in sigma.elements))
+        pairs = [(g(a), g(b)) for a in sigma for b in sigma if sigma.leq(a, b) and g(a) != g(b)]
+        tgt_path = tmp_path / "image.json"
+        tgt_path.write_text(json.dumps(poset_to_json(Poset.from_leq_pairs(names, pairs))))
+        argv = ["functor", "push", str(complex_path), "--map", str(map_path), "--format", "json"]
+        assert main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert main(argv + ["--target-poset", str(tgt_path)]) == 0
+        assert implicit == capsys.readouterr().out
 
     def test_shriek_pull_section7(self, rh_complex_file, capsys):
         assert main(

@@ -69,6 +69,27 @@ class TestSheafJson:
         with pytest.raises(InputError):
             sheaf_from_json({"stalks": {}, "maps": {"a<c": [[1]]}}, poset, GF2)
 
+    def test_one_pass_over_the_covers(self):
+        # the cover check reads the covers once however many maps are given
+        class CountingList(list):
+            passes = 0
+
+            def __iter__(self):
+                CountingList.passes += 1
+                return super().__iter__()
+
+        names = [f"e{i}" for i in range(30)]
+        covers = list(zip(names, names[1:]))
+        poset = Poset.from_covers(names, covers)
+        poset.covers = CountingList(poset.covers)
+        passes = []
+        for n_maps in (1, len(covers)):
+            CountingList.passes = 0
+            maps = {f"{a}<{b}": [[1]] for a, b in covers[:n_maps]}
+            sheaf_from_json({"stalks": {e: 1 for e in names}, "maps": maps}, poset, GF2)
+            passes.append(CountingList.passes)
+        assert passes[0] == passes[1]
+
 
 class TestMapJson:
     def test_element_map(self, sphere_wedge):

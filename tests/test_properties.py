@@ -63,6 +63,7 @@ from conftest import (
     kernel_sheaf,
     random_labeled_matrix,
     random_sheaf,
+    with_top,
     zero_stalk_chain,
     zero_stalk_diamond,
 )
@@ -201,7 +202,7 @@ def _naive_down_sets_and_heights(poset):
 def test_down_sets_heights_and_linear_extension_match_the_naive_route(dag, data):
     elements, edges = dag
     poset = data.draw(st.sampled_from([Poset.from_covers, Poset.from_leq_pairs]))(elements, edges)
-    for p in (poset, poset.opposite(), poset.with_virtual_top()[0]):
+    for p in (poset, poset.opposite(), with_top(poset)[0]):
         down, below, linear_extension = _naive_down_sets_and_heights(p)
         assert p._down == down
         assert p._height_below == below

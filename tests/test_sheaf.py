@@ -1,5 +1,6 @@
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -108,6 +109,20 @@ class TestValidateSheaf:
         assert report.first_violation == (
             "functoriality fails between a and c: paths via b1 and d1 disagree"
         )
+
+    def test_validated_once(self, diamond):
+        # the sheaf is immutable: the caller and both resolution routes
+        # share its one functoriality check
+        from posheaf.matrix import ValidationReport
+        from posheaf.resolution import minimal_resolution_sheaf, order_complex_resolution
+
+        sheaf = constant_sheaf(diamond, GF3)
+        with mock.patch("posheaf.sheaf.ValidationReport", wraps=ValidationReport) as made:
+            assert sheaf.validate().ok
+            order_complex_resolution(sheaf)
+            minimal_resolution_sheaf(sheaf)
+            assert sheaf.validate().ok
+        assert made.call_count == 1
 
 
 class TestRestrictionMap:
