@@ -32,6 +32,22 @@ def _as_object(value, what: str) -> dict:
     return value
 
 
+def _key(data: dict, key: str, what: str):
+    """`data[key]`; a missing key, and no other KeyError, is an input error."""
+    try:
+        return data[key]
+    except KeyError:
+        raise InputError(f"{what} missing key {key!r}") from None
+
+
+def _element(value, poset: Poset, what: str) -> str:
+    """A poset element named in the input; an unknown one is an input error."""
+    label = str(value)
+    if label not in poset.index:
+        raise InputError(f"{what} {label!r} is not a poset element")
+    return label
+
+
 def _as_array(value, what: str) -> list:
     """A JSON array field of the input; anything else is an input error."""
     if not isinstance(value, list):
@@ -67,10 +83,10 @@ def poset_to_json(poset: Poset) -> dict:
 
 def poset_from_json(data: dict) -> Poset:
     try:
-        elements = [str(e) for e in _as_array(data["elements"], "poset 'elements'")]
-        covers = [(str(a), str(b)) for a, b in (_as_array(c, "cover") for c in data["covers"])]
-    except KeyError as missing:
-        raise InputError(f"poset JSON missing key {missing}") from None
+        elements = [str(e) for e in _as_array(_key(data, "elements", "poset JSON"),
+                                              "poset 'elements'")]
+        covers = [(str(a), str(b))
+                  for a, b in (_as_array(c, "cover") for c in _key(data, "covers", "poset JSON"))]
     except (TypeError, ValueError):
         raise InputError(
             "poset JSON needs an element list and [lower, upper] cover pairs"
@@ -79,10 +95,8 @@ def poset_from_json(data: dict) -> Poset:
 
 
 def _assignment_from_json(data: dict) -> dict[str, str]:
-    try:
-        assignment = _as_object(_as_object(data, "map JSON")["assignment"], "map 'assignment'")
-    except KeyError:
-        raise InputError("map JSON missing 'assignment'") from None
+    assignment = _as_object(_key(_as_object(data, "map JSON"), "assignment", "map JSON"),
+                            "map 'assignment'")
     return {str(k): str(v) for k, v in assignment.items()}
 
 
@@ -149,14 +163,15 @@ def matrix_to_json(m: LabeledMatrix) -> dict:
 
 def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatrix:
     data = _as_object(data, "matrix")
-    m = LabeledMatrix(poset, field, [str(c) for c in _as_array(data["cols"], "matrix 'cols'")])
-    for row in _as_array(data["rows"], "matrix 'rows'"):
+    cols = _as_array(_key(data, "cols", "matrix"), "matrix 'cols'")
+    m = LabeledMatrix(poset, field, [_element(c, poset, "matrix column label") for c in cols])
+    for row in _as_array(_key(data, "rows", "matrix"), "matrix 'rows'"):
         row = _as_object(row, "matrix row")
         entries = {
             _as_int(j, "matrix column index"): _as_int(v, "matrix entry")
-            for j, v in _as_object(row["entries"], "row 'entries'").items()
+            for j, v in _as_object(_key(row, "entries", "matrix row"), "row 'entries'").items()
         }
-        m.add_row(str(row["label"]), entries)
+        m.add_row(_element(_key(row, "label", "matrix row"), poset, "matrix row label"), entries)
     return m
 
 
@@ -170,17 +185,14 @@ def complex_to_json(complex_: InjectiveComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> InjectiveComplex:
-    try:
-        data = _as_object(data, "complex JSON")
-        field = PrimeField(_as_int(data["field"], "field"))
-        poset = poset_from_json(data["poset"])
-        matrices = [
-            matrix_from_json(m, poset, field)
-            for m in _as_array(data["matrices"], "complex 'matrices'")
-        ]
-        offset = _as_int(data.get("degree_offset", 0), "degree_offset")
-    except KeyError as missing:
-        raise InputError(f"complex JSON missing key {missing}") from None
+    data = _as_object(data, "complex JSON")
+    field = PrimeField(_as_int(_key(data, "field", "complex JSON"), "field"))
+    poset = poset_from_json(_key(data, "poset", "complex JSON"))
+    matrices = [
+        matrix_from_json(m, poset, field)
+        for m in _as_array(_key(data, "matrices", "complex JSON"), "complex 'matrices'")
+    ]
+    offset = _as_int(data.get("degree_offset", 0), "degree_offset")
     complex_ = InjectiveComplex(poset, field, matrices, offset)
     complex_.validate().raise_if_failed()
     return complex_
@@ -190,12 +202,10 @@ def morse_from_json(data: dict, domain: Poset):
     """{"levels": {"elem": "levelName"}, "order": ["levelName", ...]}"""
     from .morse import MorseFunction
 
-    try:
-        data = _as_object(data, "morse JSON")
-        levels = {str(k): str(v) for k, v in _as_object(data["levels"], "morse 'levels'").items()}
-        order = [str(x) for x in _as_array(data["order"], "morse 'order'")]
-    except KeyError as missing:
-        raise InputError(f"morse JSON missing key {missing}") from None
+    data = _as_object(data, "morse JSON")
+    levels = _as_object(_key(data, "levels", "morse JSON"), "morse 'levels'")
+    levels = {str(k): str(v) for k, v in levels.items()}
+    order = [str(x) for x in _as_array(_key(data, "order", "morse JSON"), "morse 'order'")]
     return MorseFunction.from_levels(domain, levels, order)
 
 

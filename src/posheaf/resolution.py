@@ -153,17 +153,18 @@ def force_exact(prev: LabeledMatrix, elements, seeds=()) -> list[LabeledMatrix]:
     raise AssertionError("exactness forcing did not terminate within the length bound")
 
 
-def _resolve_from_hull(poset: Poset, field: PrimeField, labels, image_rows) -> InjectiveComplex:
-    """The minimal resolution of a sheaf whose minimal injective hull has the
-    summands `labels`: degree 0 is made exact against the hull inclusion,
-    whose stalk image at an element is `image_rows(element)`, one row per
-    hull summand above it in order; later degrees are `force_exact`."""
+def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> InjectiveComplex:
+    """The minimal resolution of a sheaf from its minimal injective hull, given
+    as `injective_hull` returns it: the summand `labels` and, at each element
+    e, `rows[e]`, the inclusion's stalk rows, one per summand above e in label
+    order.  Degree 0 is made exact against that image; later degrees are
+    `force_exact`."""
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
     eta0 = LabeledMatrix(poset, field, labels)
     stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
-        _make_exact_against_image(image_rows(element), stalks, element)
+        _make_exact_against_image(rows[element], stalks, element)
     matrices = [eta0]
     if eta0.rows:
         matrices += force_exact(eta0, poset.linear_extension)
@@ -175,15 +176,13 @@ def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -
     [m] per maximal element m, the inclusion 1 on each."""
     maximal = poset.maximal_elements()
     bits = poset.bits_of(maximal)
-    return _resolve_from_hull(poset, field or PrimeField(2), maximal,
-                              lambda e: [{0: 1}] * (poset.up_bits(e) & bits).bit_count())
+    rows = {e: [{0: 1}] * (poset.up_bits(e) & bits).bit_count() for e in poset.elements}
+    return _resolve_from_hull(poset, field or PrimeField(2), maximal, rows)
 
 
 def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
     """Minimal injective resolution of a sheaf from its minimal injective hull."""
-    alpha, seed = injective_hull(sheaf)
-    return _resolve_from_hull(sheaf.poset, sheaf.field, seed.matrices[0].col_labels,
-                              lambda e: [dict(enumerate(row)) for row in alpha.components[e]])
+    return _resolve_from_hull(sheaf.poset, sheaf.field, *injective_hull(sheaf))
 
 
 def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:

@@ -6,14 +6,17 @@ functoriality, which `validate` checks).  The minimal injective hull follows
 the maximal-vector construction and runs on the elimination kernel of
 :mod:`posheaf.matrix`: the maximal vectors at an element are the complement
 vectors `image_complement_rows` returns for the transposed stack of cover
-restrictions out of it.
+restrictions out of it.  `injective_hull` returns the hull as its summand
+labels and the inclusion's sparse stalk rows, all the resolution reads;
+`Sheaf.injective` and `NaturalTransformation` build the hull as a sheaf and
+the inclusion as a map, for checks.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
 from .field import PrimeField
-from .matrix import InjectiveComplex, ValidationReport, _sparse_rank, image_complement_rows
+from .matrix import ValidationReport, _sparse_rank, image_complement_rows
 from .poset import Poset
 
 
@@ -79,24 +82,13 @@ class Sheaf:
     @classmethod
     def injective(cls, poset: Poset, field: PrimeField, multiplicities: dict) -> "Sheaf":
         """The direct sum of indecomposables with the given label multiplicities."""
-        summands = []
-        for lab in poset.elements:
-            summands += [lab] * int(multiplicities.get(lab, 0))
-        dims = {
-            e: sum(1 for lab in summands if poset.leq(e, lab)) for e in poset.elements
-        }
-        restriction = {}
-        for a, b in poset.covers:
-            above_a = [lab for lab in summands if poset.leq(a, lab)]
-            above_b = {lab_i for lab_i, lab in enumerate(above_a) if poset.leq(b, lab)}
-            mat = [[0] * dims[a] for _ in range(dims[b])]
-            r = 0
-            for i, lab in enumerate(above_a):
-                if i in above_b:
-                    mat[r][i] = 1
-                    r += 1
-            restriction[(a, b)] = mat
-        return cls(poset, field, dims, restriction)
+        summands = [lab for lab in poset.elements for _ in range(int(multiplicities.get(lab, 0)))]
+        # the indices of the summands above each element, one stalk basis vector each
+        above = {e: [i for i, lab in enumerate(summands) if poset.leq(e, lab)]
+                 for e in poset.elements}
+        restriction = {(a, b): [[int(i == j) for i in above[a]] for j in above[b]]
+                       for a, b in poset.covers}
+        return cls(poset, field, {e: len(above[e]) for e in poset.elements}, restriction)
 
     def restriction_map(self, a: str, b: str) -> list[list[int]]:
         """F(a <= b), composing cover restrictions along one canonical path:
@@ -157,7 +149,7 @@ class Sheaf:
         if element not in self.poset.index:
             raise InputError(f"unknown element {element!r}")
         dim = self.stalk_dim[element]
-        stacked = [row for (a, _b), mat in self.restriction.items() if a == element for row in mat]
+        stacked = [row for b in self._covers_up[element] for row in self.restriction[(element, b)]]
         columns = [{r: row[i] for r, row in enumerate(stacked)} for i in range(dim)]
         return [[u.get(i, 0) for i in range(dim)]
                 for u in image_complement_rows(self.field, columns)]
@@ -205,14 +197,15 @@ def constant_sheaf(poset: Poset, field: PrimeField | None = None) -> Sheaf:
     return Sheaf.constant(poset, field or PrimeField(2))
 
 
-def injective_hull(sheaf: Sheaf) -> tuple[NaturalTransformation, InjectiveComplex]:
+def injective_hull(sheaf: Sheaf) -> tuple[list[str], dict[str, list[dict[int, int]]]]:
     """Minimal injective hull F -> I0 = sum over pi of [pi]^{dim M_F(pi)}.
 
-    Returns the inclusion as a natural transformation into the hull
-    (materialized as a sheaf) and the one-term complex on the hull's labels.
+    Returns `(labels, rows)`: the hull's summand labels in element order and,
+    at each element e, the inclusion's stalk map at e as one sparse
+    {coordinate: value} row per summand above e, in label order.
     """
     sheaf.validate().raise_if_failed()
-    poset, field = sheaf.poset, sheaf.field
+    poset = sheaf.poset
     # Each maximal vector is 1 at its own (last nonzero) coordinate, where the
     # others vanish.  Completing the basis with the standard vectors at the
     # remaining coordinates, the coordinate along a maximal vector is therefore
@@ -221,19 +214,15 @@ def injective_hull(sheaf: Sheaf) -> tuple[NaturalTransformation, InjectiveComple
         e: [max(i for i, v in enumerate(vec) if v) for vec in sheaf.maximal_vectors(e)]
         for e in poset.elements
     }
-    hull_mult = {e: len(own[e]) for e in poset.elements}
-    hull = Sheaf.injective(poset, field, hull_mult)
-    components = {}
+    labels = [e for e in poset.elements for _ in own[e]]
+    hull_bits = poset.bits_of(labels)
+    rows = {}
     for sigma in poset.elements:
-        components[sigma] = []
-        for tau in poset.elements:
-            if own[tau] and poset.leq(sigma, tau):
-                restriction = sheaf.restriction_map(sigma, tau)
-                components[sigma] += [restriction[i] for i in own[tau]]
-    alpha = NaturalTransformation(sheaf, hull, components)
-    seed_labels = [lab for lab in poset.elements for _ in range(hull_mult[lab])]
-    seed = InjectiveComplex.single_term(poset, field, seed_labels)
-    return alpha, seed
+        rows[sigma] = []
+        for tau in poset.elements_of(poset.up_bits(sigma) & hull_bits):
+            restriction = sheaf.restriction_map(sigma, tau)
+            rows[sigma] += [{j: v for j, v in enumerate(restriction[i]) if v} for i in own[tau]]
+    return labels, rows
 
 
 def hom_dim_injective(i_decomposition: dict, j_decomposition: dict, poset: Poset) -> int:

@@ -4,6 +4,7 @@ independent oracles used to cross-check resolutions."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,13 +19,14 @@ from posheaf.poset import (
     star_subposet,
 )
 from posheaf.resolution import _Stalks, minimal_resolution_constant
-from posheaf.sheaf import Sheaf
+from posheaf.sheaf import NaturalTransformation, Sheaf, injective_hull
 
 from dense_oracle import nullspace, zeros
 
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+GF5 = PrimeField(5)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -288,6 +290,17 @@ def random_sheaf(rng: random.Random, poset: Poset, field: PrimeField, style=None
         return extension_by_zero_sheaf(poset, field, ups)
     matrix = random_labeled_matrix(rng, poset, field, max_cols=2, max_rows=3)
     return kernel_sheaf(matrix)
+
+
+def hull_inclusion(sheaf: Sheaf) -> tuple[NaturalTransformation, list[str]]:
+    """The minimal injective hull materialized: the inclusion into
+    `Sheaf.injective` on the hull's labels, its components the dense form of
+    `injective_hull`'s stalk rows, and the labels."""
+    labels, rows = injective_hull(sheaf)
+    hull = Sheaf.injective(sheaf.poset, sheaf.field, Counter(labels))
+    components = {e: [[row.get(j, 0) for j in range(sheaf.stalk_dim[e])] for row in rows[e]]
+                  for e in sheaf.poset.elements}
+    return NaturalTransformation(sheaf, hull, components), labels
 
 
 def random_monotone_map(rng: random.Random, source: Poset, target: Poset):

@@ -509,6 +509,22 @@ class TestFunctor:
         assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["row", "column"])
+    def test_unknown_label_exit_code(self, tetra_file, tmp_path, capsys, where):
+        # a label that is not a poset element is named as such, not as a missing key
+        assert main(["resolve", tetra_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        matrix = data["matrices"][0]
+        if where == "row":
+            matrix["rows"][0]["label"] = "zz"
+        else:
+            matrix["cols"][0] = "zz"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"input error: matrix {where} label 'zz' is not a poset element")
+
     def test_assignment_list_exit_code(self, lambda_complex_file, tmp_path, capsys, sphere_wedge):
         map_path = tmp_path / "map.json"
         map_path.write_text(json.dumps({"assignment": ["4", "24"]}))

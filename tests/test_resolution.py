@@ -20,7 +20,7 @@ from posheaf.resolution import (
     star_complexity_bound,
     star_generators,
 )
-from posheaf.sheaf import Sheaf, constant_sheaf
+from posheaf.sheaf import NaturalTransformation, Sheaf, constant_sheaf
 
 from conftest import (
     GF2,
@@ -234,6 +234,20 @@ class TestMinimalResolutionSheaf:
             for poset in posets:
                 direct = minimal_resolution_constant(poset, field)
                 assert raw(direct) == raw(minimal_resolution_sheaf(constant_sheaf(poset, field)))
+
+    def test_builds_no_hull_sheaf_or_transformation(self):
+        # the hull reaches the driver as labels and sparse stalk rows only
+        from unittest import mock
+
+        sheaf = incidence_kernel_sheaf(skeleton_of_simplex(5, 3), GF3, 3)
+        expected = mult_table(peel(order_complex_resolution(sheaf)))
+        with mock.patch.object(Sheaf, "__init__", autospec=True,
+                               side_effect=Sheaf.__init__) as sheaves, \
+                mock.patch.object(NaturalTransformation, "__init__", autospec=True,
+                                  side_effect=NaturalTransformation.__init__) as maps:
+            res = minimal_resolution_sheaf(sheaf)
+        assert (sheaves.call_count, maps.call_count) == (0, 0)
+        assert mult_table(res) == expected
 
     def test_injective_input(self):
         p = Poset.from_covers(["y", "x"], [("y", "x")])

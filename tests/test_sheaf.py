@@ -18,6 +18,8 @@ from dense_oracle import identity, rank
 from conftest import (
     GF2,
     GF3,
+    GF5,
+    hull_inclusion,
     kernel_sheaf,
     naturality_system_nullity,
     random_labeled_matrix,
@@ -181,8 +183,7 @@ class TestMaximalVectors:
 class TestInjectiveHull:
     def test_constant_diagonal_embedding(self, tetra):
         k = constant_sheaf(tetra.face_poset)
-        alpha, seed = injective_hull(k)
-        labels = seed.matrices[0].col_labels
+        alpha, labels = hull_inclusion(k)
         assert sorted(labels) == sorted(tetra.face_poset.maximal_elements())
         for e in tetra.face_poset.elements:
             col = [row[0] for row in alpha.components[e]]
@@ -192,42 +193,48 @@ class TestInjectiveHull:
 
     def test_skyscraper(self, two_chain):
         f = Sheaf(two_chain, GF2, {"x": 2, "y": 0}, {})
-        alpha, seed = injective_hull(f)
-        assert seed.matrices[0].col_labels == ["x", "x"]
+        alpha, labels = hull_inclusion(f)
+        assert labels == ["x", "x"]
         assert alpha.components["x"] == identity(2)
+
+    def test_labels_and_sparse_rows(self, two_chain):
+        # one {coordinate: value} row per summand above the element, zeros left out
+        f = Sheaf(two_chain, GF3, {"x": 2, "y": 2}, {("y", "x"): [[1, 0], [0, 0]]})
+        assert injective_hull(f) == (["y", "x", "x"], {"y": [{1: 1}, {0: 1}, {}],
+                                                       "x": [{0: 1}, {1: 1}]})
 
     def test_already_injective(self, two_chain):
         f = Sheaf.injective(two_chain, GF2, {"x": 1})
-        alpha, seed = injective_hull(f)
-        assert seed.matrices[0].col_labels == ["x"]
+        alpha, labels = hull_inclusion(f)
+        assert labels == ["x"]
         assert alpha.components["x"] == [[1]]
         assert alpha.components["y"] == [[1]]
 
     def test_hull_minimality_criterion(self):
         # maximal vectors of the hull at pi coincide with the embedded M_F(pi)
         rng = random.Random(17)
-        for _ in range(30):
-            poset = random_poset(rng, 6)
-            field = rng.choice((GF2, GF3))
-            sheaf = random_sheaf(rng, poset, field)
-            alpha, seed = injective_hull(sheaf)
-            assert alpha.validate().ok
-            assert alpha.is_injective()
-            hull = alpha.target
-            labels = seed.matrices[0].col_labels
-            for e in poset.elements:
-                hull_max = hull.maximal_vectors(e)
-                expected = sum(1 for lab in labels if lab == e)
-                assert len(hull_max) == expected
-                # each maximal vector of the hull lies in the image of alpha
-                comp = alpha.components[e]
-                cols = [
-                    [comp[r][c] for r in range(len(comp))]
-                    for c in range(sheaf.stalk_dim[e])
-                ]
-                for vec in hull_max:
-                    stacked = cols + [vec]
-                    assert rank(field, stacked) == rank(field, cols) or not cols
+        for field in (GF2, GF3, GF5):
+            for _ in range(15):
+                poset = random_poset(rng, 6)
+                sheaf = random_sheaf(rng, poset, field)
+                alpha, labels = hull_inclusion(sheaf)
+                assert alpha.validate().ok
+                assert alpha.is_injective()
+                hull = alpha.target
+                for e in poset.elements:
+                    hull_max = hull.maximal_vectors(e)
+                    expected = sum(1 for lab in labels if lab == e)
+                    assert len(hull_max) == expected
+                    # each maximal vector of the hull lies in the image of alpha
+                    comp = alpha.components[e]
+                    assert len(comp) == hull.stalk_dim[e]
+                    cols = [
+                        [comp[r][c] for r in range(len(comp))]
+                        for c in range(sheaf.stalk_dim[e])
+                    ]
+                    for vec in hull_max:
+                        stacked = cols + [vec]
+                        assert rank(field, stacked) == rank(field, cols) or not cols
 
     def test_every_vector_reaches_a_maximal_one(self):
         # nonzero stalk vectors restrict to a nonzero maximal vector somewhere above
