@@ -6,7 +6,9 @@ codomain summands, and an entry in a row labeled ``s`` and a column labeled
 ``p`` can be nonzero only if ``s <= p``.  Rows are stored sparsely as
 ``column index -> nonzero value`` dicts, so extracting the stalk map at an
 element is just a row selection.  Dict rows are the stored and rendered form;
-the elimination kernel reduces GF(2) rows as int bitsets (`packed_row`).
+elimination reduces GF(2) rows as int bitsets (`packed_row`).  Complements
+run through the leftmost-pivot kernel (`IncrementalRowBasis`); ranks and top
+pivots, which depend only on the span, through `_top_pivots`.
 """
 
 from __future__ import annotations
@@ -327,8 +329,9 @@ def packed_row(field: PrimeField, row):
 
 
 class IncrementalRowBasis:
-    """The elimination kernel, which every rank and complement runs
-    through: a pivot table under the leftmost-pivot, first-row-wins rule.
+    """The elimination kernel, which every complement runs through: a pivot
+    table under the leftmost-pivot, first-row-wins rule, which sets the
+    coordinates and entry order of the complement vectors.
     Rows are {column: value} dicts over any GF(p), and stored rows have
     leading value 1.  A row may carry a witness dict (the input rows it
     combines), which each reduction step updates alike, in stored order."""
@@ -403,14 +406,18 @@ def row_basis(field: PrimeField) -> IncrementalRowBasis:
 
 
 def _sparse_rank(field: PrimeField, rows) -> int:
-    """Rank by the deterministic leftmost-pivot, first-row-wins reduction."""
-    return sum(map(row_basis(field).add, rows))
+    """Rank of `rows` (dicts with any integer entries, or GF(2) bitsets) as
+    the number of top pivots: resolution rows are close to triangular in their
+    highest column, so eliminating there fills in far less than leftmost."""
+    return len(_top_pivots(field, (packed_row(field, row) for row in rows)))
 
 
 def _top_pivots(field: PrimeField, rows) -> set[int]:
-    """The top pivots of the span of `rows` (`packed_row`s): the columns that
-    are the highest nonzero coordinate of some vector in it, one per
-    dimension.  Elimination on the highest coordinate; `rows` are unchanged."""
+    """The top pivots of the span of `rows` (`packed_row`s; odd-p entries
+    are reduced mod p and zeros dropped): the columns that are the highest
+    nonzero coordinate of some vector in it, one per dimension.  The set
+    depends only on the span, not on the order of `rows`.  Elimination on
+    the highest coordinate; `rows` are unchanged."""
     p, table = field.p, {}
     for row in rows:
         if p == 2:
@@ -419,7 +426,7 @@ def _top_pivots(field: PrimeField, rows) -> set[int]:
             if row:
                 table[top] = row
         else:
-            row = dict(row)
+            row = {j: v % p for j, v in row.items() if v % p}
             while row and (piv := table.get(top := max(row))) is not None:
                 _axpy(row, piv, p - row[top], p)
             if row:

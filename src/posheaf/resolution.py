@@ -16,6 +16,7 @@ matrix, the element list and the rows each degree is seeded with.
 from __future__ import annotations
 
 import math
+import weakref
 
 from .errors import InputError
 from .field import PrimeField
@@ -40,6 +41,11 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
     return out
 
 
+# Per poset: element -> the indices of the elements above it (see `_Stalks.up`),
+# and one int object per index, which those lists share.
+_UP_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class _Stalks:
     """Row and column indices of a matrix bucketed by label, its rows packed
     (`packed_row`) and, as `image`, the packed rows of the previous matrix.
@@ -48,6 +54,9 @@ class _Stalks:
 
     def __init__(self, m: LabeledMatrix, prev: LabeledMatrix | None = None):
         self.m = m
+        if m.poset not in _UP_INDICES:
+            _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))))
+        self.ups, self.ints = _UP_INDICES[m.poset]
         self.cols, self.rows = self._buckets(m.col_labels), self._buckets(m.row_labels)
         self.packed = [packed_row(m.field, row) for row in m.rows]
         self.image = [packed_row(m.field, row) for row in prev.rows] if prev is not None else None
@@ -58,9 +67,19 @@ class _Stalks:
             buckets[self.m.poset.index[lab]].append(i)
         return buckets
 
+    def up(self, element: str) -> list[int]:
+        """The poset indices of the elements above `element`, ascending; built
+        on first use, once per poset."""
+        up = self.ups.get(element)
+        if up is None:
+            ints = self.ints
+            up = self.ups[element] = [ints[k] for k in _bit_indices(self.m.poset.up_bits(element))]
+        return up
+
     def at(self, buckets, element: str) -> list[int]:
-        """The indices in `buckets` whose labels are above `element`, ascending."""
-        return sorted(i for k in _bit_indices(self.m.poset.up_bits(element)) for i in buckets[k])
+        """The indices in `buckets` whose labels are above `element`, ascending
+        (where only their span or number matters, callers walk `up` unsorted)."""
+        return sorted([i for k in self.up(element) for i in buckets[k]])
 
     def append(self, label: str, row: dict[int, int], packed) -> None:
         self.rows[self.m.poset.index[label]].append(len(self.packed))
@@ -107,7 +126,8 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     inserts nothing another row's witness would see: the vectors left are
     exactly the independent ones, in the order and form `_complement` gives."""
     field = stalks.m.field
-    tops = _top_pivots(field, [stalks.packed[i] for i in stalks.at(stalks.rows, element)])
+    star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
+    tops = _top_pivots(field, star_rows)
     skip = {pos for pos, j in enumerate(stalk) if j in tops}
     vectors = image_complement_rows(field, image_rows, skip)
     for vector in vectors:
@@ -236,12 +256,12 @@ def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int
     def rank(d: int, e: str) -> int:
         s = stalks.get(d)
         if s is not None and (d, e) not in ranks:
-            ranks[d, e] = _sparse_rank(s.m.field, [s.packed[i] for i in s.at(s.rows, e)])
+            ranks[d, e] = _sparse_rank(s.m.field, [s.packed[i] for k in s.up(e) for i in s.rows[k]])
         return ranks.get((d, e), 0)
 
     for d, s in stalks.items():
         for e in complex_.poset.elements:
-            stalk_dim = len(s.at(s.cols, e))
+            stalk_dim = sum(len(s.cols[k]) for k in s.up(e))
             h = stalk_dim and stalk_dim - rank(d, e) - rank(d - 1, e)
             if h:
                 out.setdefault(d, {})[e] = h

@@ -8,6 +8,8 @@ from posheaf.matrix import (
     IncrementalRowBasis,
     InjectiveComplex,
     LabeledMatrix,
+    _sparse_rank,
+    _top_pivots,
     col_op,
     image_complement_rows,
     row_op,
@@ -152,6 +154,12 @@ class TestRank:
         for lab, entries in rows:
             eta0.add_row(lab, entries)
         assert eta0.rank() == 5
+
+    def test_odd_prime_rows_are_reduced_before_elimination(self):
+        # An entry that is 0 mod p must not become a pivot to invert.
+        assert _top_pivots(GF3, [{0: 1, 1: 3}]) == {0}
+        assert _top_pivots(GF3, [{0: 0}]) == set()
+        assert _sparse_rank(GF3, [{0: 1, 1: 3}, {0: 0, 1: 0}, {0: -2, 2: 6}]) == 1
 
 
 class TestImageComplement:

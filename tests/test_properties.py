@@ -2,8 +2,9 @@
 minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 `Poset.restrict` and covers against their definitions, the cylinder
 pullback against the submatrix restriction on open sets, the GF(2) bitset
-kernel against the dict kernel, the constant sheaf's multiplicities
-against the compact-support oracle, the derived Hom into shifts against
+kernel against the dict kernel, ranks and top pivots against the dense
+echelon form, the constant sheaf's multiplicities against the
+compact-support oracle, the derived Hom into shifts against
 the hypercohomology, the maximal vectors against a dense nullspace,
 pullback against its proper-functor expression, the
 invariants of peel and of double dualization, MakeExact against the
@@ -43,6 +44,7 @@ from posheaf.matrix import (
     IncrementalRowBasis,
     _complement,
     _sparse_rank,
+    _top_pivots,
     image_complement_rows,
     packed_row,
     row_basis,
@@ -68,7 +70,7 @@ from conftest import (
     zero_stalk_diamond,
 )
 import screen_oracle
-from dense_oracle import identity, nullspace
+from dense_oracle import identity, nullspace, rank, rref
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -414,6 +416,46 @@ def test_gf2_bitset_kernel_matches_the_dict_kernel(rows):
 
 
 @st.composite
+def prime_row_lists(draw):
+    """Sparse rows over GF(2), GF(3) or GF(5) as dicts, with entries from
+    -2p to 2p (zeros, negatives and entries >= p included) and repeats and
+    combinations of earlier rows mixed in, so that some rows are dependent."""
+    field = PrimeField(draw(st.sampled_from([2, 3, 5])))
+    p = field.p
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ncols = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(0, 16)):
+        kind = rng.choice(["random", "random", "repeat", "sum"]) if rows else "random"
+        if kind == "random":
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            row = {j: rng.randint(-2 * p, 2 * p) for j in cols}
+        elif kind == "repeat":
+            row = dict(rng.choice(rows))
+        else:
+            a, b, c = rng.choice(rows), rng.choice(rows), rng.randint(1, p - 1)
+            row = {j: a.get(j, 0) + c * b.get(j, 0) for j in a.keys() | b.keys()}
+        rows.append(row)
+    return field, ncols, rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=prime_row_lists(), data=st.data())
+def test_rank_kernel_matches_the_dense_oracle(case, data):
+    """Rank by the highest coordinate is the dense rank, and the top pivots
+    are the pivots of the dense echelon form with the columns reversed: a
+    property of the span, so any order of the rows gives the same set (the
+    star rows go in unsorted)."""
+    field, ncols, rows = case
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    assert _sparse_rank(field, rows) == rank(field, dense)
+    packed = [packed_row(field, row) for row in rows]
+    tops = _top_pivots(field, packed)
+    assert tops == {ncols - 1 - c for c in rref(field, [row[::-1] for row in dense])[1]}
+    assert _top_pivots(field, data.draw(st.permutations(packed))) == tops
+
+
+@st.composite
 def simplicial_complexes(draw):
     """A complex generated by up to five random facets on up to six vertices."""
     n = draw(st.integers(1, 6))
@@ -425,12 +467,30 @@ def simplicial_complexes(draw):
 @given(complex_=simplicial_complexes(), p=st.sampled_from([2, 3, 5]))
 def test_constant_sheaf_multiplicities_match_the_oracle(complex_, p):
     """m^d(s) of the minimal resolution of the constant sheaf is the
-    compactly supported cohomology of the open star of s, shifted by dim s."""
-    res = minimal_resolution_constant(complex_.face_poset, PrimeField(p))
+    compactly supported cohomology of the open star of s, shifted by dim s.
+    The oracle ranks its coboundary matrices with the resolution's kernel
+    (`_sparse_rank`), so each of those ranks is checked against the dense
+    rank as well: a kernel rank bug cannot pass as agreement."""
+    field = PrimeField(p)
+    res = minimal_resolution_constant(complex_.face_poset, field)
     table = res.multiplicities()
-    for face in complex_.face_poset.elements:
+    ranked = []
+
+    def recorded_rank(field_, rows):
+        rows = list(rows)
+        ranked.append((rows, _sparse_rank(field_, rows)))
+        return ranked[-1][1]
+
+    faces = complex_.face_poset.elements
+    with mock.patch("posheaf.morse._sparse_rank", recorded_rank):
+        oracle = {face: multiplicity_oracle(complex_, face, p=p) for face in faces}
+    assert ranked
+    for rows, got_rank in ranked:
+        ncols = max((j + 1 for row in rows for j in row), default=0)
+        assert got_rank == rank(field, [[row.get(j, 0) for j in range(ncols)] for row in rows])
+    for face in faces:
         got = {d: counts[face] for d, counts in table.items() if counts.get(face)}
-        assert got == multiplicity_oracle(complex_, face, p=p)
+        assert got == oracle[face]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
