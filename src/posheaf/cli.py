@@ -4,9 +4,10 @@ Subcommands: `resolve` (minimal or order-complex resolutions of constant
 sheaves, and of sheaf JSON inputs), `functor` (the four derived functors) and
 `morse` (critical elements, Betti tables and verification).
 
-Exit codes: 0 success, 1 input error, 2 verification failure, 3 size-cap
-refusal.  A reader that closes the output pipe early (`| head`) ends the run
-with exit 0 and nothing on stderr.
+Exit codes: 0 success, 1 input error (a malformed command line included,
+with the usage on stderr), 2 verification failure, 3 size-cap refusal;
+`--help` exits 0.  A reader that closes the output pipe early (`| head`)
+ends the run with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -273,8 +274,28 @@ def _print_morse_csv(mf, crit, tables):
             )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, an input error, rather than argparse's 2, which
+    this CLI keeps for verification failures.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _cap(text: str) -> int:
+    """A --max-elements value: an int, not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posheaf",
         description="Injective resolutions and derived functors on finite posets",
     )
@@ -293,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument(
         "--peel", action="store_true", help="minimize an order-complex resolution"
     )
-    resolve.add_argument("--max-elements", type=int, default=10_000,
+    resolve.add_argument("--max-elements", type=_cap, default=10_000,
                          help="cap on elements and on a --sheaf's total stalk dimension")
     resolve.set_defaults(func=cmd_resolve)
 
@@ -308,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     functor.add_argument("--set", help="comma-separated locally closed set")
     functor.add_argument("--ambient", help="poset JSON for shriek-push")
     functor.add_argument("--format", choices=("text", "json"), default="text")
-    functor.add_argument("--max-elements", type=int, default=10_000)
+    functor.add_argument("--max-elements", type=_cap, default=10_000)
     functor.set_defaults(func=cmd_functor)
 
     morse = sub.add_parser("morse", help="Morse tables for a complex")
@@ -320,14 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the Morse theorem and inequalities; exit 2 on violation",
     )
-    morse.add_argument("--max-elements", type=int, default=10_000)
+    morse.add_argument("--max-elements", type=_cap, default=10_000)
     morse.set_defaults(func=cmd_morse)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1)
+        return exc.code
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -10,7 +10,11 @@ elements in non-increasing order, and `force_exact` repeats that step degree
 by degree until a matrix comes out empty.  `force_exact` is the single
 exactness-forcing path: the minimal resolutions here and the pullback and
 proper pushforward in `derived` all call it, differing only in the starting
-matrix, the element list and the rows each degree is seeded with.
+matrix, the element list and the rows each degree is seeded with.  Each
+step hands the next one the rank of its star rows at every element it
+processed, and where that rank shows the star rows already span the kernel
+MakeExact must fill, the next step appends nothing there without computing
+a complement.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
     composes to zero with eta_prev)."""
     if eta_prev.row_labels != eta_cur.col_labels:
         raise InputError("columns of the current matrix must match rows of the previous")
+    _check_elements(eta_cur.poset, [element])
     if not eta_cur.multiply(eta_prev).is_zero():
         raise InputError("the current matrix does not compose to zero with the previous")
     out = eta_cur.copy()
@@ -46,14 +51,30 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
 _UP_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _check_elements(poset: Poset, elements) -> None:
+    unknown = [e for e in elements if e not in poset.index]
+    if unknown:
+        raise InputError(f"element {unknown[0]!r} is not in the poset")
+
+
 class _Stalks:
     """Row and column indices of a matrix bucketed by label, its rows packed
     (`packed_row`) and, as `image`, the packed rows of the previous matrix.
     For one step or call only: `append` tracks MakeExact's rows, but any other
-    change to the matrix (swaps, peel, outside appends) leaves it stale."""
+    change to the matrix (swaps, peel, outside appends) leaves it stale.
 
-    def __init__(self, m: LabeledMatrix, prev: LabeledMatrix | None = None):
+    `ranks` maps each element MakeExact has processed to the rank of the
+    matrix's star rows there, final once the element is processed (every row
+    labeled above it is in by then).  `prev_ranks` is the previous matrix's
+    map from the step that built it, or empty where that step is not known;
+    `resolution_step` reads it and hands its own `ranks` on to the next step
+    only, so no map outlives the step that reads it."""
+
+    def __init__(self, m: LabeledMatrix, prev: LabeledMatrix | None = None,
+                 prev_ranks: dict[str, int] | None = None):
         self.m = m
+        self.ranks: dict[str, int] = {}
+        self.prev_ranks = prev_ranks if prev_ranks is not None else {}
         if m.poset not in _UP_INDICES:
             _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))))
         self.ups, self.ints = _UP_INDICES[m.poset]
@@ -109,64 +130,87 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     """The MakeExact body.  `image_rows[pos]` is the row of the image matrix at
     stalk coordinate `stalk[pos]` (a star-labeled column of the matrix).  Each
     basis vector of the image's complement that is independent of the
-    matrix's star-labeled rows is appended as a row labeled `element`.
+    matrix's star-labeled rows is appended as a row labeled `element`, and
+    the rank of the star rows afterwards is recorded in `stalks.ranks`.
 
-    Which vectors those are is read off the star rows' top pivots, without
-    reducing any vector against those rows.  In stalk coordinates (ascending columns) let M be the image
-    rows, A = {u : uM = 0}, and W the span of the star-labeled rows.  The
+    In stalk coordinates (ascending columns) let M be the image rows,
+    A = {u : uM = 0}, and W the span of the star-labeled rows.  The
     precondition eta_cur . eta_prev = 0 gives W in A (for the hull seed, by
     naturality of the inclusion).  `_complement` yields one u_t per row t
-    that reduces to zero; u_t has its highest coordinate at t, and the u_t'
-    with t' <= t span the vectors of A supported on positions <= t.  By
-    induction on t, W plus the u_t' accepted so far spans W plus every u_t'
-    with t' < t, so u_t is dependent exactly when some w in W has its highest
-    coordinate at t (subtract w from u_t; what is left lies in A below t).
-    Those t are W's top pivots, and each is a zero row of M (wM = 0 writes
-    row t through the rows below it), so skipping them in the reduction
-    inserts nothing another row's witness would see: the vectors left are
-    exactly the independent ones, in the order and form `_complement` gives."""
+    that reduces to zero, so dim A = |stalk| - rank M of them, and they span
+    A.  Of these, the ones skipped below are exactly W's top pivots, one per
+    dimension of W (next paragraph), so the rows appended number
+    dim A - |tops| and the star rows then span W + those rows = A: the rank
+    recorded, |tops| + added, is |stalk| - rank M.  M is the previous
+    matrix's star rows at the element, so where the previous step recorded
+    their rank, |stalk| - that rank == |tops| means nothing is added, and
+    the complement is not computed.
+
+    Which vectors are appended is read off the star rows' top pivots,
+    without reducing any vector against those rows.  u_t has its highest
+    coordinate at t, and the u_t' with t' <= t span the vectors of A
+    supported on positions <= t.  By induction on t, W plus the u_t'
+    accepted so far spans W plus every u_t' with t' < t, so u_t is dependent
+    exactly when some w in W has its highest coordinate at t (subtract w
+    from u_t; what is left lies in A below t).  Those t are W's top pivots,
+    and each is a zero row of M (wM = 0 writes row t through the rows below
+    it), so skipping them in the reduction inserts nothing another row's
+    witness would see: the vectors left are exactly the independent ones,
+    in the order and form `_complement` gives."""
     field = stalks.m.field
     star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
     tops = _top_pivots(field, star_rows)
-    skip = {pos for pos, j in enumerate(stalk) if j in tops}
-    vectors = image_complement_rows(field, image_rows, skip)
+    vectors = []
+    prev_rank = stalks.prev_ranks.get(element)
+    if prev_rank is None or len(stalk) - prev_rank > len(tops):
+        skip = {pos for pos, j in enumerate(stalk) if j in tops}
+        vectors = image_complement_rows(field, image_rows, skip)
     for vector in vectors:
         row = {stalk[pos]: v for pos, v in vector.items()}
         stalks.append(element, row, packed_row(field, row))
+    stalks.ranks[element] = len(tops) + len(vectors)
     return len(vectors)
 
 
 def resolution_step(
-    eta_prev: LabeledMatrix, elements=None, seed: LabeledMatrix | None = None
+    eta_prev: LabeledMatrix, elements=None, seed: LabeledMatrix | None = None, _ranks=None
 ) -> LabeledMatrix:
     """One degree of the resolution: start from a copy of the rows of `seed`
     (none by default) over the rows of eta_prev and run MakeExact over
     `elements` (default: the whole poset) in non-increasing order.
 
     Precondition: seed . eta_prev = 0, as MakeExact needs; the rows it adds
-    keep the product zero."""
+    keep the product zero.  `force_exact` passes `_ranks`, eta_prev's
+    `_Stalks.ranks` map, and gets the new matrix's back in the same dict."""
     poset = eta_prev.poset
+    order = list(elements if elements is not None else poset.linear_extension)
+    _check_elements(poset, order)
     eta_next = LabeledMatrix(poset, eta_prev.field, eta_prev.row_labels)
     if seed is not None:
         eta_next.row_labels += seed.row_labels
         eta_next.rows += [dict(row) for row in seed.rows]
-    stalks = _Stalks(eta_next, eta_prev)
-    order = elements if elements is not None else poset.linear_extension
-    for element in reversed(list(order)):
+    stalks = _Stalks(eta_next, eta_prev, _ranks)
+    for element in reversed(order):
         _make_exact_inplace(eta_prev, eta_next, element, stalks)
+    if _ranks is not None:
+        _ranks.clear()
+        _ranks.update(stalks.ranks)
     return eta_next
 
 
-def force_exact(prev: LabeledMatrix, elements, seeds=()) -> list[LabeledMatrix]:
+def force_exact(prev: LabeledMatrix, elements, seeds=(), _ranks=None) -> list[LabeledMatrix]:
     """The exactness-forcing driver: one resolution_step per degree, each
     starting from that degree's seed matrix, if any, and taking the previous
     step's matrix as its eta_prev.  Returns the matrices in degree order.
+    `_ranks` is `prev`'s `_Stalks.ranks` map where the caller built `prev`
+    by MakeExact over `elements`; the dict is used up.
 
     Stops at the first matrix with no rows from the step that takes the last
     seed on; any later step would have no columns and add nothing."""
+    ranks = _ranks if _ranks is not None else {}
     matrices = []
     for k in range(len(seeds) + prev.poset.height + 4):
-        prev = resolution_step(prev, elements, seeds[k] if k < len(seeds) else None)
+        prev = resolution_step(prev, elements, seeds[k] if k < len(seeds) else None, ranks)
         matrices.append(prev)
         if not prev.rows and k + 1 >= len(seeds):
             return matrices
@@ -178,7 +222,7 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
     as `injective_hull` returns it: the summand `labels` and, at each element
     e, `rows[e]`, the inclusion's stalk rows, one per summand above e in label
     order.  Degree 0 is made exact against that image; later degrees are
-    `force_exact`."""
+    `force_exact`, which starts from degree 0's star-row ranks."""
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
     eta0 = LabeledMatrix(poset, field, labels)
@@ -187,7 +231,7 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
         _make_exact_against_image(rows[element], stalks, element)
     matrices = [eta0]
     if eta0.rows:
-        matrices += force_exact(eta0, poset.linear_extension)
+        matrices += force_exact(eta0, poset.linear_extension, _ranks=stalks.ranks)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 
 

@@ -638,3 +638,28 @@ class TestMorseCommand:
         assert main(argv + ["19"]) == 3
         assert "above --max-elements=19" in capsys.readouterr().err
         assert main(argv + ["20"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "{tetra}", "--field", "x"],
+    ["resolve", "{tetra}", "--method", "foo"],
+    ["resolve", "{tetra}", "--max-elements", "-1"],
+    ["functor", "push", "{tetra}", "--max-elements", "-1"],
+    ["functor", "bogus", "{tetra}"],
+    ["morse"],
+    ["morse", "{tetra}", "{tetra}", "--max-elements", "-1"],
+    ["bogus"],
+    [],
+])
+def test_usage_errors_exit_1_with_the_usage(argv, tetra_file, capsys):
+    # exit 2 is a violated Morse comparison; a malformed command line is an input error
+    assert main([arg.format(tetra=tetra_file) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: posheaf")
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["resolve", "--help"], ["morse", "-h"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: posheaf")

@@ -8,7 +8,8 @@ compact-support oracle, the derived Hom into shifts against
 the hypercohomology, the maximal vectors against a dense nullspace,
 pullback against its proper-functor expression, the
 invariants of peel and of double dualization, MakeExact against the
-row-basis screen it replaced (`screen_oracle`), the down-sets, heights
+row-basis screen it replaced (`screen_oracle`), the star-row ranks MakeExact
+carries between degrees against dense ranks, the down-sets, heights
 and linear extension against their definitions, the chain enumeration
 behind the order complex against every totally ordered subset, and
 `Sheaf.validate` against agreement along every cover path.
@@ -52,6 +53,7 @@ from posheaf.matrix import (
 from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
                            order_complex)
+from posheaf import resolution
 from posheaf.resolution import (
     is_minimal,
     minimal_resolution_constant,
@@ -566,3 +568,61 @@ def test_make_exact_matches_the_screen_on_proper_pushforward(sheaf, data):
         return proper_pushforward(zset, on_z)
 
     assert_same_as_the_screen(build)
+
+
+# -- the star-row ranks MakeExact carries from one degree to the next ---------------
+
+
+def _dense(rows):
+    """Dicts or GF(2) bitsets as dense rows, as wide as the widest."""
+    rows = [row if isinstance(row, dict) else {j: 1 for j in range(row.bit_length()) if row >> j & 1}
+            for row in rows]
+    ncols = max((j + 1 for row in rows for j in row), default=0)
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def assert_carried_ranks_match_the_dense_oracle(build):
+    """Run `build()` with every MakeExact call checked against dense ranks:
+    the rank recorded at the element is that of the matrix's star rows, and
+    where the previous step's rank there is known, it is the rank of the
+    image rows and the recorded rank is |stalk| minus it.  Returns what
+    `build()` does and how many calls had the previous rank."""
+    append = resolution._append_complement
+    known = 0
+
+    def checked(stalks, element, stalk, image_rows):
+        nonlocal known
+        added = append(stalks, element, stalk, image_rows)
+        m = stalks.m
+        star = _dense([m.rows[i] for i in stalks.at(stalks.rows, element)])
+        assert stalks.ranks[element] == rank(m.field, star)
+        prev = stalks.prev_ranks.get(element)
+        if prev is not None:
+            assert prev == rank(m.field, _dense(image_rows))
+            assert stalks.ranks[element] == len(stalk) - prev
+            known += 1
+        return added
+
+    with mock.patch("posheaf.resolution._append_complement", checked):
+        return build(), known
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=functorial_sheaves(), source=dags(max_elements=5), data=st.data())
+def test_carried_ranks_match_the_dense_oracle(sheaf, source, data):
+    """On the minimal resolution, a proper pushforward from a random locally
+    closed set (as in the screen properties) and, where the drawn monotone
+    map is not injective, a pullback."""
+    poset = sheaf.poset
+    res, known = assert_carried_ranks_match_the_dense_oracle(lambda: minimal_resolution_sheaf(sheaf))
+    # degree 1 reads degree 0's ranks wherever the hull has a cokernel
+    assert known or not any(m.rows for m in res.matrices)
+    star = poset.star(data.draw(st.sampled_from(poset.elements), label="open"))
+    tops = data.draw(st.lists(st.sampled_from(sorted(star)), min_size=1, max_size=2), label="closed")
+    zset = LocallyClosedSet(poset, star & poset.closure(tops))
+    on_z = proper_pullback(zset, minimal_resolution_sheaf(sheaf))
+    assert_carried_ranks_match_the_dense_oracle(lambda: proper_pushforward(zset, on_z))
+    f = _draw_monotone_map(data, source, poset)
+    if len(set(f.assignment.values())) < len(f.assignment):
+        complex_ = minimal_resolution_sheaf(sheaf)
+        assert_carried_ranks_match_the_dense_oracle(lambda: pullback(f, complex_))

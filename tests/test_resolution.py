@@ -84,6 +84,28 @@ class TestMakeExact:
         with pytest.raises(InputError, match="compose to zero"):
             make_exact(eta0, eta1, "0")
 
+    def test_unknown_element_is_an_input_error(self, tetra):
+        res = minimal_resolution_constant(tetra.face_poset)
+        eta0, eta1 = res.matrices[0], res.matrices[1]
+        with pytest.raises(InputError, match="'zz' is not in the poset"):
+            make_exact(eta0, eta1, "zz")
+        with pytest.raises(InputError, match="'zz' is not in the poset"):
+            resolution_step(eta0, ["zz"])
+
+    def test_complement_skipped_where_the_star_rows_span_the_kernel(self):
+        # every degree after the first knows the previous star-row ranks, so
+        # only 126 of skel(6,3)'s 392 MakeExact calls compute a complement
+        from unittest import mock
+
+        from posheaf import resolution
+
+        with mock.patch("posheaf.resolution._append_complement",
+                        wraps=resolution._append_complement) as make_exact_calls, \
+                mock.patch("posheaf.resolution.image_complement_rows",
+                           wraps=resolution.image_complement_rows) as complements:
+            minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
+        assert (make_exact_calls.call_count, complements.call_count) == (392, 126)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_skipped_positions_reduce_to_zero(self, p):
         # every position MakeExact skips is a stalk row that reduces to zero,
