@@ -381,7 +381,7 @@ class BitRowBasis(IncrementalRowBasis):
 
     def reduce(self, row, witness: dict | None = None):
         pivots, witnesses = self.pivots, self.witnesses
-        row = packed_row(self.field, row)
+        row = row if type(row) is int else packed_row(self.field, row)
         while row:
             lead = row & -row
             piv = pivots.get(lead)
@@ -390,7 +390,9 @@ class BitRowBasis(IncrementalRowBasis):
             row ^= piv
             if witness is not None:
                 for j in witnesses[lead]:
-                    if not witness.pop(j, 0):
+                    if j in witness:
+                        del witness[j]
+                    else:
                         witness[j] = 1
         return row
 

@@ -14,7 +14,9 @@ matrix, the element list and the rows each degree is seeded with.  Each
 step hands the next one the rank of its star rows at every element it
 processed, and where that rank shows the star rows already span the kernel
 MakeExact must fill, the next step appends nothing there without computing
-a complement.
+a complement, nor, where that kernel is zero or an upper cover's rank fills
+it, any star row.  A step's packed rows and row buckets are the next one's
+image and column buckets.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import weakref
 
 from .errors import InputError
 from .field import PrimeField
-from .matrix import (InjectiveComplex, LabeledMatrix, _sparse_rank, _top_pivots,
-                     image_complement_rows, packed_row)
+from .matrix import (InjectiveComplex, LabeledMatrix, _top_pivots, image_complement_rows,
+                     packed_row)
 from .poset import Poset, SimplicialComplex, _bit_indices, _chains
 from .sheaf import Sheaf, injective_hull
 
@@ -47,7 +49,7 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
 
 
 # Per poset: element -> the indices of the elements above it (see `_Stalks.up`),
-# and one int object per index, which those lists share.
+# one int object per index, which those lists share, and element -> upper covers.
 _UP_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -67,20 +69,30 @@ class _Stalks:
     matrix's star rows there, final once the element is processed (every row
     labeled above it is in by then).  `prev_ranks` is the previous matrix's
     map from the step that built it, or empty where that step is not known;
-    `resolution_step` reads it and hands its own `ranks` on to the next step
-    only, so no map outlives the step that reads it."""
+    `resolution_step` reads it.  A step hands the next three parts (`carry`),
+    none rebuilt: `packed`, the next `image`; the row buckets, the next
+    column buckets (rows there are columns, same indices); `ranks`, the next
+    `prev_ranks`.  Each lives through the step that builds it and the one
+    that reads it, no longer: what a step reads is not handed on."""
 
-    def __init__(self, m: LabeledMatrix, prev: LabeledMatrix | None = None,
+    def __init__(self, m: LabeledMatrix, image=None, cols=None,
                  prev_ranks: dict[str, int] | None = None):
         self.m = m
+        self.image = image
         self.ranks: dict[str, int] = {}
         self.prev_ranks = prev_ranks if prev_ranks is not None else {}
         if m.poset not in _UP_INDICES:
-            _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))))
-        self.ups, self.ints = _UP_INDICES[m.poset]
-        self.cols, self.rows = self._buckets(m.col_labels), self._buckets(m.row_labels)
+            covers = {e: [] for e in m.poset.elements}
+            for a, b in m.poset.covers:
+                covers[a].append(b)
+            _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))), covers)
+        self.ups, self.ints, self.covers = _UP_INDICES[m.poset]
+        self.cols = cols if cols is not None else self._buckets(m.col_labels)
+        self.rows = self._buckets(m.row_labels)
         self.packed = [packed_row(m.field, row) for row in m.rows]
-        self.image = [packed_row(m.field, row) for row in prev.rows] if prev is not None else None
+
+    def carry(self) -> list:
+        return [self.packed, self.rows, self.ranks]
 
     def _buckets(self, labels) -> list[list[int]]:
         buckets = [[] for _ in self.m.poset.index]
@@ -113,8 +125,8 @@ def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element
                         _stalks: _Stalks | None = None) -> int:
     """In-place MakeExact against the stalk image of eta_prev, whose rows are
     eta_cur's columns; returns the number of rows added.  `resolution_step`
-    passes the step's `_Stalks(eta_cur, eta_prev)`."""
-    stalks = _stalks or _Stalks(eta_cur, eta_prev)
+    passes the step's `_Stalks`, whose image is eta_prev's packed rows."""
+    stalks = _stalks or _Stalks(eta_cur, [packed_row(eta_cur.field, r) for r in eta_prev.rows])
     stalk = stalks.at(stalks.cols, element)
     return _append_complement(stalks, element, stalk, [stalks.image[i] for i in stalk])
 
@@ -146,6 +158,13 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     their rank, |stalk| - that rank == |tops| means nothing is added, and
     the complement is not computed.
 
+    Where that rank is known, so is dim A = |stalk| - it, and an upper cover
+    c of e processed in this step can settle it before any star row is
+    read: c >= e puts the star rows at c among those at e, so rank W >=
+    ranks[c].  If dim A = 0 or ranks[c] >= dim A, W in A gives W = A: dim A
+    is recorded, nothing is added, and neither the star rows nor their top
+    pivots are computed.
+
     Which vectors are appended is read off the star rows' top pivots,
     without reducing any vector against those rows.  u_t has its highest
     coordinate at t, and the u_t' with t' <= t span the vectors of A
@@ -157,31 +176,37 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     it), so skipping them in the reduction inserts nothing another row's
     witness would see: the vectors left are exactly the independent ones,
     in the order and form `_complement` gives."""
-    field = stalks.m.field
+    field, ranks = stalks.m.field, stalks.ranks
+    prev_rank = stalks.prev_ranks.get(element)
+    if prev_rank is not None:
+        dim_a = len(stalk) - prev_rank
+        if not dim_a or any(ranks.get(c, 0) >= dim_a for c in stalks.covers[element]):
+            ranks[element] = dim_a
+            return 0
     star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
     tops = _top_pivots(field, star_rows)
     vectors = []
-    prev_rank = stalks.prev_ranks.get(element)
     if prev_rank is None or len(stalk) - prev_rank > len(tops):
         skip = {pos for pos, j in enumerate(stalk) if j in tops}
         vectors = image_complement_rows(field, image_rows, skip)
     for vector in vectors:
         row = {stalk[pos]: v for pos, v in vector.items()}
         stalks.append(element, row, packed_row(field, row))
-    stalks.ranks[element] = len(tops) + len(vectors)
+    ranks[element] = len(tops) + len(vectors)
     return len(vectors)
 
 
 def resolution_step(
-    eta_prev: LabeledMatrix, elements=None, seed: LabeledMatrix | None = None, _ranks=None
+    eta_prev: LabeledMatrix, elements=None, seed: LabeledMatrix | None = None, _carry=None
 ) -> LabeledMatrix:
     """One degree of the resolution: start from a copy of the rows of `seed`
     (none by default) over the rows of eta_prev and run MakeExact over
     `elements` (default: the whole poset) in non-increasing order.
 
     Precondition: seed . eta_prev = 0, as MakeExact needs; the rows it adds
-    keep the product zero.  `force_exact` passes `_ranks`, eta_prev's
-    `_Stalks.ranks` map, and gets the new matrix's back in the same dict."""
+    keep the product zero.  `force_exact` passes `_carry`, the
+    `_Stalks.carry` parts of the step that built eta_prev (empty where none
+    did), and gets this step's parts back in the same list."""
     poset = eta_prev.poset
     order = list(elements if elements is not None else poset.linear_extension)
     _check_elements(poset, order)
@@ -189,28 +214,28 @@ def resolution_step(
     if seed is not None:
         eta_next.row_labels += seed.row_labels
         eta_next.rows += [dict(row) for row in seed.rows]
-    stalks = _Stalks(eta_next, eta_prev, _ranks)
+    carried = _carry or [[packed_row(eta_prev.field, row) for row in eta_prev.rows]]
+    stalks = _Stalks(eta_next, *carried)
     for element in reversed(order):
         _make_exact_inplace(eta_prev, eta_next, element, stalks)
-    if _ranks is not None:
-        _ranks.clear()
-        _ranks.update(stalks.ranks)
+    if _carry is not None:
+        _carry[:] = stalks.carry()
     return eta_next
 
 
-def force_exact(prev: LabeledMatrix, elements, seeds=(), _ranks=None) -> list[LabeledMatrix]:
+def force_exact(prev: LabeledMatrix, elements, seeds=(), _carry=None) -> list[LabeledMatrix]:
     """The exactness-forcing driver: one resolution_step per degree, each
     starting from that degree's seed matrix, if any, and taking the previous
     step's matrix as its eta_prev.  Returns the matrices in degree order.
-    `_ranks` is `prev`'s `_Stalks.ranks` map where the caller built `prev`
-    by MakeExact over `elements`; the dict is used up.
+    `_carry` is the `_Stalks.carry` of the MakeExact run over `elements`
+    that built `prev`, where the caller made one; the list is used up.
 
     Stops at the first matrix with no rows from the step that takes the last
     seed on; any later step would have no columns and add nothing."""
-    ranks = _ranks if _ranks is not None else {}
+    carry = _carry if _carry is not None else []
     matrices = []
     for k in range(len(seeds) + prev.poset.height + 4):
-        prev = resolution_step(prev, elements, seeds[k] if k < len(seeds) else None, ranks)
+        prev = resolution_step(prev, elements, seeds[k] if k < len(seeds) else None, carry)
         matrices.append(prev)
         if not prev.rows and k + 1 >= len(seeds):
             return matrices
@@ -222,16 +247,17 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
     as `injective_hull` returns it: the summand `labels` and, at each element
     e, `rows[e]`, the inclusion's stalk rows, one per summand above e in label
     order.  Degree 0 is made exact against that image; later degrees are
-    `force_exact`, which starts from degree 0's star-row ranks."""
+    `force_exact`, which starts from degree 0's `_Stalks.carry`."""
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
     eta0 = LabeledMatrix(poset, field, labels)
     stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
         _make_exact_against_image(rows[element], stalks, element)
-    matrices = [eta0]
+    matrices, carry = [eta0], stalks.carry()
+    del stalks  # force_exact frees each carried part once the next step has read it
     if eta0.rows:
-        matrices += force_exact(eta0, poset.linear_extension, _ranks=stalks.ranks)
+        matrices += force_exact(eta0, poset.linear_extension, _carry=carry)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 
 
@@ -292,23 +318,20 @@ def is_minimal(complex_: InjectiveComplex) -> bool:
 
 def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int]]:
     """dim H^d at every element: stalk kernel minus previous stalk rank.
-    Only nonzero entries are reported."""
+    Only nonzero entries are reported.  Its own ranks, one pass per degree."""
     out: dict[int, dict[str, int]] = {}
-    stalks = {d: _Stalks(complex_.matrix(d)) for d in complex_.degrees}
-    ranks: dict[tuple[int, str], int] = {}
-
-    def rank(d: int, e: str) -> int:
-        s = stalks.get(d)
-        if s is not None and (d, e) not in ranks:
-            ranks[d, e] = _sparse_rank(s.m.field, [s.packed[i] for k in s.up(e) for i in s.rows[k]])
-        return ranks.get((d, e), 0)
-
-    for d, s in stalks.items():
+    prev: dict[str, int] = {}
+    for d in complex_.degrees:
+        s, ranks = _Stalks(complex_.matrix(d)), {}
         for e in complex_.poset.elements:
             stalk_dim = sum(len(s.cols[k]) for k in s.up(e))
-            h = stalk_dim and stalk_dim - rank(d, e) - rank(d - 1, e)
-            if h:
-                out.setdefault(d, {})[e] = h
+            if stalk_dim:
+                star_rows = [s.packed[i] for k in s.up(e) for i in s.rows[k]]
+                ranks[e] = len(_top_pivots(s.m.field, star_rows))
+                h = stalk_dim - ranks[e] - prev.get(e, 0)
+                if h:
+                    out.setdefault(d, {})[e] = h
+        prev = ranks
     return out
 
 

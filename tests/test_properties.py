@@ -4,15 +4,16 @@ minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 pullback against the submatrix restriction on open sets, the GF(2) bitset
 kernel against the dict kernel, ranks and top pivots against the dense
 echelon form, the constant sheaf's multiplicities against the
-compact-support oracle, the derived Hom into shifts against
-the hypercohomology, the maximal vectors against a dense nullspace,
-pullback against its proper-functor expression, the
-invariants of peel and of double dualization, MakeExact against the
-row-basis screen it replaced (`screen_oracle`), the star-row ranks MakeExact
-carries between degrees against dense ranks, the down-sets, heights
-and linear extension against their definitions, the chain enumeration
-behind the order complex against every totally ordered subset, and
-`Sheaf.validate` against agreement along every cover path.
+compact-support oracle, the derived Hom into shifts against the
+hypercohomology, the adjunctions f^* -| Rf_* and i_! -| i^! as equal
+derived Hom dimensions on both sides, the maximal vectors against a dense
+nullspace, pullback against its proper-functor expression, the invariants
+of peel and of double dualization, MakeExact against the row-basis screen
+it replaced (`screen_oracle`), the star-row ranks, packed rows and buckets
+MakeExact carries between degrees against dense ranks and fresh state, the
+down-sets, heights and linear extension against their definitions, the
+chain enumeration behind the order complex against every totally ordered
+subset, and `Sheaf.validate` against agreement along every cover path.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -37,6 +38,7 @@ from posheaf.derived import (
     proper_pushforward,
     pullback,
     pullback_via_proper_check,
+    pushforward,
     same_derived_object,
 )
 from posheaf.errors import InputError
@@ -66,6 +68,8 @@ from conftest import (
     extension_by_zero_sheaf,
     kernel_sheaf,
     random_labeled_matrix,
+    random_monotone_map,
+    random_poset,
     random_sheaf,
     with_top,
     zero_stalk_chain,
@@ -506,6 +510,48 @@ def test_derived_hom_into_shifts_is_the_hypercohomology(complex_, p):
         assert hom_space_dims(res, res.shifted(n))[2] == cohomology.get(n, 0)
 
 
+# -- the adjunctions f^* -| Rf_* and i_! -| i^! ----------------------------------------
+
+ADJUNCTION_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def assert_adjoint(left, right, a, b):
+    """Hom(left(A), B[n]) == Hom(A, right(B)[n]) in the derived category, n in -1..2."""
+    left_a, right_b = left(a), right(b)
+    for n in range(-1, 3):
+        assert hom_space_dims(left_a, b.shifted(n))[2] == hom_space_dims(a, right_b.shifted(n))[2]
+
+
+@ADJUNCTION_SETTINGS
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+def test_pullback_is_left_adjoint_to_the_pushforward(p, seed):
+    """f^* -| Rf_* on random monotone maps, most of them not injective, into
+    the face poset of a random complex of dimension at most 2, whose
+    resolutions reach the pullback's later seeds."""
+    rng, field = random.Random(seed), PrimeField(p)
+    facets = [rng.sample(range(5), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    source, target = random_poset(rng, 6), SimplicialComplex.from_facets(facets).face_poset
+    f = random_monotone_map(rng, source, target)
+    assume(f is not None)
+    a = minimal_resolution_sheaf(random_sheaf(rng, target, field))
+    b = minimal_resolution_sheaf(random_sheaf(rng, source, field))
+    assert_adjoint(lambda x: pullback(f, x), lambda x: pushforward(f, x), a, b)
+
+
+@ADJUNCTION_SETTINGS
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+def test_proper_pushforward_is_left_adjoint_to_the_proper_pullback(p, seed):
+    """i_! -| i^! on random locally closed sets: an open star cut down to the
+    closure of some of its elements."""
+    rng, field = random.Random(seed), PrimeField(p)
+    poset = random_poset(rng, 7)
+    star = sorted(poset.star(rng.choice(poset.elements)))
+    zset = LocallyClosedSet(poset, set(star) & poset.closure(rng.sample(star, min(2, len(star)))))
+    a = minimal_resolution_sheaf(random_sheaf(rng, zset.restricted_poset(), field))
+    b = minimal_resolution_sheaf(random_sheaf(rng, poset, field))
+    assert_adjoint(lambda x: proper_pushforward(zset, x), lambda x: proper_pullback(zset, x), a, b)
+
+
 # -- MakeExact against the row-basis screen ------------------------------------------
 
 
@@ -585,10 +631,19 @@ def assert_carried_ranks_match_the_dense_oracle(build):
     """Run `build()` with every MakeExact call checked against dense ranks:
     the rank recorded at the element is that of the matrix's star rows, and
     where the previous step's rank there is known, it is the rank of the
-    image rows and the recorded rank is |stalk| minus it.  Returns what
-    `build()` does and how many calls had the previous rank."""
-    append = resolution._append_complement
+    image rows and the recorded rank is |stalk| minus it.  Every call against
+    a previous matrix also checks the state carried from the step that built
+    it against state built afresh: the image is that matrix's packed rows,
+    and the column buckets are the current matrix's columns by label.
+    Returns what `build()` does and how many calls had the previous rank."""
+    append, make_exact_inplace = resolution._append_complement, resolution._make_exact_inplace
     known = 0
+
+    def fresh(eta_prev, eta_cur, element, stalks):
+        assert stalks.image == [packed_row(eta_cur.field, row) for row in eta_prev.rows]
+        assert stalks.cols == [[j for j, lab in enumerate(eta_cur.col_labels) if lab == e]
+                               for e in eta_cur.poset.elements]
+        return make_exact_inplace(eta_prev, eta_cur, element, stalks)
 
     def checked(stalks, element, stalk, image_rows):
         nonlocal known
@@ -603,7 +658,8 @@ def assert_carried_ranks_match_the_dense_oracle(build):
             known += 1
         return added
 
-    with mock.patch("posheaf.resolution._append_complement", checked):
+    with mock.patch("posheaf.resolution._append_complement", checked), \
+            mock.patch("posheaf.resolution._make_exact_inplace", fresh):
         return build(), known
 
 
