@@ -381,7 +381,7 @@ class BitRowBasis(IncrementalRowBasis):
 
     def reduce(self, row, witness: dict | None = None):
         pivots, witnesses = self.pivots, self.witnesses
-        row = row if type(row) is int else packed_row(self.field, row)
+        row = packed_row(self.field, row)
         while row:
             lead = row & -row
             piv = pivots.get(lead)

@@ -14,9 +14,8 @@ matrix, the element list and the rows each degree is seeded with.  Each
 step hands the next one the rank of its star rows at every element it
 processed, and where that rank shows the star rows already span the kernel
 MakeExact must fill, the next step appends nothing there without computing
-a complement, nor, where that kernel is zero or an upper cover's rank fills
-it, any star row.  A step's packed rows and row buckets are the next one's
-image and column buckets.
+a complement, nor, where that kernel is zero, any star row.  A step's
+packed rows and row buckets are the next one's image and column buckets.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
 
 
 # Per poset: element -> the indices of the elements above it (see `_Stalks.up`),
-# one int object per index, which those lists share, and element -> upper covers.
+# one int object per index, which those lists share.
 _UP_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -82,11 +81,8 @@ class _Stalks:
         self.ranks: dict[str, int] = {}
         self.prev_ranks = prev_ranks if prev_ranks is not None else {}
         if m.poset not in _UP_INDICES:
-            covers = {e: [] for e in m.poset.elements}
-            for a, b in m.poset.covers:
-                covers[a].append(b)
-            _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))), covers)
-        self.ups, self.ints, self.covers = _UP_INDICES[m.poset]
+            _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))))
+        self.ups, self.ints = _UP_INDICES[m.poset]
         self.cols = cols if cols is not None else self._buckets(m.col_labels)
         self.rows = self._buckets(m.row_labels)
         self.packed = [packed_row(m.field, row) for row in m.rows]
@@ -158,12 +154,9 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     their rank, |stalk| - that rank == |tops| means nothing is added, and
     the complement is not computed.
 
-    Where that rank is known, so is dim A = |stalk| - it, and an upper cover
-    c of e processed in this step can settle it before any star row is
-    read: c >= e puts the star rows at c among those at e, so rank W >=
-    ranks[c].  If dim A = 0 or ranks[c] >= dim A, W in A gives W = A: dim A
-    is recorded, nothing is added, and neither the star rows nor their top
-    pivots are computed.
+    Where that rank is known, so is dim A = |stalk| - it.  If dim A = 0,
+    W in A gives W = 0: 0 is recorded, nothing is added, and neither the
+    star rows nor their top pivots are computed.
 
     Which vectors are appended is read off the star rows' top pivots,
     without reducing any vector against those rows.  u_t has its highest
@@ -178,11 +171,9 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     in the order and form `_complement` gives."""
     field, ranks = stalks.m.field, stalks.ranks
     prev_rank = stalks.prev_ranks.get(element)
-    if prev_rank is not None:
-        dim_a = len(stalk) - prev_rank
-        if not dim_a or any(ranks.get(c, 0) >= dim_a for c in stalks.covers[element]):
-            ranks[element] = dim_a
-            return 0
+    if prev_rank == len(stalk):
+        ranks[element] = 0
+        return 0
     star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
     tops = _top_pivots(field, star_rows)
     vectors = []

@@ -106,11 +106,11 @@ class TestMakeExact:
             minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
         assert (make_exact_calls.call_count, complements.call_count) == (392, 126)
 
-    def test_star_scan_skipped_where_the_carried_ranks_fill_the_kernel(self):
+    def test_star_scan_skipped_where_the_carried_rank_shows_a_zero_kernel(self):
         # on skel(6,3), 259 of the 392 MakeExact calls know from the carried
-        # ranks that nothing is added (all of them here because the kernel is
-        # zero) and skip the star rows' top pivots; each step packs only its
-        # own rows, the previous step's packed rows being its image
+        # ranks that the kernel is zero and skip the star rows' top pivots;
+        # each step packs only its own rows, the previous step's packed rows
+        # being its image
         from unittest import mock
 
         from posheaf import resolution
