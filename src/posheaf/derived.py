@@ -14,7 +14,6 @@ from .field import PrimeField
 from .matrix import (
     InjectiveComplex,
     LabeledMatrix,
-    _col_add,
     _column_index,
     _row_add,
     _rows_meeting,
@@ -33,19 +32,33 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
     """Split off all 0 -> [pi] -> [pi] -> 0 summands, returning the minimal
     complex quasi-isomorphic to the input.
 
-    Each pivot in a same-label diagonal block is cleared with allowed row and
-    column operations (mirrored on the neighbor matrices), after which its row
-    and column split off.  Every matrix keeps a column -> rows index of plain
-    lists, so a pivot costs time in proportion to the entries it touches.
-    Split-off rows and columns are emptied and marked dead instead of deleted,
-    and each matrix is compacted once at the end, keeping the order of rows,
-    columns and entries.  Within one visit to a matrix the diagonal scan
-    resumes at the row of the last pivot: rows above it have no same-label
-    entry, and adding the pivot row into them cannot create one, since their
-    labels lie strictly below the pivot's.  The output's multiplicity table is
+    Precondition, checked (`InputError`): consecutive matrices compose to
+    zero.  A pivot c at (i, j) of a same-label diagonal block of d = ms[k]
+    splits off by Gaussian elimination.  Row additions clear column j of d
+    (rows meeting a pi-labeled column are labeled <= pi, so each is allowed);
+    column additions would then clear row i, writing only into row i of d.
+    Mirrored on the neighbours, the row additions write only into column i
+    of ms[k + 1] and the column additions only into row j of ms[k - 1].
+    Composition zero makes both vanish: once column j of d is c e_i, column j
+    of ms[k + 1] d is c times column i of ms[k + 1], and once row i of d is
+    c e_j, row i of d ms[k - 1] is c times row j of ms[k - 1].  So only the
+    row additions are made, and row i of d, row j of ms[k - 1] and column i
+    of ms[k + 1] are emptied.
+
+    Every matrix keeps a column -> rows index of plain lists, so a pivot
+    costs time in proportion to the entries it touches.  Split-off rows and
+    columns are emptied and marked dead instead of deleted, and each matrix
+    is compacted once at the end, keeping the order of rows, columns and
+    entries.  Within one visit to a matrix the diagonal scan resumes at the
+    row of the last pivot: rows above it have no same-label entry, and adding
+    the pivot row into them cannot create one, since their labels lie
+    strictly below the pivot's.  The output's multiplicity table is
     independent of the scan order.
     """
     ms = [m.copy() for m in complex_.matrices]
+    for k, (a, b) in enumerate(zip(ms, ms[1:])):
+        if not b.multiply(a).is_zero():
+            raise InputError(f"matrices {k} and {k + 1} do not compose to zero")
     field = complex_.field
     cols = [_column_index(m.rows, m.ncols) for m in ms]
     # dead[k]: split-off summands of term k, i.e. columns of ms[k] and rows of ms[k - 1]
@@ -70,35 +83,20 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
 
 
 def _split_pivot(field: PrimeField, ms, cols, k, i, j, c):
-    """Clear row i and column j of ms[k] around the pivot (i, j) = c, mirrored
-    on ms[k - 1] and ms[k + 1], and empty the pivot row."""
-    p = field.p
+    """Clear column j of ms[k] with the pivot row i, then empty row i of
+    ms[k], row j of ms[k - 1] and column i of ms[k + 1] (see `peel`)."""
     inv = field.inv(c)
     rows = ms[k].rows
-    has_prev, has_next = k > 0, k + 1 < len(ms)
-    # clear column j using row i; rows meeting a pi-labeled column are labeled
-    # <= pi, so the row addition is allowed
     for i2 in _rows_meeting(rows, cols[k], j):
         if i2 != i:
-            f = (rows[i2][j] * inv) % p
-            _row_add(field, rows, i, i2, -f, cols[k])
-            if has_next:
-                _col_add(field, ms[k + 1].rows, i2, i, f, cols[k + 1])
-    # clear row i using column j; columns meeting a pi-labeled row are labeled
-    # >= pi, so the column addition is allowed
-    for j2 in list(rows[i]):
-        if j2 != j:
-            f = (rows[i][j2] * inv) % p
-            _col_add(field, rows, j, j2, -f, cols[k])
-            if has_prev:
-                _row_add(field, ms[k - 1].rows, j2, j, f, cols[k - 1])
-    # composition zero forces the split-off row/column in the neighbors to
-    # vanish, so dropping them preserves the complex
-    if has_prev and ms[k - 1].rows[j]:
-        raise AssertionError("peel invariant violated: nonzero row feeding a pivot")
-    if has_next and _rows_meeting(ms[k + 1].rows, cols[k + 1], i):
-        raise AssertionError("peel invariant violated: nonzero column above a pivot")
+            _row_add(field, rows, i, i2, -rows[i2][j] * inv, cols[k])
     rows[i] = {}
+    if k > 0:
+        ms[k - 1].rows[j] = {}
+    if k + 1 < len(ms):
+        above = ms[k + 1].rows
+        for r in _rows_meeting(above, cols[k + 1], i):
+            del above[r][i]
 
 
 def _compact(m: LabeledMatrix, dead_rows: set[int], dead_cols: set[int]):

@@ -236,7 +236,14 @@ def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: in
                 f"cannot add column labeled {m.col_labels[j]} into column labeled "
                 f"{m.col_labels[i]}"
             )
-        _col_add(m.field, out.rows, j, i, scalar)
+        p = m.field.p
+        for row in out.rows:
+            if j in row:
+                new = (row.get(i, 0) + scalar * row[j]) % p
+                if new:
+                    row[i] = new
+                else:
+                    row.pop(i, None)
     elif kind == "scale":
         if scalar % m.field.p == 0:
             raise OperationNotAllowed("scaling by zero")
@@ -258,7 +265,8 @@ def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: in
 
 def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):
     """rows[dest] += scalar * rows[src].  `cols`, if given, is a column -> rows
-    index (see `_rows_meeting`) that learns every entry the addition creates."""
+    index (see `_rows_meeting`) that learns every entry the addition creates;
+    entries it removes stay listed."""
     if scalar % field.p:
         _axpy(rows[dest], rows[src], scalar % field.p, field.p, cols, dest)
 
@@ -276,25 +284,6 @@ def _axpy(target: dict, src: dict, s: int, p: int, cols=None, dest: int | None =
             target.pop(j, None)
 
 
-def _col_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):
-    """col[dest] += scalar * col[src], over all rows or, given a column index
-    `cols`, over the rows it lists for `src` (the index learns new entries)."""
-    p = field.p
-    s = scalar % p
-    if not s:
-        return
-    for r in range(len(rows)) if cols is None else _rows_meeting(rows, cols, src):
-        row = rows[r]
-        if src in row:
-            new = (row.get(dest, 0) + s * row[src]) % p
-            if new:
-                if cols is not None and dest not in row:
-                    cols[dest].append(r)
-                row[dest] = new
-            else:
-                row.pop(dest, None)
-
-
 def _column_index(rows, ncols: int) -> list[list[int]]:
     """Column -> ascending list of the rows with an entry there."""
     cols: list[list[int]] = [[] for _ in range(ncols)]
@@ -305,9 +294,10 @@ def _column_index(rows, ncols: int) -> list[list[int]]:
 
 
 def _rows_meeting(rows, cols, j: int) -> list[int]:
-    """Rows with an entry in column j, ascending.  The index lists only grow
-    (an entry that vanishes leaves its row behind, one that reappears lists it
-    again), so the list is filtered, sorted and stored back on each read."""
+    """Rows with an entry in column j, ascending.  The index lists only grow:
+    an entry that vanishes, in a row addition or when peel empties a row or
+    column, leaves its row behind, and one that reappears lists it again.  So
+    the list is filtered, sorted and stored back on each read."""
     live = sorted({r for r in cols[j] if j in rows[r]})
     cols[j] = live
     return live

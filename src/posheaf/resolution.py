@@ -274,30 +274,39 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
     indices.  Dropping any one element of a chain leaves a chain, so a chain
     has one face per position; dropping position i has the sign (-1)^i and,
     at the last position, composes with the sheaf restriction from the new
-    last element to the old.  Generally not minimal.
+    last element to the old.  Chains with a zero stalk at their last element
+    give no rows or columns.  Generally not minimal.
     """
     sheaf.validate().raise_if_failed()
     poset, field = sheaf.poset, sheaf.field
     if not len(poset):
         return InjectiveComplex.empty(poset, field)
-    terms = [[(chain, m) for chain in chains for m in range(sheaf.stalk_dim[chain[-1]])]
-             for chains in _chains(poset)]
+    dims, minus_one = sheaf.stalk_dim, field.neg(1)
+    groups = _chains(poset)
     matrices = []
-    for cols, rows in zip(terms, terms[1:] + [[]]):
-        col_pos = {key: j for j, key in enumerate(cols)}
-        mat = LabeledMatrix(poset, field, [chain[0] for chain, _ in cols])
-        for upper, mi in rows:
-            row = {}
+    for lowers, uppers in zip(groups, groups[1:] + [[]]):
+        offset, col_labels = {}, []
+        for chain in lowers:
+            offset[chain] = len(col_labels)
+            col_labels += [chain[0]] * dims[chain[-1]]
+        mat = LabeledMatrix(poset, field, col_labels)
+        for upper in uppers:
+            rows = [{} for _ in range(dims[upper[-1]])]
+            if not rows:
+                continue
             for drop in range(len(upper)):
                 lower = upper[:drop] + upper[drop + 1:]
-                sign = -1 if drop % 2 else 1
-                restriction = sheaf.restriction_map(lower[-1], upper[-1])
-                for mj in range(sheaf.stalk_dim[lower[-1]]):
-                    v = (sign * restriction[mi][mj]) % field.p
-                    if v:
-                        row[col_pos[(lower, mj)]] = v
-            mat.row_labels.append(upper[0])
-            mat.rows.append(row)
+                sign, base = minus_one if drop % 2 else 1, offset[lower]
+                if drop < len(lower):  # the last element stays, and F(e <= e) is 1
+                    for mi, row in enumerate(rows):
+                        row[base + mi] = sign
+                    continue
+                for row, entries in zip(rows, sheaf.restriction_map(lower[-1], upper[-1])):
+                    for mj, x in enumerate(entries):
+                        if x:
+                            row[base + mj] = sign * x % field.p
+            mat.row_labels += [upper[0]] * len(rows)
+            mat.rows += rows
         matrices.append(mat)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 

@@ -32,6 +32,7 @@ from conftest import (
     GF2,
     GF3,
     check_resolution_health,
+    extension_by_zero_sheaf,
     incidence_kernel_sheaf,
     random_monotone_map,
     random_poset,
@@ -121,6 +122,62 @@ class TestPeel:
         res = order_complex_resolution(constant_sheaf(poset, PrimeField(p)))
         text = dumps(complex_to_json(peel(res, _scan_order=order)))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n, d, p, seed, raw_digest, peeled_digest",
+        [
+            (5, 3, 3, 1, "9109bf373f1ee4e2a2e3ce033035e774e2bed07acc97d33f120c69d92d8c6e17",
+             "1577eee8a21d706302a7751f55589d4a7c8ba09cfaf99faf033bfcdfd549f224"),
+            (4, 3, 2, 7, "852f18ea636cbdf8bb26ba0ab17ffacc5927826f01a5e487a12224b83e0b52e6",
+             "2fe09374bd719ca3c0b8ff2b1e30c376c2042a8c98a935871a734f03196183fd"),
+            (5, 3, 5, 2, "f4d01e72cbf0f46acb9d4ab7a8c9d715e32eaa5519cc4942f3452d0cd808ac93",
+             "23e59f330fe6650392bcae86f1185099f1bf651af3035aa007105522ed02f7d2"),
+        ],
+    )
+    def test_raw_output_pinned_on_vertex_star_sums(self, n, d, p, seed, raw_digest,
+                                                   peeled_digest):
+        # sha256 of the JSON of the order-complex resolution and of its peel,
+        # entry order included, as computed by the resolution built one
+        # (chain, stalk coordinate) at a time and the peel that mirrored its
+        # operations on the neighbour matrices.  The sheaf is the sum of the
+        # constant sheaves on three seeded vertex stars of skel(n, d): zero
+        # stalks, stalks of dimension up to 3, non-identity restrictions.
+        from posheaf.field import PrimeField
+        from posheaf.io import complex_to_json, dumps
+        from posheaf.poset import skeleton_of_simplex
+        from posheaf.resolution import order_complex_resolution
+
+        rng = random.Random(seed)
+        simplicial = skeleton_of_simplex(n, d)
+        poset = simplicial.face_poset
+        stars = [poset.star(v) for v in rng.sample(simplicial.simplices_of_dim(0), 3)]
+        res = order_complex_resolution(extension_by_zero_sheaf(poset, PrimeField(p), stars))
+        for complex_, digest in ((res, raw_digest), (peel(res), peeled_digest)):
+            text = dumps(complex_to_json(complex_))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_refuses_a_complex_that_does_not_compose_to_zero(self):
+        # [c] -> [b] -> [a] on the chain a < b < c with both maps 1: no pivot
+        # lands on the nonzero composite, so only the entry check sees it
+        chain = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        first = LabeledMatrix(chain, GF2, ["c"], ["b"], [{0: 1}])
+        second = LabeledMatrix(chain, GF2, ["b"], ["a"], [{0: 1}])
+        third = LabeledMatrix(chain, GF2, ["a"])
+        complex_ = InjectiveComplex(chain, GF2, [first, second, third])
+        assert not complex_.validate().ok
+        with pytest.raises(InputError, match="compose to zero"):
+            peel(complex_)
+
+    def test_split_off_row_of_the_previous_matrix_is_emptied(self):
+        # [pi] -> [pi]^2 -> [pi], maps (1, 1)^T and (1, 1): the pivot (0, 0) of
+        # the second matrix, taken first, splits off row 0 of the first, which
+        # is nonzero until it is emptied; a pivot there would then split off
+        # the live column and leave one [pi] behind
+        pt = Poset.from_covers(["pi"], [])
+        first = LabeledMatrix(pt, GF2, ["pi"], ["pi", "pi"], [{0: 1}, {0: 1}])
+        second = LabeledMatrix(pt, GF2, ["pi", "pi"], ["pi"], [{0: 1, 1: 1}])
+        complex_ = InjectiveComplex(pt, GF2, [first, second, LabeledMatrix(pt, GF2, ["pi"])])
+        assert peel(complex_, _scan_order=[1, 0]).is_empty()
 
     def test_agrees_with_identity_pullback_minimization(self):
         # two independent minimization routes: pivot peeling and the exact

@@ -8,7 +8,8 @@ compact-support oracle, the derived Hom into shifts against the
 hypercohomology, the adjunctions f^* -| Rf_* and i_! -| i^! as equal
 derived Hom dimensions on both sides, the maximal vectors against a dense
 nullspace, pullback against its proper-functor expression, the invariants
-of peel and of double dualization, MakeExact against the row-basis screen
+of peel and of double dualization, peel against the mirrored version it
+replaced (`peel_oracle`), MakeExact against the row-basis screen
 it replaced (`screen_oracle`), the star-row ranks, packed rows and buckets
 MakeExact carries between degrees against dense ranks and fresh state, the
 down-sets, heights and linear extension against their definitions, the
@@ -44,6 +45,7 @@ from posheaf.derived import (
 )
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
+from posheaf.io import complex_to_json, dumps
 from posheaf.matrix import (
     IncrementalRowBasis,
     _complement,
@@ -76,6 +78,7 @@ from conftest import (
     zero_stalk_chain,
     zero_stalk_diamond,
 )
+import peel_oracle
 import screen_oracle
 from dense_oracle import identity, nullspace, rank, rref
 
@@ -131,6 +134,19 @@ def test_peel_reaches_the_minimal_resolution(sheaf, data):
     assert peeled.validate().ok
     assert is_minimal(peeled)
     assert same_derived_object(peeled, minimal_resolution_sheaf(sheaf))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_peel_matches_the_mirrored_oracle(p, seed, data):
+    """Peel without the mirrored neighbour operations gives the JSON, entry
+    order included, of the peel that mirrored them and checked at every
+    pivot that the split-off neighbour row and column vanish."""
+    rng = random.Random(seed)
+    raw = order_complex_resolution(random_sheaf(rng, random_poset(rng, 8), PrimeField(p)))
+    order = data.draw(st.permutations(range(len(raw.matrices))), label="scan order")
+    expected = dumps(complex_to_json(peel_oracle.peel(raw, _scan_order=order)))
+    assert dumps(complex_to_json(peel(raw, _scan_order=order))) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
