@@ -13,7 +13,7 @@ from posheaf.cli import main
 from posheaf.derived import proper_pullback
 from posheaf.field import PrimeField
 from posheaf.io import complex_from_json, complex_to_json, dumps, poset_to_json, sheaf_to_json
-from posheaf.poset import LocallyClosedSet, Poset, skeleton_of_simplex
+from posheaf.poset import LocallyClosedSet, MonotoneMap, Poset, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
 
 from conftest import extension_by_zero_sheaf, zero_stalk_chain, zero_stalk_diamond
@@ -42,6 +42,7 @@ GOLDEN_SHA256 = {
     "shriek-pull": "c11fae08560b755e6c8f0d3bcd00ce0d95ac428d222e9079563fe735f09d98a4",
     "shriek-push": "f05903d977f22c527d9f1ab1e2be0bc07554d270b4afea1ce563797cb7a37c91",
     "pull": "2a3d45994a3d7cfabadb44c812295c79b3567fe481d518e2f10ea8494bc0b89b",
+    "pull-non-injective": "4e7cc1e056434daf7fbf4ad6995f683c7df5e64be47916f8a9aa620a7bbd0913",
     "peel-gf2": "bdcd791a1301db75d7a2ea8cd7b23349785e7cf8f26216961e877b26dd738056",
     "peel-gf3": "c94fe2a240f669e4ba4f51304222794800762865c0ba3c531269005b0f1ac0e1",
     "push-g": "d0bdd5bca731dbf3746a9c6019589717cbf2bf0ff93dfc8dfbffea5ebd676d06",
@@ -489,6 +490,25 @@ class TestFunctor:
         }
         assert table == {0: {"24": 1}, 1: {"4": 1}}
         assert _sha256(out) == GOLDEN_SHA256["pull"]
+
+    def test_pull_along_a_non_injective_map(self, tmp_path, capsys):
+        """The tetrahedron boundary folded onto the triangle (3 -> 2): the
+        cylinder drops the (s', f(s)) pairs that other pairs imply."""
+        sphere, triangle = skeleton_of_simplex(3, 2), skeleton_of_simplex(2, 2)
+        fold = MonotoneMap.simplicial(sphere, triangle, {"3": "2"})
+        complex_path = tmp_path / "triangle.json"
+        complex_path.write_text(
+            dumps(complex_to_json(minimal_resolution_constant(triangle.face_poset, PrimeField(2))))
+        )
+        src_path = tmp_path / "sphere.json"
+        src_path.write_text(json.dumps(poset_to_json(sphere.face_poset)))
+        map_path = tmp_path / "fold.json"
+        map_path.write_text(json.dumps({"assignment": fold.assignment}))
+        assert main(
+            ["functor", "pull", str(complex_path), "--map", str(map_path),
+             "--source-poset", str(src_path), "--format", "json"]
+        ) == 0
+        assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256["pull-non-injective"]
 
     @pytest.mark.parametrize("field", ["x", [2], float("inf")])
     def test_non_integer_field_exit_code(self, tetra_file, tmp_path, capsys, field):
