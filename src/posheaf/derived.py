@@ -133,15 +133,23 @@ def pullback(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
     field = complex_.field
     if complex_.is_empty():
         return InjectiveComplex.empty(f.source, field)
-    cyl, inc_src, inc_tgt = mapping_cylinder(f)
-    seeds = [
-        m.relabel(inc_tgt.assignment, poset=cyl).scale(field.neg(1)) for m in complex_.matrices
-    ]
+    cyl, inc_src, _ = mapping_cylinder(f)
+    seeds = [_negated(m, cyl) for m in complex_.matrices]
     start = LabeledMatrix(cyl, field, [], seeds[0].col_labels)
     gammas = force_exact(start, [inc_src(e) for e in f.source.linear_extension], seeds)
     back = {inc_src(e): e for e in f.source.elements}
     result = [g.submatrix(back.keys(), back.keys()).relabel(back, poset=f.source) for g in gammas]
     return InjectiveComplex(f.source, field, result, complex_.degree_offset - 1).trimmed()
+
+
+def _negated(m: LabeledMatrix, cylinder) -> LabeledMatrix:
+    """-m on the cylinder, which keeps the target's element names, in one
+    pass over the rows.  Entries are reduced and nonzero (as `validate`
+    checks), so -v is p - v."""
+    p = m.field.p
+    out = LabeledMatrix(cylinder, m.field, m.col_labels, m.row_labels)
+    out.rows = [{j: p - v for j, v in row.items()} for row in m.rows]
+    return out
 
 
 def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> InjectiveComplex:

@@ -164,14 +164,6 @@ class LabeledMatrix:
         """Attach to another poset carrying the same element names."""
         return LabeledMatrix(poset, self.field, self.col_labels, self.row_labels, self.rows)
 
-    def scale(self, c: int) -> "LabeledMatrix":
-        p = self.field.p
-        out = LabeledMatrix(self.poset, self.field, self.col_labels, self.row_labels)
-        out.rows = [
-            {j: (v * c) % p for j, v in row.items() if (v * c) % p} for row in self.rows
-        ]
-        return out
-
     # -- rank and orthogonal complements --------------------------------------
 
     def rank(self) -> int:

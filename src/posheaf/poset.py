@@ -4,7 +4,10 @@ complexes.
 
 Elements are opaque strings.  Reachability is precomputed once as per-element
 up-set bitsets (python ints), which makes `star`, `closure` and submatrix
-extraction cheap; everything is immutable after construction.
+extraction cheap; everything is immutable after construction.  Only a poset
+built from an arbitrary relation takes a transitive closure: the convexity
+test, the order of a locally closed set and the mapping cylinder are bit
+arithmetic on the up-sets and covers their posets already hold.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class Poset:
         self._up = leq_bits  # up[i] = bitset of {j : elements[i] <= elements[j]}
         self.covers = covers
         self._down, self._height_below = self._down_sets_and_heights()
-        order = sorted(range(len(self.elements)), key=lambda i: (self._height_below[i], i))
+        order = sorted(range(len(self.elements)), key=self._height_below.__getitem__)  # stable
         self.linear_extension = [self.elements[i] for i in order]
         self.height = max(self._height_below, default=0)
 
@@ -76,15 +79,18 @@ class Poset:
         """Down-set bitsets and longest chains strictly below, in one pass
         over the covers (which generate the order) in a topological order:
         a < b implies that a's up-set is the larger."""
-        n = len(self.elements)
+        n, index = len(self.elements), self.index
         lower = [[] for _ in range(n)]
         for a, b in self.covers:
-            lower[self.index[b]].append(self.index[a])
+            lower[index[b]].append(index[a])
         down, below = [1 << i for i in range(n)], [0] * n
-        for j in sorted(range(n), key=lambda i: -self._up[i].bit_count()):
+        for j in sorted(range(n), key=[-u.bit_count() for u in self._up].__getitem__):
+            acc, height = down[j], 0
             for i in lower[j]:
-                down[j] |= down[i]
-                below[j] = max(below[j], below[i] + 1)
+                acc |= down[i]
+                if below[i] >= height:
+                    height = below[i] + 1
+            down[j], below[j] = acc, height
         return down, below
 
     # -- queries ------------------------------------------------------------
@@ -118,9 +124,13 @@ class Poset:
         return self._down[self.index[e]]
 
     def bits_of(self, members) -> int:
-        bits = 0
+        """The members as a bitset; InputError naming an unknown element."""
+        index, bits = self.index, 0
         for e in members:
-            bits |= 1 << self.index[e]
+            i = index.get(e)
+            if i is None:
+                raise InputError(f"unknown element {e!r}")
+            bits |= 1 << i
         return bits
 
     def elements_of(self, bits: int) -> list[str]:
@@ -128,38 +138,22 @@ class Poset:
 
     def star(self, e: str) -> set[str]:
         """St e = {t : e <= t}; open in the Alexandrov topology."""
-        if e not in self.index:
-            raise InputError(f"unknown element {e!r}")
-        return set(self.elements_of(self._up[self.index[e]]))
+        return self.star_of_set([e])
 
     def closure(self, members) -> set[str]:
         """Downward closure of a set of elements."""
-        bits = 0
-        for e in members:
-            if e not in self.index:
-                raise InputError(f"unknown element {e!r}")
-            bits |= self._down[self.index[e]]
-        return set(self.elements_of(bits))
+        return set(self.elements_of(_union(self._down, self.bits_of(members))))
 
     def star_of_set(self, members) -> set[str]:
-        bits = 0
-        for e in members:
-            bits |= self._up[self.index[e]]
-        return set(self.elements_of(bits))
+        return set(self.elements_of(_union(self._up, self.bits_of(members))))
 
     def is_locally_closed(self, members) -> bool:
-        """True iff the set is order-convex (equivalently, open in its closure)."""
-        mem = set(members)
-        bits = self.bits_of(mem)
-        for e in mem:
-            i = self.index[e]
-            # every element between e and an upper member must be a member
-            above_members = self._up[i] & bits
-            for j in _bit_indices(above_members):
-                between = self._up[i] & self._down[j]
-                if between & ~bits:
-                    return False
-        return True
+        """True iff the set Z is order-convex (equivalently, open in its
+        closure), tested as (OR of up(z)) & (OR of down(z)) & ~Z == 0 over
+        z in Z: x lies in both unions iff a <= x <= b for some members a
+        and b, and convexity asks exactly that every such x is a member."""
+        bits = self.bits_of(members)
+        return _union(self._up, bits) & _union(self._down, bits) & ~bits == 0
 
     def maximal_elements(self) -> list[str]:
         return [e for e in self.elements if self._up[self.index[e]] == 1 << self.index[e]]
@@ -175,14 +169,12 @@ class Poset:
         return Poset(list(self.elements), up, covers)
 
     def restrict(self, members) -> "Poset":
-        """Induced sub-poset on the given members (kept in ambient element order)."""
-        mem = set(members)
-        for e in mem:
-            if e not in self.index:
-                raise InputError(f"unknown element {e!r}")
-        kept = [i for i, e in enumerate(self.elements) if e in mem]
+        """Induced sub-poset on the given members (kept in ambient element
+        order).  Any member set will do; `LocallyClosedSet.restricted_poset`
+        takes a shorter route on convex ones."""
+        mask = self.bits_of(members)
+        kept = list(_bit_indices(mask))
         position = {i: k for k, i in enumerate(kept)}
-        mask = self.bits_of(mem)
         up = []
         for i in kept:
             bits = 0
@@ -281,6 +273,14 @@ def _cycle_pair(succ, indegree) -> tuple[int, int]:
     cycle = path[path.index(pred[path[-1]]):]
     a = min(cycle)
     return a, min(k for k in cycle if k != a)
+
+
+def _union(sets: list[int], bits: int) -> int:
+    """The OR of sets[i] over the indices i in `bits`."""
+    acc = 0
+    for i in _bit_indices(bits):
+        acc |= sets[i]
+    return acc
 
 
 def _bit_indices(bits: int):
@@ -432,13 +432,16 @@ class MonotoneMap:
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
+        image = {}  # source element -> target index
         for e in source.elements:
             if e not in self.assignment:
                 raise InputError(f"assignment missing element {e!r}")
             if self.assignment[e] not in target.index:
                 raise InputError(f"assignment hits unknown target {self.assignment[e]!r}")
+            image[e] = target.index[self.assignment[e]]
+        up = target._up
         for a, b in source.covers:
-            if not target.leq(self.assignment[a], self.assignment[b]):
+            if not up[image[a]] >> image[b] & 1:
                 raise InputError(
                     f"map is not order preserving on {a} < {b}: "
                     f"{self.assignment[a]} !<= {self.assignment[b]}"
@@ -482,14 +485,24 @@ class LocallyClosedSet:
     def __init__(self, ambient: Poset, members):
         self.ambient = ambient
         self.members = frozenset(members)
-        for e in self.members:
-            if e not in ambient.index:
-                raise InputError(f"unknown element {e!r}")
         if not ambient.is_locally_closed(self.members):
             raise InputError("set is not locally closed (order convexity fails)")
 
     def restricted_poset(self) -> Poset:
-        return self.ambient.restrict(self.members)
+        """The order Z has in the ambient poset, built from the ambient
+        covers with both ends in Z.  Z is convex, so an element strictly
+        between two members is a member: a cover of Z is an ambient cover,
+        and conversely, and a < b in Z is joined by a chain of ambient
+        covers inside Z, so these covers generate Z's order.  They are
+        listed by ambient index pair, the order `Poset.restrict` gives."""
+        index, members = self.ambient.index, self.members
+        inside = sorted(
+            (index[a], index[b]) for a, b in self.ambient.covers if a in members and b in members
+        )
+        elements = self.ambient.elements
+        return Poset.from_covers(
+            [e for e in elements if e in members], [(elements[i], elements[j]) for i, j in inside]
+        )
 
     def closure(self) -> set[str]:
         return self.ambient.closure(self.members)
@@ -500,6 +513,17 @@ class LocallyClosedSet:
 
 def mapping_cylinder(f: MonotoneMap) -> tuple[Poset, MonotoneMap, MonotoneMap]:
     """The mapping cylinder of f with the two inclusions (source, target).
+
+    The order on S' + T (source copies first) is the one generated by the
+    covers of S and T and s' < f(s).  Its up-sets are, with T shifted by |S|,
+        up(s') = up_S(s) | up_T(f(s)) << |S|,    up(t) = up_T(t) << |S|:
+    nothing in T lies below S', and t >= s' iff t >= f(u) for some u >= s,
+    i.e. (f monotone) t >= f(s).  The covers of S and of T stay covers, as
+    whatever lies between two members of one side is on that side.  t covers
+    s' only if t = f(s), and then iff no cover s < u has f(u) = f(s): such a
+    u' lies between s' and f(s), and any u' between has s < u with
+    f(s) <= f(u) <= f(s), so the first cover towards u has the same image.
+    Covers are listed by index pair.
 
     Elements keep their names; on a name collision between source and target
     the source copy is renamed.
@@ -513,11 +537,21 @@ def mapping_cylinder(f: MonotoneMap) -> tuple[Poset, MonotoneMap, MonotoneMap]:
             name = name + "'"
         src_name[e] = name
         taken.add(name)
+    n = len(src.elements)
+    image = [tgt.index[f(e)] for e in src.elements]
+    up = [u | tgt._up[image[i]] << n for i, u in enumerate(src._up)]
+    up += [u << n for u in tgt._up]
+    covered_by_image = set(range(n))
+    pairs = []
+    for a, b in src.covers:
+        i, j = src.index[a], src.index[b]
+        pairs.append((i, j))
+        if image[i] == image[j]:
+            covered_by_image.discard(i)
+    pairs += [(i, n + image[i]) for i in covered_by_image]
+    pairs += [(n + tgt.index[a], n + tgt.index[b]) for a, b in tgt.covers]
     elements = [src_name[e] for e in src.elements] + list(tgt.elements)
-    pairs = [(src_name[a], src_name[b]) for a, b in src.covers]
-    pairs += list(tgt.covers)
-    pairs += [(src_name[e], f(e)) for e in src.elements]
-    cyl = Poset.from_leq_pairs(elements, pairs)
+    cyl = Poset(elements, up, [(elements[i], elements[j]) for i, j in sorted(pairs)])
     inc_src = MonotoneMap(src, cyl, src_name)
     inc_tgt = MonotoneMap(tgt, cyl, {e: e for e in tgt.elements})
     return cyl, inc_src, inc_tgt

@@ -135,6 +135,13 @@ class TestLocallyClosed:
         with pytest.raises(InputError):
             LocallyClosedSet(tetra.face_poset, {"0", "012"})
 
+    @pytest.mark.parametrize(
+        "query", ["is_locally_closed", "is_open", "star_of_set", "restrict", "closure"]
+    )
+    def test_unknown_element_is_an_input_error(self, tetra, query):
+        with pytest.raises(InputError, match=r"^unknown element 'nope'$"):
+            getattr(tetra.face_poset, query)(["12", "nope"])
+
     def test_matches_open_in_closure(self):
         rng = random.Random(13)
         for _ in range(30):

@@ -57,7 +57,7 @@ from posheaf.matrix import (
 )
 from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
-                           order_complex)
+                           mapping_cylinder, order_complex)
 from posheaf import resolution
 from posheaf.resolution import (
     is_minimal,
@@ -256,6 +256,49 @@ def test_restrict_is_the_induced_order(dag, data):
     assert poset.covers == _naive_covers(poset)
     assert sub.covers == _naive_covers(sub)
     assert sub.validate() == []
+
+
+def _same_poset(a, b):
+    assert a.elements == b.elements
+    assert a._up == b._up
+    assert a.covers == b.covers
+    assert a.linear_extension == b.linear_extension
+
+
+@PROPERTY_SETTINGS
+@given(source=dags(max_elements=6), target=dags(max_elements=6), data=st.data())
+def test_cylinder_is_the_closure_of_its_generating_pairs(source, target, data):
+    """The up-set formula gives the order `from_leq_pairs` closes from the
+    covers of both sides and s' < f(s).  Both sides name their elements
+    e0, e1, ..., so source copies collide with target names and are
+    renamed; values are drawn freely, so f is often not injective."""
+    f = _draw_monotone_map(data, source, Poset.from_leq_pairs(*target))
+    cyl, inc_src, inc_tgt = mapping_cylinder(f)
+    pairs = [(inc_src(a), inc_src(b)) for a, b in f.source.covers]
+    pairs += f.target.covers + [(inc_src(e), f(e)) for e in f.source.elements]
+    _same_poset(cyl, Poset.from_leq_pairs(cyl.elements, pairs))
+    assert cyl.elements == [inc_src(e) for e in f.source.elements] + f.target.elements
+    assert inc_src.assignment == {
+        e: e + "'" if e in f.target else e for e in f.source.elements}
+    assert inc_tgt.assignment == {e: e for e in f.target.elements}
+
+
+@PROPERTY_SETTINGS
+@given(dag=dags(), data=st.data())
+def test_restricted_poset_and_convexity_follow_the_definitions(dag, data):
+    """`is_locally_closed` is the pairwise betweenness test, and on convex
+    sets (the empty set and the whole poset among them) `restricted_poset`
+    is `Poset.restrict`."""
+    elements, edges = dag
+    poset = Poset.from_leq_pairs(elements, edges)
+    members = data.draw(st.sampled_from([set(), set(elements), None]), label="special set")
+    if members is None:
+        members = data.draw(st.sets(st.sampled_from(elements)), label="members")
+    convex = all(c in members for a in members for b in members for c in elements
+                 if poset.leq(a, c) and poset.leq(c, b))
+    assert poset.is_locally_closed(members) == convex
+    if convex:
+        _same_poset(LocallyClosedSet(poset, members).restricted_poset(), poset.restrict(members))
 
 
 @PROPERTY_SETTINGS
