@@ -160,7 +160,7 @@ class Poset:
 
     def is_open(self, members) -> bool:
         bits = self.bits_of(members)
-        return all(self._up[i] & ~bits == 0 for i in _bit_indices(bits))
+        return _union(self._up, bits) & ~bits == 0
 
     def opposite(self) -> "Poset":
         n = len(self.elements)
@@ -520,9 +520,10 @@ def mapping_cylinder(f: MonotoneMap) -> tuple[Poset, MonotoneMap, MonotoneMap]:
     nothing in T lies below S', and t >= s' iff t >= f(u) for some u >= s,
     i.e. (f monotone) t >= f(s).  The covers of S and of T stay covers, as
     whatever lies between two members of one side is on that side.  t covers
-    s' only if t = f(s), and then iff no cover s < u has f(u) = f(s): such a
-    u' lies between s' and f(s), and any u' between has s < u with
-    f(s) <= f(u) <= f(s), so the first cover towards u has the same image.
+    s' only if t = f(s) (else f(s) lies between), and f(s) covers s' iff no
+    cover s < u has f(u) = f(s).  Such a u' lies between them; conversely,
+    whatever lies between is some u' with s < u and f(s) <= f(u) <= f(s),
+    and the first cover s < v on a chain up to u has f(s) <= f(v) <= f(u).
     Covers are listed by index pair.
 
     Elements keep their names; on a name collision between source and target
