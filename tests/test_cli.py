@@ -492,8 +492,10 @@ class TestFunctor:
         assert _sha256(out) == GOLDEN_SHA256["pull"]
 
     def test_pull_along_a_non_injective_map(self, tmp_path, capsys):
-        """The tetrahedron boundary folded onto the triangle (3 -> 2): the
-        cylinder drops the (s', f(s)) pairs that other pairs imply."""
+        """The tetrahedron boundary folded onto the triangle (3 -> 2), whose
+        cylinder has pairs s' < f(s) that other pairs imply.  The output
+        depends on the cylinder's order, not on its cover list, which
+        `test_cylinder_is_the_closure_of_its_generating_pairs` pins."""
         sphere, triangle = skeleton_of_simplex(3, 2), skeleton_of_simplex(2, 2)
         fold = MonotoneMap.simplicial(sphere, triangle, {"3": "2"})
         complex_path = tmp_path / "triangle.json"
