@@ -233,16 +233,19 @@ class TestMinimalResolutionConstant:
         check_resolution_health(res3, tetra.face_poset)
 
     @pytest.mark.parametrize(
-        "n, skip, p, summands, digest",
+        "n, skip, p, summands, digest, sorted_digest",
         [
-            (8, 7, 2, 1131, "8c182ea82c792418b5043b80398f5e104b009aeaf1c82d22e156f6ca4fcf5881"),
-            (7, 5, 3, 524, "81c2e455e8a6f7f4eaaba1528746f49bd44a4ff9560909de85e887559dc5ec60"),
+            (8, 7, 2, 1131, "8c182ea82c792418b5043b80398f5e104b009aeaf1c82d22e156f6ca4fcf5881",
+             "2e08272c37f92fdcc9e8d80e7918fef5ad87b8f5e98f9235a4919605cbb13b8e"),
+            (7, 5, 3, 524, "81c2e455e8a6f7f4eaaba1528746f49bd44a4ff9560909de85e887559dc5ec60",
+             "c4f376b75d075e87179f38cf5ca8c62c09316c7b6f2aba0d7e27d04d3ef1aec2"),
         ],
     )
-    def test_raw_output_pinned(self, n, skip, p, summands, digest):
+    def test_raw_output_pinned(self, n, skip, p, summands, digest, sorted_digest):
         # sha256 of every matrix's labels and rows, dict entry order included,
-        # as computed by the dict-row kernel; the complex is the 3-skeleton of
-        # the n-simplex without every skip-th tetrahedron
+        # as computed by the dict-row kernel, and with each row's entries
+        # sorted; the complex is the 3-skeleton of the n-simplex without every
+        # skip-th tetrahedron
         import hashlib
         from itertools import combinations
 
@@ -256,6 +259,9 @@ class TestMinimalResolutionConstant:
         raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
                for m in res.matrices]
         assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == digest
+        entries = [(m.col_labels, m.row_labels, [sorted(r.items()) for r in m.rows])
+                   for m in res.matrices]
+        assert hashlib.sha256(repr(entries).encode("utf-8")).hexdigest() == sorted_digest
 
 
 class TestMinimalResolutionSheaf:
@@ -302,8 +308,9 @@ class TestMinimalResolutionSheaf:
 
     def test_raw_output_pinned_gf5(self):
         # sha256 of every matrix's labels and rows, dict entry order included,
-        # as computed by MakeExact with the row-basis screen; the sheaf is a
-        # fixed kernel sheaf on the 3-skeleton of the 6-simplex
+        # as computed by MakeExact with the row-basis screen, and with each
+        # row's entries sorted; the sheaf is a fixed kernel sheaf on the
+        # 3-skeleton of the 6-simplex
         import hashlib
 
         from posheaf.field import PrimeField
@@ -316,6 +323,10 @@ class TestMinimalResolutionSheaf:
                for m in res.matrices]
         assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == (
             "3bf993f0e31361140f72a0929c42cfc7c9c684aedf4363f6f5770462dfa6852c")
+        entries = [(m.col_labels, m.row_labels, [sorted(r.items()) for r in m.rows])
+                   for m in res.matrices]
+        assert hashlib.sha256(repr(entries).encode("utf-8")).hexdigest() == (
+            "4ba7608631647adac1e57e5861e651824de1364dbecad75339042b16b377febe")
 
     @pytest.mark.parametrize("make_sheaf", [zero_stalk_chain, zero_stalk_diamond])
     def test_zero_stalk_inside_a_cover_path(self, make_sheaf):
