@@ -52,8 +52,11 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
     entries.  Within one visit to a matrix the diagonal scan resumes at the
     row of the last pivot: rows above it have no same-label entry, and adding
     the pivot row into them cannot create one, since their labels lie
-    strictly below the pivot's.  The output's multiplicity table is
-    independent of the scan order.
+    strictly below the pivot's.  So a visit leaves its matrix with no
+    same-label entry, and one pass over the matrices splits every pivot: a
+    later pivot in ms[k] adds rows within ms[k] only, and on its neighbours
+    only empties a row and a column, which creates no entry.  The output's
+    multiplicity table is independent of the scan order.
     """
     ms = [m.copy() for m in complex_.matrices]
     for k, (a, b) in enumerate(zip(ms, ms[1:])):
@@ -63,20 +66,14 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
     cols = [_column_index(m.rows, m.ncols) for m in ms]
     # dead[k]: split-off summands of term k, i.e. columns of ms[k] and rows of ms[k - 1]
     dead: list[set[int]] = [set() for _ in range(len(ms) + 1)]
-    order = list(_scan_order) if _scan_order is not None else list(range(len(ms)))
-    progress = True
-    while progress:
-        progress = False
-        for k in order:
-            m = ms[k]
-            start = 0
-            while (hit := m.diagonal_entry(start)) is not None:
-                progress = True
-                i, j, c = hit
-                start = i
-                _split_pivot(field, ms, cols, k, i, j, c)
-                dead[k].add(j)
-                dead[k + 1].add(i)
+    for k in _scan_order if _scan_order is not None else range(len(ms)):
+        start = 0
+        while (hit := ms[k].diagonal_entry(start)) is not None:
+            i, j, c = hit
+            start = i
+            _split_pivot(field, ms, cols, k, i, j, c)
+            dead[k].add(j)
+            dead[k + 1].add(i)
     for k, m in enumerate(ms):
         _compact(m, dead[k + 1], dead[k])
     return InjectiveComplex(complex_.poset, field, ms, complex_.degree_offset).trimmed()
@@ -164,7 +161,7 @@ def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> In
         raise InputError("complex's order differs from the locally closed set's order")
     if complex_.is_empty():
         return InjectiveComplex.empty(ambient, field)
-    lifted = [m.rebind(ambient) for m in complex_.matrices]
+    lifted = [m.relabel(lambda lab: lab, ambient) for m in complex_.matrices]
     position = {e: k for k, e in enumerate(ambient.linear_extension)}
     boundary = sorted(zset.boundary(), key=position.__getitem__)
     start = LabeledMatrix(ambient, field, [], lifted[0].col_labels)
@@ -179,7 +176,8 @@ def proper_pullback(zset: LocallyClosedSet, complex_: InjectiveComplex) -> Injec
         raise InputError("complex does not live on the ambient poset")
     sub_poset = zset.restricted_poset()
     members = set(zset.members)
-    out = [m.submatrix(members, members).rebind(sub_poset) for m in complex_.matrices]
+    out = [m.submatrix(members, members).relabel(lambda lab: lab, sub_poset)
+           for m in complex_.matrices]
     sub = InjectiveComplex(sub_poset, complex_.field, out, complex_.degree_offset)
     return sub.trimmed()
 

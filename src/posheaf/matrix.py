@@ -6,9 +6,9 @@ codomain summands, and an entry in a row labeled ``s`` and a column labeled
 ``p`` can be nonzero only if ``s <= p``.  Rows are stored sparsely as
 ``column index -> nonzero value`` dicts, so extracting the stalk map at an
 element is just a row selection.  Dict rows are the stored and rendered form;
-elimination reduces GF(2) rows as int bitsets (`packed_row`).  Complements
-run through the leftmost-pivot kernel (`IncrementalRowBasis`); ranks and top
-pivots, which depend only on the span, through `_top_pivots`.
+elimination reduces GF(2) rows as int bitsets (`packed_row`).  One kernel,
+`_eliminate`, reduces on the highest coordinate: ranks and top pivots read its
+pivot table, complements the combinations that take rows to zero.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 
 from .errors import InputError, OperationNotAllowed
 from .field import PrimeField
-from .poset import Poset
+from .poset import Poset, _bit_indices
 
 
 class LabeledMatrix:
@@ -159,10 +159,6 @@ class LabeledMatrix:
             self.rows,
         )
         return out
-
-    def rebind(self, poset: Poset) -> "LabeledMatrix":
-        """Attach to another poset carrying the same element names."""
-        return LabeledMatrix(poset, self.field, self.col_labels, self.row_labels, self.rows)
 
     # -- rank and orthogonal complements --------------------------------------
 
@@ -310,83 +306,47 @@ def packed_row(field: PrimeField, row):
     return bits
 
 
-class IncrementalRowBasis:
-    """The elimination kernel, which every complement runs through: a pivot
-    table under the leftmost-pivot, first-row-wins rule, which sets the
-    coordinates and entry order of the complement vectors.
-    Rows are {column: value} dicts over any GF(p), and stored rows have
-    leading value 1.  A row may carry a witness dict (the input rows it
-    combines), which each reduction step updates alike, in stored order."""
+def _eliminate(field: PrimeField, rows, witness: bool = False, skip=()):
+    """The elimination kernel, on the highest coordinate.  Each of `rows`
+    (`packed_row`s; odd-p entries are reduced mod p and zeros dropped) is
+    reduced against the rows stored before it and, if nonzero, stored under
+    its top coordinate, over odd p scaled to 1 there.  Returns that pivot
+    table and, with `witness`, for each row t that reduces to zero, in row
+    order, the combination u_t of `rows` the reduction took to zero, as a
+    {position: value} dict in ascending positions.  Positions in `skip` are
+    passed over; `rows` are unchanged.
 
-    def __init__(self, field: PrimeField):
-        self.field = field
-        self.pivots: dict = {}
-        self.witnesses: dict = {}
-
-    def reduce(self, row, witness: dict | None = None):
-        """The row reduced against the table, as a new object; `witness`, if
-        given, is updated in place."""
-        p, pivots = self.field.p, self.pivots
-        row = {j: v % p for j, v in row.items() if v % p}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            f = p - row[lead]
-            _axpy(row, piv, f, p)
-            if witness is not None:
-                _axpy(witness, self.witnesses[lead], f, p)
-        return row
-
-    def insert(self, row, witness: dict | None = None) -> None:
-        """Store a nonzero reduced row, and its witness, scaled to leading value 1."""
-        p = self.field.p
-        lead = min(row)
-        inv = self.field.inv(row[lead])
-        self.pivots[lead] = {j: (v * inv) % p for j, v in row.items()}
-        if witness is not None:
-            self.witnesses[lead] = {j: (v * inv) % p for j, v in witness.items()}
-
-    def add(self, row) -> bool:
-        """Insert if independent from the current span; returns True if added."""
-        reduced = self.reduce(row)
-        if reduced:
-            self.insert(reduced)
-        return bool(reduced)
-
-
-class BitRowBasis(IncrementalRowBasis):
-    """The kernel over GF(2) on bitset rows (`packed_row`): the pivot is the
-    lowest set bit and a step is an XOR, so it makes the dict form's choices
-    and reaches the same pivots and witnesses, entry order included."""
-
-    def reduce(self, row, witness: dict | None = None):
-        pivots, witnesses = self.pivots, self.witnesses
-        row = packed_row(self.field, row)
-        while row:
-            lead = row & -row
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            row ^= piv
-            if witness is not None:
-                for j in witnesses[lead]:
-                    if j in witness:
-                        del witness[j]
-                    else:
-                        witness[j] = 1
-        return row
-
-    def insert(self, row, witness: dict | None = None) -> None:
-        lead = row & -row
-        self.pivots[lead] = row
-        self.witnesses[lead] = witness
-
-
-def row_basis(field: PrimeField) -> IncrementalRowBasis:
-    """An empty kernel for `field`: bitset rows over GF(2), dict rows otherwise."""
-    return (BitRowBasis if field.p == 2 else IncrementalRowBasis)(field)
+    With `witness`, `rows` is a list of n rows, and row t carries its
+    combination in coordinates below the columns, which each step updates
+    with the rest: over GF(2) column j becomes bit n + j and bit t is set;
+    over odd p key t - n is set to 1.  A row reduces to zero when no column
+    coordinate is left."""
+    p, table, zeros = field.p, {}, []
+    n = len(rows) if witness else 0
+    for t, row in enumerate(rows):
+        if t in skip:
+            continue
+        if p == 2:
+            if witness:
+                row = row << n | 1 << t
+            while (top := row.bit_length() - 1) >= n and (piv := table.get(top)) is not None:
+                row ^= piv
+            if top >= n:
+                table[top] = row
+            elif witness:
+                zeros.append(dict.fromkeys(_bit_indices(row), 1))
+        else:
+            row = {j: v % p for j, v in row.items() if v % p}
+            if witness:
+                row[t - n] = 1
+            while row and (top := max(row)) >= 0 and (piv := table.get(top)) is not None:
+                _axpy(row, piv, p - row[top], p)
+            if row and top >= 0:
+                inv = field.inv(row[top])
+                table[top] = {j: (v * inv) % p for j, v in row.items()}
+            elif witness:
+                zeros.append({j + n: v for j, v in sorted(row.items())})
+    return table, zeros
 
 
 def _sparse_rank(field: PrimeField, rows) -> int:
@@ -397,54 +357,34 @@ def _sparse_rank(field: PrimeField, rows) -> int:
 
 
 def _top_pivots(field: PrimeField, rows) -> set[int]:
-    """The top pivots of the span of `rows` (`packed_row`s; odd-p entries
-    are reduced mod p and zeros dropped): the columns that are the highest
-    nonzero coordinate of some vector in it, one per dimension.  The set
-    depends only on the span, not on the order of `rows`.  Elimination on
-    the highest coordinate; `rows` are unchanged."""
-    p, table = field.p, {}
-    for row in rows:
-        if p == 2:
-            while row and (piv := table.get(top := row.bit_length() - 1)) is not None:
-                row ^= piv
-            if row:
-                table[top] = row
-        else:
-            row = {j: v % p for j, v in row.items() if v % p}
-            while row and (piv := table.get(top := max(row))) is not None:
-                _axpy(row, piv, p - row[top], p)
-            if row:
-                inv = field.inv(row[top])
-                table[top] = {j: (v * inv) % p for j, v in row.items()}
-    return set(table)
+    """The top pivots of the span of `rows` (`packed_row`s): the columns that
+    are the highest nonzero coordinate of some vector in it, one per
+    dimension.  The set depends only on the span, not on the order of `rows`."""
+    return set(_eliminate(field, rows)[0])
 
 
 def image_complement_rows(field: PrimeField, stalk_rows, skip=()) -> list[dict[int, int]]:
     """Basis of the orthogonal complement of the column space of a stalk matrix.
 
     `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
-    by global column indices.  Row-reduces the matrix with an augmented
-    identity; the identity rows that end with a zero matrix row span
-    (im)^perp.  Coordinates of the output vectors refer to stalk row
-    positions (0-based).  Positions in `skip` are not reduced and give no
+    by global column indices; call this matrix M.  The vectors come off
+    `_eliminate`: one u_t, with u_t M = 0, per row t that reduces to zero,
+    in row order.  Coordinates refer to stalk row positions (0-based), in
+    ascending order.  Positions in `skip` are not reduced and give no
     vector; each must be a row that would reduce to zero, so that the other
     vectors come out as without it.
+
+    The vectors depend only on M's rows and their order, not on the pivot
+    rule.  Row t reduces to zero exactly when it lies in the span of the rows
+    before it.  The witness stored with a row lives on that row and stored
+    rows before it, so u_t is 1 at t and otherwise lives on the rows before t
+    that do not reduce to zero.  Those rows are independent, so u_t is the
+    only vector with that support and u_t M = 0 (two would differ by a
+    vanishing combination of them).  A skipped row would store nothing, so
+    it changes no other vector.
     """
-    return _complement(row_basis(field), stalk_rows, skip)
-
-
-def _complement(basis: IncrementalRowBasis, stalk_rows, skip=()) -> list[dict[int, int]]:
-    complement = []
-    for i, row in enumerate(stalk_rows):
-        if i in skip:
-            continue
-        u = {i: 1}
-        reduced = basis.reduce(row, u)
-        if reduced:
-            basis.insert(reduced, u)
-        else:
-            complement.append(u)
-    return complement
+    packed = [packed_row(field, row) for row in stalk_rows]
+    return _eliminate(field, packed, witness=True, skip=skip)[1]
 
 
 # -- complexes ----------------------------------------------------------------

@@ -144,11 +144,11 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     In stalk coordinates (ascending columns) let M be the image rows,
     A = {u : uM = 0}, and W the span of the star-labeled rows.  The
     precondition eta_cur . eta_prev = 0 gives W in A (for the hull seed, by
-    naturality of the inclusion).  `_complement` yields one u_t per row t
-    that reduces to zero, so dim A = |stalk| - rank M of them, and they span
-    A.  Of these, the ones skipped below are exactly W's top pivots, one per
-    dimension of W (next paragraph), so the rows appended number
-    dim A - |tops| and the star rows then span W + those rows = A: the rank
+    naturality of the inclusion).  `image_complement_rows` yields one u_t
+    per row t that reduces to zero, so dim A = |stalk| - rank M of them, and
+    they span A.  Of these, the ones skipped below are exactly W's top
+    pivots, one per dimension of W (next paragraph), so the rows appended
+    number dim A - |tops| and the star rows then span W + those rows = A: the rank
     recorded, |tops| + added, is |stalk| - rank M.  M is the previous
     matrix's star rows at the element, so where the previous step recorded
     their rank, |stalk| - that rank == |tops| means nothing is added, and
@@ -165,10 +165,11 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     accepted so far spans W plus every u_t' with t' < t, so u_t is dependent
     exactly when some w in W has its highest coordinate at t (subtract w
     from u_t; what is left lies in A below t).  Those t are W's top pivots,
-    and each is a zero row of M (wM = 0 writes row t through the rows below
-    it), so skipping them in the reduction inserts nothing another row's
-    witness would see: the vectors left are exactly the independent ones,
-    in the order and form `_complement` gives."""
+    and each is a row of M that reduces to zero (wM = 0 writes row t
+    through the rows below it), so skipping them in the reduction stores
+    nothing another row's witness would see: the vectors left are exactly
+    the independent ones, in the order and form `image_complement_rows`
+    gives."""
     field, ranks = stalks.m.field, stalks.ranks
     prev_rank = stalks.prev_ranks.get(element)
     if prev_rank == len(stalk):

@@ -145,7 +145,7 @@ class Sheaf:
         One vector per stalk coordinate whose column of the stacked cover
         restrictions depends on the earlier columns, in coordinate order:
         1 at that coordinate, nonzero elsewhere only at earlier independent
-        coordinates.  This is the reduced-row-echelon nullspace basis."""
+        coordinates, which fixes it (see `image_complement_rows`)."""
         if element not in self.poset.index:
             raise InputError(f"unknown element {element!r}")
         dim = self.stalk_dim[element]

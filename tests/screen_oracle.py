@@ -1,13 +1,17 @@
-"""The MakeExact body as it was with the row-basis screen, kept as a reference:
-the library now picks the new rows from the star rows' top pivots, and the
-tests check that it appends the same rows, in the same order and with the
-same dict entry order, as this version does.  `checked_complement` stands
-in for `image_complement_rows` and checks the positions MakeExact skips.
+"""The MakeExact body as it was with a row screen, kept as a reference: the
+library now picks the new rows from the star rows' top pivots, and the tests
+check that it appends the same rows, in the same order and with the same dict
+entry order, as this version does, whose screen is a dense rank.
+`checked_complement` stands in for `image_complement_rows` and checks the
+positions MakeExact skips.
 """
 
 from __future__ import annotations
 
-from posheaf.matrix import image_complement_rows, packed_row, row_basis
+import hashlib
+
+from dense_oracle import rank
+from posheaf.matrix import image_complement_rows, packed_row
 
 
 def append_complement(stalks, element: str, stalk: list[int], image_rows) -> int:
@@ -15,15 +19,19 @@ def append_complement(stalks, element: str, stalk: list[int], image_rows) -> int
     vector of the image's complement against the matrix's star-labeled rows
     and append the independent ones as rows labeled `element`."""
     field = stalks.m.field
-    screen = row_basis(field)
-    for i in stalks.at(stalks.rows, element):
-        screen.add(stalks.packed[i])
+
+    def dense(row):  # star rows have entries in stalk columns only
+        return [row.get(j, 0) % field.p for j in stalk]
+
+    screen = [dense(stalks.m.rows[i]) for i in stalks.at(stalks.rows, element)]
+    screened = rank(field, screen)
     added = 0
     for vector in image_complement_rows(field, image_rows):
         row = {stalk[pos]: v for pos, v in vector.items()}
-        packed = packed_row(field, row)
-        if screen.add(packed):
-            stalks.append(element, row, packed)
+        if rank(field, screen + [dense(row)]) > screened:
+            screen.append(dense(row))
+            screened += 1
+            stalks.append(element, row, packed_row(field, row))
             added += 1
     return added
 
@@ -43,3 +51,11 @@ def raw(complex_):
     """Every matrix's labels and rows, dict entry order included."""
     return [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
             for m in complex_.matrices]
+
+
+def ascending_digest(complex_):
+    """sha256 of `raw(complex_)`, after checking that every row lists its
+    entries in ascending column order, so that it is also the digest of the
+    rows with their entries sorted."""
+    assert all(list(row) == sorted(row) for m in complex_.matrices for row in m.rows)
+    return hashlib.sha256(repr(raw(complex_)).encode("utf-8")).hexdigest()

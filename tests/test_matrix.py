@@ -5,7 +5,6 @@ import pytest
 
 from posheaf.errors import InputError, OperationNotAllowed
 from posheaf.matrix import (
-    IncrementalRowBasis,
     InjectiveComplex,
     LabeledMatrix,
     _sparse_rank,

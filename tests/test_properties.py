@@ -46,15 +46,7 @@ from posheaf.derived import (
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
 from posheaf.io import complex_to_json, dumps
-from posheaf.matrix import (
-    IncrementalRowBasis,
-    _complement,
-    _sparse_rank,
-    _top_pivots,
-    image_complement_rows,
-    packed_row,
-    row_basis,
-)
+from posheaf.matrix import _sparse_rank, _top_pivots, image_complement_rows, packed_row
 from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
                            mapping_cylinder, order_complex)
@@ -80,7 +72,7 @@ from conftest import (
 )
 import peel_oracle
 import screen_oracle
-from dense_oracle import identity, nullspace, rank, rref
+from dense_oracle import identity, nullspace, rank, rref, solve_in_span
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -439,48 +431,6 @@ def test_morse_tables_match_cylinder_rows(sheaf, data):
                 assert analysis.table(direction, variant)[x] == expected
 
 
-GF2 = PrimeField(2)
-
-
-@st.composite
-def gf2_row_lists(draw):
-    """Sparse GF(2) rows as dicts, with zero rows, repeats of earlier rows and
-    sums of two earlier rows mixed in; some entries are even (zero) or odd
-    but above 1, so both kernels must reduce them."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    ncols = rng.randint(1, 12)
-    rows = []
-    for _ in range(rng.randint(0, 16)):
-        kind = rng.choice(["random", "zero", "repeat", "sum", "sum"]) if rows else "random"
-        if kind == "random":
-            cols = rng.sample(range(ncols), rng.randint(0, ncols))
-            row = {j: rng.choice([1, 1, 1, 2, 3]) for j in cols}
-        elif kind == "zero":
-            row = {}
-        elif kind == "repeat":
-            row = dict(rng.choice(rows))
-        else:
-            a, b = rng.choice(rows), rng.choice(rows)
-            row = {j: 1 for j in a.keys() | b.keys() if (a.get(j, 0) + b.get(j, 0)) % 2}
-        rows.append(row)
-    return rows
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(rows=gf2_row_lists())
-def test_gf2_bitset_kernel_matches_the_dict_kernel(rows):
-    """The bitset form must make the dict form's choices: the same complement
-    vectors with the same entry order (the CLI renders that order), the same
-    rank and the same screen verdict for every row, from dict or packed rows."""
-    expected = _complement(IncrementalRowBasis(GF2), rows)
-    for given_rows in (rows, [packed_row(GF2, r) for r in rows]):
-        got = image_complement_rows(GF2, given_rows)
-        assert [list(u.items()) for u in got] == [list(u.items()) for u in expected]
-        bits, dicts = row_basis(GF2), IncrementalRowBasis(GF2)
-        assert [bits.add(r) for r in given_rows] == [dicts.add(r) for r in rows]
-        assert _sparse_rank(GF2, given_rows) == sum(map(IncrementalRowBasis(GF2).add, rows))
-
-
 @st.composite
 def prime_row_lists(draw):
     """Sparse rows over GF(2), GF(3) or GF(5) as dicts, with entries from
@@ -519,6 +469,34 @@ def test_rank_kernel_matches_the_dense_oracle(case, data):
     tops = _top_pivots(field, packed)
     assert tops == {ncols - 1 - c for c in rref(field, [row[::-1] for row in dense])[1]}
     assert _top_pivots(field, data.draw(st.permutations(packed))) == tops
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=prime_row_lists(), data=st.data())
+def test_complement_kernel_matches_the_dense_oracle(case, data):
+    """One complement vector u_t per row t in the span of the rows before it
+    (dense rank), in row order: 1 at t, otherwise living on the earlier rows
+    not in the span of theirs, with u_t M = 0 (dense solve), entries in
+    ascending order.  The same from dict or packed rows, and with some of
+    those t skipped, the others unchanged."""
+    field, ncols, rows = case
+    p = field.p
+    dense = [[row.get(j, 0) % p for j in range(ncols)] for row in rows]
+    ranks = [rank(field, dense[:t]) for t in range(len(rows) + 1)]
+    dependent = [t for t in range(len(rows)) if ranks[t + 1] == ranks[t]]
+    expected = {}
+    for t in dependent:
+        earlier = [s for s in range(t) if s not in dependent]
+        x = solve_in_span(field, [dense[s] for s in earlier], dense[t])
+        u = {t: 1, **{s: -c % p for s, c in zip(earlier, x) if c}}
+        assert all(sum(v * dense[i][j] for i, v in u.items()) % p == 0 for j in range(ncols))
+        expected[t] = sorted(u.items())
+    skip = set(data.draw(st.lists(st.sampled_from(dependent), unique=True))) if dependent else set()
+    for given_rows in (rows, [packed_row(field, row) for row in rows]):
+        for skipped in (set(), skip):
+            got = image_complement_rows(field, given_rows, skipped)
+            assert [list(u.items()) for u in got] == [
+                expected[t] for t in dependent if t not in skipped]
 
 
 @st.composite

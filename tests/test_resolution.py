@@ -233,35 +233,28 @@ class TestMinimalResolutionConstant:
         check_resolution_health(res3, tetra.face_poset)
 
     @pytest.mark.parametrize(
-        "n, skip, p, summands, digest, sorted_digest",
+        "n, skip, p, summands, digest",
         [
-            (8, 7, 2, 1131, "8c182ea82c792418b5043b80398f5e104b009aeaf1c82d22e156f6ca4fcf5881",
-             "2e08272c37f92fdcc9e8d80e7918fef5ad87b8f5e98f9235a4919605cbb13b8e"),
-            (7, 5, 3, 524, "81c2e455e8a6f7f4eaaba1528746f49bd44a4ff9560909de85e887559dc5ec60",
-             "c4f376b75d075e87179f38cf5ca8c62c09316c7b6f2aba0d7e27d04d3ef1aec2"),
+            (8, 7, 2, 1131, "2e08272c37f92fdcc9e8d80e7918fef5ad87b8f5e98f9235a4919605cbb13b8e"),
+            (7, 5, 3, 524, "c4f376b75d075e87179f38cf5ca8c62c09316c7b6f2aba0d7e27d04d3ef1aec2"),
         ],
     )
-    def test_raw_output_pinned(self, n, skip, p, summands, digest, sorted_digest):
-        # sha256 of every matrix's labels and rows, dict entry order included,
-        # as computed by the dict-row kernel, and with each row's entries
-        # sorted; the complex is the 3-skeleton of the n-simplex without every
-        # skip-th tetrahedron
-        import hashlib
+    def test_raw_output_pinned(self, n, skip, p, summands, digest):
+        # sha256 of every matrix's labels and rows, with each row's entries in
+        # ascending column order, as computed by the leftmost-pivot kernel and
+        # unchanged by the top-pivot one; the complex is the 3-skeleton of the
+        # n-simplex without every skip-th tetrahedron
         from itertools import combinations
 
         from posheaf.field import PrimeField
         from posheaf.poset import SimplicialComplex
+        from screen_oracle import ascending_digest
 
         facets = [f for i, f in enumerate(combinations(range(n + 1), 4)) if i % skip]
         poset = SimplicialComplex.from_facets(facets).face_poset
         res = minimal_resolution_constant(poset, PrimeField(p))
         assert res.total_summands() == summands
-        raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
-               for m in res.matrices]
-        assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == digest
-        entries = [(m.col_labels, m.row_labels, [sorted(r.items()) for r in m.rows])
-                   for m in res.matrices]
-        assert hashlib.sha256(repr(entries).encode("utf-8")).hexdigest() == sorted_digest
+        assert ascending_digest(res) == digest
 
 
 class TestMinimalResolutionSheaf:
@@ -307,25 +300,18 @@ class TestMinimalResolutionSheaf:
         stalkwise_exactness_against_sheaf(res, f)
 
     def test_raw_output_pinned_gf5(self):
-        # sha256 of every matrix's labels and rows, dict entry order included,
-        # as computed by MakeExact with the row-basis screen, and with each
-        # row's entries sorted; the sheaf is a fixed kernel sheaf on the
-        # 3-skeleton of the 6-simplex
-        import hashlib
-
+        # sha256 of every matrix's labels and rows, with each row's entries in
+        # ascending column order, as computed by MakeExact with the row-basis
+        # screen; the sheaf is a fixed kernel sheaf on the 3-skeleton of the
+        # 6-simplex
         from posheaf.field import PrimeField
         from posheaf.poset import skeleton_of_simplex
+        from screen_oracle import ascending_digest
 
         sheaf = incidence_kernel_sheaf(skeleton_of_simplex(6, 3), PrimeField(5), 3)
         res = minimal_resolution_sheaf(sheaf)
         assert res.total_summands() == 71
-        raw = [(m.col_labels, m.row_labels, [list(r.items()) for r in m.rows])
-               for m in res.matrices]
-        assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == (
-            "3bf993f0e31361140f72a0929c42cfc7c9c684aedf4363f6f5770462dfa6852c")
-        entries = [(m.col_labels, m.row_labels, [sorted(r.items()) for r in m.rows])
-                   for m in res.matrices]
-        assert hashlib.sha256(repr(entries).encode("utf-8")).hexdigest() == (
+        assert ascending_digest(res) == (
             "4ba7608631647adac1e57e5861e651824de1364dbecad75339042b16b377febe")
 
     @pytest.mark.parametrize("make_sheaf", [zero_stalk_chain, zero_stalk_diamond])
