@@ -153,11 +153,13 @@ def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> In
     """R(i_Z)_!: extend by zero and force exactness over the closure boundary,
     in non-increasing order.  The complex must live on Z with the order Z has
     in the ambient poset."""
-    ambient = zset.ambient
+    ambient, members = zset.ambient, zset.members
     field = complex_.field
-    if set(complex_.poset.elements) != set(zset.members):
+    if set(complex_.poset.elements) != members:
         raise InputError("complex does not live on the locally closed set")
-    if set(complex_.poset.covers) != set(zset.restricted_poset().covers):
+    # Z is convex, so its covers are the ambient covers with both ends in Z
+    if set(complex_.poset.covers) != {(a, b) for a, b in ambient.covers
+                                      if a in members and b in members}:
         raise InputError("complex's order differs from the locally closed set's order")
     if complex_.is_empty():
         return InjectiveComplex.empty(ambient, field)

@@ -4,10 +4,10 @@ complexes.
 
 Elements are opaque strings.  Reachability is precomputed once as per-element
 up-set bitsets (python ints), which makes `star`, `closure` and submatrix
-extraction cheap; everything is immutable after construction.  Only a poset
-built from an arbitrary relation takes a transitive closure: the convexity
-test, the order of a locally closed set and the mapping cylinder are bit
-arithmetic on the up-sets and covers their posets already hold.
+extraction cheap; everything is immutable after construction.  The convexity
+test and the mapping cylinder are bit arithmetic on the up-sets and covers
+their posets already hold; an induced order (`restrict`) is closed from the
+ambient covers or comparable pairs it inherits.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class Poset:
         if len(self.index) != len(self.elements):
             raise InputError("duplicate element ids")
         self._up = leq_bits  # up[i] = bitset of {j : elements[i] <= elements[j]}
+        self._up_lists: dict[str, list[int]] = {}  # see `up_indices`
         self.covers = covers
         self._down, self._height_below = self._down_sets_and_heights()
         order = sorted(range(len(self.elements)), key=self._height_below.__getitem__)  # stable
@@ -61,19 +62,6 @@ class Poset:
         pairs = [(a, b) for a, b in leq_pairs if a != b]
         elements, up, kept = _closed_relation(elements, pairs, "relation")
         return cls(elements, up, [(elements[i], elements[j]) for i, j in sorted(kept)])
-
-    @staticmethod
-    def _covers_from_up(elements, up):
-        """(a, b) is a cover iff b is strictly above a and not strictly above
-        any element strictly above a."""
-        covers = []
-        for i in range(len(elements)):
-            strict = up[i] & ~(1 << i)
-            above = 0
-            for k in _bit_indices(strict):
-                above |= up[k] & ~(1 << k)
-            covers.extend((elements[i], elements[j]) for j in _bit_indices(strict & ~above))
-        return covers
 
     def _down_sets_and_heights(self) -> tuple[list[int], list[int]]:
         """Down-set bitsets and longest chains strictly below, in one pass
@@ -123,6 +111,15 @@ class Poset:
     def down_bits(self, e: str) -> int:
         return self._down[self.index[e]]
 
+    def up_indices(self, e: str) -> list[int]:
+        """The indices of the elements above e, ascending; built on first use
+        and kept.  The lists hold the int objects of `index`, one per index."""
+        up = self._up_lists.get(e)
+        if up is None:
+            index = self.index
+            up = self._up_lists[e] = [index[x] for x in self.elements_of(self.up_bits(e))]
+        return up
+
     def bits_of(self, members) -> int:
         """The members as a bitset; InputError naming an unknown element."""
         index, bits = self.index, 0
@@ -149,10 +146,13 @@ class Poset:
 
     def is_locally_closed(self, members) -> bool:
         """True iff the set Z is order-convex (equivalently, open in its
-        closure), tested as (OR of up(z)) & (OR of down(z)) & ~Z == 0 over
-        z in Z: x lies in both unions iff a <= x <= b for some members a
-        and b, and convexity asks exactly that every such x is a member."""
-        bits = self.bits_of(members)
+        closure)."""
+        return self._convex(self.bits_of(members))
+
+    def _convex(self, bits: int) -> bool:
+        """(OR of up(z)) & (OR of down(z)) & ~Z == 0 over z in Z: x lies in
+        both unions iff a <= x <= b for some members a and b, and convexity
+        asks exactly that every such x is a member."""
         return _union(self._up, bits) & _union(self._down, bits) & ~bits == 0
 
     def maximal_elements(self) -> list[str]:
@@ -169,20 +169,23 @@ class Poset:
         return Poset(list(self.elements), up, covers)
 
     def restrict(self, members) -> "Poset":
-        """Induced sub-poset on the given members (kept in ambient element
-        order).  Any member set will do; `LocallyClosedSet.restricted_poset`
-        takes a shorter route on convex ones."""
-        mask = self.bits_of(members)
-        kept = list(_bit_indices(mask))
-        position = {i: k for k, i in enumerate(kept)}
-        up = []
-        for i in kept:
-            bits = 0
-            for j in _bit_indices(self._up[i] & mask):
-                bits |= 1 << position[j]
-            up.append(bits)
-        sub_elements = [self.elements[i] for i in kept]
-        return Poset(sub_elements, up, Poset._covers_from_up(sub_elements, up))
+        """The order the members inherit, on the members in ambient element
+        order, its covers listed by ambient index pair.  On an order-convex
+        member set Z these covers are the ambient covers with both ends in Z:
+        an element strictly between two members is a member, so a cover of Z
+        is an ambient cover, and conversely, and a < b in Z is joined by a
+        chain of ambient covers inside Z, so these covers generate Z's order.
+        Any other member set hands every comparable pair to the closure."""
+        mask, index, elements = self.bits_of(members), self.index, self.elements
+        if self._convex(mask):
+            pairs = sorted((index[a], index[b]) for a, b in self.covers
+                           if mask >> index[a] & 1 and mask >> index[b] & 1)
+        else:
+            pairs = [(i, j) for i in _bit_indices(mask)
+                     for j in _bit_indices(self._up[i] & mask & ~(1 << i))]
+        sub, up, kept = _closed_relation(
+            self.elements_of(mask), [(elements[i], elements[j]) for i, j in pairs], "relation")
+        return Poset(sub, up, [(sub[i], sub[j]) for i, j in kept])
 
     def validate(self) -> list[str]:
         """Check the poset invariants; returns a list of violations (empty if ok)."""
@@ -489,20 +492,7 @@ class LocallyClosedSet:
             raise InputError("set is not locally closed (order convexity fails)")
 
     def restricted_poset(self) -> Poset:
-        """The order Z has in the ambient poset, built from the ambient
-        covers with both ends in Z.  Z is convex, so an element strictly
-        between two members is a member: a cover of Z is an ambient cover,
-        and conversely, and a < b in Z is joined by a chain of ambient
-        covers inside Z, so these covers generate Z's order.  They are
-        listed by ambient index pair, the order `Poset.restrict` gives."""
-        index, members = self.ambient.index, self.members
-        inside = sorted(
-            (index[a], index[b]) for a, b in self.ambient.covers if a in members and b in members
-        )
-        elements = self.ambient.elements
-        return Poset.from_covers(
-            [e for e in elements if e in members], [(elements[i], elements[j]) for i, j in inside]
-        )
+        return self.ambient.restrict(self.members)
 
     def closure(self) -> set[str]:
         return self.ambient.closure(self.members)

@@ -21,13 +21,12 @@ packed rows and row buckets are the next one's image and column buckets.
 from __future__ import annotations
 
 import math
-import weakref
 
 from .errors import InputError
 from .field import PrimeField
 from .matrix import (InjectiveComplex, LabeledMatrix, _top_pivots, image_complement_rows,
                      packed_row)
-from .poset import Poset, SimplicialComplex, _bit_indices, _chains
+from .poset import Poset, SimplicialComplex, _chains
 from .sheaf import Sheaf, injective_hull
 
 
@@ -45,11 +44,6 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
     out = eta_cur.copy()
     _make_exact_inplace(eta_prev, out, element)
     return out
-
-
-# Per poset: element -> the indices of the elements above it (see `_Stalks.up`),
-# one int object per index, which those lists share.
-_UP_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _check_elements(poset: Poset, elements) -> None:
@@ -80,9 +74,7 @@ class _Stalks:
         self.image = image
         self.ranks: dict[str, int] = {}
         self.prev_ranks = prev_ranks if prev_ranks is not None else {}
-        if m.poset not in _UP_INDICES:
-            _UP_INDICES[m.poset] = ({}, list(range(len(m.poset))))
-        self.ups, self.ints = _UP_INDICES[m.poset]
+        self.up = m.poset.up_indices  # element -> poset indices above it, ascending
         self.cols = cols if cols is not None else self._buckets(m.col_labels)
         self.rows = self._buckets(m.row_labels)
         self.packed = [packed_row(m.field, row) for row in m.rows]
@@ -95,15 +87,6 @@ class _Stalks:
         for i, lab in enumerate(labels):
             buckets[self.m.poset.index[lab]].append(i)
         return buckets
-
-    def up(self, element: str) -> list[int]:
-        """The poset indices of the elements above `element`, ascending; built
-        on first use, once per poset."""
-        up = self.ups.get(element)
-        if up is None:
-            ints = self.ints
-            up = self.ups[element] = [ints[k] for k in _bit_indices(self.m.poset.up_bits(element))]
-        return up
 
     def at(self, buckets, element: str) -> list[int]:
         """The indices in `buckets` whose labels are above `element`, ascending
