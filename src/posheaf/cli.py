@@ -22,8 +22,8 @@ from . import io as pio
 from .errors import InputError, SizeCapExceeded
 from .field import NotPrimeError, PrimeField
 from .matrix import InjectiveComplex
-from .poset import (LocallyClosedSet, Poset, SimplicialComplex, face_name, generated_faces,
-                    image_poset, star_subposet, vertex_separator)
+from .poset import (LocallyClosedSet, Poset, face_name, generated_faces, image_poset,
+                    link_cone, vertex_separator)
 from .resolution import (
     minimal_resolution_constant,
     minimal_resolution_sheaf,
@@ -63,11 +63,10 @@ def _parse_json(text: str):
 def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
     """A facets file (.txt or anything non-JSON) or a poset JSON file."""
     text = _read(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        poset = pio.poset_from_json(_parse_json(text))
+    if text.lstrip().startswith("{"):
         if star is not None:
             raise InputError("--star applies to simplicial complex inputs only")
+        poset = pio.poset_from_json(_parse_json(text), max_elements)
     elif star is None:
         poset = pio.read_facets_text(text, max_elements).face_poset
     else:
@@ -76,20 +75,19 @@ def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
 
 
 def _star_poset(facets, requested: str, max_elements: int) -> Poset:
-    """The star of the requested face, counted from the facets first: a star
-    with more than `max_elements` faces is refused before the complex is
-    built."""
+    """The star of the requested face, built as the cone over its link: a
+    star with more than `max_elements` faces is refused while its link is
+    enumerated, and faces outside the star are never enumerated."""
     vertex_sets = [frozenset(facet) for facet in facets]
     face = _face_lookup(requested, vertex_sets)
     try:
         # the star's faces other than `face`, with the vertices of `face` removed
-        generated_faces([g - face for g in vertex_sets if g > face], max_elements - 1)
+        link = generated_faces([g - face for g in vertex_sets if g > face], max_elements - 1)
     except SizeCapExceeded:
         raise SizeCapExceeded(
             f"the star of {requested!r} has more than {max_elements} faces"
         ) from None
-    complex_ = SimplicialComplex.from_facets(facets)
-    return star_subposet(complex_, complex_.name(face))
+    return link_cone(link, vertex_separator(set().union(*vertex_sets)))
 
 
 def _capped(poset: Poset, max_elements: int) -> Poset:
@@ -152,13 +150,11 @@ def cmd_resolve(args) -> int:
 
 
 def _load_complex(path: str, max_elements: int) -> InjectiveComplex:
-    complex_ = pio.complex_from_json(_parse_json(_read(path)))
-    _capped(complex_.poset, max_elements)
-    return complex_
+    return pio.complex_from_json(_parse_json(_read(path)), max_elements)
 
 
 def _load_poset(path: str, max_elements: int) -> Poset:
-    return _capped(pio.poset_from_json(_parse_json(_read(path))), max_elements)
+    return pio.poset_from_json(_parse_json(_read(path)), max_elements)
 
 
 def cmd_functor(args) -> int:

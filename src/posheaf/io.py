@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import InputError
+from .errors import InputError, SizeCapExceeded
 from .field import PrimeField
 from .matrix import InjectiveComplex, LabeledMatrix
 from .poset import MonotoneMap, Poset, SimplicialComplex
@@ -64,14 +64,11 @@ def read_facets_text(text: str, max_faces: float = math.inf) -> SimplicialComple
 def parse_facets(text: str) -> list[list[str]]:
     """One facet per line, whitespace-separated vertex ids, '#' comments."""
     facets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        verts = line.split()
-        if not verts:
-            raise InputError(f"line {lineno}: empty facet")
-        facets.append(verts)
+        facets.append(line.split())
     if not facets:
         raise InputError("no facets found")
     return facets
@@ -81,10 +78,15 @@ def poset_to_json(poset: Poset) -> dict:
     return {"elements": list(poset.elements), "covers": [list(c) for c in poset.covers]}
 
 
-def poset_from_json(data: dict) -> Poset:
+def poset_from_json(data: dict, max_elements: float = math.inf) -> Poset:
+    """The poset of poset JSON; SizeCapExceeded, before anything is built,
+    when it names more than `max_elements` distinct elements."""
     try:
         elements = [str(e) for e in _as_array(_key(data, "elements", "poset JSON"),
                                               "poset 'elements'")]
+        if len(set(elements)) > max_elements:
+            raise SizeCapExceeded(f"input has {len(set(elements))} elements, "
+                                  f"above --max-elements={max_elements}")
         covers = [(str(a), str(b))
                   for a, b in (_as_array(c, "cover") for c in _key(data, "covers", "poset JSON"))]
     except (TypeError, ValueError):
@@ -184,10 +186,11 @@ def complex_to_json(complex_: InjectiveComplex) -> dict:
     }
 
 
-def complex_from_json(data: dict) -> InjectiveComplex:
+def complex_from_json(data: dict, max_elements: float = math.inf) -> InjectiveComplex:
+    """The complex of complex JSON; its poset is capped as in `poset_from_json`."""
     data = _as_object(data, "complex JSON")
     field = PrimeField(_as_int(_key(data, "field", "complex JSON"), "field"))
-    poset = poset_from_json(_key(data, "poset", "complex JSON"))
+    poset = poset_from_json(_key(data, "poset", "complex JSON"), max_elements)
     matrices = [
         matrix_from_json(m, poset, field)
         for m in _as_array(_key(data, "matrices", "complex JSON"), "complex 'matrices'")

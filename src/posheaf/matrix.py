@@ -160,12 +160,10 @@ class LabeledMatrix:
         )
         return out
 
-    # -- rank and orthogonal complements --------------------------------------
+    # -- rank and rendering ---------------------------------------------------
 
     def rank(self) -> int:
         return _sparse_rank(self.field, self.rows)
-
-    # -- row and column operations ---------------------------------------------
 
     def print_text(self, title: str = "") -> str:
         """Figure-style rendering: first row column labels, first column row labels."""
@@ -180,6 +178,9 @@ class LabeledMatrix:
         widths = [max(len(r[c]) for r in table) for c in range(len(header))] if header else []
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
         return "\n".join(lines)
+
+
+# -- row and column operations -----------------------------------------------
 
 
 def row_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: int = 1):
@@ -440,11 +441,6 @@ class InjectiveComplex:
 
     def total_summands(self) -> int:
         return sum(m.ncols for m in self.matrices)
-
-    def copy(self) -> "InjectiveComplex":
-        return InjectiveComplex(
-            self.poset, self.field, [m.copy() for m in self.matrices], self.degree_offset
-        )
 
     def shifted(self, k: int) -> "InjectiveComplex":
         """Degree shift: term(d) of the result equals term(d + k) of self."""

@@ -401,15 +401,23 @@ def star_subposet(complex_: SimplicialComplex, face: str) -> Poset:
     description of a star.
     """
     base = complex_.face_of[face]
-    star = complex_.face_poset.restrict(complex_.face_poset.star(face))
+    return link_cone([f - base for f in complex_.faces if f > base], complex_.separator)
 
-    def relabel(name):
-        rest = complex_.face_of[name] - base
-        return complex_.name(rest) if rest else "∅"
 
-    new_names = {m: relabel(m) for m in star.elements}
-    covers = [(new_names[a], new_names[b]) for a, b in star.covers]
-    return Poset([new_names[m] for m in star.elements], star._up, covers)
+def link_cone(link_faces, separator: str) -> Poset:
+    """The poset of "∅" below the nonempty vertex sets `link_faces` (closed
+    under nonempty subsets), ordered by inclusion and named with `separator`:
+    the star of a face whose link is `link_faces`, relabeled as in
+    `star_subposet`.  Faces are in `_face_key` order, the order the star's
+    faces have in the complex: dropping a common face shifts every size
+    alike, and two vertex sets of one size compare as the one holding the
+    least vertex of their symmetric difference, which it leaves alone.
+    Covers are listed by index pair."""
+    faces = [frozenset()] + sorted(link_faces, key=_face_key)
+    index = {f: i for i, f in enumerate(faces)}
+    names = ["∅"] + [face_name(f, separator) for f in faces[1:]]
+    pairs = sorted((index[f - {v}], i) for i, f in enumerate(faces) for v in f)
+    return Poset.from_covers(names, [(names[i], names[j]) for i, j in pairs])
 
 
 def image_poset(source: Poset, assignment: dict, elements=None) -> Poset:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -204,6 +205,21 @@ class TestResolve:
         assert main(["resolve", str(path), "--star", "0", "--max-elements", "100"]) == 3
         assert time.perf_counter() - start < 1.0
         assert "the star of '0' has more than 100 faces" in capsys.readouterr().err
+
+    def test_star_never_enumerates_faces_outside_it(self, tmp_path, capsys):
+        # the 40-vertex facet without vertex 0 has 2^40 - 1 faces; the star
+        # of 0 has two, and resolves as in the file without that facet
+        import time
+
+        far, near = tmp_path / "far.txt", tmp_path / "near.txt"
+        far.write_text("0 1\n" + " ".join(str(v) for v in range(2, 42)) + "\n")
+        near.write_text("0 1\n")
+        start = time.perf_counter()
+        assert main(["resolve", str(far), "--star", "0", "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert main(["resolve", str(near), "--star", "0", "--format", "json"]) == 0
+        assert out == capsys.readouterr().out
 
     def test_non_prime_field_exit_code(self, tetra_file, capsys):
         assert main(["resolve", tetra_file, "--field", "4"]) == 1
@@ -590,6 +606,25 @@ class TestFunctor:
             ["functor", "shriek-pull", lambda_complex_file, "--set", "4,234"]
         ) == 1
 
+    @pytest.mark.parametrize("kind, given, missing", [
+        ("push", [], "--map"),
+        ("pull", [], "--map"),
+        ("pull", ["--map", "{map}"], "--source-poset"),
+        ("shriek-pull", [], "--set"),
+        ("shriek-push", [], "--set"),
+        ("shriek-push", ["--set", "4"], "--ambient"),
+    ])
+    def test_missing_option_exit_code(self, lambda_complex_file, tmp_path, capsys,
+                                      kind, given, missing):
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"assignment": {}}))
+        argv = ["functor", kind, lambda_complex_file] + [
+            arg.format(map=map_path) for arg in given]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: functor {kind} needs {missing}")
+        assert "Traceback" not in err
+
 
 class TestMorseCommand:
     def test_verify_rg(self, rg_complex_file, tmp_path, capsys):
@@ -660,6 +695,37 @@ class TestMorseCommand:
         assert main(argv + ["19"]) == 3
         assert "above --max-elements=19" in capsys.readouterr().err
         assert main(argv + ["20"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "{chain}"],
+    ["functor", "push", "{point}", "--map", "{map}", "--target-poset", "{chain}"],
+    ["functor", "pull", "{point}", "--map", "{map}", "--source-poset", "{chain}"],
+    ["functor", "shriek-push", "{point}", "--set", "pt", "--ambient", "{chain}"],
+    ["functor", "shriek-pull", "{chain_complex}", "--set", "c0"],
+    ["morse", "{chain_complex}", "{map}"],
+])
+def test_over_cap_json_posets_are_refused_before_they_are_built(argv, tmp_path, capsys):
+    """A poset JSON, or the poset of a complex JSON, with more elements than
+    --max-elements never reaches `Poset.from_covers`."""
+    chain = Poset.from_covers([f"c{i}" for i in range(6)], [(f"c{i}", f"c{i + 1}")
+                                                           for i in range(5)])
+    point = Poset.from_covers(["pt"], [])
+    files = {
+        "chain": poset_to_json(chain),
+        "chain_complex": complex_to_json(minimal_resolution_constant(chain)),
+        "point": complex_to_json(minimal_resolution_constant(point)),
+        "map": {"assignment": {"pt": "c0"}},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(dumps(data))
+    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+    with mock.patch.object(Poset, "from_covers", wraps=Poset.from_covers) as spy:
+        assert main(argv + ["--max-elements", "5"]) == 3
+        assert "above --max-elements=5" in capsys.readouterr().err
+        assert all(len(call.args[0]) < 6 for call in spy.call_args_list)
+        assert main(argv + ["--max-elements", "6"]) in (0, 1)
+        assert any(len(call.args[0]) == 6 for call in spy.call_args_list)
 
 
 @pytest.mark.parametrize("argv", [

@@ -395,6 +395,28 @@ class TestProperPullback:
             assert mult_table(back) == mult_table(res)
 
 
+@pytest.mark.parametrize("functor, message", [
+    ("push", "map's source"),
+    ("pull", "map's target"),
+    ("shriek-push", "does not live on the locally closed set"),
+    ("shriek-pull", "ambient poset"),
+])
+def test_functors_refuse_a_complex_on_the_wrong_poset(functor, message):
+    # the complex lives on the chain a < b; the map, Z and the ambient poset
+    # on the chain a < b < c
+    on_ab = minimal_resolution_constant(Poset.from_covers("ab", [("a", "b")]))
+    abc = Poset.from_covers("abc", [("a", "b"), ("b", "c")])
+    zset = LocallyClosedSet(abc, "bc")
+    call = {
+        "push": lambda: pushforward(MonotoneMap.identity(abc), on_ab),
+        "pull": lambda: pullback(MonotoneMap.identity(abc), on_ab),
+        "shriek-push": lambda: proper_pushforward(zset, on_ab),
+        "shriek-pull": lambda: proper_pullback(zset, on_ab),
+    }[functor]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 class TestHypercohomology:
     def test_extra_edges_star(self, simplex_star):
         res = minimal_resolution_constant(simplex_star)

@@ -14,7 +14,8 @@ it replaced (`screen_oracle`), the star-row ranks, packed rows and buckets
 MakeExact carries between degrees against dense ranks and fresh state, the
 down-sets, heights and linear extension against their definitions, the
 chain enumeration behind the order complex against every totally ordered
-subset, and `Sheaf.validate` against agreement along every cover path.
+subset, the star built as the cone over the link against the restricted
+star, and `Sheaf.validate` against agreement along every cover path.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -49,8 +50,8 @@ from posheaf.io import complex_to_json, dumps
 from posheaf.matrix import _sparse_rank, _top_pivots, image_complement_rows, packed_row
 from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
-                           mapping_cylinder, order_complex)
-from posheaf import resolution
+                           mapping_cylinder, order_complex, star_subposet)
+from posheaf import cli, resolution
 from posheaf.resolution import (
     is_minimal,
     minimal_resolution_constant,
@@ -505,6 +506,27 @@ def simplicial_complexes(draw):
     n = draw(st.integers(1, 6))
     vertices = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
     return SimplicialComplex.from_facets(draw(st.lists(vertices, min_size=1, max_size=5)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(facets=st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "4", "10", "11"]),
+                                min_size=1, max_size=4, unique=True), min_size=1, max_size=5),
+       data=st.data())
+def test_star_is_the_restricted_star_renamed(facets, data):
+    """`star_subposet` and the CLI's `--star` poset, both built as the cone
+    over the link, are the ambient star restricted and renamed, cover order
+    included.  Vertices 10 and 11 switch the complex to comma-separated
+    names."""
+    complex_ = SimplicialComplex.from_facets(facets)
+    poset = complex_.face_poset
+    face = data.draw(st.sampled_from(poset.elements), label="face")
+    star = poset.restrict(poset.star(face))
+    base = complex_.face_of[face]
+    name = {e: complex_.name(complex_.face_of[e] - base) or "∅" for e in star.elements}
+    renamed = Poset([name[e] for e in star.elements], star._up,
+                    [(name[a], name[b]) for a, b in star.covers])
+    _same_poset(star_subposet(complex_, face), renamed)
+    _same_poset(cli._star_poset(facets, face, len(star)), renamed)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
