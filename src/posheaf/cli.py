@@ -66,12 +66,10 @@ def _load_poset_input(path: str, star: str | None, max_elements: int) -> Poset:
     if text.lstrip().startswith("{"):
         if star is not None:
             raise InputError("--star applies to simplicial complex inputs only")
-        poset = pio.poset_from_json(_parse_json(text), max_elements)
-    elif star is None:
-        poset = pio.read_facets_text(text, max_elements).face_poset
-    else:
-        poset = _star_poset(pio.parse_facets(text), star, max_elements)
-    return _capped(poset, max_elements)
+        return pio.poset_from_json(_parse_json(text), max_elements)
+    if star is None:
+        return pio.read_facets_text(text, max_elements).face_poset
+    return _star_poset(pio.parse_facets(text), star, max_elements)
 
 
 def _star_poset(facets, requested: str, max_elements: int) -> Poset:
@@ -83,20 +81,13 @@ def _star_poset(facets, requested: str, max_elements: int) -> Poset:
     try:
         # the star's faces other than `face`, with the vertices of `face` removed
         link = generated_faces([g - face for g in vertex_sets if g > face], max_elements - 1)
+        if len(link) + 1 > max_elements:  # a cap of 0, which leaves no room for `face`
+            raise SizeCapExceeded
     except SizeCapExceeded:
         raise SizeCapExceeded(
             f"the star of {requested!r} has more than {max_elements} faces"
         ) from None
     return link_cone(link, vertex_separator(set().union(*vertex_sets)))
-
-
-def _capped(poset: Poset, max_elements: int) -> Poset:
-    """The poset itself, or SizeCapExceeded (exit 3) above --max-elements."""
-    if len(poset) > max_elements:
-        raise SizeCapExceeded(
-            f"input has {len(poset)} elements, above --max-elements={max_elements}"
-        )
-    return poset
 
 
 def _face_lookup(requested: str, facets: list[frozenset]) -> frozenset:

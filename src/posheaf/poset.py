@@ -116,8 +116,8 @@ class Poset:
         and kept.  The lists hold the int objects of `index`, one per index."""
         up = self._up_lists.get(e)
         if up is None:
-            index = self.index
-            up = self._up_lists[e] = [index[x] for x in self.elements_of(self.up_bits(e))]
+            index, elements = self.index, self.elements
+            up = self._up_lists[e] = [index[elements[k]] for k in _bit_indices(self.up_bits(e))]
         return up
 
     def bits_of(self, members) -> int:
@@ -177,14 +177,16 @@ class Poset:
         chain of ambient covers inside Z, so these covers generate Z's order.
         Any other member set hands every comparable pair to the closure."""
         mask, index, elements = self.bits_of(members), self.index, self.elements
+        inside = self.elements_of(mask)
         if self._convex(mask):
+            names = set(inside)
             pairs = sorted((index[a], index[b]) for a, b in self.covers
-                           if mask >> index[a] & 1 and mask >> index[b] & 1)
+                           if a in names and b in names)
         else:
             pairs = [(i, j) for i in _bit_indices(mask)
                      for j in _bit_indices(self._up[i] & mask & ~(1 << i))]
         sub, up, kept = _closed_relation(
-            self.elements_of(mask), [(elements[i], elements[j]) for i, j in pairs], "relation")
+            inside, [(elements[i], elements[j]) for i, j in pairs], "relation")
         return Poset(sub, up, [(sub[i], sub[j]) for i, j in kept])
 
     def validate(self) -> list[str]:
@@ -416,6 +418,8 @@ def link_cone(link_faces, separator: str) -> Poset:
     faces = [frozenset()] + sorted(link_faces, key=_face_key)
     index = {f: i for i, f in enumerate(faces)}
     names = ["∅"] + [face_name(f, separator) for f in faces[1:]]
+    if len(set(names)) < len(names):
+        raise InputError("face names collide; use distinct vertex ids")
     pairs = sorted((index[f - {v}], i) for i, f in enumerate(faces) for v in f)
     return Poset.from_covers(names, [(names[i], names[j]) for i, j in pairs])
 
@@ -500,6 +504,7 @@ class LocallyClosedSet:
             raise InputError("set is not locally closed (order convexity fails)")
 
     def restricted_poset(self) -> Poset:
+        """The order Z inherits from the ambient poset."""
         return self.ambient.restrict(self.members)
 
     def closure(self) -> set[str]:

@@ -193,6 +193,9 @@ class TestResolve:
         path.write_text(" ".join(str(v) for v in range(6)) + "\n9 10\n10 11\n")
         assert main(["resolve", str(path), "--star", "0", "--max-elements", "32"]) == 0
         assert main(["resolve", str(path), "--star", "0", "--max-elements", "31"]) == 3
+        # the star of the facet 10,11 is that face alone
+        assert main(["resolve", str(path), "--star", "10,11", "--max-elements", "1"]) == 0
+        assert main(["resolve", str(path), "--star", "10,11", "--max-elements", "0"]) == 3
 
     def test_max_elements_refuses_the_star_before_enumeration(self, tmp_path, capsys):
         # the star of a vertex of one 13-vertex facet has 2^12 faces; the
@@ -724,6 +727,7 @@ def test_over_cap_json_posets_are_refused_before_they_are_built(argv, tmp_path, 
         assert main(argv + ["--max-elements", "5"]) == 3
         assert "above --max-elements=5" in capsys.readouterr().err
         assert all(len(call.args[0]) < 6 for call in spy.call_args_list)
+        # at the cap the chain is built, whatever the rest of argv then does
         assert main(argv + ["--max-elements", "6"]) in (0, 1)
         assert any(len(call.args[0]) == 6 for call in spy.call_args_list)
 
