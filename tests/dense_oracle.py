@@ -23,6 +23,13 @@ def identity(n: int) -> Matrix:
     return m
 
 
+def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
+    """a @ b."""
+    p = field.p
+    width = len(b[0]) if b else 0
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) % p for j in range(width)] for row in a]
+
+
 def mat_vec(field: PrimeField, a: Matrix, v: list[int]) -> list[int]:
     p = field.p
     out = [0] * len(a)

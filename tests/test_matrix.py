@@ -15,7 +15,7 @@ from posheaf.matrix import (
 )
 from posheaf.poset import SimplicialComplex
 
-from conftest import GF2, GF3, random_labeled_matrix, random_poset, stalk_cols, stalk_matrix
+from conftest import GF2, GF3, GF5, random_labeled_matrix, random_poset, stalk_cols, stalk_matrix
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,71 @@ class TestRowColOps:
                 back = op(stepped, kind, i, j, inverse)
                 assert back == current
                 current = stepped
+
+    @pytest.mark.parametrize("field", [GF2, GF3, GF5], ids=["gf2", "gf3", "gf5"])
+    def test_ops_are_products_with_elementary_matrices(self, field):
+        # a row operation is E @ M and a column operation M @ E, with E the
+        # elementary matrix of the operation; an addition is refused exactly
+        # where its lines' labels break the label rule, in the lines' wording
+        from dense_oracle import identity, mat_mul
+
+        rng = random.Random(47 + field.p)
+        for _ in range(40):
+            p = random_poset(rng)
+            m = random_labeled_matrix(rng, p, field, max_cols=4, max_rows=4)
+            dense = [[row.get(j, 0) for j in range(m.ncols)] for row in m.rows]
+            before = [dict(row) for row in m.rows]
+            for op, noun, labels in ((row_op, "row", m.row_labels),
+                                     (col_op, "column", m.col_labels)):
+                n = len(labels)
+                for i in range(n):
+                    for j in range(n):
+                        scalar = rng.randint(1, field.p - 1)
+                        cases = [("scale", None, scalar)]
+                        if i != j:
+                            cases += [("swap", j, 1), ("add", j, scalar)]
+                        for kind, src, s in cases:
+                            e = identity(n)
+                            if kind == "scale":
+                                e[i][i] = s
+                            elif kind == "swap":
+                                e[i][i] = e[j][j] = 0
+                                e[i][j] = e[j][i] = 1
+                            elif op is row_op:  # row i += s * row j
+                                e[i][j] = s
+                            else:  # column i += s * column j
+                                e[j][i] = s
+                            legal = kind != "add" or (
+                                p.leq(labels[i], labels[j]) if op is row_op
+                                else p.leq(labels[j], labels[i]))
+                            if not legal:
+                                with pytest.raises(OperationNotAllowed, match=f"{noun} labeled"):
+                                    op(m, kind, i, src, s)
+                                continue
+                            out = op(m, kind, i, src, s)
+                            want = (mat_mul(field, e, dense) if op is row_op
+                                    else mat_mul(field, dense, e))
+                            assert [[r.get(c, 0) for c in range(m.ncols)] for r in out.rows] == want
+                            assert all(0 not in r.values() for r in out.rows)
+                            swapped = list(labels)
+                            if kind == "swap":
+                                swapped[i], swapped[j] = swapped[j], swapped[i]
+                            assert (out.row_labels, out.col_labels) == (
+                                (swapped, m.col_labels) if op is row_op else (m.row_labels, swapped))
+            assert m.rows == before  # inputs untouched
+
+    def test_refusals_name_the_line(self, simplex_star):
+        m = LabeledMatrix(simplex_star, GF3, ["234", "23"])
+        with pytest.raises(OperationNotAllowed, match="columns coincide"):
+            col_op(m, "add", 0, 0)
+        with pytest.raises(OperationNotAllowed,
+                           match="cannot add column labeled 234 into column labeled 23$"):
+            col_op(m, "add", 1, 0)
+        with pytest.raises(OperationNotAllowed, match="scaling by zero"):
+            col_op(m, "scale", 0, None, 3)
+        with pytest.raises(InputError, match="unknown column operation"):
+            col_op(m, "shear", 0, 1)
+        assert col_op(m, "add", 0, 1, 2) == m  # no rows: the legal addition changes nothing
 
 
 class TestValidateComplex:
