@@ -186,17 +186,32 @@ class LabeledMatrix:
 def row_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: int = 1):
     """Allowed elementary row operation, returning a new matrix.
 
-    kinds: 'add' (row i += scalar * row j, allowed when label(i) <= label(j)),
-    'scale' (row i *= scalar, nonzero), 'swap' (rows i, j).
+    kinds: 'add' (row i += scalar * row j), 'scale' (row i *= scalar,
+    nonzero), 'swap' (rows i, j).  The label rule: a multiple of one line is
+    added into another only along the label order, so that every entry keeps
+    its row label below its column label.  Row j goes into row i when
+    label(i) <= label(j), column j into column i when label(j) <= label(i).
     """
+    return _line_op(m, kind, i, j, scalar, "row")
+
+
+def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: int = 1):
+    """Allowed elementary column operation, returning a new matrix: `row_op`'s
+    kinds on columns, under its label rule.  It is `row_op` on the transpose
+    over the opposite poset, where label(j) <= label(i) is the row rule."""
+    t = m.transpose(m.poset.opposite())
+    return _line_op(t, kind, i, j, scalar, "column").transpose(m.poset)
+
+
+def _line_op(m: LabeledMatrix, kind: str, i: int, j: int | None, scalar: int, noun: str):
+    """`row_op`, naming the lines `noun` in its errors."""
     out = m.copy()
     if kind == "add":
         if i == j:
-            raise OperationNotAllowed("source and destination rows coincide")
+            raise OperationNotAllowed(f"source and destination {noun}s coincide")
         if not m.poset.leq(m.row_labels[i], m.row_labels[j]):
-            raise OperationNotAllowed(
-                f"cannot add row labeled {m.row_labels[j]} into row labeled {m.row_labels[i]}"
-            )
+            raise OperationNotAllowed(f"cannot add {noun} labeled {m.row_labels[j]} into "
+                                      f"{noun} labeled {m.row_labels[i]}")
         _row_add(m.field, out.rows, j, i, scalar)
     elif kind == "scale":
         if scalar % m.field.p == 0:
@@ -206,49 +221,7 @@ def row_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: in
         out.rows[i], out.rows[j] = out.rows[j], out.rows[i]
         out.row_labels[i], out.row_labels[j] = out.row_labels[j], out.row_labels[i]
     else:
-        raise InputError(f"unknown row operation {kind!r}")
-    return out
-
-
-def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: int = 1):
-    """Allowed elementary column operation, returning a new matrix.
-
-    kinds: 'add' (column i += scalar * column j, allowed when
-    label(j) <= label(i)), 'scale' (column i *= scalar, nonzero), 'swap'.
-    """
-    out = m.copy()
-    if kind == "add":
-        if i == j:
-            raise OperationNotAllowed("source and destination columns coincide")
-        if not m.poset.leq(m.col_labels[j], m.col_labels[i]):
-            raise OperationNotAllowed(
-                f"cannot add column labeled {m.col_labels[j]} into column labeled "
-                f"{m.col_labels[i]}"
-            )
-        p = m.field.p
-        for row in out.rows:
-            if j in row:
-                new = (row.get(i, 0) + scalar * row[j]) % p
-                if new:
-                    row[i] = new
-                else:
-                    row.pop(i, None)
-    elif kind == "scale":
-        if scalar % m.field.p == 0:
-            raise OperationNotAllowed("scaling by zero")
-        for row in out.rows:
-            if i in row:
-                row[i] = row[i] * scalar % m.field.p
-    elif kind == "swap":
-        for row in out.rows:
-            vi, vj = row.pop(i, None), row.pop(j, None)
-            if vj is not None:
-                row[i] = vj
-            if vi is not None:
-                row[j] = vi
-        out.col_labels[i], out.col_labels[j] = out.col_labels[j], out.col_labels[i]
-    else:
-        raise InputError(f"unknown column operation {kind!r}")
+        raise InputError(f"unknown {noun} operation {kind!r}")
     return out
 
 

@@ -102,20 +102,10 @@ class MorseFunction:
         return cls(MonotoneMap(domain, image_poset(domain, levels, order), levels), order)
 
     def sublevel(self, x: str) -> set[str]:
-        cut = self.position[x]
-        return {
-            e
-            for e in self.map.source.elements
-            if self.position[self.map(e)] <= cut
-        }
+        return set().union(*(self.fibers[y] for y in self.total_order[: self.position[x] + 1]))
 
     def superlevel(self, x: str) -> set[str]:
-        cut = self.position[x]
-        return {
-            e
-            for e in self.map.source.elements
-            if self.position[self.map(e)] >= cut
-        }
+        return set().union(*(self.fibers[y] for y in self.total_order[self.position[x]:]))
 
     def fiber_set(self, x: str) -> LocallyClosedSet:
         return LocallyClosedSet(self.map.source, self.fibers[x])

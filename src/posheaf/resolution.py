@@ -106,20 +106,20 @@ def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element
     eta_cur's columns; returns the number of rows added.  `resolution_step`
     passes the step's `_Stalks`, whose image is eta_prev's packed rows."""
     stalks = _stalks or _Stalks(eta_cur, [packed_row(eta_cur.field, r) for r in eta_prev.rows])
-    stalk = stalks.at(stalks.cols, element)
-    return _append_complement(stalks, element, stalk, [stalks.image[i] for i in stalk])
+    return _append_complement(stalks, element)
 
 
 def _make_exact_against_image(image_rows, stalks: _Stalks, element: str) -> int:
     """In-place MakeExact on `stalks.m` against an image given explicitly:
     `image_rows[pos]` is the image matrix's row at the element's `pos`-th
     star-labeled column.  Returns the number of rows added."""
-    return _append_complement(stalks, element, stalks.at(stalks.cols, element), image_rows)
+    return _append_complement(stalks, element, image_rows)
 
 
-def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_rows) -> int:
-    """The MakeExact body.  `image_rows[pos]` is the row of the image matrix at
-    stalk coordinate `stalk[pos]` (a star-labeled column of the matrix).  Each
+def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
+    """The MakeExact body.  The stalk is the matrix's star-labeled columns at
+    `element`, ascending; `image_rows[pos]` is the row of the image matrix at
+    stalk coordinate `stalk[pos]`, by default the one in `stalks.image`.  Each
     basis vector of the image's complement that is independent of the
     matrix's star-labeled rows is appended as a row labeled `element`, and
     the rank of the star rows afterwards is recorded in `stalks.ranks`.
@@ -155,19 +155,23 @@ def _append_complement(stalks: _Stalks, element: str, stalk: list[int], image_ro
     gives."""
     field, ranks = stalks.m.field, stalks.ranks
     prev_rank = stalks.prev_ranks.get(element)
-    if prev_rank == len(stalk):
-        ranks[element] = 0
+    size = sum(len(stalks.cols[k]) for k in stalks.up(element))
+    tops = set()  # where prev_rank == size, dim A = 0 and so W = 0
+    if prev_rank != size:
+        star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
+        tops = _top_pivots(field, star_rows)
+    ranks[element] = len(tops)
+    if prev_rank is not None and size - prev_rank <= len(tops):
         return 0
-    star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
-    tops = _top_pivots(field, star_rows)
-    vectors = []
-    if prev_rank is None or len(stalk) - prev_rank > len(tops):
-        skip = {pos for pos, j in enumerate(stalk) if j in tops}
-        vectors = image_complement_rows(field, image_rows, skip)
+    stalk = stalks.at(stalks.cols, element)
+    if image_rows is None:
+        image_rows = [stalks.image[i] for i in stalk]
+    skip = {pos for pos, j in enumerate(stalk) if j in tops}
+    vectors = image_complement_rows(field, image_rows, skip)
     for vector in vectors:
         row = {stalk[pos]: v for pos, v in vector.items()}
         stalks.append(element, row, packed_row(field, row))
-    ranks[element] = len(tops) + len(vectors)
+    ranks[element] += len(vectors)
     return len(vectors)
 
 

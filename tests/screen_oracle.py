@@ -14,11 +14,15 @@ from dense_oracle import rank
 from posheaf.matrix import image_complement_rows, packed_row
 
 
-def append_complement(stalks, element: str, stalk: list[int], image_rows) -> int:
+def append_complement(stalks, element: str, image_rows=None) -> int:
     """Drop-in for `posheaf.resolution._append_complement`: screen every basis
     vector of the image's complement against the matrix's star-labeled rows
-    and append the independent ones as rows labeled `element`."""
+    and append the independent ones as rows labeled `element`.  The image
+    rows default to the stalk's rows of `stalks.image`."""
     field = stalks.m.field
+    stalk = stalks.at(stalks.cols, element)
+    if image_rows is None:
+        image_rows = [stalks.image[i] for i in stalk]
 
     def dense(row):  # star rows have entries in stalk columns only
         return [row.get(j, 0) % field.p for j in stalk]
