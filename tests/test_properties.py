@@ -7,7 +7,8 @@ echelon form, the constant sheaf's multiplicities against the
 compact-support oracle, the derived Hom into shifts against the
 hypercohomology, the adjunctions f^* -| Rf_* and i_! -| i^! as equal
 derived Hom dimensions on both sides, the maximal vectors against a dense
-nullspace, pullback against its proper-functor expression, the invariants
+nullspace, pullback against its proper-functor expression and the pullback
+of a composite against the composite of pullbacks, the invariants
 of peel and of double dualization, peel against the mirrored version it
 replaced (`peel_oracle`), MakeExact against the row-basis screen
 it replaced (`screen_oracle`), the star-row ranks, packed rows and buckets
@@ -167,6 +168,32 @@ def test_pullback_agrees_with_the_proper_route(sheaf, source, data):
     complex_ = minimal_resolution_sheaf(sheaf)
     assume(not complex_.is_empty())
     assert pullback_via_proper_check(f, complex_)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sheaf=functorial_sheaves(), sources=st.tuples(dags(max_elements=5), dags(max_elements=5)),
+       data=st.data())
+def test_pullback_of_a_composite_is_the_composite_of_pullbacks(sheaf, sources, data):
+    """(g∘f)^* C = f^* g^* C for monotone maps A -f-> B -g-> X, X the
+    sheaf's poset.  Each map is the inclusion of a closed set, so that some
+    draws are chains Z1 ⊂ Z2 ⊂ X of closed inclusions, or a map drawn freely
+    among those that are not injective."""
+    complex_ = minimal_resolution_sheaf(sheaf)
+    assume(not complex_.is_empty())
+    maps, target = [], sheaf.poset
+    for source in sources:
+        if data.draw(st.booleans(), label="closed inclusion"):
+            tops = data.draw(st.lists(st.sampled_from(target.elements), min_size=1, max_size=2),
+                             label="closed set")
+            m = MonotoneMap.inclusion(target.restrict(target.closure(tops)), target)
+        else:
+            m = _draw_monotone_map(data, source, target)
+            assume(len(set(m.assignment.values())) < len(m.assignment))
+        maps.append(m)
+        target = m.source
+    g, f = maps
+    composite = MonotoneMap(f.source, g.target, {e: g(f(e)) for e in f.source.elements})
+    assert same_derived_object(pullback(composite, complex_), pullback(f, pullback(g, complex_)))
 
 
 def _draw_monotone_map(data, source, target):
