@@ -11,7 +11,8 @@ nullspace, pullback against its proper-functor expression and the pullback
 of a composite against the composite of pullbacks, the invariants
 of peel and of double dualization, peel against the mirrored version it
 replaced (`peel_oracle`), MakeExact against the row-basis screen
-it replaced (`screen_oracle`), the star-row ranks, packed rows and buckets
+it replaced (`screen_oracle`), the Morse tables and fiber dims against the
+per-level restrictions they replaced (`morse_oracle`), the star-row ranks, packed rows and buckets
 MakeExact carries between degrees against dense ranks and fresh state, the
 down-sets, heights and linear extension against their definitions, the
 chain enumeration behind the order complex against every totally ordered
@@ -49,7 +50,8 @@ from posheaf.errors import InputError
 from posheaf.field import PrimeField
 from posheaf.io import complex_to_json, dumps
 from posheaf.matrix import _sparse_rank, _top_pivots, image_complement_rows, packed_row
-from posheaf.morse import MorseAnalysis, MorseFunction, multiplicity_oracle, restrict_star
+from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, multiplicity_oracle,
+                          restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
                            mapping_cylinder, order_complex, star_subposet)
 from posheaf import cli, resolution
@@ -72,6 +74,7 @@ from conftest import (
     zero_stalk_chain,
     zero_stalk_diamond,
 )
+import morse_oracle
 import peel_oracle
 import screen_oracle
 from dense_oracle import identity, nullspace, rank, rref, solve_in_span
@@ -465,6 +468,37 @@ def test_morse_tables_match_cylinder_rows(sheaf, data):
             expected = hypercohomology(restrict_star(LocallyClosedSet(poset, members), complex_))
             for variant in ("star", "shriek") if direction == "superlevel" else ("star",):
                 assert analysis.table(direction, variant)[x] == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sheaf=functorial_sheaves(), data=st.data())
+def test_morse_tables_and_fiber_dims_match_the_per_level_oracle(sheaf, data):
+    """All four Betti tables, through `betti_table` and through
+    `MorseAnalysis`, and both variants' fiber dims equal `morse_oracle`,
+    which restricts the whole complex afresh at every level and fiber.  The
+    levels run 0..L-1 and need not all be hit, so some fibers are empty, the
+    lowest included; f is the max weight below or the min weight above an
+    element, and the complex the minimal or the (non-minimal) order-complex
+    resolution."""
+    poset = sheaf.poset
+    resolve = data.draw(st.sampled_from([minimal_resolution_sheaf, order_complex_resolution]))
+    complex_ = resolve(sheaf)
+    n_levels = data.draw(st.integers(1, 5), label="levels")
+    weights = dict(zip(poset.elements, data.draw(st.lists(
+        st.integers(0, n_levels - 1), min_size=len(poset), max_size=len(poset)))))
+    if data.draw(st.booleans(), label="max below"):
+        value = {e: max(w for d, w in weights.items() if poset.leq(d, e)) for e in poset.elements}
+    else:
+        value = {e: min(w for u, w in weights.items() if poset.leq(e, u)) for e in poset.elements}
+    order = [str(k) for k in range(n_levels)]
+    mf = MorseFunction.from_levels(poset, {e: str(v) for e, v in value.items()}, order)
+    analysis = MorseAnalysis(mf, complex_)
+    for variant in ("star", "shriek"):
+        assert analysis.fiber_dims(variant) == morse_oracle.fiber_dims(mf, complex_, variant)
+        for direction in ("sublevel", "superlevel"):
+            expected = morse_oracle.betti_table(mf, complex_, direction, variant)
+            assert betti_table(mf, complex_, direction, variant) == expected
+            assert analysis.table(direction, variant) == expected
 
 
 @st.composite
