@@ -280,7 +280,7 @@ def packed_row(field: PrimeField, row):
     return bits
 
 
-def _eliminate(field: PrimeField, rows, witness: bool = False, skip=()):
+def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=None):
     """The elimination kernel, on the highest coordinate.  Each of `rows`
     (`packed_row`s; odd-p entries are reduced mod p and zeros dropped) is
     reduced against the rows stored before it and, if nonzero, stored under
@@ -288,14 +288,17 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=()):
     table and, with `witness`, for each row t that reduces to zero, in row
     order, the combination u_t of `rows` the reduction took to zero, as a
     {position: value} dict in ascending positions.  Positions in `skip` are
-    passed over; `rows` are unchanged.
+    passed over; `rows` are unchanged.  A `table` from an earlier call
+    without `witness` is resumed and extended in place, so rows fed in
+    chunks give the table of one call on all of them.
 
     With `witness`, `rows` is a list of n rows, and row t carries its
     combination in coordinates below the columns, which each step updates
     with the rest: over GF(2) column j becomes bit n + j and bit t is set;
     over odd p key t - n is set to 1.  A row reduces to zero when no column
     coordinate is left."""
-    p, table, zeros = field.p, {}, []
+    p, zeros = field.p, []
+    table = {} if table is None else table
     n = len(rows) if witness else 0
     for t, row in enumerate(rows):
         if t in skip:

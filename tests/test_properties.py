@@ -3,21 +3,23 @@ minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 `Poset.restrict` and covers against their definitions, the cylinder
 pullback against the submatrix restriction on open sets, the GF(2) bitset
 kernel against the dict kernel, ranks and top pivots against the dense
-echelon form, the constant sheaf's multiplicities against the
-compact-support oracle, the derived Hom into shifts against the
-hypercohomology, the adjunctions f^* -| Rf_* and i_! -| i^! as equal
-derived Hom dimensions on both sides, the maximal vectors against a dense
-nullspace, pullback against its proper-functor expression and the pullback
-of a composite against the composite of pullbacks, the invariants
-of peel and of double dualization, peel against the mirrored version it
-replaced (`peel_oracle`), MakeExact against the row-basis screen
-it replaced (`screen_oracle`), the Morse tables and fiber dims against the
-per-level restrictions they replaced (`morse_oracle`), the star-row ranks, packed rows and buckets
-MakeExact carries between degrees against dense ranks and fresh state, the
-down-sets, heights and linear extension against their definitions, the
-chain enumeration behind the order complex against every totally ordered
-subset, the star built as the cone over the link against the restricted
-star, and `Sheaf.validate` against agreement along every cover path.
+echelon form, the kernel resumed from its pivot table against one call and
+its pivots above a column cut against the dense rank of that block, the
+constant sheaf's multiplicities against the compact-support oracle, the
+derived Hom into shifts against the hypercohomology, the adjunctions
+f^* -| Rf_* and i_! -| i^! as equal derived Hom dimensions on both sides,
+the maximal vectors against a dense nullspace, pullback against its
+proper-functor expression and the pullback of a composite against the
+composite of pullbacks, the invariants of peel and of double dualization,
+peel against the mirrored version it replaced (`peel_oracle`), MakeExact
+against the row-basis screen it replaced (`screen_oracle`), the Morse
+tables and fiber dims against the per-level restrictions they replaced
+(`morse_oracle`), the star-row ranks, packed rows and buckets MakeExact
+carries between degrees against dense ranks and fresh state, the down-sets,
+heights and linear extension against their definitions, the chain
+enumeration behind the order complex against every totally ordered subset,
+the star built as the cone over the link against the restricted star, and
+`Sheaf.validate` against agreement along every cover path.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -49,7 +51,8 @@ from posheaf.derived import (
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
 from posheaf.io import complex_to_json, dumps
-from posheaf.matrix import _sparse_rank, _top_pivots, image_complement_rows, packed_row
+from posheaf.matrix import (_eliminate, _sparse_rank, _top_pivots, image_complement_rows,
+                            packed_row)
 from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, multiplicity_oracle,
                           restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
@@ -539,6 +542,34 @@ def test_rank_kernel_matches_the_dense_oracle(case, data):
     tops = _top_pivots(field, packed)
     assert tops == {ncols - 1 - c for c in rref(field, [row[::-1] for row in dense])[1]}
     assert _top_pivots(field, data.draw(st.permutations(packed))) == tops
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=prime_row_lists(), data=st.data())
+def test_kernel_resumed_from_its_table_matches_one_call(case, data):
+    """Rows fed to `_eliminate` in chunks, each call extending the pivot
+    table of the one before, give the table of one call on all of them."""
+    field, _ncols, rows = case
+    packed = [packed_row(field, row) for row in rows]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    table = {}
+    for a, b in zip([0] + cuts, cuts + [len(rows)]):
+        assert _eliminate(field, packed[a:b], table=table)[0] is table
+    assert table == _eliminate(field, packed)[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=prime_row_lists(), data=st.data())
+def test_stored_pivots_above_a_cut_rank_the_block_of_a_prefix(case, data):
+    """After a prefix of the rows, the stored pivots with top >= c number the
+    dense rank of that prefix on the columns >= c: the rank `betti_table`
+    reads off one elimination per degree."""
+    field, ncols, rows = case
+    prefix = data.draw(st.integers(0, len(rows)), label="prefix")
+    cut = data.draw(st.integers(0, ncols), label="cut")
+    table = _eliminate(field, [packed_row(field, row) for row in rows[:prefix]])[0]
+    block = [[row.get(j, 0) % field.p for j in range(cut, ncols)] for row in rows[:prefix]]
+    assert sum(top >= cut for top in table) == rank(field, block)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
