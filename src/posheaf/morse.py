@@ -5,10 +5,11 @@ the compactly supported cochain oracle for generator multiplicities.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InputError
-from .matrix import InjectiveComplex, _sparse_rank
+from .matrix import InjectiveComplex, _eliminate, _sparse_rank, packed_row
 from .poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, image_poset
 from .resolution import cohomology_sheaf_dims, is_minimal
 from .derived import hypercohomology, proper_pullback, proper_pushforward, pullback
@@ -123,24 +124,91 @@ def betti_table(
     complex_: InjectiveComplex,
     direction: str,
     variant: str,
+    _sublevels=None,
 ) -> dict[str, dict[int, int]]:
     """Hypercohomology dimensions of sub/superlevel restrictions per level.
 
     direction 'sublevel' uses closed sets {f <= x}; 'superlevel' uses open
     sets {f >= x}.  variant 'shriek' restricts by submatrices, 'star' by the
     cylinder pullback.  On an open set Ri^* = Ri^!, so superlevel rows of
-    both variants restrict by submatrices.
-    """
-    def row(x):
-        members = mf.sublevel(x) if direction == "sublevel" else mf.superlevel(x)
-        if not members:
-            return {}
-        zset = LocallyClosedSet(mf.map.source, members)
-        if variant == "shriek" or direction == "superlevel":
-            return hypercohomology(proper_pullback(zset, complex_))
-        return hypercohomology(restrict_star(zset, complex_))
+    both variants restrict by submatrices.  Each table walks the filtration.
 
-    return {x: row(x) for x in mf.total_order}
+    A sublevel-star row is the hypercohomology of the complex that
+    `_sublevel_complexes` (or `_sublevels`, its result) gives at that level.
+
+    The submatrix rows come off one elimination per degree.  Number a
+    matrix's columns so that levels further along the walk (up for
+    sublevels, down for superlevels) get lower indices, and feed its rows to
+    `_eliminate` one level at a time in walk order.  After the rows R of
+    levels up to step k, the pivot table is a basis of span R whose rows have
+    distinct top columns.  The columns of those levels are the indices from
+    some cut c up, so the block of R on them is the projection of span R to
+    the coordinates >= c.  A stored row with top < c projects to zero, and
+    those with top >= c keep distinct tops and stay independent, so the
+    block's rank is the number of stored tops >= c.
+    """
+    if complex_.poset != mf.map.source:
+        raise InputError("complex does not live on the Morse function's domain")
+    levels = mf.total_order
+    if direction == "sublevel" and variant == "star":
+        out, prev, row = {}, None, {}
+        for x, sub in zip(levels, _sublevels or _sublevel_complexes(mf, complex_)):
+            if sub is not prev:
+                prev, row = sub, hypercohomology(sub)
+            out[x] = dict(row)
+        return out
+    n, position = len(levels), mf.position
+    step = {e: position[mf.map(e)] for e in complex_.poset.elements}
+    if direction == "superlevel":
+        step = {e: n - 1 - k for e, k in step.items()}
+        levels = levels[::-1]
+    trimmed = complex_.trimmed()
+    out = {x: {} for x in levels}
+    prev = [0] * n
+    for d, m in zip(trimmed.degrees, trimmed.matrices):
+        ranks = _filtration_ranks(trimmed.field, m, step, n)
+        for k, (width, rank) in enumerate(ranks):
+            if h := width - rank - prev[k]:
+                out[levels[k]][d] = h
+            prev[k] = rank
+    return {x: out[x] for x in mf.total_order}
+
+
+def _filtration_ranks(field, m, step, n: int) -> list[tuple[int, int]]:
+    """For k in range(n), the number of m's columns whose label has `step`
+    <= k and the rank of m's block on the rows and columns of such labels,
+    from one elimination (see `betti_table`)."""
+    order = sorted(range(m.ncols), key=lambda j: -step[m.col_labels[j]])
+    index = {j: c for c, j in enumerate(order)}
+    buckets = [[] for _ in range(n)]
+    for lab, row in zip(m.row_labels, m.rows):
+        buckets[step[lab]].append(packed_row(field, {index[j]: v for j, v in row.items()}))
+    widths = Counter(step[lab] for lab in m.col_labels)
+    table, width, out = {}, 0, []
+    for k in range(n):
+        _eliminate(field, buckets[k], table=table)
+        width += widths[k]
+        cut = m.ncols - width
+        out.append((width, sum(top >= cut for top in table)))
+    return out
+
+
+def _sublevel_complexes(mf: MorseFunction, complex_: InjectiveComplex) -> list:
+    """Ri^* of the complex to each sublevel set, in level order; None where
+    the sublevel is empty.  The top sublevel is the whole domain, where the
+    complex is itself.  Walking down, each lower sublevel's complex is the
+    pullback along the inclusion into the sublevel above, by (g f)^* = f^* g^*,
+    and a level with an empty fiber keeps the complex above it."""
+    current, members = complex_.trimmed(), set(complex_.poset.elements)
+    out = []
+    for x in reversed(mf.total_order):
+        out.append(current if members else None)
+        below = members - mf.fibers[x]
+        if below and below != members:
+            inclusion = MonotoneMap.inclusion(current.poset.restrict(below), current.poset)
+            current = pullback(inclusion, current)
+        members = below
+    return out[::-1]
 
 
 @dataclass
@@ -189,24 +257,41 @@ class MorseAnalysis:
         self.complex = complex_
         self._tables: dict[tuple[str, str], dict[str, dict[int, int]]] = {}
         self._fiber_dims: dict[str, dict[str, dict[int, int]]] = {}
+        self._chain = None
+
+    def _sublevel_chain(self) -> list:
+        """`_sublevel_complexes`, built on first use and kept."""
+        if self._chain is None:
+            self._chain = _sublevel_complexes(self.mf, self.complex)
+        return self._chain
 
     def table(self, direction: str, variant: str) -> dict[str, dict[int, int]]:
         """`betti_table` rows.  Superlevel sets are open, so both variants
         share one superlevel table."""
         key = (direction, "shriek" if direction == "superlevel" else variant)
         if key not in self._tables:
-            self._tables[key] = betti_table(self.mf, self.complex, *key)
+            chain = self._sublevel_chain() if key == ("sublevel", "star") else None
+            self._tables[key] = betti_table(self.mf, self.complex, *key, _sublevels=chain)
         return self._tables[key]
 
     def fiber_dims(self, variant: str) -> dict[str, dict[int, int]]:
-        """Microsupport dims of the fiber of every level with a non-empty fiber."""
+        """Microsupport dims of the fiber of every level with a non-empty
+        fiber.  The fiber of x is open in the sublevel of x, as the sublevel
+        below is closed, so its Ri^* is the submatrix restriction of the
+        sublevel's complex, which `R(i)_!` then extends to the domain."""
         if variant not in self._fiber_dims:
-            dims = {"star": star_microsupport_dims, "shriek": shriek_microsupport_dims}[variant]
-            self._fiber_dims[variant] = {
-                x: dims(self.mf.fiber_set(x), self.complex)
-                for x in self.mf.total_order
-                if self.mf.fibers[x]
-            }
+            mf, dims = self.mf, {}
+            chain = self._sublevel_chain() if variant == "star" else None
+            for k, x in enumerate(mf.total_order):
+                if not mf.fibers[x]:
+                    continue
+                if chain is None:
+                    dims[x] = shriek_microsupport_dims(mf.fiber_set(x), self.complex)
+                else:
+                    on_fiber = proper_pullback(LocallyClosedSet(chain[k].poset, mf.fibers[x]),
+                                               chain[k])
+                    dims[x] = hypercohomology(proper_pushforward(mf.fiber_set(x), on_fiber))
+            self._fiber_dims[variant] = dims
         return self._fiber_dims[variant]
 
     def critical(self, variant: str) -> set[str]:

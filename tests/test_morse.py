@@ -219,13 +219,14 @@ class TestMorseAnalysis:
         def count(name):
             original = getattr(morse_module, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(morse_module, name, counted)
 
-        for name in ("betti_table", "pullback", "star_microsupport_dims", "shriek_microsupport_dims"):
+        for name in ("betti_table", "pullback", "_sublevel_complexes", "star_microsupport_dims",
+                     "shriek_microsupport_dims"):
             count(name)
         rg = pushforward_complexes["Rg"]
         analysis = MorseAnalysis(sphere_morse, rg)
@@ -241,9 +242,13 @@ class TestMorseAnalysis:
         levels = sphere_morse.total_order
         fibers = sum(1 for x in levels if sphere_morse.fibers[x])
         assert calls["betti_table"] == 3
-        assert calls["star_microsupport_dims"] == calls["shriek_microsupport_dims"] == fibers
-        # one cylinder pullback per sublevel-star row and per star fiber
-        assert calls["pullback"] == len(levels) + fibers
+        assert calls["shriek_microsupport_dims"] == fibers
+        # one chain of sublevel complexes, shared by the sublevel-star table
+        # and the star fibers: a cylinder pullback per non-empty fiber but
+        # the lowest, and none per star fiber
+        assert calls["_sublevel_complexes"] == 1
+        assert calls["star_microsupport_dims"] == 0
+        assert calls["pullback"] == fibers - 1
         assert crit == {v: critical_elements(sphere_morse, rg, v) for v in ("shriek", "star")}
         for (d, v), table in tables.items():
             assert table == betti_table(sphere_morse, rg, d, v)
