@@ -205,6 +205,8 @@ def col_op(m: LabeledMatrix, kind: str, i: int, j: int | None = None, scalar: in
 
 def _line_op(m: LabeledMatrix, kind: str, i: int, j: int | None, scalar: int, noun: str):
     """`row_op`, naming the lines `noun` in its errors."""
+    if j is None and kind in ("add", "swap"):
+        raise OperationNotAllowed(f"{kind} needs a second {noun}")
     out = m.copy()
     if kind == "add":
         if i == j:

@@ -334,6 +334,13 @@ class TestRowColOps:
             col_op(m, "shear", 0, 1)
         assert col_op(m, "add", 0, 1, 2) == m  # no rows: the legal addition changes nothing
 
+    def test_add_and_swap_without_a_second_line_are_refused(self, simplex_star):
+        m = LabeledMatrix(simplex_star, GF3, ["234", "23"], ["23", "2"], [{1: 1}, {0: 2}])
+        for op, noun in ((row_op, "row"), (col_op, "column")):
+            for kind in ("add", "swap"):
+                with pytest.raises(OperationNotAllowed, match=f"^{kind} needs a second {noun}$"):
+                    op(m, kind, 0)
+
 
 class TestValidateComplex:
     def test_empty_valid(self, tetra_matrices):
