@@ -5,8 +5,8 @@ the compactly supported cochain oracle for generator multiplicities.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .errors import InputError
 from .matrix import InjectiveComplex, _eliminate, _sparse_rank, packed_row
@@ -119,59 +119,43 @@ def critical_elements(
     return MorseAnalysis(mf, complex_).critical(variant)
 
 
-def betti_table(
-    mf: MorseFunction,
-    complex_: InjectiveComplex,
-    direction: str,
-    variant: str,
-    _sublevels=None,
-) -> dict[str, dict[int, int]]:
+def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, variant: str,
+                _sublevels=None) -> dict[str, dict[int, int]]:
     """Hypercohomology dimensions of sub/superlevel restrictions per level.
 
     direction 'sublevel' uses closed sets {f <= x}; 'superlevel' uses open
     sets {f >= x}.  variant 'shriek' restricts by submatrices, 'star' by the
     cylinder pullback.  On an open set Ri^* = Ri^!, so superlevel rows of
-    both variants restrict by submatrices.  Each table walks the filtration.
+    both variants restrict by submatrices.
 
-    A sublevel-star row is the hypercohomology of the complex that
-    `_sublevel_complexes` (or `_sublevels`, its result) gives at that level.
-
-    The submatrix rows come off one elimination per degree.  Number a
-    matrix's columns so that levels further along the walk (up for
-    sublevels, down for superlevels) get lower indices, and feed its rows to
-    `_eliminate` one level at a time in walk order.  After the rows R of
-    levels up to step k, the pivot table is a basis of span R whose rows have
-    distinct top columns.  The columns of those levels are the indices from
-    some cut c up, so the block of R on them is the projection of span R to
-    the coordinates >= c.  A stored row with top < c projects to zero, and
-    those with top >= c keep distinct tops and stay independent, so the
-    block's rank is the number of stored tops >= c.
+    Each table walks the filtration.  Sublevel-star rows are the
+    hypercohomology of `_sublevel_complexes` (`_sublevels` if given).  The
+    submatrix rows come off one elimination per degree: number a matrix's
+    columns so that levels later in the walk (up for sublevels, down for
+    superlevels) get lower indices, and feed its rows to `_eliminate` one
+    level at a time in walk order.  After the rows R of the first k levels,
+    the pivot table is a basis of span R with distinct top columns, and the
+    columns of those levels are the indices from some cut c up, so the block
+    of R on them is span R projected to the coordinates >= c.  Stored rows
+    with top < c project to zero; those with top >= c keep distinct tops and
+    stay independent.  So the block's rank is the number of tops >= c.
     """
     if complex_.poset != mf.map.source:
         raise InputError("complex does not live on the Morse function's domain")
     levels = mf.total_order
     if direction == "sublevel" and variant == "star":
-        out, prev, row = {}, None, {}
-        for x, sub in zip(levels, _sublevels or _sublevel_complexes(mf, complex_)):
-            if sub is not prev:
-                prev, row = sub, hypercohomology(sub)
-            out[x] = dict(row)
-        return out
-    n, position = len(levels), mf.position
-    step = {e: position[mf.map(e)] for e in complex_.poset.elements}
-    if direction == "superlevel":
-        step = {e: n - 1 - k for e, k in step.items()}
-        levels = levels[::-1]
-    trimmed = complex_.trimmed()
-    out = {x: {} for x in levels}
-    prev = [0] * n
+        chain = _sublevels or _sublevel_complexes(mf, complex_)
+        return {x: hypercohomology(sub) if sub else {} for x, sub in zip(levels, chain)}
+    walk = levels[::-1] if direction == "superlevel" else levels
+    at = {x: k for k, x in enumerate(walk)}
+    step = {e: at[mf.map(e)] for e in complex_.poset.elements}
+    trimmed, out, prev = complex_.trimmed(), {x: {} for x in levels}, [0] * len(levels)
     for d, m in zip(trimmed.degrees, trimmed.matrices):
-        ranks = _filtration_ranks(trimmed.field, m, step, n)
-        for k, (width, rank) in enumerate(ranks):
+        for k, (width, rank) in enumerate(_filtration_ranks(trimmed.field, m, step, len(walk))):
             if h := width - rank - prev[k]:
-                out[levels[k]][d] = h
+                out[walk[k]][d] = h
             prev[k] = rank
-    return {x: out[x] for x in mf.total_order}
+    return out
 
 
 def _filtration_ranks(field, m, step, n: int) -> list[tuple[int, int]]:
@@ -183,13 +167,11 @@ def _filtration_ranks(field, m, step, n: int) -> list[tuple[int, int]]:
     buckets = [[] for _ in range(n)]
     for lab, row in zip(m.row_labels, m.rows):
         buckets[step[lab]].append(packed_row(field, {index[j]: v for j, v in row.items()}))
-    widths = Counter(step[lab] for lab in m.col_labels)
-    table, width, out = {}, 0, []
+    table, out = {}, []
     for k in range(n):
         _eliminate(field, buckets[k], table=table)
-        width += widths[k]
-        cut = m.ncols - width
-        out.append((width, sum(top >= cut for top in table)))
+        cut = sum(step[lab] > k for lab in m.col_labels)
+        out.append((m.ncols - cut, sum(top >= cut for top in table)))
     return out
 
 
@@ -257,40 +239,34 @@ class MorseAnalysis:
         self.complex = complex_
         self._tables: dict[tuple[str, str], dict[str, dict[int, int]]] = {}
         self._fiber_dims: dict[str, dict[str, dict[int, int]]] = {}
-        self._chain = None
 
-    def _sublevel_chain(self) -> list:
-        """`_sublevel_complexes`, built on first use and kept."""
-        if self._chain is None:
-            self._chain = _sublevel_complexes(self.mf, self.complex)
-        return self._chain
+    @cached_property
+    def _sublevels(self) -> list:
+        return _sublevel_complexes(self.mf, self.complex)
 
     def table(self, direction: str, variant: str) -> dict[str, dict[int, int]]:
         """`betti_table` rows.  Superlevel sets are open, so both variants
         share one superlevel table."""
         key = (direction, "shriek" if direction == "superlevel" else variant)
         if key not in self._tables:
-            chain = self._sublevel_chain() if key == ("sublevel", "star") else None
+            chain = self._sublevels if key == ("sublevel", "star") else None
             self._tables[key] = betti_table(self.mf, self.complex, *key, _sublevels=chain)
         return self._tables[key]
 
     def fiber_dims(self, variant: str) -> dict[str, dict[int, int]]:
         """Microsupport dims of the fiber of every level with a non-empty
-        fiber.  The fiber of x is open in the sublevel of x, as the sublevel
-        below is closed, so its Ri^* is the submatrix restriction of the
-        sublevel's complex, which `R(i)_!` then extends to the domain."""
+        fiber: Ri^! restricts the complex by submatrices.  The fiber of x is
+        open in the sublevel of x, as the sublevel below is closed, so Ri^*
+        restricts the sublevel's complex by submatrices, and R(i)_! extends
+        that to the domain."""
         if variant not in self._fiber_dims:
-            mf, dims = self.mf, {}
-            chain = self._sublevel_chain() if variant == "star" else None
-            for k, x in enumerate(mf.total_order):
-                if not mf.fibers[x]:
-                    continue
-                if chain is None:
-                    dims[x] = shriek_microsupport_dims(mf.fiber_set(x), self.complex)
-                else:
-                    on_fiber = proper_pullback(LocallyClosedSet(chain[k].poset, mf.fibers[x]),
-                                               chain[k])
-                    dims[x] = hypercohomology(proper_pushforward(mf.fiber_set(x), on_fiber))
+            mf, star, dims = self.mf, variant == "star", {}
+            chain = self._sublevels if star else [self.complex] * len(mf.total_order)
+            for x, sub in zip(mf.total_order, chain):
+                if mf.fibers[x]:
+                    on_fiber = proper_pullback(LocallyClosedSet(sub.poset, mf.fibers[x]), sub)
+                    dims[x] = hypercohomology(
+                        proper_pushforward(mf.fiber_set(x), on_fiber) if star else on_fiber)
             self._fiber_dims[variant] = dims
         return self._fiber_dims[variant]
 

@@ -225,8 +225,8 @@ class TestMorseAnalysis:
 
             monkeypatch.setattr(morse_module, name, counted)
 
-        for name in ("betti_table", "pullback", "_sublevel_complexes", "star_microsupport_dims",
-                     "shriek_microsupport_dims"):
+        for name in ("betti_table", "pullback", "_sublevel_complexes", "proper_pullback",
+                     "proper_pushforward"):
             count(name)
         rg = pushforward_complexes["Rg"]
         analysis = MorseAnalysis(sphere_morse, rg)
@@ -242,13 +242,14 @@ class TestMorseAnalysis:
         levels = sphere_morse.total_order
         fibers = sum(1 for x in levels if sphere_morse.fibers[x])
         assert calls["betti_table"] == 3
-        assert calls["shriek_microsupport_dims"] == fibers
         # one chain of sublevel complexes, shared by the sublevel-star table
         # and the star fibers: a cylinder pullback per non-empty fiber but
-        # the lowest, and none per star fiber
+        # the lowest, and none per fiber; each fiber restricts by submatrices
+        # once per variant and extends by zero once for the star variant
         assert calls["_sublevel_complexes"] == 1
-        assert calls["star_microsupport_dims"] == 0
         assert calls["pullback"] == fibers - 1
+        assert calls["proper_pullback"] == 2 * fibers
+        assert calls["proper_pushforward"] == fibers
         assert crit == {v: critical_elements(sphere_morse, rg, v) for v in ("shriek", "star")}
         for (d, v), table in tables.items():
             assert table == betti_table(sphere_morse, rg, d, v)
