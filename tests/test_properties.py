@@ -14,12 +14,14 @@ composite of pullbacks, the invariants of peel and of double dualization,
 peel against the mirrored version it replaced (`peel_oracle`), MakeExact
 against the row-basis screen it replaced (`screen_oracle`), the Morse
 tables and fiber dims against the per-level restrictions they replaced
-(`morse_oracle`), the star-row ranks, packed rows and buckets MakeExact
-carries between degrees against dense ranks and fresh state, the down-sets,
-heights and linear extension against their definitions, the chain
-enumeration behind the order complex against every totally ordered subset,
-the star built as the cone over the link against the restricted star, and
-`Sheaf.validate` against agreement along every cover path.
+(`morse_oracle`), max-vertex Morse tables over GF(3) and GF(5) against the
+cohomology of full subcomplexes, the star-row ranks, packed rows and
+buckets MakeExact carries between degrees against dense ranks and fresh
+state, the down-sets, heights and linear extension against their
+definitions, the chain enumeration behind the order complex against every
+totally ordered subset, the star built as the cone over the link against
+the restricted star, and `Sheaf.validate` against agreement along every
+cover path.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -53,8 +55,8 @@ from posheaf.field import PrimeField
 from posheaf.io import complex_to_json, dumps
 from posheaf.matrix import (_eliminate, _sparse_rank, _top_pivots, image_complement_rows,
                             packed_row)
-from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, multiplicity_oracle,
-                          restrict_star)
+from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, compact_support_cohomology,
+                          multiplicity_oracle, restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
                            mapping_cylinder, order_complex, star_subposet)
 from posheaf import cli, resolution
@@ -657,6 +659,38 @@ def test_constant_sheaf_multiplicities_match_the_oracle(complex_, p):
     for face in faces:
         got = {d: counts[face] for d, counts in table.items() if counts.get(face)}
         assert got == oracle[face]
+
+
+PROJECTIVE_PLANE = SimplicialComplex.from_facets(
+    ["123", "124", "135", "146", "156", "236", "245", "256", "345", "346"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(complex_=PROJECTIVE_PLANE, p=3, data=None)
+@example(complex_=PROJECTIVE_PLANE, p=5, data=None)
+@given(complex_=simplicial_complexes(), p=st.sampled_from([3, 5]), data=st.data())
+def test_max_vertex_morse_off_gf2(complex_, p, data):
+    """The `posheaf morse` shape over GF(3) and GF(5): levels are the max
+    vertex of each face under a vertex order.  The sublevel-star row at x is
+    the cohomology of the full subcomplex on the vertices up to x (the
+    compact-support oracle on all its faces), and the Morse theorem and the
+    inequalities of both variants report no violation.  The projective
+    plane, whose torsion shows over GF(2) only, goes in with the identity
+    order."""
+    vertices = list(complex_.vertices)
+    order = data.draw(st.permutations(vertices), label="vertex order") if data else vertices
+    rank = {v: k for k, v in enumerate(order)}
+    faces = complex_.face_poset.elements
+    levels = {f: max(complex_.face_of[f], key=rank.__getitem__) for f in faces}
+    mf = MorseFunction.from_levels(complex_.face_poset, levels, order)
+    analysis = MorseAnalysis(mf, minimal_resolution_constant(complex_.face_poset, PrimeField(p)))
+    table = analysis.table("sublevel", "star")
+    for k, x in enumerate(order):
+        sub = SimplicialComplex([f for f in complex_.faces if f <= set(order[:k + 1])])
+        assert table[x] == compact_support_cohomology(sub, sub.face_poset.elements, p)
+    assert analysis.theorem().violations == []
+    for variant in ("star", "shriek"):
+        assert analysis.inequalities(variant).violations == []
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
