@@ -145,7 +145,7 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
     levels = mf.total_order
     if direction == "sublevel" and variant == "star":
         chain = _sublevels or _sublevel_complexes(mf, complex_)
-        return {x: hypercohomology(sub) if sub else {} for x, sub in zip(levels, chain)}
+        return {x: {} if sub is None else hypercohomology(sub) for x, sub in zip(levels, chain)}
     walk = levels[::-1] if direction == "superlevel" else levels
     at = {x: k for k, x in enumerate(walk)}
     step = {e: at[mf.map(e)] for e in complex_.poset.elements}
@@ -231,7 +231,9 @@ class MorseAnalysis:
     """The Morse quantities of one complex under one Morse function: Betti
     tables, fiber microsupport dims, critical sets, the theorem check and the
     inequalities.  Each table and each variant's fiber dims are computed on
-    first use and kept.
+    first use and kept, along the filtration (see `betti_table`): the chain
+    of sublevel complexes is built once, for the sublevel-star table and the
+    star fiber dims both.
     """
 
     def __init__(self, mf: MorseFunction, complex_: InjectiveComplex):
@@ -260,7 +262,7 @@ class MorseAnalysis:
         restricts the sublevel's complex by submatrices, and R(i)_! extends
         that to the domain."""
         if variant not in self._fiber_dims:
-            mf, star, dims = self.mf, variant == "star", {}
+            mf, star, dims = self.mf, {"star": True, "shriek": False}[variant], {}
             chain = self._sublevels if star else [self.complex] * len(mf.total_order)
             for x, sub in zip(mf.total_order, chain):
                 if mf.fibers[x]:
