@@ -434,3 +434,68 @@ class TestCompactSupportOracle:
                     if counts.get(face, 0)
                 }
                 assert got == multiplicity_oracle(sc, face, p)
+
+
+def _doctored_verdicts(trials=200, seed=23):
+    """Theorem and inequality verdicts of `trials` analyses of skel(5,2)
+    under max-vertex levels, each with random rows of its Betti tables and
+    random fiber dims overwritten, so that both outcomes of every comparison
+    and every partial sum occur."""
+    import copy
+    from posheaf.poset import skeleton_of_simplex
+
+    rng = random.Random(seed)
+    sc = skeleton_of_simplex(5, 2)
+    order = sorted(sc.vertices)
+    rng.shuffle(order)
+    rank = {v: k for k, v in enumerate(order)}
+    levels = {f: max(sc.face_of[f], key=rank.__getitem__) for f in sc.face_poset.elements}
+    mf = MorseFunction.from_levels(sc.face_poset, levels, order)
+    res = minimal_resolution_constant(sc.face_poset)
+    base = MorseAnalysis(mf, res)
+    for direction in ("sublevel", "superlevel"):
+        for variant in ("shriek", "star"):
+            base.table(direction, variant)
+            base.fiber_dims(variant)
+
+    def random_dims():
+        if rng.random() < 0.2:
+            return {}
+        degrees = sorted(rng.sample(range(-1, 4), rng.randint(1, 2)))
+        return {d: rng.randint(1, 3) for d in degrees}
+
+    out = []
+    for _ in range(trials):
+        analysis = MorseAnalysis(mf, res)
+        analysis._tables = copy.deepcopy(base._tables)
+        analysis._fiber_dims = copy.deepcopy(base._fiber_dims)
+        for _ in range(rng.randint(0, 3)):
+            table = analysis._tables[rng.choice(sorted(analysis._tables))]
+            x = rng.choice(order)
+            table[x] = dict(table[rng.choice(order)]) if rng.random() < 0.3 else random_dims()
+        for _ in range(rng.randint(0, 2)):
+            dims = analysis._fiber_dims[rng.choice(["shriek", "star"])]
+            dims[rng.choice(sorted(dims))] = random_dims()
+        theorem = analysis.theorem()
+        verdict = [theorem.violations, theorem.checks]
+        for variant in ("shriek", "star"):
+            report = analysis.inequalities(variant)
+            verdict.append((report.violations, report.rows, report.euler_total,
+                            report.euler_critical_sum))
+        out.append(verdict)
+    return out
+
+
+class TestDoctoredVerdicts:
+    def test_verdicts_are_pinned(self):
+        """Pins every violation text, check count, partial-sum row and Euler
+        sum of the doctored analyses, so that a rewrite of the theorem or the
+        inequalities keeps their verdicts off valid input too."""
+        import hashlib
+
+        verdicts = _doctored_verdicts()
+        theorem_violations = sum(len(v[0]) for v in verdicts)
+        inequality_violations = sum(len(r[0]) for v in verdicts for r in v[2:])
+        assert (theorem_violations, inequality_violations) == (177, 424)
+        digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+        assert digest == "0b5e361ee99ccea61ac7d1e1c7dcbb3146906344cc4035135963c4f1251258de"
