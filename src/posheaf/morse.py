@@ -5,6 +5,7 @@ the compactly supported cochain oracle for generator multiplicities.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -78,7 +79,11 @@ class MorseFunction:
     def __init__(self, f: MonotoneMap, total_order: list[str]):
         self.map = f
         self.total_order = list(total_order)
-        pos = {x: k for k, x in enumerate(self.total_order)}
+        pos = {}
+        for k, x in enumerate(self.total_order):
+            if x in pos:
+                raise InputError(f"total order repeats level {x!r}")
+            pos[x] = k
         if sorted(pos) != sorted(f.target.elements):
             raise InputError("total order must enumerate the level poset")
         for a, b in f.target.covers:
@@ -100,7 +105,8 @@ class MorseFunction:
             if e not in levels:
                 raise InputError(f"no level assigned to element {e!r}")
         levels = {e: str(levels[e]) for e in domain.elements}
-        return cls(MonotoneMap(domain, image_poset(domain, levels, order), levels), order)
+        target = image_poset(domain, levels, list(dict.fromkeys(order)))
+        return cls(MonotoneMap(domain, target, levels), order)
 
     def sublevel(self, x: str) -> set[str]:
         return set().union(*(self.fibers[y] for y in self.total_order[: self.position[x] + 1]))
@@ -287,34 +293,22 @@ class MorseAnalysis:
         The boundary rows (empty sublevel before the first level, empty
         superlevel after the last) are included in the comparison.
         """
-        report = MorseTheoremReport()
-        crit_shriek = self.critical("shriek")
-        crit_star = self.critical("star")
-        sub_shriek = self.table("sublevel", "shriek")
-        sub_star = self.table("sublevel", "star")
-        super_star = self.table("superlevel", "star")
         levels = self.mf.total_order
 
-        def compare(kind, x, row_a, row_b):
-            report.checks += 1
-            if row_a != row_b:
-                report.violations.append(
-                    f"{kind}: rows differ across non-critical level {x} ({row_a} vs {row_b})"
-                )
+        def rows(direction, variant):
+            return [self.table(direction, variant)[x] for x in levels]
 
-        prev_shriek: dict[int, int] = {}
-        prev_star: dict[int, int] = {}
-        for x in levels:
-            if x not in crit_shriek:
-                compare("sublevel-shriek", x, prev_shriek, sub_shriek[x])
-            if x not in crit_star:
-                compare("sublevel-star", x, prev_star, sub_star[x])
-            prev_shriek, prev_star = sub_shriek[x], sub_star[x]
-        for k, x in enumerate(levels):
-            nxt = super_star[levels[k + 1]] if k + 1 < len(levels) else {}
-            if x not in crit_shriek:
-                compare("superlevel-star", x, super_star[x], nxt)
-        return report
+        # the families of each pass: kind, rows padded by the empty boundary
+        # row, and the critical levels that excuse a change
+        passes = [[("sublevel-shriek", [{}] + rows("sublevel", "shriek"), self.critical("shriek")),
+                   ("sublevel-star", [{}] + rows("sublevel", "star"), self.critical("star"))],
+                  [("superlevel-star", rows("superlevel", "star") + [{}], self.critical("shriek"))]]
+        compared = [(kind, x, padded[k], padded[k + 1]) for families in passes
+                    for k, x in enumerate(levels) for kind, padded, critical in families
+                    if x not in critical]
+        violations = [f"{kind}: rows differ across non-critical level {x} ({a} vs {b})"
+                      for kind, x, a, b in compared if a != b]
+        return MorseTheoremReport(violations, checks=len(compared))
 
     def inequalities(self, variant: str) -> MorseInequalityReport:
         """Alternating partial-sum inequalities and the Euler equality.
@@ -323,34 +317,26 @@ class MorseAnalysis:
         hypercohomology dimensions is bounded by the corresponding sum over
         critical fibers; the full alternating sums agree.
         """
-        report = MorseInequalityReport()
-        total = hypercohomology(self.complex)
-        fibers = [dims for dims in self.fiber_dims(variant).values() if dims]
-        degrees = set(total)
-        for dims in fibers:
-            degrees |= set(dims)
+        total, critical = hypercohomology(self.complex), Counter()
+        for dims in self.fiber_dims(variant).values():
+            critical.update(dims)
+        degrees = set(total) | set(critical)
         if not degrees:
-            return report
+            return MorseInequalityReport()
         lo, hi = min(degrees), max(degrees)
-        for ell in range(lo - 1, hi + 2):
-            lhs = sum((-1) ** (ell - j) * total.get(j, 0) for j in range(lo, ell + 1))
-            rhs = sum(
-                (-1) ** (ell - j) * dims.get(j, 0)
-                for dims in fibers
-                for j in range(lo, ell + 1)
-            )
-            report.rows.append((ell, lhs, rhs))
-            if lhs > rhs:
-                report.violations.append(f"partial sums at level {ell}: {lhs} > {rhs}")
-        report.euler_total = sum((-1) ** j * v for j, v in total.items())
-        report.euler_critical_sum = sum(
-            (-1) ** j * v for dims in fibers for j, v in dims.items()
-        )
-        if report.euler_total != report.euler_critical_sum:
-            report.violations.append(
-                f"Euler equality fails: {report.euler_total} != {report.euler_critical_sum}"
-            )
-        return report
+
+        def partial_sum(dims, ell):
+            return sum((-1) ** (ell - j) * dims.get(j, 0) for j in range(lo, ell + 1))
+
+        rows = [(ell, partial_sum(total, ell), partial_sum(critical, ell))
+                for ell in range(lo - 1, hi + 2)]
+        violations = [f"partial sums at level {ell}: {lhs} > {rhs}" for ell, lhs, rhs in rows
+                      if lhs > rhs]
+        euler_total, euler_critical_sum = (
+            sum((-1) ** j * v for j, v in dims.items()) for dims in (total, critical))
+        if euler_total != euler_critical_sum:
+            violations.append(f"Euler equality fails: {euler_total} != {euler_critical_sum}")
+        return MorseInequalityReport(violations, euler_total, euler_critical_sum, rows)
 
 
 # -- compactly supported cochain oracle ------------------------------------------

@@ -148,14 +148,14 @@ class TestResolve:
         src = str(Path(posheaf.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "posheaf.cli", "resolve", str(path), "--format", "json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert proc.stdout.read(10) == b'{\n  "degre'
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 0
+        ) as proc:
+            assert proc.stdout.read(10) == b'{\n  "degre'
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 0
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -676,6 +676,14 @@ class TestMorseCommand:
         bad = dict(MORSE_JSON, order=list("BACDEFGHIJK"))
         morse_path.write_text(json.dumps(bad))
         assert main(["morse", rg_complex_file, str(morse_path)]) == 1
+
+    def test_repeated_level_exit_code(self, rg_complex_file, tmp_path, capsys):
+        morse_path = tmp_path / "repeat.json"
+        morse_path.write_text(json.dumps(dict(MORSE_JSON, order=list("ABCDEFGHIJKK"))))
+        assert main(["morse", rg_complex_file, str(morse_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: total order repeats level 'K'")
+        assert "Traceback" not in err
 
     def test_verification_failure_exit_code(
         self, rg_complex_file, tmp_path, monkeypatch

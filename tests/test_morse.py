@@ -107,6 +107,18 @@ class TestMorseFunction:
         with pytest.raises(InputError):
             MorseFunction.from_levels(poset, levels, ["lo", "hi"])
 
+    @pytest.mark.parametrize("order", [["a", "a", "b"], ["a", "b", "b"]])
+    def test_rejects_a_repeated_level(self, tetra, order):
+        # faces without vertex 3 form a closed fiber, those with it an open one
+        poset = tetra.face_poset
+        levels = {e: "b" if "3" in e else "a" for e in poset.elements}
+        repeated = "'a'" if order[1] == "a" else "'b'"
+        with pytest.raises(InputError, match=f"total order repeats level {repeated}"):
+            MorseFunction.from_levels(poset, levels, order)
+        f = MorseFunction.from_levels(poset, levels, ["a", "b"]).map
+        with pytest.raises(InputError, match=f"total order repeats level {repeated}"):
+            MorseFunction(f, order)
+
     def test_sublevels_closed_superlevels_open(self, sphere_morse):
         poset = sphere_morse.map.source
         for x in sphere_morse.total_order:
