@@ -36,6 +36,18 @@ def _matmul(field: PrimeField, a, b, ncols: int) -> list[list[int]]:
     return out
 
 
+def _stalk_map(field: PrimeField, mat, nrows: int, ncols: int, what: str) -> list[list[int]]:
+    """`mat` reduced mod p, or the zero matrix where it is None; any shape
+    but nrows x ncols is refused, naming `what`."""
+    if mat is None:
+        return [[0] * ncols for _ in range(nrows)]
+    mat = [[x % field.p for x in row] for row in mat]
+    if len(mat) != nrows or any(len(row) != ncols for row in mat):
+        raise InputError(f"{what} has shape {len(mat)}x{len(mat[0]) if mat else 0}, "
+                         f"expected {nrows}x{ncols}")
+    return mat
+
+
 class Sheaf:
     def __init__(self, poset: Poset, field: PrimeField, stalk_dim: dict, restriction: dict):
         """`restriction` maps cover pairs (a, b) to dim F(b) x dim F(a) matrices.
@@ -45,25 +57,12 @@ class Sheaf:
         self.poset = poset
         self.field = field
         self.stalk_dim = {e: int(stalk_dim.get(e, 0)) for e in poset.elements}
-        p = field.p
         self.restriction = {}
         self._covers_up: dict[str, list[str]] = {e: [] for e in poset.elements}
         for a, b in poset.covers:
             self._covers_up[a].append(b)
-            mat = restriction.get((a, b))
-            if mat is None:
-                mat = [[0] * self.stalk_dim[a] for _ in range(self.stalk_dim[b])]
-            else:
-                mat = [[x % p for x in row] for row in mat]
-                if len(mat) != self.stalk_dim[b] or any(
-                    len(row) != self.stalk_dim[a] for row in mat
-                ):
-                    raise InputError(
-                        f"restriction {a}<{b} has shape "
-                        f"{len(mat)}x{len(mat[0]) if mat else 0}, expected "
-                        f"{self.stalk_dim[b]}x{self.stalk_dim[a]}"
-                    )
-            self.restriction[(a, b)] = mat
+            self.restriction[(a, b)] = _stalk_map(field, restriction.get((a, b)), self.stalk_dim[b],
+                                                  self.stalk_dim[a], f"restriction {a}<{b}")
         for key in restriction:
             if key not in self.restriction:
                 raise InputError(f"restriction given for non-cover pair {key}")
@@ -163,15 +162,12 @@ class NaturalTransformation:
             raise InputError("source and target live on different posets")
         self.source = source
         self.target = target
-        p = source.field.p
-        self.components = {}
-        for e in source.poset.elements:
-            mat = components.get(e)
-            if mat is None:
-                mat = [[0] * source.stalk_dim[e] for _ in range(target.stalk_dim[e])]
-            else:
-                mat = [[x % p for x in row] for row in mat]
-            self.components[e] = mat
+        self.components = {e: _stalk_map(source.field, components.get(e), target.stalk_dim[e],
+                                         source.stalk_dim[e], f"component at {e!r}")
+                           for e in source.poset.elements}
+        for key in components:
+            if key not in self.components:
+                raise InputError(f"component given for unknown element {key!r}")
 
     def validate(self) -> ValidationReport:
         issues = []

@@ -280,6 +280,18 @@ class TestInjectiveHull:
             injective_hull(bad)
 
 
+class TestNaturalTransformation:
+    def test_refuses_a_wrong_shaped_component(self, two_chain):
+        sheaf = Sheaf(two_chain, GF2, {"x": 1, "y": 2}, {("y", "x"): [[1, 0]]})
+        with pytest.raises(InputError, match=r"component at 'y' has shape 2x1, expected 2x2"):
+            NaturalTransformation(sheaf, sheaf, {"y": [[1], [0]]})
+
+    def test_refuses_a_component_at_an_unknown_element(self, two_chain):
+        sheaf = constant_sheaf(two_chain)
+        with pytest.raises(InputError, match="unknown element 'z'"):
+            NaturalTransformation(sheaf, sheaf, {"x": [[1]], "z": [[1]]})
+
+
 class TestHomDimInjective:
     def test_single_summands(self, two_chain):
         assert hom_dim_injective({"x": 1}, {"y": 1}, two_chain) == 1
