@@ -169,6 +169,18 @@ class TestPeel:
         with pytest.raises(InputError, match="compose to zero"):
             peel(complex_)
 
+    def test_pushforward_refuses_a_complex_that_does_not_compose_to_zero(self):
+        # nothing before peel checks a pushed complex, so its entry check is
+        # the public entry's guard
+        chain = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        first = LabeledMatrix(chain, GF2, ["c"], ["b"], [{0: 1}])
+        second = LabeledMatrix(chain, GF2, ["b"], ["a"], [{0: 1}])
+        third = LabeledMatrix(chain, GF2, ["a"])
+        complex_ = InjectiveComplex(chain, GF2, [first, second, third])
+        identity = MonotoneMap(chain, chain, {e: e for e in chain.elements})
+        with pytest.raises(InputError, match="compose to zero"):
+            pushforward(identity, complex_)
+
     def test_split_off_row_of_the_previous_matrix_is_emptied(self):
         # [pi] -> [pi]^2 -> [pi], maps (1, 1)^T and (1, 1): the pivot (0, 0) of
         # the second matrix, taken first, splits off row 0 of the first, which
