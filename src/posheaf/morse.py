@@ -71,9 +71,9 @@ def shriek_microsupport_dims(zset, complex_):
 class MorseFunction:
     """An order preserving map to a poset of levels with a chosen refinement.
 
-    `total_order` lists the level elements from lowest to highest and must
-    refine the level poset's order; every fiber must be locally closed in the
-    domain.
+    `total_order` lists each level element once, from lowest to highest, and
+    must refine the level poset's order; every fiber must be locally closed
+    in the domain.
     """
 
     def __init__(self, f: MonotoneMap, total_order: list[str]):
