@@ -120,11 +120,12 @@ def pushforward(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
     return peel(pushed)
 
 
-def pullback(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
+def pullback(f: MonotoneMap, complex_: InjectiveComplex, _cone=None) -> InjectiveComplex:
     """Rf^*: build an exact mapping-cone complex over the mapping cylinder by
     seeding each degree with the negated rows of the next differential and
     making it exact over the source; keep the source-labeled part.  The output
-    is minimal by construction."""
+    is minimal by construction.  A list `_cone` gets the whole cylinder
+    complex's hypercohomology appended (see `morse._sublevel_walk`)."""
     if complex_.poset != f.target:
         raise InputError("complex does not live on the map's target")
     field = complex_.field
@@ -134,6 +135,8 @@ def pullback(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
     seeds = [_negated(m, cyl) for m in complex_.matrices]
     start = LabeledMatrix(cyl, field, [], seeds[0].col_labels)
     gammas = force_exact(start, [inc_src(e) for e in f.source.linear_extension], seeds)
+    if _cone is not None:
+        _cone.append(hypercohomology(InjectiveComplex(cyl, field, gammas, complex_.degree_offset)))
     back = {inc_src(e): e for e in f.source.elements}
     result = [g.submatrix(back.keys(), back.keys()).relabel(back, poset=f.source) for g in gammas]
     return InjectiveComplex(f.source, field, result, complex_.degree_offset - 1).trimmed()

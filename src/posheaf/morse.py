@@ -134,8 +134,8 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
     cylinder pullback.  On an open set Ri^* = Ri^!, so superlevel rows of
     both variants restrict by submatrices.
 
-    Each table walks the filtration.  Sublevel-star rows are the
-    hypercohomology of `_sublevel_complexes` (`_sublevels` if given).  The
+    Each table walks the filtration.  Sublevel-star rows are those of
+    `_sublevel_walk` (`_sublevels` if given).  The
     submatrix rows come off one elimination per degree: number a matrix's
     columns so that levels later in the walk (up for sublevels, down for
     superlevels) get lower indices, and feed its rows to `_eliminate` one
@@ -148,14 +148,14 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
     """
     if complex_.poset != mf.map.source:
         raise InputError("complex does not live on the Morse function's domain")
-    levels = mf.total_order
+    if direction not in ("sublevel", "superlevel") or variant not in ("star", "shriek"):
+        raise InputError(f"unknown table direction or variant: {direction!r}, {variant!r}")
     if direction == "sublevel" and variant == "star":
-        chain = _sublevels or _sublevel_complexes(mf, complex_)
-        return {x: {} if sub is None else hypercohomology(sub) for x, sub in zip(levels, chain)}
-    walk = levels[::-1] if direction == "superlevel" else levels
+        return _sublevels or _sublevel_walk(mf, complex_)[0]
+    walk = mf.total_order[::-1] if direction == "superlevel" else mf.total_order
     at = {x: k for k, x in enumerate(walk)}
     step = {e: at[mf.map(e)] for e in complex_.poset.elements}
-    trimmed, out, prev = complex_.trimmed(), {x: {} for x in levels}, [0] * len(levels)
+    trimmed, out, prev = complex_.trimmed(), {x: {} for x in mf.total_order}, [0] * len(walk)
     for d, m in zip(trimmed.degrees, trimmed.matrices):
         for k, (width, rank) in enumerate(_filtration_ranks(trimmed.field, m, step, len(walk))):
             if h := width - rank - prev[k]:
@@ -181,22 +181,28 @@ def _filtration_ranks(field, m, step, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _sublevel_complexes(mf: MorseFunction, complex_: InjectiveComplex) -> list:
-    """Ri^* of the complex to each sublevel set, in level order; None where
-    the sublevel is empty.  The top sublevel is the whole domain, where the
-    complex is itself.  Walking down, each lower sublevel's complex is the
-    pullback along the inclusion into the sublevel above, by (g f)^* = f^* g^*,
-    and a level with an empty fiber keeps the complex above it."""
+def _sublevel_walk(mf: MorseFunction, complex_: InjectiveComplex) -> tuple[dict, dict]:
+    """The sublevel-star rows, the hypercohomology of C_x = Ri^* of the
+    complex to each sublevel S_x ({} where empty), and the star dims of each
+    non-empty fiber F_x, in level order.  Walking down from the whole domain,
+    C_x is pulled back to S_{x-1} below, by (g f)^* = f^* g^*; an empty fiber
+    keeps C_x.  F_x is open in S_x and S_{x-1} closed, so F_x's star dims are
+    those of the cone of RGamma(S_x, C_x) -> RGamma(S_{x-1}, C_{x-1}).
+    `pullback` builds G on the cylinder with target-labeled part -C_x, exact
+    at every source element.  The target is open and source-labeled summands
+    vanish on it, so G is C_x extended by zero; a source copy s' sees C_x's
+    stalk at s.  So G's hypercohomology, which `pullback` appends to `_cone`,
+    is that cone; with nothing below F_x, or C_x empty, it is the row."""
     current, members = complex_.trimmed(), set(complex_.poset.elements)
-    out = []
+    rows, cones = {}, {}
     for x in reversed(mf.total_order):
-        out.append(current if members else None)
-        below = members - mf.fibers[x]
+        rows[x] = hypercohomology(current) if members else {}
+        below, cones[x] = members - mf.fibers[x], [rows[x]]
         if below and below != members:
             inclusion = MonotoneMap.inclusion(current.poset.restrict(below), current.poset)
-            current = pullback(inclusion, current)
+            current = pullback(inclusion, current, _cone=cones[x])
         members = below
-    return out[::-1]
+    return dict(reversed(rows.items())), {x: cones[x][-1] for x in mf.total_order if mf.fibers[x]}
 
 
 @dataclass
@@ -237,45 +243,44 @@ class MorseAnalysis:
     """The Morse quantities of one complex under one Morse function: Betti
     tables, fiber microsupport dims, critical sets, the theorem check and the
     inequalities.  Each table and each variant's fiber dims are computed on
-    first use and kept, along the filtration (see `betti_table`): the chain
-    of sublevel complexes is built once, for the sublevel-star table and the
+    first use and kept, along the filtration (see `betti_table`): the walk
+    down the sublevel complexes runs once, for the sublevel-star table and the
     star fiber dims both.
     """
 
     def __init__(self, mf: MorseFunction, complex_: InjectiveComplex):
+        if complex_.poset != mf.map.source:
+            raise InputError("complex does not live on the Morse function's domain")
         self.mf = mf
         self.complex = complex_
         self._tables: dict[tuple[str, str], dict[str, dict[int, int]]] = {}
         self._fiber_dims: dict[str, dict[str, dict[int, int]]] = {}
 
     @cached_property
-    def _sublevels(self) -> list:
-        return _sublevel_complexes(self.mf, self.complex)
+    def _walk(self) -> tuple[dict, dict]:
+        return _sublevel_walk(self.mf, self.complex)
 
     def table(self, direction: str, variant: str) -> dict[str, dict[int, int]]:
         """`betti_table` rows.  Superlevel sets are open, so both variants
         share one superlevel table."""
-        key = (direction, "shriek" if direction == "superlevel" else variant)
+        key = (direction, "shriek" if (direction, variant) == ("superlevel", "star") else variant)
         if key not in self._tables:
-            chain = self._sublevels if key == ("sublevel", "star") else None
-            self._tables[key] = betti_table(self.mf, self.complex, *key, _sublevels=chain)
+            rows = self._walk[0] if key == ("sublevel", "star") else None
+            self._tables[key] = betti_table(self.mf, self.complex, *key, _sublevels=rows)
         return self._tables[key]
 
     def fiber_dims(self, variant: str) -> dict[str, dict[int, int]]:
         """Microsupport dims of the fiber of every level with a non-empty
-        fiber: Ri^! restricts the complex by submatrices.  The fiber of x is
-        open in the sublevel of x, as the sublevel below is closed, so Ri^*
-        restricts the sublevel's complex by submatrices, and R(i)_! extends
-        that to the domain."""
+        fiber: star dims off the sublevel walk (see `_sublevel_walk`), shriek
+        dims, Ri^!, off the complex's submatrix blocks on the fiber."""
         if variant not in self._fiber_dims:
-            mf, star, dims = self.mf, {"star": True, "shriek": False}[variant], {}
-            chain = self._sublevels if star else [self.complex] * len(mf.total_order)
-            for x, sub in zip(mf.total_order, chain):
-                if mf.fibers[x]:
-                    on_fiber = proper_pullback(LocallyClosedSet(sub.poset, mf.fibers[x]), sub)
-                    dims[x] = hypercohomology(
-                        proper_pushforward(mf.fiber_set(x), on_fiber) if star else on_fiber)
-            self._fiber_dims[variant] = dims
+            if variant not in ("star", "shriek"):
+                raise InputError(f"unknown variant {variant!r}")
+            c = self.complex.trimmed()
+            self._fiber_dims[variant] = self._walk[1] if variant == "star" else {
+                x: hypercohomology(InjectiveComplex(c.poset, c.field, [
+                    m.submatrix(fiber, fiber) for m in c.matrices], c.degree_offset))
+                for x, fiber in self.mf.fibers.items() if fiber}
         return self._fiber_dims[variant]
 
     def critical(self, variant: str) -> set[str]:

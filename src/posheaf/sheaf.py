@@ -56,6 +56,10 @@ class Sheaf:
         """
         self.poset = poset
         self.field = field
+        for e, dim in stalk_dim.items():
+            if e not in poset.index or int(dim) < 0:
+                raise InputError(f"stalk dimension of {e!r} is negative" if e in poset.index
+                                 else f"stalk given for unknown element {e!r}")
         self.stalk_dim = {e: int(stalk_dim.get(e, 0)) for e in poset.elements}
         self.restriction = {}
         self._covers_up: dict[str, list[str]] = {e: [] for e in poset.elements}
@@ -160,6 +164,8 @@ class NaturalTransformation:
     def __init__(self, source: Sheaf, target: Sheaf, components: dict):
         if source.poset != target.poset:
             raise InputError("source and target live on different posets")
+        if source.field != target.field:
+            raise InputError("source and target are sheaves over different fields")
         self.source = source
         self.target = target
         self.components = {e: _stalk_map(source.field, components.get(e), target.stalk_dim[e],

@@ -236,7 +236,7 @@ class TestMorseAnalysis:
 
             monkeypatch.setattr(morse_module, name, counted)
 
-        for name in ("betti_table", "pullback", "_sublevel_complexes", "proper_pullback",
+        for name in ("betti_table", "pullback", "_sublevel_walk", "proper_pullback",
                      "proper_pushforward"):
             count(name)
         rg = pushforward_complexes["Rg"]
@@ -253,17 +253,47 @@ class TestMorseAnalysis:
         levels = sphere_morse.total_order
         fibers = sum(1 for x in levels if sphere_morse.fibers[x])
         assert calls["betti_table"] == 3
-        # one chain of sublevel complexes, shared by the sublevel-star table
-        # and the star fibers: a cylinder pullback per non-empty fiber but
-        # the lowest, and none per fiber; each fiber restricts by submatrices
-        # once per variant and extends by zero once for the star variant
-        assert calls["_sublevel_complexes"] == 1
+        # one walk down the sublevels, shared by the sublevel-star table and
+        # the star fibers: a cylinder pullback per non-empty fiber but the
+        # lowest, whose cylinder complex gives that fiber's star dims; the
+        # shriek fibers are submatrix blocks, so no fiber is restricted or
+        # extended by zero on its own
+        assert calls["_sublevel_walk"] == 1
         assert calls["pullback"] == fibers - 1
-        assert calls["proper_pullback"] == 2 * fibers
-        assert calls["proper_pushforward"] == fibers
+        assert calls["proper_pullback"] == 0
+        assert calls["proper_pushforward"] == 0
         assert crit == {v: critical_elements(sphere_morse, rg, v) for v in ("shriek", "star")}
         for (d, v), table in tables.items():
             assert table == betti_table(sphere_morse, rg, d, v)
+
+    @pytest.mark.parametrize("method, args", [
+        ("betti_table", ("up", "star")),
+        ("betti_table", ("sublevel", "sideways")),
+        ("table", ("sideways", "star")),
+        ("table", ("superlevel", "up")),
+        ("fiber_dims", ("both",)),
+        ("critical", ("foo",)),
+        ("inequalities", ("x",)),
+    ])
+    def test_refuses_an_unknown_direction_or_variant(
+        self, sphere_morse, pushforward_complexes, method, args
+    ):
+        rg = pushforward_complexes["Rg"]
+        analysis = MorseAnalysis(sphere_morse, rg)
+        if method == "betti_table":
+            args = (sphere_morse, rg) + args
+        call = betti_table if method == "betti_table" else getattr(analysis, method)
+        with pytest.raises(InputError, match="unknown .*'(up|sideways|both|foo|x)'"):
+            call(*args)
+
+    def test_refuses_a_complex_off_the_domain(self):
+        def skeleton(d):
+            return SimplicialComplex.from_facets(combinations("0123", d + 1)).face_poset
+
+        edges = skeleton(1)
+        mf = MorseFunction.from_levels(edges, {f: max(f) for f in edges.elements}, list("0123"))
+        with pytest.raises(InputError, match="not live on the Morse function's domain"):
+            MorseAnalysis(mf, minimal_resolution_constant(skeleton(2)))
 
 
 class TestMorseTheorem:

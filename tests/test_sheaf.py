@@ -65,6 +65,16 @@ class TestConstantSheaf:
         assert k.stalk_dim == {}
 
 
+class TestStalkDims:
+    def test_refuses_a_stalk_at_an_unknown_element(self, two_chain):
+        with pytest.raises(InputError, match=r"^stalk given for unknown element 'zz'$"):
+            Sheaf(two_chain, GF2, {"x": 1, "zz": 3}, {})
+
+    def test_refuses_a_negative_stalk(self, two_chain):
+        with pytest.raises(InputError, match=r"^stalk dimension of 'x' is negative$"):
+            Sheaf(two_chain, GF2, {"x": -2}, {})
+
+
 class TestValidateSheaf:
     def test_constant_valid(self, diamond):
         assert constant_sheaf(diamond).validate().ok
@@ -290,6 +300,12 @@ class TestNaturalTransformation:
         sheaf = constant_sheaf(two_chain)
         with pytest.raises(InputError, match="unknown element 'z'"):
             NaturalTransformation(sheaf, sheaf, {"x": [[1]], "z": [[1]]})
+
+    def test_refuses_sheaves_over_different_fields(self, two_chain):
+        # a GF(3) component [[2]] would read as [[0]] over GF(2) and pass validate
+        source, target = constant_sheaf(two_chain, GF2), constant_sheaf(two_chain, GF3)
+        with pytest.raises(InputError, match="different fields"):
+            NaturalTransformation(source, target, {"x": [[2]]})
 
 
 class TestHomDimInjective:
