@@ -20,7 +20,7 @@ import sys
 
 from . import io as pio
 from .errors import InputError, SizeCapExceeded
-from .field import NotPrimeError, PrimeField
+from .field import PrimeField
 from .matrix import InjectiveComplex
 from .poset import (LocallyClosedSet, Poset, face_name, generated_faces, image_poset,
                     link_cone, vertex_separator)
@@ -46,10 +46,15 @@ EXIT_SIZE_CAP = 3
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of `path` ('-' for stdin); a path that cannot be read (missing,
+    a directory, no permission) or is not UTF-8 is an InputError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def _parse_json(text: str):
@@ -148,42 +153,30 @@ def _load_poset(path: str, max_elements: int) -> Poset:
     return pio.poset_from_json(_parse_json(_read(path)), max_elements)
 
 
+# the options each functor kind needs, in the order they are checked
+_FUNCTOR_OPTIONS = {"push": ("map",), "pull": ("map", "source_poset"),
+                    "shriek-push": ("set", "ambient"), "shriek-pull": ("set",)}
+
+
 def cmd_functor(args) -> int:
     complex_ = _load_complex(args.complex, args.max_elements)
-    if args.kind in ("push", "pull"):
-        if not args.map:
-            raise InputError(f"functor {args.kind} needs --map")
+    for option in _FUNCTOR_OPTIONS[args.kind]:
+        if not getattr(args, option):
+            raise InputError(f"functor {args.kind} needs --{option.replace('_', '-')}")
+    if args.kind == "push":
         map_data = _parse_json(_read(args.map))
-        if args.kind == "push":
-            source = complex_.poset
-            target = (
-                _load_poset(args.target_poset, args.max_elements)
-                if args.target_poset
-                else image_poset(source, pio._assignment_from_json(map_data))
-            )
-            f = pio.map_from_json(map_data, source, target)
-            result = pushforward(f, complex_)
-        else:
-            if not args.source_poset:
-                raise InputError("functor pull needs --source-poset")
-            source = _load_poset(args.source_poset, args.max_elements)
-            f = pio.map_from_json(map_data, source, complex_.poset)
-            result = pullback(f, complex_)
-    elif args.kind in ("shriek-push", "shriek-pull"):
-        if not args.set:
-            raise InputError(f"functor {args.kind} needs --set")
-        members = [s for s in args.set.split(",") if s]
-        if args.kind == "shriek-pull":
-            zset = LocallyClosedSet(complex_.poset, members)
-            result = proper_pullback(zset, complex_)
-        else:
-            if not args.ambient:
-                raise InputError("functor shriek-push needs --ambient")
-            ambient = _load_poset(args.ambient, args.max_elements)
-            zset = LocallyClosedSet(ambient, members)
-            result = proper_pushforward(zset, complex_)
+        target = (_load_poset(args.target_poset, args.max_elements) if args.target_poset
+                  else image_poset(complex_.poset, pio._assignment_from_json(map_data)))
+        result = pushforward(pio.map_from_json(map_data, complex_.poset, target), complex_)
+    elif args.kind == "pull":
+        map_data = _parse_json(_read(args.map))
+        source = _load_poset(args.source_poset, args.max_elements)
+        result = pullback(pio.map_from_json(map_data, source, complex_.poset), complex_)
     else:
-        raise InputError(f"unknown functor kind {args.kind!r}")
+        pull = args.kind == "shriek-pull"
+        ambient = complex_.poset if pull else _load_poset(args.ambient, args.max_elements)
+        zset = LocallyClosedSet(ambient, [s for s in args.set.split(",") if s])
+        result = (proper_pullback if pull else proper_pushforward)(zset, complex_)
     _emit_complex(result, args.format)
     return EXIT_OK
 
@@ -349,7 +342,7 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (InputError, NotPrimeError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,11 +8,11 @@ odd primes work as well.
 
 from __future__ import annotations
 
-from .errors import SizeCapExceeded
+from .errors import InputError, SizeCapExceeded
 
 
-class NotPrimeError(ValueError):
-    pass
+class NotPrimeError(InputError):
+    """A modulus that is not prime (an input error, so also a ValueError)."""
 
 
 # Miller-Rabin with the first 13 prime bases is exact below the smallest

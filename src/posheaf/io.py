@@ -15,9 +15,9 @@ from .sheaf import Sheaf
 
 def _as_int(value, what: str) -> int:
     """A number field of JSON input as an int; anything else, a fractional
-    number included, is an input error."""
+    number or a boolean included, is an input error."""
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, float) and number != value):
@@ -25,10 +25,12 @@ def _as_int(value, what: str) -> int:
     return number
 
 
-def _as_object(value, what: str) -> dict:
-    """A JSON object field of the input; anything else is an input error."""
-    if not isinstance(value, dict):
-        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+def _as(value, kind: type, what: str):
+    """A JSON object (`kind` dict) or array (`kind` list) field of the input;
+    anything else is an input error."""
+    if not isinstance(value, kind):
+        noun = "object" if kind is dict else "array"
+        raise InputError(f"{what} must be a JSON {noun}, got {type(value).__name__}")
     return value
 
 
@@ -46,13 +48,6 @@ def _element(value, poset: Poset, what: str) -> str:
     if label not in poset.index:
         raise InputError(f"{what} {label!r} is not a poset element")
     return label
-
-
-def _as_array(value, what: str) -> list:
-    """A JSON array field of the input; anything else is an input error."""
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a JSON array, got {type(value).__name__}")
-    return value
 
 
 def read_facets_text(text: str, max_faces: float = math.inf) -> SimplicialComplex:
@@ -81,24 +76,21 @@ def poset_to_json(poset: Poset) -> dict:
 def poset_from_json(data: dict, max_elements: float = math.inf) -> Poset:
     """The poset of poset JSON; SizeCapExceeded, before anything is built,
     when it names more than `max_elements` distinct elements."""
-    try:
-        elements = [str(e) for e in _as_array(_key(data, "elements", "poset JSON"),
-                                              "poset 'elements'")]
-        if len(set(elements)) > max_elements:
-            raise SizeCapExceeded(f"input has {len(set(elements))} elements, "
-                                  f"above --max-elements={max_elements}")
-        covers = [(str(a), str(b))
-                  for a, b in (_as_array(c, "cover") for c in _key(data, "covers", "poset JSON"))]
-    except (TypeError, ValueError):
-        raise InputError(
-            "poset JSON needs an element list and [lower, upper] cover pairs"
-        ) from None
-    return Poset.from_covers(elements, covers)
+    data = _as(data, dict, "poset JSON")
+    elements = [str(e) for e in _as(_key(data, "elements", "poset JSON"), list, "poset 'elements'")]
+    if len(set(elements)) > max_elements:
+        raise SizeCapExceeded(f"input has {len(set(elements))} elements, "
+                              f"above --max-elements={max_elements}")
+    covers = [_as(c, list, "cover")
+              for c in _as(_key(data, "covers", "poset JSON"), list, "poset 'covers'")]
+    if any(len(c) != 2 for c in covers):
+        raise InputError("poset JSON needs [lower, upper] cover pairs")
+    return Poset.from_covers(elements, [(str(a), str(b)) for a, b in covers])
 
 
 def _assignment_from_json(data: dict) -> dict[str, str]:
-    assignment = _as_object(_key(_as_object(data, "map JSON"), "assignment", "map JSON"),
-                            "map 'assignment'")
+    data = _as(data, dict, "map JSON")
+    assignment = _as(_key(data, "assignment", "map JSON"), dict, "map 'assignment'")
     return {str(k): str(v) for k, v in assignment.items()}
 
 
@@ -115,7 +107,7 @@ def vertex_map_from_json(
 def stalks_from_json(data: dict, poset: Poset) -> dict[str, int]:
     """The "stalks" object of sheaf JSON: a nonnegative dimension per element."""
     stalks = {}
-    given = _as_object(_as_object(data, "sheaf JSON").get("stalks", {}), "sheaf 'stalks'")
+    given = _as(_as(data, dict, "sheaf JSON").get("stalks", {}), dict, "sheaf 'stalks'")
     for k, v in given.items():
         if k not in poset.index:
             raise InputError(f"stalk given for unknown element {k!r}")
@@ -129,15 +121,15 @@ def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are zero."""
     stalks = stalks_from_json(data, poset)
     maps, covers = {}, set(poset.covers)
-    for key, mat in _as_object(data.get("maps", {}), "sheaf 'maps'").items():
+    for key, mat in _as(data.get("maps", {}), dict, "sheaf 'maps'").items():
         if "<" not in key:
             raise InputError(f"restriction key {key!r} is not of the form 'a<b'")
         a, b = key.split("<", 1)
         if (a, b) not in covers:
             raise InputError(f"restriction key {key!r} is not a cover relation")
         maps[(a, b)] = [
-            [_as_int(x, f"entry of restriction {key!r}") for x in _as_array(row, f"row of {key!r}")]
-            for row in _as_array(mat, f"restriction {key!r}")
+            [_as_int(x, f"entry of restriction {key!r}") for x in _as(row, list, f"row of {key!r}")]
+            for row in _as(mat, list, f"restriction {key!r}")
         ]
     return Sheaf(poset, field, stalks, maps)
 
@@ -164,14 +156,14 @@ def matrix_to_json(m: LabeledMatrix) -> dict:
 
 
 def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatrix:
-    data = _as_object(data, "matrix")
-    cols = _as_array(_key(data, "cols", "matrix"), "matrix 'cols'")
+    data = _as(data, dict, "matrix")
+    cols = _as(_key(data, "cols", "matrix"), list, "matrix 'cols'")
     m = LabeledMatrix(poset, field, [_element(c, poset, "matrix column label") for c in cols])
-    for row in _as_array(_key(data, "rows", "matrix"), "matrix 'rows'"):
-        row = _as_object(row, "matrix row")
+    for row in _as(_key(data, "rows", "matrix"), list, "matrix 'rows'"):
+        row = _as(row, dict, "matrix row")
         entries = {
             _as_int(j, "matrix column index"): _as_int(v, "matrix entry")
-            for j, v in _as_object(_key(row, "entries", "matrix row"), "row 'entries'").items()
+            for j, v in _as(_key(row, "entries", "matrix row"), dict, "row 'entries'").items()
         }
         m.add_row(_element(_key(row, "label", "matrix row"), poset, "matrix row label"), entries)
     return m
@@ -188,12 +180,12 @@ def complex_to_json(complex_: InjectiveComplex) -> dict:
 
 def complex_from_json(data: dict, max_elements: float = math.inf) -> InjectiveComplex:
     """The complex of complex JSON; its poset is capped as in `poset_from_json`."""
-    data = _as_object(data, "complex JSON")
+    data = _as(data, dict, "complex JSON")
     field = PrimeField(_as_int(_key(data, "field", "complex JSON"), "field"))
     poset = poset_from_json(_key(data, "poset", "complex JSON"), max_elements)
     matrices = [
         matrix_from_json(m, poset, field)
-        for m in _as_array(_key(data, "matrices", "complex JSON"), "complex 'matrices'")
+        for m in _as(_key(data, "matrices", "complex JSON"), list, "complex 'matrices'")
     ]
     offset = _as_int(data.get("degree_offset", 0), "degree_offset")
     complex_ = InjectiveComplex(poset, field, matrices, offset)
@@ -205,10 +197,9 @@ def morse_from_json(data: dict, domain: Poset):
     """{"levels": {"elem": "levelName"}, "order": ["levelName", ...]}"""
     from .morse import MorseFunction
 
-    data = _as_object(data, "morse JSON")
-    levels = _as_object(_key(data, "levels", "morse JSON"), "morse 'levels'")
-    levels = {str(k): str(v) for k, v in levels.items()}
-    order = [str(x) for x in _as_array(_key(data, "order", "morse JSON"), "morse 'order'")]
+    data = _as(data, dict, "morse JSON")
+    levels = _as(_key(data, "levels", "morse JSON"), dict, "morse 'levels'")
+    order = _as(_key(data, "order", "morse JSON"), list, "morse 'order'")
     return MorseFunction.from_levels(domain, levels, order)
 
 

@@ -72,8 +72,10 @@ class MorseFunction:
     """An order preserving map to a poset of levels with a chosen refinement.
 
     `total_order` lists each level element once, from lowest to highest, and
-    must refine the level poset's order; every fiber must be locally closed
-    in the domain.
+    must refine the level poset's order.  Every fiber is locally closed
+    (order convex) in the domain without a check: `MonotoneMap` refuses a
+    map that is not monotone, and a <= b <= c with f(a) = f(c) forces
+    f(a) <= f(b) <= f(a), so f(b) = f(a).
     """
 
     def __init__(self, f: MonotoneMap, total_order: list[str]):
@@ -93,19 +95,17 @@ class MorseFunction:
         self.fibers = {x: set() for x in self.total_order}
         for e in f.source.elements:
             self.fibers[f(e)].add(e)
-        for x, fiber in self.fibers.items():
-            if fiber and not f.source.is_locally_closed(fiber):
-                raise InputError(f"fiber of level {x!r} is not locally closed")
 
     @classmethod
     def from_levels(cls, domain: Poset, levels: dict, order: list[str]) -> "MorseFunction":
-        """Build from an element -> level-name dict and the level order."""
+        """Build from an element -> level-name dict and the level order.  The levels
+        taken join the order's in the level poset, so an order leaving one out is refused."""
         order = [str(x) for x in order]
         for e in domain.elements:
             if e not in levels:
                 raise InputError(f"no level assigned to element {e!r}")
         levels = {e: str(levels[e]) for e in domain.elements}
-        target = image_poset(domain, levels, list(dict.fromkeys(order)))
+        target = image_poset(domain, levels, list(dict.fromkeys([*order, *levels.values()])))
         return cls(MonotoneMap(domain, target, levels), order)
 
     def sublevel(self, x: str) -> set[str]:
@@ -206,13 +206,17 @@ def _sublevel_walk(mf: MorseFunction, complex_: InjectiveComplex) -> tuple[dict,
 
 
 @dataclass
-class MorseTheoremReport:
+class _Verdict:
     violations: list[str] = dataclass_field(default_factory=list)
-    checks: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+@dataclass
+class MorseTheoremReport(_Verdict):
+    checks: int = 0
 
 
 def verify_morse_theorem(mf: MorseFunction, complex_: InjectiveComplex) -> MorseTheoremReport:
@@ -221,15 +225,10 @@ def verify_morse_theorem(mf: MorseFunction, complex_: InjectiveComplex) -> Morse
 
 
 @dataclass
-class MorseInequalityReport:
-    violations: list[str] = dataclass_field(default_factory=list)
+class MorseInequalityReport(_Verdict):
     euler_total: int = 0
     euler_critical_sum: int = 0
     rows: list[tuple[int, int, int]] = dataclass_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def morse_inequalities(

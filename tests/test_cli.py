@@ -165,6 +165,36 @@ class TestResolve:
     def test_missing_file(self):
         assert main(["resolve", "/nonexistent/file.txt"]) == 1
 
+    @pytest.mark.parametrize("poset, sheaf, extra, message", [
+        ({"covers": []}, None, [], "poset JSON missing key 'elements'"),
+        ({"elements": "abc", "covers": []}, None, [],
+         "poset 'elements' must be a JSON array, got str"),
+        ({"elements": ["a", "b"], "covers": "ab"}, None, [],
+         "poset 'covers' must be a JSON array, got str"),
+        ({"elements": ["a", "b"], "covers": ["ab"]}, None, [],
+         "cover must be a JSON array, got str"),
+        ({"elements": ["a", "b"], "covers": [["a", "b", "a"]]}, None, [],
+         "poset JSON needs [lower, upper] cover pairs"),
+        ({"elements": ["a"], "covers": [["a", "a"]]}, None, [], "cover (a, a) is reflexive"),
+        ({"elements": ["a", "a"], "covers": []}, None, [], "duplicate element ids"),
+        ({"elements": ["a", "b"], "covers": [["a", "b"]]}, {"maps": {"ab": [[1]]}}, [],
+         "restriction key 'ab' is not of the form 'a<b'"),
+        ({"elements": ["a"], "covers": []}, None, ["--star", "a"],
+         "--star applies to simplicial complex inputs only"),
+    ], ids=["no-elements", "elements-string", "covers-string", "cover-string", "cover-triple",
+            "reflexive-cover", "repeated-element", "key-without-lt", "star"])
+    def test_poset_json_refusal_names_the_fault(self, tmp_path, capsys, poset, sheaf, extra,
+                                                message):
+        poset_path = tmp_path / "poset.json"
+        poset_path.write_text(json.dumps(poset))
+        argv = ["resolve", str(poset_path)] + extra
+        if sheaf is not None:
+            sheaf_path = tmp_path / "sheaf.json"
+            sheaf_path.write_text(json.dumps(sheaf))
+            argv += ["--sheaf", str(sheaf_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_max_elements_cap(self, tetra_file):
         assert main(["resolve", tetra_file, "--max-elements", "3"]) == 3
 
@@ -239,7 +269,7 @@ class TestResolve:
         path.write_text(json.dumps(data))
         assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 3
 
-    @pytest.mark.parametrize("dim", [[1], 1.5])
+    @pytest.mark.parametrize("dim", [[1], 1.5, True])
     def test_non_integer_stalk_exit_code(self, tmp_path, capsys, dim):
         poset_path = tmp_path / "poset.json"
         poset_path.write_text(json.dumps({"elements": ["a"], "covers": []}))
@@ -531,7 +561,7 @@ class TestFunctor:
         ) == 0
         assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256["pull-non-injective"]
 
-    @pytest.mark.parametrize("field", ["x", [2], float("inf")])
+    @pytest.mark.parametrize("field", ["x", [2], float("inf"), True])
     def test_non_integer_field_exit_code(self, tetra_file, tmp_path, capsys, field):
         assert main(["resolve", tetra_file, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -540,6 +570,20 @@ class TestFunctor:
         path.write_text(json.dumps(data))
         assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
         assert "field must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row_label, message", [
+        ("b", "entry (b, a) violates the label order"),
+        ("a", "last matrix has rows; complex is not closed off"),
+    ])
+    def test_inconsistent_complex_exit_code(self, tmp_path, capsys, row_label, message):
+        # one matrix, [a] -> [row_label], on the chain a < b
+        data = {"field": 2, "poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                "matrices": [{"cols": ["a"], "rows": [{"label": row_label,
+                                                       "entries": {"0": 1}}]}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "a"]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_column_index_out_of_range_exit_code(self, tetra_file, tmp_path, capsys):
         assert main(["resolve", tetra_file, "--format", "json"]) == 0
@@ -685,6 +729,16 @@ class TestMorseCommand:
         assert err.startswith("input error: total order repeats level 'K'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("order", [list("BCDEFGHIJK"), list("ABCDEFGHIJ")],
+                             ids=["lowest-left-out", "highest-left-out"])
+    def test_order_that_leaves_out_a_level_exit_code(self, rg_complex_file, tmp_path, capsys,
+                                                     order):
+        morse_path = tmp_path / "order.json"
+        morse_path.write_text(json.dumps(dict(MORSE_JSON, order=order)))
+        assert main(["morse", rg_complex_file, str(morse_path)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: total order must enumerate the level poset\n")
+
     def test_verification_failure_exit_code(
         self, rg_complex_file, tmp_path, monkeypatch
     ):
@@ -757,6 +811,31 @@ def test_usage_errors_exit_1_with_the_usage(argv, tetra_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: posheaf")
     assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "{dir}"],
+    ["resolve", "{binary}"],
+    ["resolve", "{tetra}", "--sheaf", "{dir}"],
+    ["functor", "shriek-pull", "{dir}", "--set", "4"],
+    ["functor", "push", "{complex}", "--map", "{dir}"],
+    ["functor", "pull", "{complex}", "--map", "{map}", "--source-poset", "{dir}"],
+    ["functor", "shriek-push", "{complex}", "--set", "4", "--ambient", "{dir}"],
+    ["morse", "{dir}", "{map}"],
+    ["morse", "{complex}", "{dir}"],
+], ids=["resolve-dir", "resolve-not-utf8", "sheaf-dir", "complex-dir", "map-dir",
+        "source-poset-dir", "ambient-dir", "morse-complex-dir", "morse-json-dir"])
+def test_unreadable_input_path_exit_1(argv, tmp_path, tetra_file, lambda_complex_file, capsys):
+    """A directory, or a file that is not UTF-8, is an input error wherever
+    it is named, with the reader's message and no traceback."""
+    (tmp_path / "map.json").write_text(json.dumps({"assignment": {}}))
+    (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\n")
+    paths = {"dir": tmp_path, "binary": tmp_path / "binary.txt", "tetra": tetra_file,
+             "complex": lambda_complex_file, "map": tmp_path / "map.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Is a directory" in err or "utf-8" in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["resolve", "--help"], ["morse", "-h"]])

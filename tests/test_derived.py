@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -517,6 +518,29 @@ class TestMappingCone:
         assert hypercohomology(cone) == {
             d - 1: v for d, v in hypercohomology(tetra_resolution).items()
         }
+
+    @pytest.mark.parametrize("fault, message", [
+        ("labels", "component 0 has mismatched labels"),
+        ("component", r"component 0: entry \(0,0\) = 3 not a reduced nonzero scalar"),
+        ("square", "square at degree 0 does not commute"),
+    ])
+    def test_refuses_an_invalid_morphism(self, fault, message):
+        # the identity of [x] -> [y] on the chain y < x, broken in one place
+        p = Poset.from_covers(["y", "x"], [("y", "x")])
+        eta = LabeledMatrix(p, GF2, ["x"], ["y"], [{0: 1}])
+        complex_ = InjectiveComplex(p, GF2, [eta, LabeledMatrix(p, GF2, ["y"])])
+        components = dict(ComplexMorphism.identity(complex_).components)
+        if fault == "labels":
+            components[0] = LabeledMatrix(p, GF2, ["y"], ["y"])
+        elif fault == "component":
+            components[0] = LabeledMatrix(p, GF2, ["x"], ["x"], [{0: 3}])
+        else:
+            del components[1]  # a zero component in degree 1
+        alpha = ComplexMorphism(complex_, complex_, components)
+        [issue] = alpha.validate().issues
+        assert re.fullmatch(message, issue)
+        with pytest.raises(InputError, match=message):
+            mapping_cone(alpha)
 
     def test_cone_detects_quasi_isomorphism(self):
         # a non-surjective morphism between different resolutions: cone not exact

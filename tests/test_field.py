@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from posheaf.errors import SizeCapExceeded
+from posheaf.errors import InputError, SizeCapExceeded
 from posheaf.field import MODULUS_BOUND, NotPrimeError, PrimeField, _is_prime
 
 
@@ -34,6 +34,11 @@ def test_mersenne_61_accepted_fast():
 ])
 def test_pseudoprimes_refused(n):
     with pytest.raises(NotPrimeError):
+        PrimeField(n)
+    # a non-prime modulus is bad input, and stays a ValueError
+    with pytest.raises(InputError, match=f"modulus {n} is not prime"):
+        PrimeField(n)
+    with pytest.raises(ValueError):
         PrimeField(n)
 
 

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from posheaf.errors import InputError
-from posheaf.matrix import InjectiveComplex
-from posheaf.poset import LocallyClosedSet, SimplicialComplex
+from posheaf.matrix import InjectiveComplex, LabeledMatrix
+from posheaf.poset import LocallyClosedSet, Poset, SimplicialComplex
 from posheaf.resolution import minimal_resolution_constant, minimal_resolution_sheaf
 from posheaf.derived import hypercohomology
 from posheaf.morse import (
@@ -42,6 +42,15 @@ class TestSupports:
         empty = InjectiveComplex.empty(tetra.face_poset, GF2)
         assert supp_shriek(empty) == set()
         assert supp_star(empty) == set()
+
+    def test_shriek_support_refuses_a_non_minimal_complex(self):
+        # [a] -> [a] by the identity: exact, yet its multiplicities name a
+        p = Poset.from_covers(["a"], [])
+        eta = LabeledMatrix(p, GF2, ["a"], ["a"], [{0: 1}])
+        complex_ = InjectiveComplex(p, GF2, [eta, LabeledMatrix(p, GF2, ["a"])])
+        with pytest.raises(InputError, match="requires a minimal complex"):
+            supp_shriek(complex_)
+        assert supp_star(complex_) == set()
 
     def test_closures_coincide(self):
         rng = random.Random(8)
@@ -102,9 +111,12 @@ class TestMorseFunction:
             )
 
     def test_rejects_non_locally_closed_fiber(self, tetra):
+        # 0 < 01 < 012 puts lo below hi below lo: the levels admit no order
+        # that makes the map monotone, and the fibers of a monotone map are
+        # always locally closed
         poset = tetra.face_poset
         levels = {e: "lo" if e in ("0", "012") else "hi" for e in poset.elements}
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not antisymmetric"):
             MorseFunction.from_levels(poset, levels, ["lo", "hi"])
 
     @pytest.mark.parametrize("order, repeated", [("aab", "a"), ("abb", "b")])

@@ -301,6 +301,13 @@ class TestNaturalTransformation:
         with pytest.raises(InputError, match="unknown element 'z'"):
             NaturalTransformation(sheaf, sheaf, {"x": [[1]], "z": [[1]]})
 
+    def test_naturality_square_that_fails(self, two_chain):
+        # the identity at y but zero at x does not commute with the restriction y -> x
+        sheaf = constant_sheaf(two_chain)
+        report = NaturalTransformation(sheaf, sheaf, {"y": [[1]], "x": [[0]]}).validate()
+        assert report.issues == ["naturality square fails on y < x"]
+        assert NaturalTransformation(sheaf, sheaf, {"y": [[1]], "x": [[1]]}).validate().ok
+
     def test_refuses_sheaves_over_different_fields(self, two_chain):
         # a GF(3) component [[2]] would read as [[0]] over GF(2) and pass validate
         source, target = constant_sheaf(two_chain, GF2), constant_sheaf(two_chain, GF3)
