@@ -26,10 +26,10 @@ def _as_int(value, what: str) -> int:
 
 
 def _as(value, kind: type, what: str):
-    """A JSON object (`kind` dict) or array (`kind` list) field of the input;
-    anything else is an input error."""
+    """A JSON object (`kind` dict), array (list) or string (str) field of the
+    input, ids included; anything else is an input error."""
     if not isinstance(value, kind):
-        noun = "object" if kind is dict else "array"
+        noun = {dict: "object", list: "array", str: "string"}[kind]
         raise InputError(f"{what} must be a JSON {noun}, got {type(value).__name__}")
     return value
 
@@ -44,7 +44,7 @@ def _key(data: dict, key: str, what: str):
 
 def _element(value, poset: Poset, what: str) -> str:
     """A poset element named in the input; an unknown one is an input error."""
-    label = str(value)
+    label = _as(value, str, what)
     if label not in poset.index:
         raise InputError(f"{what} {label!r} is not a poset element")
     return label
@@ -77,21 +77,22 @@ def poset_from_json(data: dict, max_elements: float = math.inf) -> Poset:
     """The poset of poset JSON; SizeCapExceeded, before anything is built,
     when it names more than `max_elements` distinct elements."""
     data = _as(data, dict, "poset JSON")
-    elements = [str(e) for e in _as(_key(data, "elements", "poset JSON"), list, "poset 'elements'")]
+    elements = [_as(e, str, "poset element")
+                for e in _as(_key(data, "elements", "poset JSON"), list, "poset 'elements'")]
     if len(set(elements)) > max_elements:
         raise SizeCapExceeded(f"input has {len(set(elements))} elements, "
                               f"above --max-elements={max_elements}")
-    covers = [_as(c, list, "cover")
+    covers = [[_as(e, str, "cover member") for e in _as(c, list, "cover")]
               for c in _as(_key(data, "covers", "poset JSON"), list, "poset 'covers'")]
     if any(len(c) != 2 for c in covers):
         raise InputError("poset JSON needs [lower, upper] cover pairs")
-    return Poset.from_covers(elements, [(str(a), str(b)) for a, b in covers])
+    return Poset.from_covers(elements, covers)
 
 
 def _assignment_from_json(data: dict) -> dict[str, str]:
     data = _as(data, dict, "map JSON")
     assignment = _as(_key(data, "assignment", "map JSON"), dict, "map 'assignment'")
-    return {str(k): str(v) for k, v in assignment.items()}
+    return {k: _as(v, str, f"map target of {k!r}") for k, v in assignment.items()}
 
 
 def map_from_json(data: dict, source: Poset, target: Poset) -> MonotoneMap:
@@ -198,8 +199,10 @@ def morse_from_json(data: dict, domain: Poset):
     from .morse import MorseFunction
 
     data = _as(data, dict, "morse JSON")
-    levels = _as(_key(data, "levels", "morse JSON"), dict, "morse 'levels'")
-    order = _as(_key(data, "order", "morse JSON"), list, "morse 'order'")
+    levels = {e: _as(x, str, f"level of {e!r}")
+              for e, x in _as(_key(data, "levels", "morse JSON"), dict, "morse 'levels'").items()}
+    order = [_as(x, str, "morse order entry")
+             for x in _as(_key(data, "order", "morse JSON"), list, "morse 'order'")]
     return MorseFunction.from_levels(domain, levels, order)
 
 

@@ -61,18 +61,10 @@ class LabeledMatrix:
         return f"<LabeledMatrix {self.nrows}x{self.ncols} over GF({self.field.p})>"
 
     def add_row(self, label: str, entries: dict[int, int]) -> None:
-        """Append a row (builder used single-threaded inside the algorithms)."""
+        """Append a row reduced mod p; `validate` is the check of its entries."""
         p = self.field.p
-        clean = {j: v % p for j, v in entries.items() if v % p}
-        for j in clean:
-            if not 0 <= j < self.ncols:
-                raise InputError(f"column index {j} out of range for {self.ncols} columns")
-            if not self.poset.leq(label, self.col_labels[j]):
-                raise InputError(
-                    f"entry ({label}, {self.col_labels[j]}) violates the label order"
-                )
         self.row_labels.append(label)
-        self.rows.append(clean)
+        self.rows.append({j: v % p for j, v in entries.items() if v % p})
 
     def validate(self) -> list[str]:
         issues = []
@@ -449,6 +441,8 @@ class InjectiveComplex:
                 issues.append(f"matrix at degree {d} bound to a different poset")
             if m.field != self.field:
                 issues.append(f"matrix at degree {d} over a different field")
+        if issues:  # composing needs in-range entries
+            return ValidationReport(issues)
         for i in range(len(self.matrices) - 1):
             a, b = self.matrices[i], self.matrices[i + 1]
             if a.row_labels != b.col_labels:

@@ -100,11 +100,10 @@ class MorseFunction:
     def from_levels(cls, domain: Poset, levels: dict, order: list[str]) -> "MorseFunction":
         """Build from an element -> level-name dict and the level order.  The levels
         taken join the order's in the level poset, so an order leaving one out is refused."""
-        order = [str(x) for x in order]
         for e in domain.elements:
             if e not in levels:
                 raise InputError(f"no level assigned to element {e!r}")
-        levels = {e: str(levels[e]) for e in domain.elements}
+        levels = {e: levels[e] for e in domain.elements}
         target = image_poset(domain, levels, list(dict.fromkeys([*order, *levels.values()])))
         return cls(MonotoneMap(domain, target, levels), order)
 
@@ -319,9 +318,10 @@ class MorseAnalysis:
 
         For every truncation level, the signed partial sum of the global
         hypercohomology dimensions is bounded by the corresponding sum over
-        critical fibers; the full alternating sums agree.
+        critical fibers; the full alternating sums agree.  The global dims
+        come from the walk: its last row, whose sublevel is the whole domain.
         """
-        total, critical = hypercohomology(self.complex), Counter()
+        total, critical = next(reversed(self._walk[0].values()), {}), Counter()
         for dims in self.fiber_dims(variant).values():
             critical.update(dims)
         degrees = set(total) | set(critical)

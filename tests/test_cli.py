@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -572,7 +573,7 @@ class TestFunctor:
         assert "field must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row_label, message", [
-        ("b", "entry (b, a) violates the label order"),
+        ("b", "matrix at degree 0: nonzero entry in row b, column a: labels not ordered"),
         ("a", "last matrix has rows; complex is not closed off"),
     ])
     def test_inconsistent_complex_exit_code(self, tmp_path, capsys, row_label, message):
@@ -588,11 +589,15 @@ class TestFunctor:
     def test_column_index_out_of_range_exit_code(self, tetra_file, tmp_path, capsys):
         assert main(["resolve", tetra_file, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        data["matrices"][0]["rows"][0]["entries"] = {"999": 1}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
-        assert "out of range" in capsys.readouterr().err
+        # -1 would silently name the last column; in degree 1 an index past
+        # the previous degree's rows must be refused before composing
+        for degree, index in [(0, "999"), (0, "-1"), (1, "999"), (1, "-1")]:
+            bad = copy.deepcopy(data)
+            bad["matrices"][degree]["rows"][0]["entries"] = {index: 1}
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
+            assert "out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["row", "column"])
     def test_unknown_label_exit_code(self, tetra_file, tmp_path, capsys, where):
@@ -792,6 +797,52 @@ def test_over_cap_json_posets_are_refused_before_they_are_built(argv, tmp_path, 
         # at the cap the chain is built, whatever the rest of argv then does
         assert main(argv + ["--max-elements", "6"]) in (0, 1)
         assert any(len(call.args[0]) == 6 for call in spy.call_args_list)
+
+
+# where each id slot sits in the inputs of `test_non_string_id_exit_code`,
+# and the command that reads each input
+_ID_SLOTS = {
+    "poset element": ("poset", ["elements", 0]),
+    "cover member": ("poset", ["covers", 0, 1]),
+    "matrix column label": ("complex", ["matrices", 0, "cols", 0]),
+    "matrix row label": ("complex", ["matrices", 0, "rows", 0, "label"]),
+    "map target of 'c'": ("map", ["assignment", "c"]),
+    "level of 'c'": ("morse", ["levels", "c"]),
+    "morse order entry": ("morse", ["order", 1]),
+}
+_ID_COMMANDS = {
+    "poset": ["resolve", "{poset}"],
+    "complex": ["functor", "shriek-pull", "{complex}", "--set", "a"],
+    "map": ["functor", "push", "{complex}", "--map", "{map}"],
+    "morse": ["morse", "{complex}", "{morse}"],
+}
+
+
+@pytest.mark.parametrize("bad", [None, True, 1, {"a": 1}], ids=["null", "true", "1", "object"])
+@pytest.mark.parametrize("slot", list(_ID_SLOTS))
+def test_non_string_id_exit_code(slot, bad, tmp_path, capsys):
+    """An id that is not a JSON string is an input error naming its slot,
+    wherever an id is read."""
+    vee = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    files = {
+        "poset": poset_to_json(vee),
+        "complex": complex_to_json(minimal_resolution_constant(vee)),
+        "map": {"assignment": {"a": "x", "b": "x", "c": "x"}},
+        "morse": {"levels": {"a": "lo", "b": "hi", "c": "hi"}, "order": ["lo", "hi"]},
+    }
+    planted, (*parents, last) = _ID_SLOTS[slot]
+    node = files[planted]
+    for key in parents:
+        node = node[key]
+    node[last] = bad
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    assert main([arg.format(**paths) for arg in _ID_COMMANDS[planted]]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"input error: {slot} must be a JSON string, got {type(bad).__name__}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -18,7 +19,7 @@ from posheaf.io import (
     sheaf_to_json,
     vertex_map_from_json,
 )
-from posheaf.poset import Poset
+from posheaf.poset import Poset, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
 
 from conftest import GF2, GF3
@@ -123,6 +124,15 @@ class TestComplexJson:
         entries.pop(next(iter(entries)))  # composition is no longer zero
         with pytest.raises(InputError):
             complex_from_json(data)
+
+    def test_one_label_check_per_entry(self):
+        # the complex check is the one per-entry pass: one leq call per entry
+        res = minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
+        data = json.loads(dumps(complex_to_json(res)))
+        entries = sum(len(row["entries"]) for m in data["matrices"] for row in m["rows"])
+        with mock.patch.object(Poset, "leq", autospec=True, side_effect=Poset.leq) as spy:
+            assert complex_from_json(data) == res
+        assert (entries, spy.call_count) == (1449, 1449)
 
 
 class TestMorseJson:
