@@ -118,6 +118,8 @@ def _emit_complex(complex_: InjectiveComplex, fmt: str):
 
 
 def cmd_resolve(args) -> int:
+    if args.peel and args.method != "order-complex":
+        raise InputError("--peel applies to --method order-complex only")
     field = PrimeField(args.field)
     poset = _load_poset_input(args.input, args.star, args.max_elements)
     if args.sheaf:

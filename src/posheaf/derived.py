@@ -115,9 +115,7 @@ def pushforward(f: MonotoneMap, complex_: InjectiveComplex) -> InjectiveComplex:
     """Rf_*: relabel every row/column label through f, then peel."""
     if complex_.poset != f.source:
         raise InputError("complex does not live on the map's source")
-    relabeled = [m.relabel(f.assignment, poset=f.target) for m in complex_.matrices]
-    pushed = InjectiveComplex(f.target, complex_.field, relabeled, complex_.degree_offset)
-    return peel(pushed)
+    return peel(complex_.restricted(f.target, rename=f.assignment))
 
 
 def pullback(f: MonotoneMap, complex_: InjectiveComplex, _cone=None) -> InjectiveComplex:
@@ -135,11 +133,11 @@ def pullback(f: MonotoneMap, complex_: InjectiveComplex, _cone=None) -> Injectiv
     seeds = [_negated(m, cyl) for m in complex_.matrices]
     start = LabeledMatrix(cyl, field, [], seeds[0].col_labels)
     gammas = force_exact(start, [inc_src(e) for e in f.source.linear_extension], seeds)
+    cone = InjectiveComplex(cyl, field, gammas, complex_.degree_offset)
     if _cone is not None:
-        _cone.append(hypercohomology(InjectiveComplex(cyl, field, gammas, complex_.degree_offset)))
+        _cone.append(hypercohomology(cone))
     back = {inc_src(e): e for e in f.source.elements}
-    result = [g.submatrix(back.keys(), back.keys()).relabel(back, poset=f.source) for g in gammas]
-    return InjectiveComplex(f.source, field, result, complex_.degree_offset - 1).trimmed()
+    return cone.restricted(f.source, back, back).shifted(1).trimmed()
 
 
 def _negated(m: LabeledMatrix, cylinder) -> LabeledMatrix:
@@ -166,7 +164,7 @@ def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> In
         raise InputError("complex's order differs from the locally closed set's order")
     if complex_.is_empty():
         return InjectiveComplex.empty(ambient, field)
-    lifted = [m.relabel(lambda lab: lab, ambient) for m in complex_.matrices]
+    lifted = complex_.restricted(ambient).matrices
     position = {e: k for k, e in enumerate(ambient.linear_extension)}
     boundary = sorted(zset.boundary(), key=position.__getitem__)
     start = LabeledMatrix(ambient, field, [], lifted[0].col_labels)
@@ -179,12 +177,7 @@ def proper_pullback(zset: LocallyClosedSet, complex_: InjectiveComplex) -> Injec
     Minimality is preserved."""
     if complex_.poset != zset.ambient:
         raise InputError("complex does not live on the ambient poset")
-    sub_poset = zset.restricted_poset()
-    members = set(zset.members)
-    out = [m.submatrix(members, members).relabel(lambda lab: lab, sub_poset)
-           for m in complex_.matrices]
-    sub = InjectiveComplex(sub_poset, complex_.field, out, complex_.degree_offset)
-    return sub.trimmed()
+    return complex_.restricted(zset.restricted_poset(), zset.members).trimmed()
 
 
 # -- hypercohomology and Euler characteristics ----------------------------------
@@ -193,16 +186,7 @@ def proper_pullback(zset: LocallyClosedSet, complex_: InjectiveComplex) -> Injec
 def hypercohomology(complex_: InjectiveComplex) -> dict[int, int]:
     """Dimensions of the derived pushforward to a point: per degree,
     columns - rank - previous rank, labels forgotten.  Zero entries omitted."""
-    out = {}
-    prev_rank = 0
-    for d in complex_.degrees:
-        m = complex_.matrix(d)
-        r = m.rank()
-        h = m.ncols - r - prev_rank
-        if h:
-            out[d] = h
-        prev_rank = r
-    return out
+    return {d: h[None] for d, h in complex_.dims(lambda m: {None: (m.ncols, m.rank())}).items()}
 
 
 def euler_characteristic(complex_: InjectiveComplex) -> int:
@@ -394,19 +378,11 @@ def pullback_via_proper_check(f: MonotoneMap, complex_: InjectiveComplex) -> boo
     lhs = pullback(f, complex_)
     cyl, inc_src, inc_tgt = mapping_cylinder(f)
     target_side = LocallyClosedSet(cyl, [inc_tgt(e) for e in f.target.elements])
-    target_sub = target_side.restricted_poset()
-    lifted = [
-        m.relabel(inc_tgt.assignment, poset=target_sub) for m in complex_.matrices
-    ]
-    on_target = InjectiveComplex(target_sub, complex_.field, lifted, complex_.degree_offset)
+    on_target = complex_.restricted(target_side.restricted_poset(), rename=inc_tgt.assignment)
     extended = proper_pushforward(target_side, on_target)
     source_side = LocallyClosedSet(cyl, [inc_src(e) for e in f.source.elements])
-    restricted = proper_pullback(source_side, extended)
     back = {inc_src(e): e for e in f.source.elements}
-    renamed = [m.relabel(back, poset=f.source) for m in restricted.matrices]
-    rhs = InjectiveComplex(
-        f.source, complex_.field, renamed, restricted.degree_offset
-    ).shifted(1)
+    rhs = proper_pullback(source_side, extended).restricted(f.source, rename=back).shifted(1)
     return same_derived_object(lhs, rhs)
 
 

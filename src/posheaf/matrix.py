@@ -140,18 +140,6 @@ class LabeledMatrix:
                 out.rows[j][i] = v
         return out
 
-    def relabel(self, rename, poset: Poset | None = None) -> "LabeledMatrix":
-        """Apply a label substitution (e.g. a pushforward); entries unchanged."""
-        f = rename if callable(rename) else rename.__getitem__
-        out = LabeledMatrix(
-            poset or self.poset,
-            self.field,
-            [f(lab) for lab in self.col_labels],
-            [f(lab) for lab in self.row_labels],
-            self.rows,
-        )
-        return out
-
     # -- rank and rendering ---------------------------------------------------
 
     def rank(self) -> int:
@@ -431,6 +419,31 @@ class InjectiveComplex:
         if not ms:
             return InjectiveComplex.empty(self.poset, self.field)
         return InjectiveComplex(self.poset, self.field, ms, off)
+
+    def restricted(self, poset: Poset, members=None, rename=None) -> "InjectiveComplex":
+        """The complex bound to `poset`, each matrix cut (`submatrix`) to the
+        rows and columns labeled in `members` if given, its labels renamed
+        through the dict `rename` if given, entries unchanged.  Not trimmed."""
+        f, out = (lambda lab: lab) if rename is None else rename.__getitem__, []
+        for m in self.matrices:  # a fresh copy, cut or whole, bound and renamed in place
+            m = m.copy() if members is None else m.submatrix(members, members)
+            m.poset, m.col_labels = poset, [*map(f, m.col_labels)]
+            m.row_labels = [*map(f, m.row_labels)]
+            out.append(m)
+        return InjectiveComplex(poset, self.field, out, self.degree_offset)
+
+    def dims(self, ranks) -> dict[int, dict]:
+        """{degree: {key: dim}}, nonzero dims only, by width - rank - previous
+        rank, where `ranks(m)` gives {key: (width, rank)} for each matrix m
+        (columns, and the rank of m's rows on them; a key left out has rank 0)."""
+        out, prev = {}, {}
+        for d, m in zip(self.degrees, self.matrices):
+            cur = ranks(m)
+            for key, (width, rank) in cur.items():
+                if h := width - rank - prev.get(key, 0):
+                    out.setdefault(d, {})[key] = h
+            prev = {key: rank for key, (_, rank) in cur.items()}
+        return out
 
     def validate(self) -> "ValidationReport":
         issues = []

@@ -103,7 +103,6 @@ class MorseFunction:
         for e in domain.elements:
             if e not in levels:
                 raise InputError(f"no level assigned to element {e!r}")
-        levels = {e: levels[e] for e in domain.elements}
         target = image_poset(domain, levels, list(dict.fromkeys([*order, *levels.values()])))
         return cls(MonotoneMap(domain, target, levels), order)
 
@@ -154,29 +153,24 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
     walk = mf.total_order[::-1] if direction == "superlevel" else mf.total_order
     at = {x: k for k, x in enumerate(walk)}
     step = {e: at[mf.map(e)] for e in complex_.poset.elements}
-    trimmed, out, prev = complex_.trimmed(), {x: {} for x in mf.total_order}, [0] * len(walk)
-    for d, m in zip(trimmed.degrees, trimmed.matrices):
-        for k, (width, rank) in enumerate(_filtration_ranks(trimmed.field, m, step, len(walk))):
-            if h := width - rank - prev[k]:
-                out[walk[k]][d] = h
-            prev[k] = rank
-    return out
+    dims = complex_.trimmed().dims(lambda m: _filtration_ranks(m, step, walk))
+    return {x: {d: row[x] for d, row in dims.items() if x in row} for x in mf.total_order}
 
 
-def _filtration_ranks(field, m, step, n: int) -> list[tuple[int, int]]:
-    """For k in range(n), the number of m's columns whose label has `step`
-    <= k and the rank of m's block on the rows and columns of such labels,
-    from one elimination (see `betti_table`)."""
+def _filtration_ranks(m, step, walk) -> dict[str, tuple[int, int]]:
+    """Per level, the k-th of `walk`: the number of m's columns whose label
+    has `step` <= k and the rank of m's block on the rows and columns of such
+    labels, from one elimination (see `betti_table`)."""
     order = sorted(range(m.ncols), key=lambda j: -step[m.col_labels[j]])
     index = {j: c for c, j in enumerate(order)}
-    buckets = [[] for _ in range(n)]
+    buckets = [[] for _ in walk]
     for lab, row in zip(m.row_labels, m.rows):
-        buckets[step[lab]].append(packed_row(field, {index[j]: v for j, v in row.items()}))
-    table, out = {}, []
-    for k in range(n):
-        _eliminate(field, buckets[k], table=table)
+        buckets[step[lab]].append(packed_row(m.field, {index[j]: v for j, v in row.items()}))
+    table, out = {}, {}
+    for k, x in enumerate(walk):
+        _eliminate(m.field, buckets[k], table=table)
         cut = sum(step[lab] > k for lab in m.col_labels)
-        out.append((m.ncols - cut, sum(top >= cut for top in table)))
+        out[x] = (m.ncols - cut, sum(top >= cut for top in table))
     return out
 
 
@@ -276,8 +270,7 @@ class MorseAnalysis:
                 raise InputError(f"unknown variant {variant!r}")
             c = self.complex.trimmed()
             self._fiber_dims[variant] = self._walk[1] if variant == "star" else {
-                x: hypercohomology(InjectiveComplex(c.poset, c.field, [
-                    m.submatrix(fiber, fiber) for m in c.matrices], c.degree_offset))
+                x: hypercohomology(c.restricted(c.poset, fiber))
                 for x, fiber in self.mf.fibers.items() if fiber}
         return self._fiber_dims[variant]
 

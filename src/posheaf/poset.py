@@ -454,6 +454,9 @@ class MonotoneMap:
             if self.assignment[e] not in target.index:
                 raise InputError(f"assignment hits unknown target {self.assignment[e]!r}")
             image[e] = target.index[self.assignment[e]]
+        if len(self.assignment) > len(image):
+            extra = next(k for k in self.assignment if k not in image)
+            raise InputError(f"assignment given for unknown element {extra!r}")
         up = target._up
         for a, b in source.covers:
             if not up[image[a]] >> image[b] & 1:

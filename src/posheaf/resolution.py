@@ -307,19 +307,17 @@ def is_minimal(complex_: InjectiveComplex) -> bool:
 def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int]]:
     """dim H^d at every element: stalk kernel minus previous stalk rank.
     Only nonzero entries are reported.  Its own ranks, one pass per degree."""
-    out: dict[int, dict[str, int]] = {}
-    prev: dict[str, int] = {}
-    for d in complex_.degrees:
-        s, ranks = _Stalks(complex_.matrix(d)), {}
-        for e in complex_.poset.elements:
-            stalk_dim = sum(len(s.cols[k]) for k in s.up(e))
-            if stalk_dim:
-                star_rows = [s.packed[i] for k in s.up(e) for i in s.rows[k]]
-                ranks[e] = len(_top_pivots(s.m.field, star_rows))
-                h = stalk_dim - ranks[e] - prev.get(e, 0)
-                if h:
-                    out.setdefault(d, {})[e] = h
-        prev = ranks
+    return complex_.dims(_star_ranks)
+
+
+def _star_ranks(m: LabeledMatrix) -> dict[str, tuple[int, int]]:
+    """{element: (stalk width, rank of the star rows)} at each element where
+    m's stalk is nonzero: its columns and rows labeled above the element."""
+    s, out = _Stalks(m), {}
+    for e in m.poset.elements:
+        if width := sum(len(s.cols[k]) for k in s.up(e)):
+            star_rows = [s.packed[i] for k in s.up(e) for i in s.rows[k]]
+            out[e] = (width, len(_top_pivots(m.field, star_rows)))
     return out
 
 

@@ -21,10 +21,8 @@ from .poset import Poset
 
 
 def _matmul(field: PrimeField, a, b, ncols: int) -> list[list[int]]:
-    """a @ b over GF(p) on dense rows.  `ncols` is b's column count, which b
-    does not carry when it has no rows (a composition through a zero stalk)."""
-    if a and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{ncols}")
+    """a @ b over GF(p) on dense rows shaped by `_stalk_map`.  `ncols` is b's
+    column count, which b lacks when it has no rows (composing through a zero stalk)."""
     p = field.p
     out = [[0] * ncols for _ in a]
     for out_row, row in zip(out, a):

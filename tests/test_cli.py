@@ -314,6 +314,24 @@ class TestResolve:
         assert main(["resolve", str(poset_path), "--sheaf", str(sheaf_path)]) == 1
         assert "input error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", [[], ["--method", "inductive"]])
+    def test_peel_without_the_order_complex_method_exit_code(self, tetra_file, capsys, method):
+        assert main(["resolve", tetra_file, "--peel"] + method) == 1
+        assert capsys.readouterr().err == (
+            "input error: --peel applies to --method order-complex only\n")
+
+    @pytest.mark.parametrize("facets, star", [
+        ("1,2\n1 2\n", []),
+        ("0 1,2\n0 1 2\n", ["--star", "0"]),
+    ], ids=["complex", "star"])
+    def test_colliding_face_names_exit_code(self, tmp_path, capsys, facets, star):
+        # the vertex "1,2" and the edge {1, 2} take one name
+        path = tmp_path / "collide.txt"
+        path.write_text(facets)
+        assert main(["resolve", str(path)] + star) == 1
+        assert capsys.readouterr().err == (
+            "input error: face names collide; use distinct vertex ids\n")
+
     def test_facet_names_that_would_collide(self, tmp_path, capsys):
         # vertex 12 and edge {1,2}: names are comma-joined for the whole complex
         path = tmp_path / "collide.txt"
@@ -586,6 +604,17 @@ class TestFunctor:
         assert main(["functor", "shriek-pull", str(path), "--set", "a"]) == 1
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    def test_rows_that_do_not_match_the_next_columns_exit_code(self, tmp_path, capsys):
+        # on the chain a < b, degree 0's row [a] is not degree 1's column [b]
+        data = {"field": 2, "poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                "matrices": [{"cols": ["a"], "rows": [{"label": "a", "entries": {}}]},
+                             {"cols": ["b"], "rows": []}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "a"]) == 1
+        assert capsys.readouterr().err == (
+            "input error: rows of degree 0 do not match columns of degree 1\n")
+
     def test_column_index_out_of_range_exit_code(self, tetra_file, tmp_path, capsys):
         assert main(["resolve", tetra_file, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -625,6 +654,22 @@ class TestFunctor:
              "--target-poset", str(tgt_path)]
         ) == 1
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment, target, message", [
+        ({"a": "x", "b": "x"}, [], "assignment missing element 'c'"),
+        ({"a": "x", "b": "x", "c": "nope"}, ["--target-poset", "{target}"],
+         "assignment hits unknown target 'nope'"),
+    ], ids=["missing-element", "unknown-target"])
+    def test_push_map_that_misses_its_posets_exit_code(self, tmp_path, capsys, assignment,
+                                                       target, message):
+        vee = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        paths = {name: tmp_path / f"{name}.json" for name in ("complex", "map", "target")}
+        paths["complex"].write_text(dumps(complex_to_json(minimal_resolution_constant(vee))))
+        paths["map"].write_text(json.dumps({"assignment": assignment}))
+        paths["target"].write_text(json.dumps({"elements": ["x"], "covers": []}))
+        argv = ["functor", "push", "{complex}", "--map", "{map}"] + target
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
         "where, value",
@@ -842,6 +887,30 @@ def test_non_string_id_exit_code(slot, bad, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[0] == (
         f"input error: {slot} must be a JSON string, got {type(bad).__name__}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["functor", "push", "{complex}", "--map", "{map}"],
+    ["functor", "pull", "{complex}", "--map", "{map}", "--source-poset", "{poset}"],
+    ["morse", "{complex}", "{morse}"],
+], ids=["push", "pull", "morse"])
+def test_unknown_source_element_exit_code(argv, tmp_path, capsys):
+    """A map or Morse levels object that names an element outside the
+    source is refused, naming the element, not its image."""
+    vee = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    files = {
+        "poset": poset_to_json(vee),
+        "complex": complex_to_json(minimal_resolution_constant(vee)),
+        "map": {"assignment": {"a": "a", "b": "b", "c": "c", "zz": "b"}},
+        "morse": {"levels": {"a": "lo", "b": "hi", "c": "hi", "zz": "q"}, "order": ["lo", "hi"]},
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "input error: assignment given for unknown element 'zz'"
     assert "Traceback" not in err
 
 

@@ -20,8 +20,9 @@ buckets MakeExact carries between degrees against dense ranks and fresh
 state, the down-sets, heights and linear extension against their
 definitions, the chain enumeration behind the order complex against every
 totally ordered subset, the star built as the cone over the link against
-the restricted star, and `Sheaf.validate` against agreement along every
-cover path.
+the restricted star, `Sheaf.validate` against agreement along every
+cover path, and the hypercohomology, the stalkwise cohomology and Ri_Z^! of
+non-minimal complexes against dense ranks of their blocks.
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -61,6 +62,7 @@ from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialCompl
                            mapping_cylinder, order_complex, star_subposet)
 from posheaf import cli, resolution
 from posheaf.resolution import (
+    cohomology_sheaf_dims,
     is_minimal,
     minimal_resolution_constant,
     minimal_resolution_sheaf,
@@ -897,3 +899,44 @@ def test_carried_ranks_match_the_dense_oracle(sheaf, source, data):
     if len(set(f.assignment.values())) < len(f.assignment):
         complex_ = minimal_resolution_sheaf(sheaf)
         assert_carried_ranks_match_the_dense_oracle(lambda: pullback(f, complex_))
+
+
+def _dense_dims(complex_, supports):
+    """{degree: {key: dim}}, nonzero dims only, every rank dense: at `key`
+    the term in degree d is matrix d's columns labeled in supports[key], and
+    its differential the block of matrix d on the rows and columns so
+    labeled."""
+    field, out = complex_.field, {}
+    for key, labels in supports.items():
+        prev = 0
+        for d, m in zip(complex_.degrees, complex_.matrices):
+            rows = [row for lab, row in zip(m.row_labels, m.rows) if lab in labels]
+            cols = [j for j, lab in enumerate(m.col_labels) if lab in labels]
+            r = rank(field, [[row.get(j, 0) for j in cols] for row in rows])
+            if h := len(cols) - r - prev:
+                out.setdefault(d, {})[key] = h
+            prev = r
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cut_and_rank_rule_match_dense_ranks(p, seed, data):
+    """`hypercohomology`, `cohomology_sheaf_dims` and the hypercohomology of
+    Ri_Z^! C, on a random sheaf's order-complex resolution C (generally not
+    minimal) and a random locally closed Z, are the width - rank - previous
+    rank dims of dense ranks of C's blocks: the whole matrices, the blocks
+    on the star of each element and the blocks on Z."""
+    rng = random.Random(seed)
+    complex_ = order_complex_resolution(random_sheaf(rng, random_poset(rng, 6), PrimeField(p)))
+    poset = complex_.poset
+    whole = _dense_dims(complex_, {None: set(poset.elements)})
+    assert hypercohomology(complex_) == {d: dims[None] for d, dims in whole.items()}
+    stars = {e: poset.star(e) for e in poset.elements}
+    assert cohomology_sheaf_dims(complex_) == _dense_dims(complex_, stars)
+    star = poset.star(data.draw(st.sampled_from(poset.elements), label="open"))
+    tops = data.draw(st.lists(st.sampled_from(sorted(star)), min_size=1, max_size=2), label="closed")
+    zset = LocallyClosedSet(poset, star & poset.closure(tops))
+    on_z = _dense_dims(complex_, {None: zset.members})
+    assert hypercohomology(proper_pullback(zset, complex_)) == {
+        d: dims[None] for d, dims in on_z.items()}

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from unittest import mock
 
@@ -73,6 +74,13 @@ class TestStalkDims:
     def test_refuses_a_negative_stalk(self, two_chain):
         with pytest.raises(InputError, match=r"^stalk dimension of 'x' is negative$"):
             Sheaf(two_chain, GF2, {"x": -2}, {})
+
+    def test_refuses_a_restriction_on_a_non_cover_pair(self, two_chain):
+        # the reversed cover, and an element paired with itself
+        for pair in [("x", "y"), ("x", "x")]:
+            message = re.escape(f"restriction given for non-cover pair {pair}")
+            with pytest.raises(InputError, match=f"^{message}$"):
+                Sheaf(two_chain, GF2, {"x": 1, "y": 1}, {pair: [[1]]})
 
 
 class TestValidateSheaf:
