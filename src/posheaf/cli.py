@@ -122,18 +122,8 @@ def cmd_resolve(args) -> int:
         raise InputError("--peel applies to --method order-complex only")
     field = PrimeField(args.field)
     poset = _load_poset_input(args.input, args.star, args.max_elements)
-    if args.sheaf:
-        data = _parse_json(_read(args.sheaf))
-        total = sum(pio.stalks_from_json(data, poset).values())  # before any zero-filled map
-        if total > args.max_elements:
-            raise SizeCapExceeded(f"sheaf has total stalk dimension {total}, above --max-elements")
-        sheaf = pio.sheaf_from_json(data, poset, field)
-        report = sheaf.validate()
-        if not report.ok:
-            print(f"invalid sheaf: {report.first_violation}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        sheaf = None
+    sheaf = (pio.sheaf_from_json(_parse_json(_read(args.sheaf)), poset, field, args.max_elements)
+             if args.sheaf else None)
     if args.method == "order-complex":
         target = sheaf if sheaf is not None else constant_sheaf(poset, field)
         resolution = order_complex_resolution(target)
@@ -161,10 +151,10 @@ _FUNCTOR_OPTIONS = {"push": ("map",), "pull": ("map", "source_poset"),
 
 
 def cmd_functor(args) -> int:
-    complex_ = _load_complex(args.complex, args.max_elements)
     for option in _FUNCTOR_OPTIONS[args.kind]:
         if not getattr(args, option):
             raise InputError(f"functor {args.kind} needs --{option.replace('_', '-')}")
+    complex_ = _load_complex(args.complex, args.max_elements)
     if args.kind == "push":
         map_data = _parse_json(_read(args.map))
         target = (_load_poset(args.target_poset, args.max_elements) if args.target_poset

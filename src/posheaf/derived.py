@@ -196,12 +196,18 @@ def euler_characteristic(complex_: InjectiveComplex) -> int:
 # -- mapping cones ---------------------------------------------------------------
 
 
+def _same_poset_and_field(a: InjectiveComplex, b: InjectiveComplex) -> None:
+    """Refuses two complexes on different posets or over different fields."""
+    if a.poset != b.poset or a.field != b.field:
+        raise InputError("complexes live on different posets" if a.poset != b.poset
+                         else "complexes are over different fields")
+
+
 class ComplexMorphism:
-    """A degreewise labeled-matrix map between complexes on one poset."""
+    """A degreewise labeled-matrix map between complexes on one poset and field."""
 
     def __init__(self, source: InjectiveComplex, target: InjectiveComplex, components: dict):
-        if source.poset != target.poset:
-            raise InputError("complexes live on different posets")
+        _same_poset_and_field(source, target)
         self.source = source
         self.target = target
         self.components = dict(components)
@@ -311,8 +317,7 @@ def hom_space_dims(
     of h -> (delta^{d-1} h^d + h^{d+1} eta^d).  Refuses systems above
     `variable_cap` unknowns.
     """
-    if I.poset != J.poset:
-        raise InputError("complexes live on different posets")
+    _same_poset_and_field(I, J)
     alphas, homotopies = _hom_unknowns(I, J, 0), _hom_unknowns(I, J, -1)
     if len(alphas) + len(homotopies) > variable_cap:
         raise SizeCapExceeded(

@@ -105,22 +105,15 @@ def vertex_map_from_json(
     return MonotoneMap.simplicial(source, target, _assignment_from_json(data))
 
 
-def stalks_from_json(data: dict, poset: Poset) -> dict[str, int]:
-    """The "stalks" object of sheaf JSON: a nonnegative dimension per element."""
-    stalks = {}
+def sheaf_from_json(data: dict, poset: Poset, field: PrimeField,
+                    max_total: float = math.inf) -> Sheaf:
+    """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are
+    zero.  SizeCapExceeded, before any map is built, when the stalk dimensions
+    sum above `max_total`; `Sheaf` refuses unknown elements and negative stalks."""
     given = _as(_as(data, dict, "sheaf JSON").get("stalks", {}), dict, "sheaf 'stalks'")
-    for k, v in given.items():
-        if k not in poset.index:
-            raise InputError(f"stalk given for unknown element {k!r}")
-        stalks[k] = _as_int(v, f"stalk dimension of {k!r}")
-        if stalks[k] < 0:
-            raise InputError(f"stalk dimension of {k!r} is negative")
-    return stalks
-
-
-def sheaf_from_json(data: dict, poset: Poset, field: PrimeField) -> Sheaf:
-    """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are zero."""
-    stalks = stalks_from_json(data, poset)
+    stalks = {k: _as_int(v, f"stalk dimension of {k!r}") for k, v in given.items()}
+    if (total := sum(stalks.values())) > max_total:
+        raise SizeCapExceeded(f"sheaf has total stalk dimension {total}, above --max-elements")
     maps, covers = {}, set(poset.covers)
     for key, mat in _as(data.get("maps", {}), dict, "sheaf 'maps'").items():
         if "<" not in key:

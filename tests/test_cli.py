@@ -285,6 +285,11 @@ class TestResolve:
             ({"a": -1}, 1, "negative"),
             ({"zz": 1}, 1, "unknown element"),
             ({"a": 10**12}, 3, "total stalk dimension 1000000000000"),
+            # two faults: the cap is read first; stalks that sum to 0 pass it,
+            # and `Sheaf` refuses the second before it allocates the first
+            ({"zz": 10**12}, 3, "total stalk dimension 1000000000000"),
+            ({"a": 10**12, "b": -10**12}, 1, "unknown element 'b'"),
+            ({"a": 10**12, "ab": -10**12}, 1, "stalk dimension of 'ab' is negative"),
         ],
     )
     def test_hostile_stalks_exit_code(self, tmp_path, capsys, stalks, code, message):
@@ -369,7 +374,7 @@ class TestResolve:
         assert capsys.readouterr().err.startswith("input error: malformed JSON")
 
     @pytest.mark.parametrize("case, message", [
-        ("hexagon", "invalid sheaf: functoriality fails between a and c"),
+        ("hexagon", "input error: functoriality fails between a and c"),
         ("implied-cover", "input error: restriction key 'a<c' is not a cover relation"),
     ])
     @pytest.mark.parametrize("method", [[], ["--method", "order-complex"],
@@ -721,6 +726,14 @@ class TestFunctor:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: functor {kind} needs {missing}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, missing", [
+        ("push", "--map"), ("pull", "--map"), ("shriek-pull", "--set"), ("shriek-push", "--set"),
+    ])
+    def test_missing_option_refused_before_the_complex_is_read(self, tmp_path, capsys,
+                                                               kind, missing):
+        assert main(["functor", kind, str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err == f"input error: functor {kind} needs {missing}\n"
 
 
 class TestMorseCommand:

@@ -542,6 +542,16 @@ class TestMappingCone:
         with pytest.raises(InputError, match=message):
             mapping_cone(alpha)
 
+    def test_refuses_complexes_over_different_fields(self):
+        # read over GF(3), the GF(2) identity would fail a square, not name the fault
+        p = Poset.from_covers(["y", "x"], [("y", "x")])
+        gf2, gf3 = (InjectiveComplex(p, field, [LabeledMatrix(p, field, ["x"], ["y"], [{0: 1}]),
+                                                LabeledMatrix(p, field, ["y"])])
+                    for field in (GF2, GF3))
+        components = ComplexMorphism.identity(gf2).components
+        with pytest.raises(InputError, match="^complexes are over different fields$"):
+            ComplexMorphism(gf2, gf3, components)
+
     def test_cone_detects_quasi_isomorphism(self):
         # a non-surjective morphism between different resolutions: cone not exact
         p = Poset.from_covers(["y", "x"], [("y", "x")])
@@ -575,6 +585,16 @@ class TestHomSpaceDims:
     def test_size_cap(self, tetra_resolution):
         with pytest.raises(SizeCapExceeded):
             hom_space_dims(tetra_resolution, tetra_resolution, variable_cap=3)
+
+    def test_refuses_complexes_over_different_fields(self):
+        from posheaf.poset import skeleton_of_simplex
+
+        poset = skeleton_of_simplex(2, 1).face_poset
+        gf2, gf3 = (minimal_resolution_constant(poset, field) for field in (GF2, GF3))
+        assert hom_space_dims(gf2, gf2) == hom_space_dims(gf3, gf3) == (1, 0, 1)
+        for I, J in [(gf3, gf2), (gf2, gf3)]:
+            with pytest.raises(InputError, match="^complexes are over different fields$"):
+                hom_space_dims(I, J)
 
     def test_graded_endomorphisms_match_cohomology(self, tetra_resolution, sphere_wedge):
         # hom into the shifted complex recovers the cohomology of the space

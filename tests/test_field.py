@@ -49,3 +49,8 @@ def test_prime_near_the_bound_accepted():
 def test_modulus_at_the_bound_is_a_size_cap():
     with pytest.raises(SizeCapExceeded):
         PrimeField(MODULUS_BOUND)
+
+
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="^0 is not invertible$"):
+        PrimeField(5).inv(10)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from posheaf.errors import InputError
+from posheaf.errors import InputError, SizeCapExceeded
 from posheaf.io import (
     complex_from_json,
     complex_to_json,
@@ -64,6 +64,16 @@ class TestSheafJson:
         again = sheaf_from_json(sheaf_to_json(sheaf), poset, GF2)
         assert again.stalk_dim == sheaf.stalk_dim
         assert again.restriction == sheaf.restriction
+
+    def test_stalk_cap_refused_before_the_sheaf_is_built(self):
+        poset = Poset.from_covers(["a", "b"], [("a", "b")])
+        data = {"stalks": {"a": 10**12, "zz": 1}, "maps": {"a<b": [[1]]}}
+        with mock.patch("posheaf.io.Sheaf") as built:
+            with pytest.raises(SizeCapExceeded, match="total stalk dimension 1000000000001"):
+                sheaf_from_json(data, poset, GF2, max_total=10)
+        built.assert_not_called()
+        sheaf = sheaf_from_json({"stalks": {"a": 10}}, poset, GF2, max_total=10)
+        assert sheaf.stalk_dim == {"a": 10, "b": 0}
 
     def test_non_cover_key_rejected(self):
         poset = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])

@@ -13,7 +13,7 @@ from posheaf.matrix import (
     image_complement_rows,
     row_op,
 )
-from posheaf.poset import SimplicialComplex
+from posheaf.poset import Poset, SimplicialComplex
 
 from conftest import GF2, GF3, GF5, random_labeled_matrix, random_poset, stalk_cols, stalk_matrix
 
@@ -384,6 +384,26 @@ class TestValidateComplex:
         bad = eta0.copy()
         bad.rows[0][2] = 1  # row 34 against column 124: 34 is not below 124
         assert any("not ordered" in msg for msg in bad.validate())
+
+    def test_row_count_must_match_the_row_labels(self):
+        p = Poset.from_covers(["a"], [])
+        with pytest.raises(InputError, match="^row count does not match row labels$"):
+            LabeledMatrix(p, GF2, ["a"], ["a"], [{}, {}])
+
+    def test_unknown_label_reported(self):
+        p = Poset.from_covers(["a"], [])
+        assert LabeledMatrix(p, GF2, ["a"], ["zz"]).validate() == ["label 'zz' not in poset"]
+
+    def test_matrix_bound_to_another_poset_or_field_reported(self):
+        # labels that the complex's poset knows, on a matrix that is not its own
+        p = Poset.from_covers(["a", "b"], [("a", "b")])
+        elsewhere = Poset.from_covers(["a"], [])
+        for matrix, issue in [
+            (LabeledMatrix(elsewhere, GF2, ["a"]), "bound to a different poset"),
+            (LabeledMatrix(p, GF3, ["a"]), "over a different field"),
+        ]:
+            report = InjectiveComplex(p, GF2, [matrix]).validate()
+            assert report.issues == [f"matrix at degree 0 {issue}"]
 
 
 class TestRendering:

@@ -307,6 +307,13 @@ class TestMorseAnalysis:
         with pytest.raises(InputError, match="not live on the Morse function's domain"):
             MorseAnalysis(mf, minimal_resolution_constant(skeleton(2)))
 
+    def test_betti_table_refuses_a_complex_off_the_domain(self, tetra):
+        edge = Poset.from_covers(["0", "1", "01"], [("0", "01"), ("1", "01")])
+        mf = MorseFunction.from_levels(edge, {"0": "0", "1": "1", "01": "1"}, ["0", "1"])
+        with pytest.raises(InputError,
+                           match="^complex does not live on the Morse function's domain$"):
+            betti_table(mf, minimal_resolution_constant(tetra.face_poset), "sublevel", "shriek")
+
 
 class TestMorseTheorem:
     def test_section7_complexes_pass(self, sphere_morse, pushforward_complexes):

@@ -300,3 +300,42 @@ class TestStarSubposet:
         q = Poset.from_covers(["x", "y"], [("x", "y")])
         with pytest.raises(InputError):
             MonotoneMap(p, q, {"a": "y", "b": "x"})
+
+
+class TestRefusals:
+    def test_empty_face(self):
+        with pytest.raises(InputError, match="^empty face$"):
+            SimplicialComplex([frozenset("0"), frozenset()])
+
+    def test_face_missing_a_subset(self):
+        with pytest.raises(InputError, match="^face 01 is missing its subset 1$"):
+            SimplicialComplex([frozenset("0"), frozenset("01")])
+
+    def test_image_face_not_in_the_target(self):
+        # 1 -> 2 sends the edge 01 to 02, which the two-vertex target lacks
+        source = SimplicialComplex.from_facets([["0", "1"]])
+        target = SimplicialComplex.from_facets([["0"], ["2"]])
+        with pytest.raises(InputError, match="^image face 02 not in target complex$"):
+            MonotoneMap.simplicial(source, target, {"1": "2"})
+
+
+class TestValidateBrokenPoset:
+    """`Poset.validate` on posets built by hand with broken invariants;
+    up-sets are bitsets over the element positions."""
+
+    def test_irreflexive(self):
+        broken = Poset(["a", "b"], [0b11, 0b00], [("a", "b")])
+        assert broken.validate() == ["leq not reflexive at b", "covers do not generate leq"]
+
+    def test_intransitive(self):
+        broken = Poset(["a", "b", "c"], [0b011, 0b110, 0b100], [("a", "b"), ("b", "c")])
+        assert broken.validate() == ["leq not transitive at a <= b",
+                                     "covers do not generate leq"]
+
+    def test_covers_that_do_not_generate_the_order(self):
+        assert Poset(["a", "b"], [0b11, 0b10], []).validate() == ["covers do not generate leq"]
+
+    def test_linear_extension_against_a_cover(self):
+        broken = Poset.from_covers(["a", "b"], [("a", "b")])
+        broken.linear_extension = ["b", "a"]
+        assert broken.validate() == ["linear extension violates a < b"]

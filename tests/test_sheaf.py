@@ -163,8 +163,16 @@ class TestRestrictionMap:
         assert chain.restriction_map("x", "z") == [[0]]
         assert diamond.restriction_map("a", "d") == [[0]]
 
+    def test_refuses_a_pair_that_is_not_below(self, two_chain):
+        with pytest.raises(InputError, match="^x is not below y$"):
+            constant_sheaf(two_chain).restriction_map("x", "y")
+
 
 class TestMaximalVectors:
+    def test_refuses_an_unknown_element(self, two_chain):
+        with pytest.raises(InputError, match="^unknown element 'zz'$"):
+            constant_sheaf(two_chain).maximal_vectors("zz")
+
     def test_maximal_element(self, two_chain):
         f = Sheaf(two_chain, GF2, {"x": 3, "y": 1}, {("y", "x"): [[1], [0], [0]]})
         assert f.maximal_vectors("x") == identity(3)
@@ -315,6 +323,10 @@ class TestNaturalTransformation:
         report = NaturalTransformation(sheaf, sheaf, {"y": [[1]], "x": [[0]]}).validate()
         assert report.issues == ["naturality square fails on y < x"]
         assert NaturalTransformation(sheaf, sheaf, {"y": [[1]], "x": [[1]]}).validate().ok
+
+    def test_refuses_sheaves_on_different_posets(self, two_chain, vee):
+        with pytest.raises(InputError, match="^source and target live on different posets$"):
+            NaturalTransformation(constant_sheaf(two_chain), constant_sheaf(vee), {})
 
     def test_refuses_sheaves_over_different_fields(self, two_chain):
         # a GF(3) component [[2]] would read as [[0]] over GF(2) and pass validate
