@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from .errors import InputError, SizeCapExceeded
 from .field import PrimeField
-from .matrix import (
-    InjectiveComplex,
-    LabeledMatrix,
-    _column_index,
-    _row_add,
-    _rows_meeting,
-    _sparse_rank,
-)
+from .matrix import (InjectiveComplex, LabeledMatrix, _column_index, _row_add, _rows_meeting,
+                     _sparse_rank)
 from .poset import LocallyClosedSet, MonotoneMap, mapping_cylinder
 from .resolution import cohomology_sheaf_dims, force_exact
 
@@ -185,8 +179,17 @@ def proper_pullback(zset: LocallyClosedSet, complex_: InjectiveComplex) -> Injec
 
 def hypercohomology(complex_: InjectiveComplex) -> dict[int, int]:
     """Dimensions of the derived pushforward to a point: per degree,
-    columns - rank - previous rank, labels forgotten.  Zero entries omitted."""
-    return {d: h[None] for d, h in complex_.dims(lambda m: {None: (m.ncols, m.rank())}).items()}
+    columns - rank - previous rank, labels forgotten.  Zero entries omitted.
+    Its own ranks, not MakeExact's carried ones, cleared (`InjectiveComplex.dims`)."""
+    return {d: h[None] for d, h in complex_.dims(_whole_ranks).items()}
+
+
+def _whole_ranks(m: LabeledMatrix, tops: dict) -> dict[None, tuple[int, int]]:
+    """{None: (columns, rank)} of m, less the rows at `tops[None]`, which become m's own."""
+    cleared, table = tops.get(None, 0), {}
+    rank = _sparse_rank(m.field, [r for i, r in enumerate(m.rows) if not cleared >> i & 1], table)
+    tops[None] = sum(1 << j for j in table)
+    return {None: (m.ncols, rank)}
 
 
 def euler_characteristic(complex_: InjectiveComplex) -> int:

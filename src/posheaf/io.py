@@ -109,11 +109,12 @@ def sheaf_from_json(data: dict, poset: Poset, field: PrimeField,
                     max_total: float = math.inf) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are
     zero.  SizeCapExceeded, before any map is built, when the stalk dimensions
-    sum above `max_total`; `Sheaf` refuses unknown elements and negative stalks."""
+    sum above `max_total`; `Sheaf` refuses unknown elements and non-int or negative stalks."""
     given = _as(_as(data, dict, "sheaf JSON").get("stalks", {}), dict, "sheaf 'stalks'")
     stalks = {k: _as_int(v, f"stalk dimension of {k!r}") for k, v in given.items()}
     if (total := sum(stalks.values())) > max_total:
-        raise SizeCapExceeded(f"sheaf has total stalk dimension {total}, above --max-elements")
+        raise SizeCapExceeded(f"sheaf has total stalk dimension {total}, "
+                              f"above --max-elements={max_total}")
     maps, covers = {}, set(poset.covers)
     for key, mat in _as(data.get("maps", {}), dict, "sheaf 'maps'").items():
         if "<" not in key:

@@ -308,11 +308,12 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     return table, zeros
 
 
-def _sparse_rank(field: PrimeField, rows) -> int:
+def _sparse_rank(field: PrimeField, rows, table=None) -> int:
     """Rank of `rows` (dicts with any integer entries, or GF(2) bitsets) as
     the number of top pivots: resolution rows are close to triangular in their
-    highest column, so eliminating there fills in far less than leftmost."""
-    return len(_top_pivots(field, (packed_row(field, row) for row in rows)))
+    highest column, so eliminating there fills in far less than leftmost.
+    A `table` is resumed as `_eliminate` does; its keys are the top pivots."""
+    return len(_eliminate(field, (packed_row(field, row) for row in rows), table=table)[0])
 
 
 def _top_pivots(field: PrimeField, rows) -> set[int]:
@@ -434,16 +435,21 @@ class InjectiveComplex:
 
     def dims(self, ranks) -> dict[int, dict]:
         """{degree: {key: dim}}, nonzero dims only, by width - rank - previous
-        rank, where `ranks(m)` gives {key: (width, rank)} for each matrix m
-        (columns, and the rank of m's rows on them; a key left out has rank 0)."""
-        out, prev = {}, {}
-        for d, m in zip(self.degrees, self.matrices):
-            cur = ranks(m)
-            for key, (width, rank) in cur.items():
-                if h := width - rank - prev.get(key, 0):
-                    out.setdefault(d, {})[key] = h
-            prev = {key: rank for key, (_, rank) in cur.items()}
-        return out
+        rank, walking down: `ranks(m, tops)` gives {key: (width, rank)} per
+        matrix m (columns, and the rank of m's rows on them; 0 if left out),
+        and may leave out (clear) m's rows at the bits of `tops[key]`, the top
+        pivots of the next matrix's rows there, setting it to m's own.  That
+        keeps the rank: rho, a combination of the next matrix's rows with top
+        s, has rho m = 0, so row s of m lies in the span of rows t < s; by
+        induction on s the rows at no top span all.  Star rows (labeled above
+        an element) lie on its star columns, so this holds per element too."""
+        out, above, tops = {}, {}, {}
+        for d in reversed(range(self.degree_offset - 1, self.degrees.stop)):
+            below = {} if (m := self.matrix(d)) is None else ranks(m, tops)
+            out[d + 1] = {key: h for key, (width, rank) in above.items()
+                          if (h := width - rank - below.get(key, (0, 0))[1])}
+            above = below
+        return {d: dims for d, dims in reversed(out.items()) if dims}
 
     def validate(self) -> "ValidationReport":
         issues = []

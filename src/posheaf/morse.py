@@ -153,7 +153,7 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
     walk = mf.total_order[::-1] if direction == "superlevel" else mf.total_order
     at = {x: k for k, x in enumerate(walk)}
     step = {e: at[mf.map(e)] for e in complex_.poset.elements}
-    dims = complex_.trimmed().dims(lambda m: _filtration_ranks(m, step, walk))
+    dims = complex_.trimmed().dims(lambda m, _: _filtration_ranks(m, step, walk))
     return {x: {d: row[x] for d, row in dims.items() if x in row} for x in mf.total_order}
 
 

@@ -306,18 +306,22 @@ def is_minimal(complex_: InjectiveComplex) -> bool:
 
 def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int]]:
     """dim H^d at every element: stalk kernel minus previous stalk rank.
-    Only nonzero entries are reported.  Its own ranks, one pass per degree."""
+    Only nonzero entries are reported.  Its own ranks, not MakeExact's carried
+    ones, one pass per degree, cleared (`InjectiveComplex.dims`)."""
     return complex_.dims(_star_ranks)
 
 
-def _star_ranks(m: LabeledMatrix) -> dict[str, tuple[int, int]]:
+def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     """{element: (stalk width, rank of the star rows)} at each element where
-    m's stalk is nonzero: its columns and rows labeled above the element."""
+    m's stalk is nonzero: its columns and rows labeled above the element,
+    less the rows at the element's `tops`, which become m's own there."""
     s, out = _Stalks(m), {}
     for e in m.poset.elements:
+        cleared = tops.pop(e, 0)
         if width := sum(len(s.cols[k]) for k in s.up(e)):
-            star_rows = [s.packed[i] for k in s.up(e) for i in s.rows[k]]
-            out[e] = (width, len(_top_pivots(m.field, star_rows)))
+            pivots = _top_pivots(m.field, [s.packed[i] for k in s.up(e) for i in s.rows[k]
+                                           if not cleared >> i & 1])
+            out[e], tops[e] = (width, len(pivots)), sum(1 << j for j in pivots)
     return out
 
 

@@ -55,10 +55,12 @@ class Sheaf:
         self.poset = poset
         self.field = field
         for e, dim in stalk_dim.items():
-            if e not in poset.index or int(dim) < 0:
+            if type(dim) is not int:  # bools too; JSON stalks come through `io._as_int`
+                raise InputError(f"stalk dimension of {e!r} must be an integer, got {dim!r}")
+            if e not in poset.index or dim < 0:
                 raise InputError(f"stalk dimension of {e!r} is negative" if e in poset.index
                                  else f"stalk given for unknown element {e!r}")
-        self.stalk_dim = {e: int(stalk_dim.get(e, 0)) for e in poset.elements}
+        self.stalk_dim = {e: stalk_dim.get(e, 0) for e in poset.elements}
         self.restriction = {}
         self._covers_up: dict[str, list[str]] = {e: [] for e in poset.elements}
         for a, b in poset.covers:

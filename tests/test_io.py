@@ -69,9 +69,11 @@ class TestSheafJson:
         poset = Poset.from_covers(["a", "b"], [("a", "b")])
         data = {"stalks": {"a": 10**12, "zz": 1}, "maps": {"a<b": [[1]]}}
         with mock.patch("posheaf.io.Sheaf") as built:
-            with pytest.raises(SizeCapExceeded, match="total stalk dimension 1000000000001"):
+            with pytest.raises(SizeCapExceeded,
+                               match="total stalk dimension 1000000000001") as refused:
                 sheaf_from_json(data, poset, GF2, max_total=10)
         built.assert_not_called()
+        assert str(refused.value).endswith("above --max-elements=10")  # names the cap
         sheaf = sheaf_from_json({"stalks": {"a": 10}}, poset, GF2, max_total=10)
         assert sheaf.stalk_dim == {"a": 10, "b": 0}
 

@@ -21,8 +21,10 @@ state, the down-sets, heights and linear extension against their
 definitions, the chain enumeration behind the order complex against every
 totally ordered subset, the star built as the cone over the link against
 the restricted star, `Sheaf.validate` against agreement along every
-cover path, and the hypercohomology, the stalkwise cohomology and Ri_Z^! of
-non-minimal complexes against dense ranks of their blocks.
+cover path, the hypercohomology, the stalkwise cohomology and Ri_Z^! of
+non-minimal complexes against dense ranks of their blocks, and the cleared
+stalkwise cohomology and hypercohomology against the uncleared ranks they
+replaced (`rank_oracle`).
 
 Examples are derandomized and few, so the suite stays within seconds and
 gives the same verdict on every run.
@@ -83,6 +85,7 @@ from conftest import (
 )
 import morse_oracle
 import peel_oracle
+import rank_oracle
 import screen_oracle
 from dense_oracle import identity, nullspace, rank, rref, solve_in_span
 
@@ -940,3 +943,26 @@ def test_cut_and_rank_rule_match_dense_ranks(p, seed, data):
     on_z = _dense_dims(complex_, {None: zset.members})
     assert hypercohomology(proper_pullback(zset, complex_)) == {
         d: dims[None] for d, dims in on_z.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sheaf=functorial_sheaves(), order_complex=st.booleans(), shift=st.integers(-2, 2))
+def test_cleared_dims_match_the_uncleared_oracle_and_dense_ranks(sheaf, order_complex, shift):
+    """`cohomology_sheaf_dims` and `hypercohomology`, which leave out of each
+    rank the rows the next degree's top pivots prove dependent, give the
+    dims, in the same order, of the per-element ranks they replaced
+    (`rank_oracle`) and of dense ranks of the blocks, on a random sheaf's
+    minimal resolution or its order-complex resolution (generally not
+    minimal), shifted.  Clearing assumes that consecutive matrices compose
+    to zero and does not check it; `validate` checks it here."""
+    build = order_complex_resolution if order_complex else minimal_resolution_sheaf
+    complex_ = build(sheaf).shifted(shift)
+    assert complex_.validate().ok
+    poset = complex_.poset
+    cleared = cohomology_sheaf_dims(complex_)
+    assert repr(cleared) == repr(rank_oracle.cohomology_sheaf_dims(complex_))
+    assert cleared == _dense_dims(complex_, {e: poset.star(e) for e in poset.elements})
+    cleared = hypercohomology(complex_)
+    assert repr(cleared) == repr(rank_oracle.hypercohomology(complex_))
+    whole = _dense_dims(complex_, {None: set(poset.elements)})
+    assert cleared == {d: dims[None] for d, dims in whole.items()}

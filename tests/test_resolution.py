@@ -428,6 +428,38 @@ class TestCohomologySheafDims:
         cone = mapping_cone(ComplexMorphism.identity(tetra_resolution))
         assert cohomology_sheaf_dims(cone) == {}
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cleared_ranks_skip_rows_and_match_the_oracle(self, p):
+        # on the constant sheaf of skel(5,3), minimal (shifted) and by chains,
+        # the star ranks and the whole-matrix ranks leave out rows the
+        # uncleared oracle reduces, and the dims agree, order included
+        from unittest import mock
+
+        import rank_oracle
+        from posheaf import derived, matrix, resolution
+        from posheaf.field import PrimeField
+
+        def counting(module, kernel):
+            counts, wrapped = [], getattr(module, kernel)
+            patch = mock.patch.object(module, kernel, lambda field, rows, *rest: (
+                counts.append(len(rows)) or wrapped(field, rows, *rest)))
+            return counts, patch
+
+        routes = [(cohomology_sheaf_dims, resolution, rank_oracle.cohomology_sheaf_dims,
+                   rank_oracle, "_top_pivots"),
+                  (derived.hypercohomology, derived, rank_oracle.hypercohomology,
+                   matrix, "_sparse_rank")]
+        sheaf = constant_sheaf(skeleton_of_simplex(5, 3).face_poset, PrimeField(p))
+        minimal = minimal_resolution_sheaf(sheaf).shifted(2)
+        for complex_ in [minimal, order_complex_resolution(sheaf)]:
+            for dims, module, oracle, oracle_module, kernel in routes:
+                (cleared, patch), (full, oracle_patch) = (
+                    counting(module, kernel), counting(oracle_module, kernel))
+                with patch, oracle_patch:
+                    got, expected = dims(complex_), oracle(complex_)
+                assert repr(got) == repr(expected)
+                assert len(cleared) == len(full) and sum(cleared) < sum(full)
+
 
 class TestMultiplicityFormulas:
     def test_skeleton_closed_form_at_vertices(self):

@@ -75,6 +75,13 @@ class TestStalkDims:
         with pytest.raises(InputError, match=r"^stalk dimension of 'x' is negative$"):
             Sheaf(two_chain, GF2, {"x": -2}, {})
 
+    @pytest.mark.parametrize("dim", [1.5, 2.0, "2", "two", True, None])
+    def test_refuses_a_stalk_that_is_not_an_int(self, two_chain, dim):
+        # no silent truncation of 1.5 or parse of "2", no bare ValueError on "two"
+        message = re.escape(f"stalk dimension of 'x' must be an integer, got {dim!r}")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Sheaf(two_chain, GF2, {"x": dim, "y": 1}, {})
+
     def test_refuses_a_restriction_on_a_non_cover_pair(self, two_chain):
         # the reversed cover, and an element paired with itself
         for pair in [("x", "y"), ("x", "x")]:
