@@ -121,11 +121,9 @@ def pullback(f: MonotoneMap, complex_: InjectiveComplex, _cone=None) -> Injectiv
     if complex_.poset != f.target:
         raise InputError("complex does not live on the map's target")
     field = complex_.field
-    if complex_.is_empty():
-        return InjectiveComplex.empty(f.source, field)
     cyl, inc_src, _ = mapping_cylinder(f)
     seeds = [_negated(m, cyl) for m in complex_.matrices]
-    start = LabeledMatrix(cyl, field, [], seeds[0].col_labels)
+    start = LabeledMatrix(cyl, field, [], complex_.term(complex_.degree_offset))
     gammas = force_exact(start, [inc_src(e) for e in f.source.linear_extension], seeds)
     cone = InjectiveComplex(cyl, field, gammas, complex_.degree_offset)
     if _cone is not None:
@@ -156,12 +154,10 @@ def proper_pushforward(zset: LocallyClosedSet, complex_: InjectiveComplex) -> In
     if set(complex_.poset.covers) != {(a, b) for a, b in ambient.covers
                                       if a in members and b in members}:
         raise InputError("complex's order differs from the locally closed set's order")
-    if complex_.is_empty():
-        return InjectiveComplex.empty(ambient, field)
     lifted = complex_.restricted(ambient).matrices
     position = {e: k for k, e in enumerate(ambient.linear_extension)}
     boundary = sorted(zset.boundary(), key=position.__getitem__)
-    start = LabeledMatrix(ambient, field, [], lifted[0].col_labels)
+    start = LabeledMatrix(ambient, field, [], complex_.term(complex_.degree_offset))
     deltas = force_exact(start, boundary, lifted)
     return InjectiveComplex(ambient, field, deltas, complex_.degree_offset).trimmed()
 
@@ -272,17 +268,9 @@ def mapping_cone(alpha: ComplexMorphism) -> InjectiveComplex:
     alpha.validate().raise_if_failed()
     F, G = alpha.source, alpha.target
     poset, field = F.poset, F.field
-    lows, highs = [], []
-    if not F.is_empty():
-        lows.append(F.degree_offset - 1)
-        highs.append(F.degrees[-1] - 1)
-    if not G.is_empty():
-        lows.append(G.degree_offset)
-        highs.append(G.degrees[-1])
-    if not lows:
-        return InjectiveComplex.empty(poset, field)
-    ms = []
-    for d in range(min(lows), max(highs) + 1):
+    degrees = [d - 1 for d in F.degrees] + [*G.degrees]
+    low, ms = min(degrees, default=0), []
+    for d in range(low, max(degrees, default=-1) + 1):
         f_cols, g_cols = F.term(d + 1), G.term(d)
         cone = LabeledMatrix(poset, field, f_cols + g_cols)
         eta = F.matrix(d + 1)
@@ -302,7 +290,7 @@ def mapping_cone(alpha: ComplexMorphism) -> InjectiveComplex:
             cone.row_labels.append(lab)
             cone.rows.append(row)
         ms.append(cone)
-    return InjectiveComplex(poset, field, ms, min(lows)).trimmed()
+    return InjectiveComplex(poset, field, ms, low).trimmed()
 
 
 # -- morphism spaces --------------------------------------------------------------
@@ -370,8 +358,6 @@ def dualize(complex_: InjectiveComplex) -> InjectiveComplex:
     """Transpose every matrix and reverse the order: a projective resolution
     datum on the opposite poset, with degrees negated."""
     opp = complex_.poset.opposite()
-    if complex_.is_empty():
-        return InjectiveComplex.empty(opp, complex_.field)
     ms = [m.transpose(poset=opp) for m in reversed(complex_.matrices)]
     offset = -(complex_.degree_offset + len(complex_.matrices))
     return InjectiveComplex(opp, complex_.field, ms, offset).trimmed()

@@ -15,14 +15,20 @@ from .sheaf import Sheaf
 
 def _as_int(value, what: str) -> int:
     """A number field of JSON input as an int; anything else, a fractional
-    number or a boolean included, is an input error."""
-    try:
-        number = None if isinstance(value, bool) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
+    number, a string or a boolean included, is an input error."""
+    if type(value) not in (int, float) or value % 1:  # NaN % 1 and inf % 1 are NaN
         raise InputError(f"{what} must be an integer, got {value!r}")
-    return number
+    return int(value)
+
+
+def _column_key(key: str) -> int:
+    """A matrix column index, read only as `matrix_to_json` writes it: "1", not "01" or "+1"."""
+    try:
+        if str(index := int(key)) == key:
+            return index
+    except ValueError:
+        pass
+    raise InputError(f"matrix column index must be a plain integer key, got {key!r}")
 
 
 def _as(value, kind: type, what: str):
@@ -157,7 +163,7 @@ def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatr
     for row in _as(_key(data, "rows", "matrix"), list, "matrix 'rows'"):
         row = _as(row, dict, "matrix row")
         entries = {
-            _as_int(j, "matrix column index"): _as_int(v, "matrix entry")
+            _column_key(j): _as_int(v, "matrix entry")
             for j, v in _as(_key(row, "entries", "matrix row"), dict, "row 'entries'").items()
         }
         m.add_row(_element(_key(row, "label", "matrix row"), poset, "matrix row label"), entries)

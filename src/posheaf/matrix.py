@@ -267,12 +267,14 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     (`packed_row`s; odd-p entries are reduced mod p and zeros dropped) is
     reduced against the rows stored before it and, if nonzero, stored under
     its top coordinate, over odd p scaled to 1 there.  Returns that pivot
-    table and, with `witness`, for each row t that reduces to zero, in row
-    order, the combination u_t of `rows` the reduction took to zero, as a
-    {position: value} dict in ascending positions.  Positions in `skip` are
-    passed over; `rows` are unchanged.  A `table` from an earlier call
-    without `witness` is resumed and extended in place, so rows fed in
-    chunks give the table of one call on all of them.
+    table, whose keys are the span's top pivots (the highest coordinates of
+    its vectors, one per dimension, whatever the row order), and, with
+    `witness`, for each row t that reduces to zero, in row order, the
+    combination u_t of `rows` the reduction took to zero, as a {position:
+    value} dict in ascending positions.  Positions in `skip` are passed
+    over; `rows` are unchanged.  A `table` from an earlier call without
+    `witness` is resumed and extended in place, so rows fed in chunks give
+    the table of one call on all of them.
 
     With `witness`, `rows` is a list of n rows, and row t carries its
     combination in coordinates below the columns, which each step updates
@@ -314,13 +316,6 @@ def _sparse_rank(field: PrimeField, rows, table=None) -> int:
     highest column, so eliminating there fills in far less than leftmost.
     A `table` is resumed as `_eliminate` does; its keys are the top pivots."""
     return len(_eliminate(field, (packed_row(field, row) for row in rows), table=table)[0])
-
-
-def _top_pivots(field: PrimeField, rows) -> set[int]:
-    """The top pivots of the span of `rows` (`packed_row`s): the columns that
-    are the highest nonzero coordinate of some vector in it, one per
-    dimension.  The set depends only on the span, not on the order of `rows`."""
-    return set(_eliminate(field, rows)[0])
 
 
 def image_complement_rows(field: PrimeField, stalk_rows, skip=()) -> list[dict[int, int]]:
@@ -438,11 +433,12 @@ class InjectiveComplex:
         rank, walking down: `ranks(m, tops)` gives {key: (width, rank)} per
         matrix m (columns, and the rank of m's rows on them; 0 if left out),
         and may leave out (clear) m's rows at the bits of `tops[key]`, the top
-        pivots of the next matrix's rows there, setting it to m's own.  That
-        keeps the rank: rho, a combination of the next matrix's rows with top
-        s, has rho m = 0, so row s of m lies in the span of rows t < s; by
-        induction on s the rows at no top span all.  Star rows (labeled above
-        an element) lie on its star columns, so this holds per element too."""
+        pivots of the next matrix's rows there, setting it to m's own.  The
+        lemma: rows of m at the next matrix's top pivots reduce to zero.  rho,
+        a combination of the next matrix's rows with top s, has rho m = 0, so
+        row s of m lies in the span of rows t < s; by induction on s the rows
+        at no top span all, so the rank stays.  Star rows (labeled above an
+        element) lie on its star columns, so this holds per element too."""
         out, above, tops = {}, {}, {}
         for d in reversed(range(self.degree_offset - 1, self.degrees.stop)):
             below = {} if (m := self.matrix(d)) is None else ranks(m, tops)

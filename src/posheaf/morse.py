@@ -185,7 +185,7 @@ def _sublevel_walk(mf: MorseFunction, complex_: InjectiveComplex) -> tuple[dict,
     at every source element.  The target is open and source-labeled summands
     vanish on it, so G is C_x extended by zero; a source copy s' sees C_x's
     stalk at s.  So G's hypercohomology, which `pullback` appends to `_cone`,
-    is that cone; with nothing below F_x, or C_x empty, it is the row."""
+    is that cone, {} if C_x is empty; with nothing below F_x it is the row."""
     current, members = complex_.trimmed(), set(complex_.poset.elements)
     rows, cones = {}, {}
     for x in reversed(mf.total_order):

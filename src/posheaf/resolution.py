@@ -24,7 +24,7 @@ import math
 
 from .errors import InputError
 from .field import PrimeField
-from .matrix import (InjectiveComplex, LabeledMatrix, _top_pivots, image_complement_rows,
+from .matrix import (InjectiveComplex, LabeledMatrix, _eliminate, image_complement_rows,
                      packed_row)
 from .poset import Poset, SimplicialComplex, _chains
 from .sheaf import Sheaf, injective_hull
@@ -148,18 +148,18 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     accepted so far spans W plus every u_t' with t' < t, so u_t is dependent
     exactly when some w in W has its highest coordinate at t (subtract w
     from u_t; what is left lies in A below t).  Those t are W's top pivots,
-    and each is a row of M that reduces to zero (wM = 0 writes row t
-    through the rows below it), so skipping them in the reduction stores
+    and WM = 0 makes each a row of M that reduces to zero (the lemma of
+    `InjectiveComplex.dims`), so skipping them in the reduction stores
     nothing another row's witness would see: the vectors left are exactly
     the independent ones, in the order and form `image_complement_rows`
     gives."""
     field, ranks = stalks.m.field, stalks.ranks
     prev_rank = stalks.prev_ranks.get(element)
     size = sum(len(stalks.cols[k]) for k in stalks.up(element))
-    tops = set()  # where prev_rank == size, dim A = 0 and so W = 0
+    tops = {}  # where prev_rank == size, dim A = 0 and so W = 0
     if prev_rank != size:
         star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
-        tops = _top_pivots(field, star_rows)
+        tops = _eliminate(field, star_rows)[0]
     ranks[element] = len(tops)
     if prev_rank is not None and size - prev_rank <= len(tops):
         return 0
@@ -227,8 +227,6 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
     e, `rows[e]`, the inclusion's stalk rows, one per summand above e in label
     order.  Degree 0 is made exact against that image; later degrees are
     `force_exact`, which starts from degree 0's `_Stalks.carry`."""
-    if not len(poset):
-        return InjectiveComplex.empty(poset, field)
     eta0 = LabeledMatrix(poset, field, labels)
     stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
@@ -267,8 +265,6 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
     """
     sheaf.validate().raise_if_failed()
     poset, field = sheaf.poset, sheaf.field
-    if not len(poset):
-        return InjectiveComplex.empty(poset, field)
     dims, minus_one = sheaf.stalk_dim, field.neg(1)
     groups = _chains(poset)
     matrices = []
@@ -319,8 +315,8 @@ def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     for e in m.poset.elements:
         cleared = tops.pop(e, 0)
         if width := sum(len(s.cols[k]) for k in s.up(e)):
-            pivots = _top_pivots(m.field, [s.packed[i] for k in s.up(e) for i in s.rows[k]
-                                           if not cleared >> i & 1])
+            pivots = _eliminate(m.field, [s.packed[i] for k in s.up(e) for i in s.rows[k]
+                                          if not cleared >> i & 1])[0]
             out[e], tops[e] = (width, len(pivots)), sum(1 << j for j in pivots)
     return out
 

@@ -8,7 +8,7 @@ and ranks every star row, and every row, afresh.
 
 from __future__ import annotations
 
-from posheaf.matrix import _top_pivots
+from posheaf.matrix import _eliminate
 from posheaf.resolution import _Stalks
 
 
@@ -33,7 +33,7 @@ def star_ranks(m) -> dict[str, tuple[int, int]]:
     for e in m.poset.elements:
         if width := sum(len(s.cols[k]) for k in s.up(e)):
             star_rows = [s.packed[i] for k in s.up(e) for i in s.rows[k]]
-            out[e] = (width, len(_top_pivots(m.field, star_rows)))
+            out[e] = (width, len(_eliminate(m.field, star_rows)[0]))
     return out
 
 

@@ -270,7 +270,7 @@ class TestResolve:
         path.write_text(json.dumps(data))
         assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 3
 
-    @pytest.mark.parametrize("dim", [[1], 1.5, True])
+    @pytest.mark.parametrize("dim", [[1], 1.5, True, "2", " 1_0"])
     def test_non_integer_stalk_exit_code(self, tmp_path, capsys, dim):
         poset_path = tmp_path / "poset.json"
         poset_path.write_text(json.dumps({"elements": ["a"], "covers": []}))
@@ -585,7 +585,7 @@ class TestFunctor:
         ) == 0
         assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256["pull-non-injective"]
 
-    @pytest.mark.parametrize("field", ["x", [2], float("inf"), True])
+    @pytest.mark.parametrize("field", ["x", [2], float("inf"), True, "3"])
     def test_non_integer_field_exit_code(self, tetra_file, tmp_path, capsys, field):
         assert main(["resolve", tetra_file, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -632,6 +632,31 @@ class TestFunctor:
             path.write_text(json.dumps(bad))
             assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
             assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slot, bad, message", [
+        ("offset", "0", "degree_offset must be an integer, got '0'"),
+        ("entry", "1", "matrix entry must be an integer, got '1'"),
+        ("key", "0", "matrix column index must be a plain integer key, got '0"),
+        ("key", "+", "matrix column index must be a plain integer key, got '+"),
+        ("key", " ", "matrix column index must be a plain integer key, got ' "),
+    ], ids=["offset", "entry", "leading-zero", "plus", "space"])
+    def test_string_number_or_non_canonical_key_exit_code(self, tetra_file, tmp_path, capsys,
+                                                           slot, bad, message):
+        # numbers are JSON numbers, and a column index is a key only as
+        # matrix_to_json writes it: "01" and "1" would both name column 1
+        assert main(["resolve", tetra_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        row = data["matrices"][0]["rows"][0]
+        if slot == "offset":
+            data["degree_offset"] = bad
+        elif slot == "entry":
+            row["entries"] = dict.fromkeys(row["entries"], bad)
+        else:
+            row["entries"] = {bad + j: v for j, v in row["entries"].items()}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["functor", "shriek-pull", str(path), "--set", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
 
     @pytest.mark.parametrize("where", ["row", "column"])
     def test_unknown_label_exit_code(self, tetra_file, tmp_path, capsys, where):

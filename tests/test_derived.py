@@ -287,6 +287,14 @@ class TestPullback:
         pulled = pullback(inclusion, pushforward_complexes["Rh"])
         assert mult_table(pulled) == {0: {"24": 1}}
 
+    @pytest.mark.parametrize("offset", [0, -2])
+    def test_empty_complex_pulls_back_to_the_zero_complex(self, offset):
+        pt = Poset.from_covers(["pt"], [])
+        chain = Poset.from_covers(["a", "b"], [("a", "b")])
+        empty = InjectiveComplex(pt, GF3, [], offset)
+        pulled = pullback(MonotoneMap.constant(chain, pt, "pt"), empty)
+        assert pulled == InjectiveComplex.empty(chain, GF3)
+
     def test_pullback_minimal_even_from_non_minimal(self):
         rng = random.Random(44)
         from posheaf.resolution import order_complex_resolution
@@ -357,6 +365,13 @@ class TestProperPushforward:
         pushed = proper_pushforward(zset, pulled)
         assert mult_table(pushed) == {0: {"24": 1}, 1: {"2": 1}}
         assert hypercohomology(pushed) == {}
+
+    @pytest.mark.parametrize("members, offset", [(["01", "0"], 0), (["01", "0"], 2), ([], 1)])
+    def test_empty_complex_extends_to_the_zero_complex(self, tetra, members, offset):
+        zset = LocallyClosedSet(tetra.face_poset, members)
+        empty = InjectiveComplex(zset.restricted_poset(), GF3, [], offset)
+        pushed = proper_pushforward(zset, empty)
+        assert pushed == InjectiveComplex.empty(tetra.face_poset, GF3)
 
     def test_refuses_a_complex_ordered_otherwise_than_z(self):
         # same elements as Z, but a < b, c here and b, c < a in the ambient poset
@@ -519,6 +534,20 @@ class TestMappingCone:
             d - 1: v for d, v in hypercohomology(tetra_resolution).items()
         }
 
+    def test_empty_sides(self, tetra):
+        # 0 -> G has cone G; F -> 0 has cone F[1] with its differentials
+        # negated; 0 -> 0 has cone 0
+        poset = tetra.face_poset
+        res = minimal_resolution_constant(poset, GF3)
+        empty = InjectiveComplex.empty(poset, GF3)
+        negated = [LabeledMatrix(poset, GF3, m.col_labels, m.row_labels,
+                                 [{j: GF3.neg(v) for j, v in row.items()} for row in m.rows])
+                   for m in res.matrices]
+        assert mapping_cone(ComplexMorphism.zero(empty, res)) == res
+        assert mapping_cone(ComplexMorphism.zero(res, empty)) == InjectiveComplex(
+            poset, GF3, negated, res.degree_offset - 1)
+        assert mapping_cone(ComplexMorphism.zero(empty, empty)) == empty
+
     @pytest.mark.parametrize("fault, message", [
         ("labels", "component 0 has mismatched labels"),
         ("component", r"component 0: entry \(0,0\) = 3 not a reduced nonzero scalar"),
@@ -632,8 +661,10 @@ class TestHomSpaceDims:
 
 class TestDualize:
     def test_empty(self):
-        p = Poset.from_covers(["a"], [])
-        assert dualize(InjectiveComplex.empty(p, GF2)).is_empty()
+        p = Poset.from_covers(["a", "b"], [("a", "b")])
+        for offset in (0, 3):
+            dual = dualize(InjectiveComplex(p, GF3, [], offset))
+            assert dual == InjectiveComplex.empty(p.opposite(), GF3)
 
     def test_single_summand(self):
         p = Poset.from_covers(["a", "b"], [("a", "b")])

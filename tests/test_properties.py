@@ -56,8 +56,7 @@ from posheaf.derived import (
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
 from posheaf.io import complex_to_json, dumps
-from posheaf.matrix import (_eliminate, _sparse_rank, _top_pivots, image_complement_rows,
-                            packed_row)
+from posheaf.matrix import _eliminate, _sparse_rank, image_complement_rows, packed_row
 from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, compact_support_cohomology,
                           multiplicity_oracle, restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
@@ -546,9 +545,9 @@ def test_rank_kernel_matches_the_dense_oracle(case, data):
     dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
     assert _sparse_rank(field, rows) == rank(field, dense)
     packed = [packed_row(field, row) for row in rows]
-    tops = _top_pivots(field, packed)
+    tops = _eliminate(field, packed)[0].keys()
     assert tops == {ncols - 1 - c for c in rref(field, [row[::-1] for row in dense])[1]}
-    assert _top_pivots(field, data.draw(st.permutations(packed))) == tops
+    assert _eliminate(field, data.draw(st.permutations(packed)))[0].keys() == tops
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

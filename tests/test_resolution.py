@@ -115,8 +115,8 @@ class TestMakeExact:
 
         from posheaf import resolution
 
-        with mock.patch("posheaf.resolution._top_pivots",
-                        wraps=resolution._top_pivots) as top_pivots, \
+        with mock.patch("posheaf.resolution._eliminate",
+                        wraps=resolution._eliminate) as top_pivots, \
                 mock.patch("posheaf.resolution.packed_row",
                            wraps=resolution.packed_row) as packs:
             minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
@@ -387,6 +387,18 @@ class TestOrderComplexResolution:
         assert hashlib.sha256(repr(raw).encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+@pytest.mark.parametrize("route", [
+    lambda sheaf: minimal_resolution_constant(sheaf.poset, sheaf.field),
+    minimal_resolution_sheaf,
+    order_complex_resolution,
+    lambda sheaf: peel(order_complex_resolution(sheaf)),
+], ids=["constant", "sheaf", "order-complex", "order-complex-peeled"])
+def test_every_route_resolves_the_empty_poset_to_the_zero_complex(route, field):
+    empty = Poset.from_covers([], [])
+    assert route(constant_sheaf(empty, field)) == InjectiveComplex.empty(empty, field)
+
+
 class TestMinimality:
     def test_worked_examples_minimal(self, tetra_resolution, pushforward_complexes):
         assert is_minimal(tetra_resolution)
@@ -446,7 +458,7 @@ class TestCohomologySheafDims:
             return counts, patch
 
         routes = [(cohomology_sheaf_dims, resolution, rank_oracle.cohomology_sheaf_dims,
-                   rank_oracle, "_top_pivots"),
+                   rank_oracle, "_eliminate"),
                   (derived.hypercohomology, derived, rank_oracle.hypercohomology,
                    matrix, "_sparse_rank")]
         sheaf = constant_sheaf(skeleton_of_simplex(5, 3).face_poset, PrimeField(p))
