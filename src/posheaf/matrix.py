@@ -5,10 +5,14 @@ indecomposable injective sheaves: columns are the domain summands, rows the
 codomain summands, and an entry in a row labeled ``s`` and a column labeled
 ``p`` can be nonzero only if ``s <= p``.  Rows are stored sparsely as
 ``column index -> nonzero value`` dicts, so extracting the stalk map at an
-element is just a row selection.  Dict rows are the stored and rendered form;
-elimination reduces GF(2) rows as int bitsets (`packed_row`).  One kernel,
-`_eliminate`, reduces on the highest coordinate: ranks and top pivots read its
-pivot table, complements the combinations that take rows to zero.
+element is just a row selection.  Dict rows are the stored and rendered form.
+One kernel, `_eliminate`, reduces on the highest coordinate: ranks and top
+pivots read its pivot table, complements the combinations that take rows to
+zero.  It takes rows in one of three forms (`packed_row`): over GF(2) an int
+bitset, over GF(3) a plane pair (ones, twos) of bitsets, the coordinates
+holding 1 and those holding 2 (after Boothby and Bradshaw, arXiv:0901.1413),
+and over p >= 5 the dict.  A witness rides below the columns: in the low bits
+of the GF(2) int and of both GF(3) planes, in the negative keys of a dict.
 """
 
 from __future__ import annotations
@@ -252,19 +256,31 @@ def _rows_meeting(rows, cols, j: int) -> list[int]:
 
 def packed_row(field: PrimeField, row):
     """A row in the kernel's form: over GF(2) an int whose bit j is set iff
-    column j holds an odd entry (ints pass through); over odd p the dict."""
-    if field.p != 2 or type(row) is int:
+    column j holds an odd entry; over GF(3) the pair (ones, twos) of ints
+    whose bit j is set iff column j holds 1, resp. 2, mod 3 (never both);
+    over p >= 5 the dict.  Rows already in that form pass through."""
+    if field.p == 2:
+        if type(row) is int:
+            return row
+        bits = 0
+        for j, v in row.items():
+            if v & 1:
+                bits |= 1 << j
+        return bits
+    if field.p != 3 or type(row) is tuple:
         return row
-    bits = 0
+    ones = twos = 0
     for j, v in row.items():
-        if v & 1:
-            bits |= 1 << j
-    return bits
+        if (v := v % 3) == 1:
+            ones |= 1 << j
+        elif v:
+            twos |= 1 << j
+    return ones, twos
 
 
 def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=None):
     """The elimination kernel, on the highest coordinate.  Each of `rows`
-    (`packed_row`s; odd-p entries are reduced mod p and zeros dropped) is
+    (`packed_row`s; dict entries are reduced mod p and zeros dropped) is
     reduced against the rows stored before it and, if nonzero, stored under
     its top coordinate, over odd p scaled to 1 there.  Returns that pivot
     table, whose keys are the span's top pivots (the highest coordinates of
@@ -276,11 +292,17 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     `witness` is resumed and extended in place, so rows fed in chunks give
     the table of one call on all of them.
 
+    Each step adds to the row the multiple of a stored pivot that clears its
+    top.  Over GF(3) that is the pivot or its negative, the planes swapped;
+    two plane pairs add in 7 bitwise operations (check the 9 pairs of
+    coordinate values), and a row whose top holds 2 is stored negated.  So
+    every step, table and witness is the dict form's, decoded.
+
     With `witness`, `rows` is a list of n rows, and row t carries its
     combination in coordinates below the columns, which each step updates
-    with the rest: over GF(2) column j becomes bit n + j and bit t is set;
-    over odd p key t - n is set to 1.  A row reduces to zero when no column
-    coordinate is left."""
+    with the rest: over GF(2) and in both GF(3) planes column j becomes bit
+    n + j and bit t (of the ones) is set; over p >= 5 key t - n is set to 1.
+    A row reduces to zero when no column coordinate is left."""
     p, zeros = field.p, []
     table = {} if table is None else table
     n = len(rows) if witness else 0
@@ -296,6 +318,21 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                 table[top] = row
             elif witness:
                 zeros.append(dict.fromkeys(_bit_indices(row), 1))
+        elif p == 3:
+            one, two = row
+            if witness:
+                one, two = one << n | 1 << t, two << n
+            while True:
+                a, b = one.bit_length(), two.bit_length()
+                if (top := (a if a > b else b) - 1) < n or (piv := table.get(top)) is None:
+                    break
+                x, y = piv if b > a else piv[::-1]  # row += piv where it holds 2, -piv where 1
+                s = (one | y) ^ (two | x)
+                one, two = (two | y) ^ s, (one | x) ^ s
+            if top >= n:
+                table[top] = (one, two) if a > b else (two, one)
+            elif witness:
+                zeros.append({j: 2 if two >> j & 1 else 1 for j in _bit_indices(one | two)})
         else:
             row = {j: v % p for j, v in row.items() if v % p}
             if witness:
@@ -311,7 +348,7 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
 
 
 def _sparse_rank(field: PrimeField, rows, table=None) -> int:
-    """Rank of `rows` (dicts with any integer entries, or GF(2) bitsets) as
+    """Rank of `rows` (dicts with any integer entries, or `packed_row`s) as
     the number of top pivots: resolution rows are close to triangular in their
     highest column, so eliminating there fills in far less than leftmost.
     A `table` is resumed as `_eliminate` does; its keys are the top pivots."""

@@ -54,7 +54,8 @@ def _check_elements(poset: Poset, elements) -> None:
 
 class _Stalks:
     """Row and column indices of a matrix bucketed by label, its rows packed
-    (`packed_row`) and, as `image`, the packed rows of the previous matrix.
+    (`packed_row`: GF(2) ints, GF(3) plane pairs, p >= 5 the dicts themselves)
+    and, as `image`, the packed rows of the previous matrix.
     For one step or call only: `append` tracks MakeExact's rows, but any other
     change to the matrix (swaps, peel, outside appends) leaves it stale.
 

@@ -11,6 +11,7 @@ from posheaf.matrix import (
     _sparse_rank,
     col_op,
     image_complement_rows,
+    packed_row,
     row_op,
 )
 from posheaf.poset import Poset, SimplicialComplex
@@ -156,8 +157,10 @@ class TestRank:
 
     def test_odd_prime_rows_are_reduced_before_elimination(self):
         # An entry that is 0 mod p must not become a pivot to invert.
-        assert _eliminate(GF3, [{0: 1, 1: 3}])[0] == {0: {0: 1}}
-        assert _eliminate(GF3, [{0: 0}])[0] == {}
+        # The GF(3) pivot is the plane pair (ones, twos), scaled to 1 at its top.
+        assert _eliminate(GF3, [packed_row(GF3, {0: 1, 1: 3})])[0] == {0: (1, 0)}
+        assert _eliminate(GF3, [packed_row(GF3, {0: -1, 1: 3})])[0] == {0: (1, 0)}
+        assert _eliminate(GF3, [packed_row(GF3, {0: 0})])[0] == {}
         assert _sparse_rank(GF3, [{0: 1, 1: 3}, {0: 0, 1: 0}, {0: -2, 2: 6}]) == 1
 
 

@@ -230,6 +230,39 @@ class TestBettiTables:
             zset = LocallyClosedSet(rg.poset, sphere_morse.superlevel(x))
             assert star[x] == hypercohomology(restrict_star(zset, rg))
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cleared_tables_skip_rows_and_match_the_uncleared_ones(self, p):
+        # max-vertex levels on skel(5,3), minimal (shifted) and by chains:
+        # the submatrix tables leave out rows the uncleared elimination
+        # reduces, and agree with it
+        from unittest import mock
+
+        from posheaf import morse
+        from posheaf.field import PrimeField
+        from posheaf.poset import skeleton_of_simplex
+        from posheaf.resolution import order_complex_resolution
+        from posheaf.sheaf import constant_sheaf
+
+        complex_ = skeleton_of_simplex(5, 3)
+        poset, order = complex_.face_poset, list(complex_.vertices)
+        levels = {f: max(complex_.face_of[f], key=order.index) for f in poset.elements}
+        mf = MorseFunction.from_levels(poset, levels, order)
+        sheaf = constant_sheaf(poset, PrimeField(p))
+        cleared_ranks, kernel = morse._filtration_ranks, morse._eliminate
+        for resolution in [minimal_resolution_sheaf(sheaf).shifted(2),
+                           order_complex_resolution(sheaf)]:
+            fed, tables = Counter(), {}
+            for route, ranks in (("cleared", cleared_ranks),
+                                 ("uncleared", lambda m, step, walk, tops: cleared_ranks(
+                                     m, step, walk, {}))):
+                with mock.patch.object(morse, "_filtration_ranks", ranks), \
+                        mock.patch.object(morse, "_eliminate", lambda field, rows, **kw: (
+                            fed.update({route: len(rows)}) or kernel(field, rows, **kw))):
+                    tables[route] = [betti_table(mf, resolution, *key) for key in (
+                        ("sublevel", "shriek"), ("superlevel", "star"), ("superlevel", "shriek"))]
+            assert tables["cleared"] == tables["uncleared"]
+            assert 0 < fed["cleared"] < fed["uncleared"]
+
 
 class TestMorseAnalysis:
     def test_each_table_and_fiber_computed_once(

@@ -2,9 +2,10 @@
 minimal resolution, `Poset.from_covers` against `Poset.from_leq_pairs`,
 `Poset.restrict` and covers against their definitions, the cylinder
 pullback against the submatrix restriction on open sets, the GF(2) bitset
-kernel against the dict kernel, ranks and top pivots against the dense
-echelon form, the kernel resumed from its pivot table against one call and
-its pivots above a column cut against the dense rank of that block, the
+kernel against the dict kernel, GF(3) plane pairs against the reduced
+dicts they pack, ranks and top pivots against the dense echelon form, the
+kernel resumed from its pivot table against one call and its pivots above
+a column cut against the dense rank of that block, the
 constant sheaf's multiplicities against the compact-support oracle, the
 derived Hom into shifts against the hypercohomology, the adjunctions
 f^* -| Rf_* and i_! -| i^! as equal derived Hom dimensions on both sides,
@@ -14,8 +15,9 @@ composite of pullbacks, the invariants of peel and of double dualization,
 peel against the mirrored version it replaced (`peel_oracle`), MakeExact
 against the row-basis screen it replaced (`screen_oracle`), the Morse
 tables and fiber dims against the per-level restrictions they replaced
-(`morse_oracle`), max-vertex Morse tables over GF(3) and GF(5) against the
-cohomology of full subcomplexes, the star-row ranks, packed rows and
+(`morse_oracle`) and, cleared, against the uncleared elimination,
+max-vertex Morse tables over GF(3) and GF(5) against the cohomology of full
+subcomplexes, the star-row ranks, packed rows and
 buckets MakeExact carries between degrees against dense ranks and fresh
 state, the down-sets, heights and linear extension against their
 definitions, the chain enumeration behind the order complex against every
@@ -61,7 +63,7 @@ from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, compact_su
                           multiplicity_oracle, restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
                            mapping_cylinder, order_complex, star_subposet)
-from posheaf import cli, resolution
+from posheaf import cli, morse, resolution
 from posheaf.resolution import (
     cohomology_sheaf_dims,
     is_minimal,
@@ -489,18 +491,9 @@ def test_morse_tables_and_fiber_dims_match_the_per_level_oracle(sheaf, data):
     lowest included; f is the max weight below or the min weight above an
     element, and the complex the minimal or the (non-minimal) order-complex
     resolution."""
-    poset = sheaf.poset
     resolve = data.draw(st.sampled_from([minimal_resolution_sheaf, order_complex_resolution]))
     complex_ = resolve(sheaf)
-    n_levels = data.draw(st.integers(1, 5), label="levels")
-    weights = dict(zip(poset.elements, data.draw(st.lists(
-        st.integers(0, n_levels - 1), min_size=len(poset), max_size=len(poset)))))
-    if data.draw(st.booleans(), label="max below"):
-        value = {e: max(w for d, w in weights.items() if poset.leq(d, e)) for e in poset.elements}
-    else:
-        value = {e: min(w for u, w in weights.items() if poset.leq(e, u)) for e in poset.elements}
-    order = [str(k) for k in range(n_levels)]
-    mf = MorseFunction.from_levels(poset, {e: str(v) for e, v in value.items()}, order)
+    mf = _draw_morse_function(data, sheaf.poset)
     analysis = MorseAnalysis(mf, complex_)
     for variant in ("star", "shriek"):
         assert analysis.fiber_dims(variant) == morse_oracle.fiber_dims(mf, complex_, variant)
@@ -510,20 +503,79 @@ def test_morse_tables_and_fiber_dims_match_the_per_level_oracle(sheaf, data):
             assert analysis.table(direction, variant) == expected
 
 
+def _draw_morse_function(data, poset) -> MorseFunction:
+    """Levels 0..L-1, not all hit, f the max weight below or the min weight
+    above an element."""
+    n_levels = data.draw(st.integers(1, 5), label="levels")
+    weights = dict(zip(poset.elements, data.draw(st.lists(
+        st.integers(0, n_levels - 1), min_size=len(poset), max_size=len(poset)))))
+    if data.draw(st.booleans(), label="max below"):
+        value = {e: max(w for d, w in weights.items() if poset.leq(d, e)) for e in poset.elements}
+    else:
+        value = {e: min(w for u, w in weights.items() if poset.leq(e, u)) for e in poset.elements}
+    order = [str(k) for k in range(n_levels)]
+    return MorseFunction.from_levels(poset, {e: str(v) for e, v in value.items()}, order)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sheaf=functorial_sheaves(), data=st.data())
+def test_cleared_morse_tables_match_uncleared_and_feed_no_more_rows(sheaf, data):
+    """The three submatrix tables of `betti_table`, whose ranks leave out the
+    rows the next degree's level tops prove dependent, equal the same
+    elimination with nothing left out, over GF(2), GF(3) and GF(5), on the
+    minimal and the order-complex resolution, and feed the kernel no more
+    rows."""
+    resolve = data.draw(st.sampled_from([minimal_resolution_sheaf, order_complex_resolution]))
+    complex_ = resolve(sheaf)
+    mf = _draw_morse_function(data, sheaf.poset)
+    cleared_ranks, fed = morse._filtration_ranks, Counter()
+
+    def uncleared_ranks(m, step, walk, tops):
+        return cleared_ranks(m, step, walk, {})
+
+    def counted(route):
+        def eliminate(field, rows, **kwargs):
+            rows = list(rows)
+            fed[route] += len(rows)
+            return _eliminate(field, rows, **kwargs)
+        return mock.patch("posheaf.morse._eliminate", eliminate)
+
+    for direction, variant in (("sublevel", "shriek"), ("superlevel", "star"),
+                               ("superlevel", "shriek")):
+        with counted("cleared"):
+            cleared = betti_table(mf, complex_, direction, variant)
+        with counted("uncleared"), mock.patch("posheaf.morse._filtration_ranks", uncleared_ranks):
+            assert betti_table(mf, complex_, direction, variant) == cleared
+    assert fed["cleared"] <= fed["uncleared"]
+
+
+def _decoded(row) -> dict[int, int]:
+    """A kernel row (`packed_row`: a dict, a GF(2) bitset or a GF(3) plane
+    pair (ones, twos)) as an ascending {column: value} dict."""
+    if isinstance(row, dict):
+        return row
+    ones, twos = (row, 0) if isinstance(row, int) else row
+    return {j: 1 + (twos >> j & 1) for j in range(max(ones.bit_length(), twos.bit_length()))
+            if (ones | twos) >> j & 1}
+
+
 @st.composite
-def prime_row_lists(draw):
-    """Sparse rows over GF(2), GF(3) or GF(5) as dicts, with entries from
-    -2p to 2p (zeros, negatives and entries >= p included) and repeats and
-    combinations of earlier rows mixed in, so that some rows are dependent."""
-    field = PrimeField(draw(st.sampled_from([2, 3, 5])))
+def prime_row_lists(draw, primes=(2, 3, 5)):
+    """Sparse rows over GF(p), p drawn from `primes`, as dicts, with entries
+    from -2p to 2p (zeros, negatives and entries >= p included) and repeats
+    and combinations of earlier rows mixed in, so that some rows are
+    dependent.  A third of the cases are wide and sparse (65 to 200 columns,
+    at most 12 entries a row), so that packed rows span several machine
+    words."""
+    field = PrimeField(draw(st.sampled_from(primes)))
     p = field.p
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    ncols = rng.randint(1, 12)
+    ncols = rng.randint(65, 200) if rng.random() < 1 / 3 else rng.randint(1, 12)
     rows = []
     for _ in range(rng.randint(0, 16)):
         kind = rng.choice(["random", "random", "repeat", "sum"]) if rows else "random"
         if kind == "random":
-            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            cols = rng.sample(range(ncols), rng.randint(0, min(ncols, 12)))
             row = {j: rng.randint(-2 * p, 2 * p) for j in cols}
         elif kind == "repeat":
             row = dict(rng.choice(rows))
@@ -548,6 +600,24 @@ def test_rank_kernel_matches_the_dense_oracle(case, data):
     tops = _eliminate(field, packed)[0].keys()
     assert tops == {ncols - 1 - c for c in rref(field, [row[::-1] for row in dense])[1]}
     assert _eliminate(field, data.draw(st.permutations(packed)))[0].keys() == tops
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=prime_row_lists(primes=[3]))
+def test_gf3_plane_pairs_round_trip_and_never_share_a_bit(case):
+    """Over GF(3) `packed_row` is the row reduced mod 3 (`_decoded` gives it
+    back in ascending columns) and passes a pair through; every stored pivot,
+    with or without the witness riding below the columns, has its planes
+    disjoint and holds 1 at its top."""
+    field, _ncols, rows = case
+    packed = [packed_row(field, row) for row in rows]
+    for row, pair in zip(rows, packed):
+        assert list(_decoded(pair).items()) == sorted((j, v % 3) for j, v in row.items() if v % 3)
+        assert packed_row(field, pair) is pair
+    for witness in (False, True):
+        for top, (ones, twos) in _eliminate(field, packed, witness=witness)[0].items():
+            assert ones & twos == 0
+            assert ones.bit_length() - 1 == top > twos.bit_length() - 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -836,9 +906,8 @@ def test_make_exact_matches_the_screen_on_proper_pushforward(sheaf, data):
 
 
 def _dense(rows):
-    """Dicts or GF(2) bitsets as dense rows, as wide as the widest."""
-    rows = [row if isinstance(row, dict) else {j: 1 for j in range(row.bit_length()) if row >> j & 1}
-            for row in rows]
+    """Kernel rows (`_decoded`) as dense rows, as wide as the widest."""
+    rows = [_decoded(row) for row in rows]
     ncols = max((j + 1 for row in rows for j in row), default=0)
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
