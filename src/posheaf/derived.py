@@ -181,10 +181,11 @@ def hypercohomology(complex_: InjectiveComplex) -> dict[int, int]:
 
 
 def _whole_ranks(m: LabeledMatrix, tops: dict) -> dict[None, tuple[int, int]]:
-    """{None: (columns, rank)} of m, less the rows at `tops[None]`, which become m's own."""
-    cleared, table = tops.get(None, 0), {}
-    rank = _sparse_rank(m.field, [r for i, r in enumerate(m.rows) if not cleared >> i & 1], table)
-    tops[None] = sum(1 << j for j in table)
+    """{None: (columns, rank)} of m, less the rows whose indices are in
+    `tops[None]`, a set of row indices (not bits), which becomes m's own."""
+    cleared, table = tops.get(None, ()), {}
+    rank = _sparse_rank(m.field, [r for i, r in enumerate(m.rows) if i not in cleared], table)
+    tops[None] = set(table)
     return {None: (m.ncols, rank)}
 
 
@@ -228,38 +229,25 @@ class ComplexMorphism:
 
     def component(self, d: int) -> LabeledMatrix:
         m = self.components.get(d)
-        if m is not None:
-            return m
-        return LabeledMatrix(
-            self.source.poset,
-            self.source.field,
-            self.source.term(d),
-            self.target.term(d),
-        )
+        return m if m is not None else LabeledMatrix(
+            self.source.poset, self.source.field, self.source.term(d), self.target.term(d))
 
     def validate(self):
         from .matrix import ValidationReport
 
         issues = []
-        degrees = sorted(set(self.source.degrees) | set(self.target.degrees))
-        for d in degrees:
+        for d in sorted(set(self.source.degrees) | set(self.target.degrees)):
             alpha_d = self.component(d)
-            if (
-                alpha_d.col_labels != self.source.term(d)
-                or alpha_d.row_labels != self.target.term(d)
-            ):
+            if (alpha_d.col_labels, alpha_d.row_labels) != (self.source.term(d),
+                                                             self.target.term(d)):
                 issues.append(f"component {d} has mismatched labels")
-                continue
-            bad = alpha_d.validate()
-            if bad:
+            elif bad := alpha_d.validate():
                 issues.extend(f"component {d}: {msg}" for msg in bad)
-                continue
-            eta = self.source.matrix(d)
-            delta = self.target.matrix(d)
-            if eta is None or delta is None:
-                continue
-            if self.component(d + 1).multiply(eta) != delta.multiply(alpha_d):
-                issues.append(f"square at degree {d} does not commute")
+            else:
+                eta, delta = self.source.matrix(d), self.target.matrix(d)
+                if eta is not None and delta is not None and (
+                        self.component(d + 1).multiply(eta) != delta.multiply(alpha_d)):
+                    issues.append(f"square at degree {d} does not commute")
         return ValidationReport(issues)
 
 
@@ -273,14 +261,10 @@ def mapping_cone(alpha: ComplexMorphism) -> InjectiveComplex:
     for d in range(low, max(degrees, default=-1) + 1):
         f_cols, g_cols = F.term(d + 1), G.term(d)
         cone = LabeledMatrix(poset, field, f_cols + g_cols)
-        eta = F.matrix(d + 1)
-        delta = G.matrix(d)
-        a = alpha.component(d + 1)
+        eta, delta, a = F.matrix(d + 1), G.matrix(d), alpha.component(d + 1)
         for i, lab in enumerate(F.term(d + 2)):
             cone.row_labels.append(lab)
-            cone.rows.append(
-                {j: field.neg(v) for j, v in eta.rows[i].items()} if eta is not None else {}
-            )
+            cone.rows.append({j: field.neg(v) for j, v in eta.rows[i].items()} if eta else {})
         shift = len(f_cols)
         for i, lab in enumerate(G.term(d + 1)):
             row = dict(a.rows[i]) if i < a.nrows else {}
@@ -383,8 +367,5 @@ def pullback_via_proper_check(f: MonotoneMap, complex_: InjectiveComplex) -> boo
 def same_derived_object(a: InjectiveComplex, b: InjectiveComplex) -> bool:
     """Equality test used throughout: multiplicity tables and stalkwise
     cohomology dimensions agree."""
-    ta = {d: dict(c) for d, c in a.multiplicities().items()}
-    tb = {d: dict(c) for d, c in b.multiplicities().items()}
-    if ta != tb:
-        return False
-    return cohomology_sheaf_dims(a) == cohomology_sheaf_dims(b)
+    ta, tb = ({d: dict(c) for d, c in x.multiplicities().items()} for x in (a, b))
+    return ta == tb and cohomology_sheaf_dims(a) == cohomology_sheaf_dims(b)

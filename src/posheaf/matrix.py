@@ -12,7 +12,9 @@ zero.  It takes rows in one of three forms (`packed_row`): over GF(2) an int
 bitset, over GF(3) a plane pair (ones, twos) of bitsets, the coordinates
 holding 1 and those holding 2 (after Boothby and Bradshaw, arXiv:0901.1413),
 and over p >= 5 the dict.  A witness rides below the columns: in the low bits
-of the GF(2) int and of both GF(3) planes, in the negative keys of a dict.
+of the GF(2) int and of both GF(3) planes, in the negative keys of a dict.  It
+is decoded straight into the caller's coordinates: complement vectors come out
+keyed by the caller's column indices, in ascending order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 
 from .errors import InputError, OperationNotAllowed
 from .field import PrimeField
-from .poset import Poset, _bit_indices
+from .poset import Poset
 
 
 class LabeledMatrix:
@@ -99,12 +101,8 @@ class LabeledMatrix:
         keep_cols = [j for j, lab in enumerate(self.col_labels) if lab in col_set]
         col_pos = {j: k for k, j in enumerate(keep_cols)}
         keep_rows = [i for i, lab in enumerate(self.row_labels) if lab in row_set]
-        out = LabeledMatrix(
-            self.poset,
-            self.field,
-            [self.col_labels[j] for j in keep_cols],
-            [self.row_labels[i] for i in keep_rows],
-        )
+        out = LabeledMatrix(self.poset, self.field, [self.col_labels[j] for j in keep_cols],
+                            [self.row_labels[i] for i in keep_rows])
         for k, i in enumerate(keep_rows):
             out.rows[k] = {col_pos[j]: v for j, v in self.rows[i].items() if j in col_pos}
         return out
@@ -152,12 +150,8 @@ class LabeledMatrix:
     def print_text(self, title: str = "") -> str:
         """Figure-style rendering: first row column labels, first column row labels."""
         header = [title] + list(self.col_labels)
-        body = []
-        for i, lab in enumerate(self.row_labels):
-            body.append(
-                [lab] + [str(self.rows[i][j]) if j in self.rows[i] else "·"
-                         for j in range(self.ncols)]
-            )
+        body = [[lab] + [str(row[j]) if j in row else "·" for j in range(self.ncols)]
+                for lab, row in zip(self.row_labels, self.rows)]
         table = [header] + body
         widths = [max(len(r[c]) for r in table) for c in range(len(header))] if header else []
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
@@ -278,7 +272,7 @@ def packed_row(field: PrimeField, row):
     return ones, twos
 
 
-def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=None):
+def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=None, coords=None):
     """The elimination kernel, on the highest coordinate.  Each of `rows`
     (`packed_row`s; dict entries are reduced mod p and zeros dropped) is
     reduced against the rows stored before it and, if nonzero, stored under
@@ -286,17 +280,21 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     table, whose keys are the span's top pivots (the highest coordinates of
     its vectors, one per dimension, whatever the row order), and, with
     `witness`, for each row t that reduces to zero, in row order, the
-    combination u_t of `rows` the reduction took to zero, as a {position:
-    value} dict in ascending positions.  Positions in `skip` are passed
-    over; `rows` are unchanged.  A `table` from an earlier call without
-    `witness` is resumed and extended in place, so rows fed in chunks give
-    the table of one call on all of them.
+    combination u_t of `rows` the reduction took to zero, as a dict in
+    ascending positions keyed by `coords[position]` (`coords`, ascending,
+    defaults to the positions).  Positions in `skip` are passed over; `rows`
+    are unchanged.  A `table` from an earlier call without `witness` is
+    resumed and extended in place, so rows fed in chunks give the table of
+    one call on all of them.
 
     Each step adds to the row the multiple of a stored pivot that clears its
     top.  Over GF(3) that is the pivot or its negative, the planes swapped;
     two plane pairs add in 7 bitwise operations (check the 9 pairs of
     coordinate values), and a row whose top holds 2 is stored negated.  So
-    every step, table and witness is the dict form's, decoded.
+    every step, table and witness is the dict form's, decoded.  Over odd p a
+    step that leaves the row's top nonzero raises AssertionError: a wrong
+    add or an unscaled pivot would otherwise cycle forever.  Over GF(2) XOR
+    with a pivot of the same top always clears it.
 
     With `witness`, `rows` is a list of n rows, and row t carries its
     combination in coordinates below the columns, which each step updates
@@ -306,6 +304,7 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     p, zeros = field.p, []
     table = {} if table is None else table
     n = len(rows) if witness else 0
+    coords = range(n) if coords is None else coords
     for t, row in enumerate(rows):
         if t in skip:
             continue
@@ -316,8 +315,8 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                 row ^= piv
             if top >= n:
                 table[top] = row
-            elif witness:
-                zeros.append(dict.fromkeys(_bit_indices(row), 1))
+                continue
+            one, two = row, 0
         elif p == 3:
             one, two = row
             if witness:
@@ -329,21 +328,32 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                 x, y = piv if b > a else piv[::-1]  # row += piv where it holds 2, -piv where 1
                 s = (one | y) ^ (two | x)
                 one, two = (two | y) ^ s, (one | x) ^ s
+                if one >> top or two >> top:
+                    raise AssertionError(f"a reduction step left the top at {top}")
             if top >= n:
                 table[top] = (one, two) if a > b else (two, one)
-            elif witness:
-                zeros.append({j: 2 if two >> j & 1 else 1 for j in _bit_indices(one | two)})
+                continue
+            one |= two
         else:
             row = {j: v % p for j, v in row.items() if v % p}
             if witness:
                 row[t - n] = 1
             while row and (top := max(row)) >= 0 and (piv := table.get(top)) is not None:
                 _axpy(row, piv, p - row[top], p)
+                if top in row:
+                    raise AssertionError(f"a reduction step left the top at {top}")
             if row and top >= 0:
                 inv = field.inv(row[top])
                 table[top] = {j: (v * inv) % p for j, v in row.items()}
             elif witness:
-                zeros.append({j + n: v for j, v in sorted(row.items())})
+                zeros.append({coords[j + n]: v for j, v in sorted(row.items())})
+            continue
+        if witness:  # the combination: the bits left in `one`, 2 where `two` has them
+            zeros.append(u := {})
+            while one:
+                low = one & -one
+                u[coords[low.bit_length() - 1]] = 2 if two & low else 1
+                one ^= low
     return table, zeros
 
 
@@ -355,16 +365,18 @@ def _sparse_rank(field: PrimeField, rows, table=None) -> int:
     return len(_eliminate(field, (packed_row(field, row) for row in rows), table=table)[0])
 
 
-def image_complement_rows(field: PrimeField, stalk_rows, skip=()) -> list[dict[int, int]]:
+def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None) -> list[dict]:
     """Basis of the orthogonal complement of the column space of a stalk matrix.
 
     `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
     by global column indices; call this matrix M.  The vectors come off
     `_eliminate`: one u_t, with u_t M = 0, per row t that reduces to zero,
-    in row order.  Coordinates refer to stalk row positions (0-based), in
-    ascending order.  Positions in `skip` are not reduced and give no
-    vector; each must be a row that would reduce to zero, so that the other
-    vectors come out as without it.
+    in row order.  Coordinates are stalk row positions (0-based), ascending;
+    given the ascending list `coords`, position pos is keyed `coords[pos]`
+    (MakeExact passes the stalk's global columns, so its rows need no remap).
+    Positions in `skip` are not reduced and give no vector; each must be a
+    row that would reduce to zero, so that the other vectors come out as
+    without it.
 
     The vectors depend only on M's rows and their order, not on the pivot
     rule.  Row t reduces to zero exactly when it lies in the span of the rows
@@ -376,7 +388,7 @@ def image_complement_rows(field: PrimeField, stalk_rows, skip=()) -> list[dict[i
     it changes no other vector.
     """
     packed = [packed_row(field, row) for row in stalk_rows]
-    return _eliminate(field, packed, witness=True, skip=skip)[1]
+    return _eliminate(field, packed, witness=True, skip=skip, coords=coords)[1]
 
 
 # -- complexes ----------------------------------------------------------------
@@ -414,21 +426,14 @@ class InjectiveComplex:
 
     def matrix(self, d: int) -> LabeledMatrix | None:
         i = d - self.degree_offset
-        if 0 <= i < len(self.matrices):
-            return self.matrices[i]
-        return None
+        return self.matrices[i] if 0 <= i < len(self.matrices) else None
 
     def term(self, d: int) -> list[str]:
         m = self.matrix(d)
         return list(m.col_labels) if m is not None else []
 
     def multiplicities(self) -> dict[int, Counter]:
-        table = {}
-        for d in self.degrees:
-            counts = Counter(self.term(d))
-            if counts:
-                table[d] = counts
-        return table
+        return {d: counts for d in self.degrees if (counts := Counter(self.term(d)))}
 
     def total_summands(self) -> int:
         return sum(m.ncols for m in self.matrices)
@@ -469,13 +474,14 @@ class InjectiveComplex:
         """{degree: {key: dim}}, nonzero dims only, by width - rank - previous
         rank, walking down: `ranks(m, tops)` gives {key: (width, rank)} per
         matrix m (columns, and the rank of m's rows on them; 0 if left out),
-        and may leave out (clear) m's rows at the bits of `tops[key]`, the top
-        pivots of the next matrix's rows there, setting it to m's own.  The
-        lemma: rows of m at the next matrix's top pivots reduce to zero.  rho,
-        a combination of the next matrix's rows with top s, has rho m = 0, so
-        row s of m lies in the span of rows t < s; by induction on s the rows
-        at no top span all, so the rank stays.  Star rows (labeled above an
-        element) lie on its star columns, so this holds per element too."""
+        and may leave out (clear) m's rows whose indices are in `tops[key]`,
+        an index container (not bits) of the top pivots of the next matrix's
+        rows there, setting it to m's own.  The lemma: rows of m at the next
+        matrix's top pivots reduce to zero.  rho, a combination of the next
+        matrix's rows with top s, has rho m = 0, so row s of m lies in the
+        span of rows t < s; by induction on s the rows at no top span all, so
+        the rank stays.  Star rows (labeled above an element) lie on its star
+        columns, so this holds per element too."""
         out, above, tops = {}, {}, {}
         for d in reversed(range(self.degree_offset - 1, self.degrees.stop)):
             below = {} if (m := self.matrix(d)) is None else ranks(m, tops)
@@ -495,17 +501,11 @@ class InjectiveComplex:
                 issues.append(f"matrix at degree {d} over a different field")
         if issues:  # composing needs in-range entries
             return ValidationReport(issues)
-        for i in range(len(self.matrices) - 1):
-            a, b = self.matrices[i], self.matrices[i + 1]
+        for d, a, b in zip(self.degrees, self.matrices, self.matrices[1:]):
             if a.row_labels != b.col_labels:
-                issues.append(
-                    f"rows of degree {self.degree_offset + i} do not match columns of "
-                    f"degree {self.degree_offset + i + 1}"
-                )
+                issues.append(f"rows of degree {d} do not match columns of degree {d + 1}")
             elif not b.multiply(a).is_zero():
-                issues.append(
-                    f"composition at degree {self.degree_offset + i} is nonzero"
-                )
+                issues.append(f"composition at degree {d} is nonzero")
         if self.matrices and self.matrices[-1].nrows:
             issues.append("last matrix has rows; complex is not closed off")
         return ValidationReport(issues)

@@ -161,16 +161,17 @@ def _filtration_ranks(m, step, walk, tops) -> dict[str, tuple[int, int]]:
     """Per level, the k-th of `walk`: the number of m's columns whose label
     has `step` <= k and the rank of m's block on the rows and columns of such
     labels, from one elimination (see `betti_table`).  Cleared as
-    `InjectiveComplex.dims` clears, per level: the rows at the bits of
-    `tops[x]` are left out of level x's bucket, and `tops[x]` becomes the
-    block's top pivots, m's column indices (the keys >= the cut, through the
-    renumbering).  The lemma holds per level: the labels of step <= k form a
-    sublevel (down-closed) or superlevel (up-closed) set, which is convex,
-    so an entry of the product of consecutive blocks sums over the same
-    indices as the full product's, and the blocks compose to zero.  The tops
-    of a level only grow with k, so each row left out is at a top of every
-    later level: a level's fed rows contain all of its block's rows at no
-    top, and these span the block's rows."""
+    `InjectiveComplex.dims` clears, per level: the rows whose indices are in
+    `tops[x]`, a set of indices (not bits), are left out of level x's
+    bucket, and `tops[x]` becomes the set of the block's top pivots, m's
+    column indices (the keys >= the cut, through the renumbering).  The
+    lemma holds per level: the labels of step <= k form a sublevel
+    (down-closed) or superlevel (up-closed) set, which is convex, so an
+    entry of the product of consecutive blocks sums over the same indices
+    as the full product's, and the blocks compose to zero.  The tops of a
+    level only grow with k, so each row left out is at a top of every later
+    level: a level's fed rows contain all of its block's rows at no top, and
+    these span the block's rows."""
     order = sorted(range(m.ncols), key=lambda j: -step[m.col_labels[j]])
     index = {j: c for c, j in enumerate(order)}
     buckets = [[] for _ in walk]
@@ -178,12 +179,12 @@ def _filtration_ranks(m, step, walk, tops) -> dict[str, tuple[int, int]]:
         buckets[step[lab]].append(i)
     table, out = {}, {}
     for k, x in enumerate(walk):
-        cleared = tops.get(x, 0)
+        cleared = tops.get(x, ())
         _eliminate(m.field, [packed_row(m.field, {index[j]: v for j, v in m.rows[i].items()})
-                             for i in buckets[k] if not cleared >> i & 1], table=table)
+                             for i in buckets[k] if i not in cleared], table=table)
         cut = sum(step[lab] > k for lab in m.col_labels)
         out[x] = (m.ncols - cut, sum(top >= cut for top in table))
-        tops[x] = sum(1 << order[top] for top in table if top >= cut)
+        tops[x] = {order[top] for top in table if top >= cut}
     return out
 
 

@@ -52,10 +52,19 @@ def _check_elements(poset: Poset, elements) -> None:
         raise InputError(f"element {unknown[0]!r} is not in the poset")
 
 
+def _buckets(poset: Poset, labels) -> list[list[int]]:
+    """The indices of `labels`, ascending, in one list per poset index."""
+    buckets = [[] for _ in poset.index]
+    for i, lab in enumerate(labels):
+        buckets[poset.index[lab]].append(i)
+    return buckets
+
+
 class _Stalks:
-    """Row and column indices of a matrix bucketed by label, its rows packed
-    (`packed_row`: GF(2) ints, GF(3) plane pairs, p >= 5 the dicts themselves)
-    and, as `image`, the packed rows of the previous matrix.
+    """Row and column indices of a matrix bucketed by label, the number of
+    columns per label (`counts`), its rows packed (`packed_row`: GF(2) ints,
+    GF(3) plane pairs, p >= 5 the dicts themselves) and, as `image`, the
+    packed rows of the previous matrix.
     For one step or call only: `append` tracks MakeExact's rows, but any other
     change to the matrix (swaps, peel, outside appends) leaves it stale.
 
@@ -76,18 +85,13 @@ class _Stalks:
         self.ranks: dict[str, int] = {}
         self.prev_ranks = prev_ranks if prev_ranks is not None else {}
         self.up = m.poset.up_indices  # element -> poset indices above it, ascending
-        self.cols = cols if cols is not None else self._buckets(m.col_labels)
-        self.rows = self._buckets(m.row_labels)
+        self.cols = cols if cols is not None else _buckets(m.poset, m.col_labels)
+        self.counts = [*map(len, self.cols)]
+        self.rows = _buckets(m.poset, m.row_labels)
         self.packed = [packed_row(m.field, row) for row in m.rows]
 
     def carry(self) -> list:
         return [self.packed, self.rows, self.ranks]
-
-    def _buckets(self, labels) -> list[list[int]]:
-        buckets = [[] for _ in self.m.poset.index]
-        for i, lab in enumerate(labels):
-            buckets[self.m.poset.index[lab]].append(i)
-        return buckets
 
     def at(self, buckets, element: str) -> list[int]:
         """The indices in `buckets` whose labels are above `element`, ascending
@@ -156,7 +160,7 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     gives."""
     field, ranks = stalks.m.field, stalks.ranks
     prev_rank = stalks.prev_ranks.get(element)
-    size = sum(len(stalks.cols[k]) for k in stalks.up(element))
+    size = sum(map(stalks.counts.__getitem__, stalks.up(element)))
     tops = {}  # where prev_rank == size, dim A = 0 and so W = 0
     if prev_rank != size:
         star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
@@ -168,9 +172,8 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     if image_rows is None:
         image_rows = [stalks.image[i] for i in stalk]
     skip = {pos for pos, j in enumerate(stalk) if j in tops}
-    vectors = image_complement_rows(field, image_rows, skip)
-    for vector in vectors:
-        row = {stalk[pos]: v for pos, v in vector.items()}
+    vectors = image_complement_rows(field, image_rows, skip, stalk)
+    for row in vectors:
         stalks.append(element, row, packed_row(field, row))
     ranks[element] += len(vectors)
     return len(vectors)
@@ -311,14 +314,22 @@ def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int
 def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     """{element: (stalk width, rank of the star rows)} at each element where
     m's stalk is nonzero: its columns and rows labeled above the element,
-    less the rows at the element's `tops`, which become m's own there."""
-    s, out = _Stalks(m), {}
+    less the rows whose indices are in the element's `tops`, a tuple of row
+    indices (not bits) read into a set, which becomes m's own there.  The
+    tuples take their ints from one list, `ints`, so an index held costs a
+    slot, not an int (sets held at every element took several times the
+    memory).  Only row buckets, packed rows and column counts are built."""
+    index, up, out = m.poset.index, m.poset.up_indices, {}
+    rows, counts = _buckets(m.poset, m.row_labels), [0] * len(index)
+    for lab in m.col_labels:
+        counts[index[lab]] += 1
+    packed, ints = [packed_row(m.field, row) for row in m.rows], [*range(m.ncols)]
     for e in m.poset.elements:
-        cleared = tops.pop(e, 0)
-        if width := sum(len(s.cols[k]) for k in s.up(e)):
-            pivots = _eliminate(m.field, [s.packed[i] for k in s.up(e) for i in s.rows[k]
-                                          if not cleared >> i & 1])[0]
-            out[e], tops[e] = (width, len(pivots)), sum(1 << j for j in pivots)
+        cleared = set(tops.pop(e, ()))
+        if width := sum(map(counts.__getitem__, up(e))):
+            pivots = _eliminate(m.field, [packed[i] for k in up(e) for i in rows[k]
+                                          if i not in cleared])[0]
+            out[e], tops[e] = (width, len(pivots)), tuple(map(ints.__getitem__, pivots))
     return out
 
 

@@ -40,14 +40,17 @@ def append_complement(stalks, element: str, image_rows=None) -> int:
     return added
 
 
-def checked_complement(field, stalk_rows, skip=()):
+def checked_complement(field, stalk_rows, skip=(), coords=None):
     """`image_complement_rows` that asserts each skipped position reduces to
     zero (the complement vector of row t has its highest coordinate at t)
-    and that skipping leaves the other vectors as they were."""
+    and that skipping leaves the other vectors as they were, keyed through
+    `coords` if it is given."""
     full = image_complement_rows(field, stalk_rows)
     assert set(skip) <= {max(u) for u in full}
-    got = image_complement_rows(field, stalk_rows, skip)
-    assert [list(u.items()) for u in got] == [list(u.items()) for u in full if max(u) not in skip]
+    key = range(len(stalk_rows)) if coords is None else coords
+    got = image_complement_rows(field, stalk_rows, skip, coords)
+    assert [list(u.items()) for u in got] == [[(key[pos], v) for pos, v in u.items()]
+                                              for u in full if max(u) not in skip]
     return got
 
 

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import posheaf
 from posheaf.errors import InputError, OperationNotAllowed
 from posheaf.matrix import (
     InjectiveComplex,
@@ -162,6 +167,23 @@ class TestRank:
         assert _eliminate(GF3, [packed_row(GF3, {0: -1, 1: 3})])[0] == {0: (1, 0)}
         assert _eliminate(GF3, [packed_row(GF3, {0: 0})])[0] == {}
         assert _sparse_rank(GF3, [{0: 1, 1: 3}, {0: 0, 1: 0}, {0: -2, 2: 6}]) == 1
+
+    @pytest.mark.parametrize("call", [
+        "_eliminate(PrimeField(3), [packed_row(PrimeField(3), {0: 1})], table={0: (0, 1)})",
+        "_eliminate(PrimeField(5), [{0: 1}], table={0: {0: 2}})",
+    ])
+    def test_a_step_that_keeps_the_top_fails_instead_of_looping(self, call):
+        # a pivot holding 2 at its top (unscaled) never clears a row's top;
+        # the kernel raises, and the child's timeout fails the test if it loops
+        src = str(Path(posheaf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("from posheaf.field import PrimeField\n"
+                "from posheaf.matrix import _eliminate, packed_row\n" + call)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 1
+        assert "AssertionError: a reduction step left the top at 0" in proc.stderr
 
 
 class TestImageComplement:

@@ -676,6 +676,24 @@ def test_complement_kernel_matches_the_dense_oracle(case, data):
                 expected[t] for t in dependent if t not in skipped]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=prime_row_lists(), data=st.data())
+def test_complement_in_given_coordinates_is_the_positional_one_renamed(case, data):
+    """Given ascending `coords`, every complement vector is the positional
+    one with position pos keyed `coords[pos]`, dict order included, with or
+    without skipped positions."""
+    field, _ncols, rows = case
+    coords = sorted(data.draw(st.lists(st.integers(0, 10**6), min_size=len(rows),
+                                       max_size=len(rows), unique=True), label="coords"))
+    dependent = [max(u) for u in image_complement_rows(field, rows)]
+    skip = set(data.draw(st.lists(st.sampled_from(dependent), unique=True))) if dependent else set()
+    for skipped in (set(), skip):
+        got = image_complement_rows(field, rows, skipped, coords)
+        renamed = [{coords[pos]: v for pos, v in u.items()}
+                   for u in image_complement_rows(field, rows, skipped)]
+        assert [list(u.items()) for u in got] == [list(u.items()) for u in renamed]
+
+
 @st.composite
 def simplicial_complexes(draw):
     """A complex generated by up to five random facets on up to six vertices."""

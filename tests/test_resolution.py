@@ -135,9 +135,9 @@ class TestMakeExact:
 
         skipped = []
 
-        def recording(field, stalk_rows, skip=()):
+        def recording(field, stalk_rows, skip=(), coords=None):
             skipped.extend(skip)
-            return screen_oracle.checked_complement(field, stalk_rows, skip)
+            return screen_oracle.checked_complement(field, stalk_rows, skip, coords)
 
         complex_ = skeleton_of_simplex(5, 3)
         field = PrimeField(p)
