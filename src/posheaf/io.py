@@ -157,16 +157,23 @@ def matrix_to_json(m: LabeledMatrix) -> dict:
 
 
 def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatrix:
+    """One pass per entry, a row's entries before its label: a plain key and
+    an int entry are taken at once, any other goes through `_column_key` or
+    `_as_int`; each is reduced mod p once, zeros dropped, as `add_row` does
+    (`complex_from_json` says what is checked where)."""
     data = _as(data, dict, "matrix")
     cols = _as(_key(data, "cols", "matrix"), list, "matrix 'cols'")
     m = LabeledMatrix(poset, field, [_element(c, poset, "matrix column label") for c in cols])
+    plain = {str(j): j for j in range(m.ncols)}
     for row in _as(_key(data, "rows", "matrix"), list, "matrix 'rows'"):
         row = _as(row, dict, "matrix row")
-        entries = {
-            _column_key(j): _as_int(v, "matrix entry")
-            for j, v in _as(_key(row, "entries", "matrix row"), dict, "row 'entries'").items()
-        }
-        m.add_row(_element(_key(row, "label", "matrix row"), poset, "matrix row label"), entries)
+        entries = {}
+        for j, v in _as(_key(row, "entries", "matrix row"), dict, "row 'entries'").items():
+            j = plain[j] if j in plain else _column_key(j)
+            if v := (v if type(v) is int else _as_int(v, "matrix entry")) % field.p:
+                entries[j] = v
+        m.row_labels.append(_element(_key(row, "label", "matrix row"), poset, "matrix row label"))
+        m.rows.append(entries)
     return m
 
 
@@ -180,7 +187,12 @@ def complex_to_json(complex_: InjectiveComplex) -> dict:
 
 
 def complex_from_json(data: dict, max_elements: float = math.inf) -> InjectiveComplex:
-    """The complex of complex JSON; its poset is capped as in `poset_from_json`."""
+    """The complex of complex JSON; its poset is capped as in `poset_from_json`.
+    `matrix_from_json` raises at the first malformed column key, non-integer
+    entry or bad row label.  Then `InjectiveComplex.validate` reports each
+    column out of range and each entry whose row label is not at or below its
+    column label, on up-set bits, and if there is none, each pair of matrices
+    that does not compose to zero, on packed rows (`_composes_to_zero`)."""
     data = _as(data, dict, "complex JSON")
     field = PrimeField(_as_int(_key(data, "field", "complex JSON"), "field"))
     poset = poset_from_json(_key(data, "poset", "complex JSON"), max_elements)
@@ -224,10 +236,9 @@ def render_multiplicity_table(complex_: InjectiveComplex) -> str:
     lines = []
     for d in sorted(table):
         counts = table[d]
-        order = {e: i for i, e in enumerate(complex_.poset.elements)}
         pieces = [
             f"[{lab}]" + (f"^{n}" if n > 1 else "")
-            for lab, n in sorted(counts.items(), key=lambda kv: order[kv[0]])
+            for lab, n in sorted(counts.items(), key=lambda kv: complex_.poset.index[kv[0]])
         ]
         lines.append(f"degree {d}: " + " + ".join(pieces))
     return "\n".join(lines)

@@ -24,8 +24,8 @@ import math
 
 from .errors import InputError
 from .field import PrimeField
-from .matrix import (InjectiveComplex, LabeledMatrix, _eliminate, image_complement_rows,
-                     packed_row)
+from .matrix import (InjectiveComplex, LabeledMatrix, _composes_to_zero, _eliminate,
+                     image_complement_rows, packed_row)
 from .poset import Poset, SimplicialComplex, _chains
 from .sheaf import Sheaf, injective_hull
 
@@ -39,7 +39,7 @@ def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) ->
     if eta_prev.row_labels != eta_cur.col_labels:
         raise InputError("columns of the current matrix must match rows of the previous")
     _check_elements(eta_cur.poset, [element])
-    if not eta_cur.multiply(eta_prev).is_zero():
+    if not _composes_to_zero(eta_cur, eta_prev):
         raise InputError("the current matrix does not compose to zero with the previous")
     out = eta_cur.copy()
     _make_exact_inplace(eta_prev, out, element)

@@ -1,9 +1,12 @@
 import json
+import random
+import re
 from unittest import mock
 
 import pytest
 
 from posheaf.errors import InputError, SizeCapExceeded
+from posheaf.field import PrimeField
 from posheaf.io import (
     complex_from_json,
     complex_to_json,
@@ -19,10 +22,12 @@ from posheaf.io import (
     sheaf_to_json,
     vertex_map_from_json,
 )
+from posheaf.matrix import LabeledMatrix
 from posheaf.poset import Poset, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
 
 from conftest import GF2, GF3
+import io_oracle
 
 
 class TestFacetsText:
@@ -138,13 +143,93 @@ class TestComplexJson:
             complex_from_json(data)
 
     def test_one_label_check_per_entry(self):
-        # the complex check is the one per-entry pass: one leq call per entry
+        # label order is checked in one per-entry pass, `LabeledMatrix.validate`,
+        # once per matrix, on up-set bits: no `Poset.leq` call, and composition
+        # is tested on packed rows, with no product built
         res = minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
         data = json.loads(dumps(complex_to_json(res)))
         entries = sum(len(row["entries"]) for m in data["matrices"] for row in m["rows"])
-        with mock.patch.object(Poset, "leq", autospec=True, side_effect=Poset.leq) as spy:
+        spies = [mock.patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+                 for cls, name in ((LabeledMatrix, "validate"), (Poset, "leq"),
+                                   (LabeledMatrix, "multiply"))]
+        with spies[0] as validate, spies[1] as leq, spies[2] as multiply:
             assert complex_from_json(data) == res
-        assert (entries, spy.call_count) == (1449, 1449)
+        assert entries == 1449
+        assert (validate.call_count, leq.call_count, multiply.call_count) == (len(res.matrices), 0, 0)
+
+
+# The faults the reader must report as it did before the fast path: column
+# keys not written the plain way or out of range, entries that are not ints or
+# not reduced, a bad row label, a label-order violation, a broken composition.
+BAD_KEYS = ["01", "+1", " 1", "-1", "999"]
+ODD_ENTRIES = [1.0, 2.5, True, "1", 10**30, -1, 0]
+FAULTS = ("key", "entry", "label", "order", "compose")
+MESSAGES = ("plain integer key", "must be an integer", "is not a poset element",
+            "must be a JSON string", "out of range", "labels not ordered", "is nonzero")
+
+
+def _fault(rng, data, poset, p, kind, m, i):
+    """Put one fault of `kind` into row i of matrix m of complex JSON `data`."""
+    mat = data["matrices"][m]
+    row = mat["rows"][i]
+    entries = row["entries"]
+    if kind == "key":
+        value = entries.pop(rng.choice([*entries])) if entries and rng.random() < 0.5 else 1
+        entries[rng.choice(BAD_KEYS)] = value
+    elif kind == "entry":
+        entries[rng.choice([*entries]) if entries else "0"] = rng.choice(ODD_ENTRIES)
+    elif kind == "label":
+        row["label"] = rng.choice(["no such face", 7, None])
+    elif kind == "order" and row["label"] in poset.index:
+        bad = [j for j, c in enumerate(mat["cols"]) if not poset.leq(row["label"], c)]
+        if bad:
+            entries[str(rng.choice(bad))] = rng.randint(1, p - 1)
+    elif kind == "compose" and (ints := [k for k, v in entries.items() if type(v) is int]):
+        key = rng.choice(ints)
+        entries[key] = (entries[key] + rng.randint(1, p - 1)) % p
+
+
+def _read(reader, data):
+    """("ok", every matrix's labels and rows, entry order included) or ("error", message)."""
+    kind, got = io_oracle.outcome(reader, data)
+    if kind == "ok":
+        got = (got.degree_offset, [(m.col_labels, m.row_labels, [[*r.items()] for r in m.rows])
+                                   for m in got.matrices])
+    return kind, got
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reader_matches_the_oracle_on_faulty_complex_json(p):
+    """`complex_from_json` returns the complex `io_oracle` reads, or raises
+    InputError with its message, on a resolved complex JSON with one or two
+    faults, the two sometimes in one row (a row's entries are read before its
+    label, so that pins which error is raised)."""
+    res = minimal_resolution_constant(skeleton_of_simplex(4, 2).face_poset, PrimeField(p))
+    text, rng, seen = dumps(complex_to_json(res)), random.Random(p), set()
+    with_rows = [m for m, mat in enumerate(res.matrices) if mat.nrows]
+    for _ in range(200):
+        data = json.loads(text)
+        m, i = None, None
+        for kind in rng.sample(FAULTS, rng.randint(1, 2)):
+            if m is None or rng.random() < 0.5:
+                m = rng.choice(with_rows)
+                i = rng.randrange(res.matrices[m].nrows)
+            _fault(rng, data, res.poset, p, kind, m, i)
+        got = _read(complex_from_json, data)
+        assert got == _read(io_oracle.complex_from_json, data)
+        seen |= {"ok"} if got[0] == "ok" else {f for f in MESSAGES if f in got[1]}
+    assert seen == {"ok", *MESSAGES}
+
+
+def test_entries_are_read_before_the_row_label():
+    res = minimal_resolution_constant(skeleton_of_simplex(4, 2).face_poset)
+    data = json.loads(dumps(complex_to_json(res)))
+    row = data["matrices"][1]["rows"][0]
+    row["label"], row["entries"]["01"] = "no such face", 1
+    message = "matrix column index must be a plain integer key, got '01'"
+    for reader in (complex_from_json, io_oracle.complex_from_json):
+        with pytest.raises(InputError, match=re.escape(message)):
+            reader(data)
 
 
 class TestMorseJson:

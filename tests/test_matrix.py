@@ -9,9 +9,11 @@ import pytest
 
 import posheaf
 from posheaf.errors import InputError, OperationNotAllowed
+from posheaf.field import PrimeField
 from posheaf.matrix import (
     InjectiveComplex,
     LabeledMatrix,
+    _composes_to_zero,
     _eliminate,
     _sparse_rank,
     col_op,
@@ -20,6 +22,7 @@ from posheaf.matrix import (
     row_op,
 )
 from posheaf.poset import Poset, SimplicialComplex
+from posheaf.resolution import minimal_resolution_constant
 
 from conftest import GF2, GF3, GF5, random_labeled_matrix, random_poset, stalk_cols, stalk_matrix
 
@@ -129,6 +132,39 @@ class TestMultiply:
             )
             assert stalk_matrix(product, tau) == expected
             cases += 1
+
+
+class TestComposesToZero:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_is_the_product_tested_for_zero(self, p):
+        """`_composes_to_zero(b, a)` is `b.multiply(a).is_zero()` on random
+        label-respecting pairs: b @ a nonzero, zero because a resolution's
+        differentials compose to zero, and zero only mod p, where a row of b
+        takes c times a row of a and p - c times its copy (1 and 2 over GF(3))."""
+        field, rng, seen = PrimeField(p), random.Random(p), set()
+        for _ in range(150):
+            poset = random_poset(rng, 6)
+            ms = minimal_resolution_constant(poset, field).matrices
+            if rng.random() < 0.2 and len(ms) > 1:
+                (a, b), kind = rng.choice([*zip(ms, ms[1:])]), "resolution"
+            else:
+                a, kind = random_labeled_matrix(rng, poset, field, max_cols=5, max_rows=4), "random"
+                if a.nrows:  # a copy of one row of a, for a row of b to cancel mod p
+                    i = rng.randrange(a.nrows)
+                    a.add_row(a.row_labels[i], a.rows[i])
+                b = LabeledMatrix(poset, field, a.row_labels)
+                for _ in range(rng.randint(0, 3)):
+                    lab = rng.choice(poset.elements)
+                    b.add_row(lab, {k: rng.randint(1, p - 1) for k, up in enumerate(a.row_labels)
+                                    if poset.leq(lab, up) and rng.random() < 0.5})
+                if a.nrows and a.rows[i] and rng.random() < 0.5:
+                    c, kind = rng.randint(1, p - 1), "cancel" if not b.nrows else kind
+                    b.add_row(rng.choice(poset.elements_of(poset.down_bits(a.row_labels[i]))),
+                              {i: c, a.nrows - 1: p - c})
+            zero = b.multiply(a).is_zero()
+            assert _composes_to_zero(b, a) == zero
+            seen.add((kind, zero))
+        assert seen >= {("random", False), ("random", True), ("resolution", True), ("cancel", True)}
 
 
 class TestRank:
