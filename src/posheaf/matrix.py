@@ -276,14 +276,14 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     reduced against the rows stored before it and, if nonzero, stored under
     its top coordinate, over odd p scaled to 1 there.  Returns that pivot
     table, whose keys are the span's top pivots (the highest coordinates of
-    its vectors, one per dimension, whatever the row order), and, with
-    `witness`, for each row t that reduces to zero, in row order, the
-    combination u_t of `rows` the reduction took to zero, as a dict in
-    ascending positions keyed by `coords[position]` (`coords`, ascending,
-    defaults to the positions).  Positions in `skip` are passed over; `rows`
-    are unchanged.  A `table` from an earlier call without `witness` is
-    resumed and extended in place, so rows fed in chunks give the table of
-    one call on all of them.
+    its vectors, one per dimension, whatever the row order), and the rows t
+    that reduce to zero, in the span of a resumed table and the rows fed
+    before them: their positions, or with `witness` the combinations u_t of
+    `rows` the reduction took to zero, as dicts in ascending positions keyed
+    by `coords[position]` (`coords`, ascending, defaults to the positions).
+    Positions in `skip` are passed over; `rows` are unchanged.  A `table`
+    from an earlier call without `witness` is resumed and extended in place,
+    so rows fed in chunks give the table of one call on all of them.
 
     Each step adds to the row the multiple of a stored pivot that clears its
     top.  Over GF(3) that is the pivot or its negative, the planes swapped;
@@ -303,21 +303,31 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     table = {} if table is None else table
     n = len(rows) if witness else 0
     coords = range(n) if coords is None else coords
-    for t, row in enumerate(rows):
-        if t in skip:
-            continue
-        if p == 2:
-            if witness:
-                row = row << n | 1 << t
+    live = ((t, row) for t, row in enumerate(rows) if t not in skip) if skip else enumerate(rows)
+    if p == 2 and not witness:
+        for t, row in live:
+            while (piv := table.get(top := row.bit_length() - 1)) is not None:
+                row ^= piv
+            if row:
+                table[top] = row
+            else:
+                zeros.append(t)
+    elif p == 2:
+        for t, row in live:
+            row = row << n | 1 << t
             while (top := row.bit_length() - 1) >= n and (piv := table.get(top)) is not None:
                 row ^= piv
             if top >= n:
                 table[top] = row
                 continue
-            one, two = row, 0
-        elif p == 3:
-            one, two = row
-            if witness:
+            zeros.append(u := {})  # the combination: the bits left in the row
+            while row:
+                low = row & -row
+                u[coords[low.bit_length() - 1]] = 1
+                row ^= low
+    elif p == 3:
+        for t, (one, two) in live:
+            if witness:  # tested per row: a lifting generator measured slower here
                 one, two = one << n | 1 << t, two << n
             while True:
                 a, b = one.bit_length(), two.bit_length()
@@ -330,12 +340,17 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                     raise AssertionError(f"a reduction step left the top at {top}")
             if top >= n:
                 table[top] = (one, two) if a > b else (two, one)
-                continue
-            one |= two
-        else:
+            else:  # the combination: the bits left in `one`, 2 where `two` has them
+                zeros.append(u := {} if witness else t)  # without witness, t: no bit is left
+                one |= two
+                while one:
+                    low = one & -one
+                    u[coords[low.bit_length() - 1]] = 2 if two & low else 1
+                    one ^= low
+    else:
+        live = ((t, {**row, t - n: 1}) for t, row in live) if witness else live
+        for t, row in live:
             row = {j: v % p for j, v in row.items() if v % p}
-            if witness:
-                row[t - n] = 1
             while row and (top := max(row)) >= 0 and (piv := table.get(top)) is not None:
                 _axpy(row, piv, p - row[top], p)
                 if top in row:
@@ -343,15 +358,8 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
             if row and top >= 0:
                 inv = field.inv(row[top])
                 table[top] = {j: (v * inv) % p for j, v in row.items()}
-            elif witness:
-                zeros.append({coords[j + n]: v for j, v in sorted(row.items())})
-            continue
-        if witness:  # the combination: the bits left in `one`, 2 where `two` has them
-            zeros.append(u := {})
-            while one:
-                low = one & -one
-                u[coords[low.bit_length() - 1]] = 2 if two & low else 1
-                one ^= low
+            else:
+                zeros.append({coords[j + n]: v for j, v in sorted(row.items())} if witness else t)
     return table, zeros
 
 
@@ -385,7 +393,7 @@ def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None) -
     vanishing combination of them).  A skipped row would store nothing, so
     it changes no other vector.
     """
-    packed = [packed_row(field, row) for row in stalk_rows]
+    packed = [packed_row(field, row) if type(row) is dict else row for row in stalk_rows]
     return _eliminate(field, packed, witness=True, skip=skip, coords=coords)[1]
 
 

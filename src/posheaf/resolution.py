@@ -63,8 +63,8 @@ def _buckets(poset: Poset, labels) -> list[list[int]]:
 class _Stalks:
     """Row and column indices of a matrix bucketed by label, the number of
     columns per label (`counts`), its rows packed (`packed_row`: GF(2) ints,
-    GF(3) plane pairs, p >= 5 the dicts themselves) and, as `image`, the
-    packed rows of the previous matrix.
+    GF(3) plane pairs, p >= 5 the dicts themselves), as `image` the packed
+    rows of the previous matrix, and `found` (see `_append_complement`).
     For one step or call only: `append` tracks MakeExact's rows, but any other
     change to the matrix (swaps, peel, outside appends) leaves it stale.
 
@@ -89,6 +89,7 @@ class _Stalks:
         self.counts = [*map(len, self.cols)]
         self.rows = _buckets(m.poset, m.row_labels)
         self.packed = [packed_row(m.field, row) for row in m.rows]
+        self.found = [0] * len(self.packed)
 
     def carry(self) -> list:
         return [self.packed, self.rows, self.ranks]
@@ -101,6 +102,7 @@ class _Stalks:
     def append(self, label: str, row: dict[int, int], packed) -> None:
         self.rows[self.m.poset.index[label]].append(len(self.packed))
         self.packed.append(packed)
+        self.found.append(0)
         self.m.row_labels.append(label)
         self.m.rows.append(row)
 
@@ -157,14 +159,24 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     `InjectiveComplex.dims`), so skipping them in the reduction stores
     nothing another row's witness would see: the vectors left are exactly
     the independent ones, in the order and form `image_complement_rows`
-    gives."""
+    gives.
+
+    Clearing (after Chen and Kerber): the star rows go in bucket order, label
+    index then row index, which at c >= `element` restricts to c's, and rows
+    are only appended; so a row i that reduced to zero in c's scan (bit c of
+    `stalks.found[i]`) lies in the span of the star rows before it here too,
+    and by induction in that of the kept ones: leaving it out keeps the tops."""
     field, ranks = stalks.m.field, stalks.ranks
     prev_rank = stalks.prev_ranks.get(element)
     size = sum(map(stalks.counts.__getitem__, stalks.up(element)))
     tops = {}  # where prev_rank == size, dim A = 0 and so W = 0
     if prev_rank != size:
-        star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
-        tops = _eliminate(field, star_rows)[0]
+        poset, found = stalks.m.poset, stalks.found
+        above, bit = poset.up_bits(element), 1 << poset.index[element]
+        star = [i for k in stalks.up(element) for i in stalks.rows[k] if not found[i] & above]
+        tops, zeros = _eliminate(field, map(stalks.packed.__getitem__, star))
+        for pos in zeros:
+            found[star[pos]] |= bit
     ranks[element] = len(tops)
     if prev_rank is not None and size - prev_rank <= len(tops):
         return 0
@@ -245,10 +257,10 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
 def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -> InjectiveComplex:
     """Minimal injective resolution of the constant sheaf, whose hull is one
     [m] per maximal element m, the inclusion 1 on each."""
-    maximal = poset.maximal_elements()
-    bits = poset.bits_of(maximal)
-    rows = {e: [{0: 1}] * (poset.up_bits(e) & bits).bit_count() for e in poset.elements}
-    return _resolve_from_hull(poset, field or PrimeField(2), maximal, rows)
+    maximal, field = poset.maximal_elements(), field or PrimeField(2)
+    bits, one = poset.bits_of(maximal), packed_row(field, {0: 1})
+    rows = {e: [one] * (poset.up_bits(e) & bits).bit_count() for e in poset.elements}
+    return _resolve_from_hull(poset, field, maximal, rows)
 
 
 def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
