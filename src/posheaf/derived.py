@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .errors import InputError, SizeCapExceeded
 from .field import PrimeField
-from .matrix import (InjectiveComplex, LabeledMatrix, _column_index, _row_add, _rows_meeting,
-                     _sparse_rank)
+from .matrix import (InjectiveComplex, LabeledMatrix, _column_index, _product_is_zero, _row_add,
+                     _rows_meeting, _sparse_rank)
 from .poset import LocallyClosedSet, MonotoneMap, mapping_cylinder
 from .resolution import cohomology_sheaf_dims, force_exact
 
@@ -54,7 +54,7 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
     """
     ms = [m.copy() for m in complex_.matrices]
     for k, (a, b) in enumerate(zip(ms, ms[1:])):
-        if not b.multiply(a).is_zero():
+        if not _product_is_zero(b, a):
             raise InputError(f"matrices {k} and {k + 1} do not compose to zero")
     field = complex_.field
     cols = [_column_index(m.rows, m.ncols) for m in ms]
@@ -184,7 +184,7 @@ def _whole_ranks(m: LabeledMatrix, tops: dict) -> dict[None, tuple[int, int]]:
     """{None: (columns, rank)} of m, less the rows whose indices are in
     `tops[None]`, a set of row indices (not bits), which becomes m's own."""
     cleared, table = tops.get(None, ()), {}
-    rank = _sparse_rank(m.field, [r for i, r in enumerate(m.rows) if i not in cleared], table)
+    rank = _sparse_rank(m.field, m.packed(cleared), table)
     tops[None] = set(table)
     return {None: (m.ncols, rank)}
 

@@ -164,7 +164,7 @@ def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatr
     data = _as(data, dict, "matrix")
     cols = _as(_key(data, "cols", "matrix"), list, "matrix 'cols'")
     m = LabeledMatrix(poset, field, [_element(c, poset, "matrix column label") for c in cols])
-    plain = {str(j): j for j in range(m.ncols)}
+    plain, body = {str(j): j for j in range(m.ncols)}, m.rows
     for row in _as(_key(data, "rows", "matrix"), list, "matrix 'rows'"):
         row = _as(row, dict, "matrix row")
         entries = {}
@@ -173,7 +173,7 @@ def matrix_from_json(data: dict, poset: Poset, field: PrimeField) -> LabeledMatr
             if v := (v if type(v) is int else _as_int(v, "matrix entry")) % field.p:
                 entries[j] = v
         m.row_labels.append(_element(_key(row, "label", "matrix row"), poset, "matrix row label"))
-        m.rows.append(entries)
+        body.append(entries)
     return m
 
 

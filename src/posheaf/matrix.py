@@ -5,7 +5,7 @@ indecomposable injective sheaves: columns are the domain summands, rows the
 codomain summands, and an entry in a row labeled ``s`` and a column labeled
 ``p`` can be nonzero only if ``s <= p``.  Rows are stored sparsely as
 ``column index -> nonzero value`` dicts, so extracting the stalk map at an
-element is just a row selection.  Dict rows are the stored and rendered form.
+element is just a row selection (held packed too: see `LabeledMatrix`).
 One kernel, `_eliminate`, reduces on the highest coordinate: ranks and top
 pivots read its pivot table, complements the combinations that take rows to
 zero.  It takes rows in one of three forms (`packed_row`): over GF(2) an int
@@ -27,16 +27,36 @@ from .poset import Poset
 
 
 class LabeledMatrix:
+    """Held packed form: a matrix the exactness driver builds keeps its rows'
+    `packed_row`s, in order, for `packed()`, until `rows` is read or set (the
+    reader may edit the dicts); `packed()` then packs afresh, keeping nothing.
+    The driver appends to `_rows` and them in lockstep; methods here read
+    `_rows` and edit only new matrices."""
+
     def __init__(self, poset: Poset, field: PrimeField, col_labels, row_labels=None, rows=None):
         self.poset = poset
         self.field = field
         self.col_labels: list[str] = list(col_labels)
         self.row_labels: list[str] = list(row_labels or [])
-        self.rows: list[dict[int, int]] = [dict(r) for r in rows] if rows else [
-            {} for _ in self.row_labels
-        ]
-        if len(self.rows) != len(self.row_labels):
+        self.rows = [dict(r) for r in rows] if rows else [{} for _ in self.row_labels]
+        if len(self._rows) != len(self.row_labels):
             raise InputError("row count does not match row labels")
+
+    @property
+    def rows(self) -> list[dict[int, int]]:
+        self._packed = None
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list[dict[int, int]]) -> None:
+        self._packed, self._rows = None, rows
+
+    def packed(self, skip=()) -> list:
+        """The rows as `packed_row`s, less those whose indices are in `skip`:
+        the held list itself if there is one and nothing is skipped."""
+        if (held := self._packed) is not None:
+            return [r for i, r in enumerate(held) if i not in skip] if skip else held
+        return [packed_row(self.field, r) for i, r in enumerate(self._rows) if i not in skip]
 
     # -- basics --------------------------------------------------------------
 
@@ -49,10 +69,10 @@ class LabeledMatrix:
         return len(self.col_labels)
 
     def copy(self) -> "LabeledMatrix":
-        return LabeledMatrix(self.poset, self.field, self.col_labels, self.row_labels, self.rows)
+        return LabeledMatrix(self.poset, self.field, self.col_labels, self.row_labels, self._rows)
 
     def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
+        return all(not r for r in self._rows)
 
     def __eq__(self, other):
         return (
@@ -60,7 +80,7 @@ class LabeledMatrix:
             and other.field == self.field
             and other.col_labels == self.col_labels
             and other.row_labels == self.row_labels
-            and other.rows == self.rows
+            and other._rows == self._rows
         )
 
     def __repr__(self):
@@ -78,7 +98,7 @@ class LabeledMatrix:
             if lab not in index:
                 return [f"label {lab!r} not in poset"]
         bits = [1 << index[lab] for lab in self.col_labels]
-        for i, (lab, row) in enumerate(zip(self.row_labels, self.rows)):
+        for i, (lab, row) in enumerate(zip(self.row_labels, self._rows)):
             up = self.poset.up_bits(lab)
             for j, v in row.items():
                 if not 0 < v < p:
@@ -102,17 +122,17 @@ class LabeledMatrix:
         out = LabeledMatrix(self.poset, self.field, [self.col_labels[j] for j in keep_cols],
                             [self.row_labels[i] for i in keep_rows])
         for k, i in enumerate(keep_rows):
-            out.rows[k] = {col_pos[j]: v for j, v in self.rows[i].items() if j in col_pos}
+            out._rows[k] = {col_pos[j]: v for j, v in self._rows[i].items() if j in col_pos}
         return out
 
     def diagonal_entry(self, start: int = 0) -> tuple[int, int, int] | None:
         """First nonzero entry (row, column, value) in a same-label diagonal
         block, scanning rows in order from row `start`; None if every such
         block there is zero."""
-        col_labels = self.col_labels
+        col_labels, rows = self.col_labels, self._rows
         for i in range(start, self.nrows):
             row_lab = self.row_labels[i]
-            for j, v in self.rows[i].items():
+            for j, v in rows[i].items():
                 if col_labels[j] == row_lab:
                     return i, j, v
         return None
@@ -123,33 +143,29 @@ class LabeledMatrix:
             raise InputError("label sequences do not match for multiplication")
         p = self.field.p
         out = LabeledMatrix(self.poset, self.field, other.col_labels, self.row_labels)
-        for i, row in enumerate(self.rows):
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                for j, w in other.rows[k].items():
-                    acc[j] = (acc.get(j, 0) + v * w) % p
-            out.rows[i] = {j: v for j, v in acc.items() if v}
+        out.rows = [{j: r for j, v in acc.items() if (r := v % p)}
+                    for acc in _product_rows(self, other)]
         return out
 
     def transpose(self, poset: Poset | None = None) -> "LabeledMatrix":
         """Transpose, swapping row and column labels (used on the opposite poset)."""
         target = poset or self.poset
         out = LabeledMatrix(target, self.field, self.row_labels, self.col_labels)
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self._rows):
             for j, v in row.items():
-                out.rows[j][i] = v
+                out._rows[j][i] = v
         return out
 
     # -- rank and rendering ---------------------------------------------------
 
     def rank(self) -> int:
-        return _sparse_rank(self.field, self.rows)
+        return _sparse_rank(self.field, self._rows)
 
     def print_text(self, title: str = "") -> str:
         """Figure-style rendering: first row column labels, first column row labels."""
         header = [title] + list(self.col_labels)
         body = [[lab] + [str(row[j]) if j in row else "·" for j in range(self.ncols)]
-                for lab, row in zip(self.row_labels, self.rows)]
+                for lab, row in zip(self.row_labels, self._rows)]
         table = [header] + body
         widths = [max(len(r[c]) for r in table) for c in range(len(header))] if header else []
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
@@ -397,14 +413,29 @@ def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None) -
     return _eliminate(field, packed, witness=True, skip=skip, coords=coords)[1]
 
 
+def _product_rows(b: LabeledMatrix, a: LabeledMatrix):
+    """The rows of b @ a one at a time, as dicts of unreduced sums."""
+    a_rows = a._rows
+    for row in b._rows:
+        acc: dict[int, int] = {}
+        for k, v in row.items():
+            for j, w in a_rows[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        yield acc
+
+
+def _product_is_zero(b: LabeledMatrix, a: LabeledMatrix) -> bool:
+    """Whether b @ a = 0 (entries in range), each entry tested mod p once."""
+    p = b.field.p
+    return not any(v % p for acc in _product_rows(b, a) for v in acc.values())
+
+
 def _composes_to_zero(b: LabeledMatrix, a: LabeledMatrix) -> bool:
-    """Whether b @ a = 0 (entries in range) with no product built: each row of
-    b sums a's `packed_row`s as `_eliminate` adds them; p >= 5 uses `multiply`."""
-    field = b.field
-    if (p := field.p) > 3:
-        return b.multiply(a).is_zero()
-    packed = [packed_row(field, row) for row in a.rows]
-    for row in b.rows:
+    """`_product_is_zero`, over GF(2) and GF(3) on a's `packed()` rows."""
+    if (p := b.field.p) > 3:
+        return _product_is_zero(b, a)
+    packed = a.packed()
+    for row in b._rows:
         one = two = 0
         for k, v in row.items():
             if p == 2:

@@ -177,10 +177,10 @@ def _filtration_ranks(m, step, walk, tops) -> dict[str, tuple[int, int]]:
     buckets = [[] for _ in walk]
     for i, lab in enumerate(m.row_labels):
         buckets[step[lab]].append(i)
-    table, out = {}, {}
+    table, out, rows = {}, {}, m.rows
     for k, x in enumerate(walk):
         cleared = tops.get(x, ())
-        _eliminate(m.field, [packed_row(m.field, {index[j]: v for j, v in m.rows[i].items()})
+        _eliminate(m.field, [packed_row(m.field, {index[j]: v for j, v in rows[i].items()})
                              for i in buckets[k] if i not in cleared], table=table)
         cut = sum(step[lab] > k for lab in m.col_labels)
         out[x] = (m.ncols - cut, sum(top >= cut for top in table))

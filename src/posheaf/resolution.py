@@ -10,12 +10,8 @@ elements in non-increasing order, and `force_exact` repeats that step degree
 by degree until a matrix comes out empty.  `force_exact` is the single
 exactness-forcing path: the minimal resolutions here and the pullback and
 proper pushforward in `derived` all call it, differing only in the starting
-matrix, the element list and the rows each degree is seeded with.  Each
-step hands the next one the rank of its star rows at every element it
-processed, and where that rank shows the star rows already span the kernel
-MakeExact must fill, the next step appends nothing there without computing
-a complement, nor, where that kernel is zero, any star row.  A step's
-packed rows and row buckets are the next one's image and column buckets.
+matrix, the element list and the rows each degree is seeded with.  What
+one step hands the next is listed in `_Stalks`.
 """
 
 from __future__ import annotations
@@ -62,21 +58,20 @@ def _buckets(poset: Poset, labels) -> list[list[int]]:
 
 class _Stalks:
     """Row and column indices of a matrix bucketed by label, the number of
-    columns per label (`counts`), its rows packed (`packed_row`: GF(2) ints,
-    GF(3) plane pairs, p >= 5 the dicts themselves), as `image` the packed
-    rows of the previous matrix, and `found` (see `_append_complement`).
-    For one step or call only: `append` tracks MakeExact's rows, but any other
-    change to the matrix (swaps, peel, outside appends) leaves it stale.
+    columns per label (`counts`), as `image` the packed rows of the previous
+    matrix, `found` (see `_append_complement`), and `packed`, the matrix's
+    held packed form (`LabeledMatrix`), which `append` extends in lockstep
+    with the dict rows.  For one step or call only: any other change to the
+    matrix (swaps, peel, outside appends) leaves the rest stale.
 
     `ranks` maps each element MakeExact has processed to the rank of the
     matrix's star rows there, final once the element is processed (every row
     labeled above it is in by then).  `prev_ranks` is the previous matrix's
-    map from the step that built it, or empty where that step is not known;
-    `resolution_step` reads it.  A step hands the next three parts (`carry`),
-    none rebuilt: `packed`, the next `image`; the row buckets, the next
-    column buckets (rows there are columns, same indices); `ranks`, the next
-    `prev_ranks`.  Each lives through the step that builds it and the one
-    that reads it, no longer: what a step reads is not handed on."""
+    map from the step that built it, or empty where that step is not known.
+    A step hands the next (`carry`) its row buckets, the next column buckets
+    (same indices), and `ranks`, the next `prev_ranks`, and it holds its
+    packed rows, the next `image`.  Buckets and ranks live through the step
+    that builds them and the one that reads them, no longer."""
 
     def __init__(self, m: LabeledMatrix, image=None, cols=None,
                  prev_ranks: dict[str, int] | None = None):
@@ -88,11 +83,11 @@ class _Stalks:
         self.cols = cols if cols is not None else _buckets(m.poset, m.col_labels)
         self.counts = [*map(len, self.cols)]
         self.rows = _buckets(m.poset, m.row_labels)
-        self.packed = [packed_row(m.field, row) for row in m.rows]
+        self.packed = m._packed = m.packed()
         self.found = [0] * len(self.packed)
 
     def carry(self) -> list:
-        return [self.packed, self.rows, self.ranks]
+        return [self.rows, self.ranks]
 
     def at(self, buckets, element: str) -> list[int]:
         """The indices in `buckets` whose labels are above `element`, ascending
@@ -104,7 +99,7 @@ class _Stalks:
         self.packed.append(packed)
         self.found.append(0)
         self.m.row_labels.append(label)
-        self.m.rows.append(row)
+        self.m._rows.append(row)
 
 
 def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str,
@@ -112,7 +107,7 @@ def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element
     """In-place MakeExact against the stalk image of eta_prev, whose rows are
     eta_cur's columns; returns the number of rows added.  `resolution_step`
     passes the step's `_Stalks`, whose image is eta_prev's packed rows."""
-    stalks = _stalks or _Stalks(eta_cur, [packed_row(eta_cur.field, r) for r in eta_prev.rows])
+    stalks = _stalks or _Stalks(eta_cur, eta_prev.packed())
     return _append_complement(stalks, element)
 
 
@@ -209,8 +204,7 @@ def resolution_step(
     if seed is not None:
         eta_next.row_labels += seed.row_labels
         eta_next.rows += [dict(row) for row in seed.rows]
-    carried = _carry or [[packed_row(eta_prev.field, row) for row in eta_prev.rows]]
-    stalks = _Stalks(eta_next, *carried)
+    stalks = _Stalks(eta_next, eta_prev.packed(), *(_carry or ()))
     for element in reversed(order):
         _make_exact_inplace(eta_prev, eta_next, element, stalks)
     if _carry is not None:
@@ -232,7 +226,7 @@ def force_exact(prev: LabeledMatrix, elements, seeds=(), _carry=None) -> list[La
     for k in range(len(seeds) + prev.poset.height + 4):
         prev = resolution_step(prev, elements, seeds[k] if k < len(seeds) else None, carry)
         matrices.append(prev)
-        if not prev.rows and k + 1 >= len(seeds):
+        if not prev.nrows and k + 1 >= len(seeds):
             return matrices
     raise AssertionError("exactness forcing did not terminate within the length bound")
 
@@ -249,7 +243,7 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
         _make_exact_against_image(rows[element], stalks, element)
     matrices, carry = [eta0], stalks.carry()
     del stalks  # force_exact frees each carried part once the next step has read it
-    if eta0.rows:
+    if eta0.nrows:
         matrices += force_exact(eta0, poset.linear_extension, _carry=carry)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 
@@ -289,7 +283,7 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
         for chain in lowers:
             offset[chain] = len(col_labels)
             col_labels += [chain[0]] * dims[chain[-1]]
-        mat = LabeledMatrix(poset, field, col_labels)
+        body = (mat := LabeledMatrix(poset, field, col_labels)).rows  # read once: it is a property
         for upper in uppers:
             rows = [{} for _ in range(dims[upper[-1]])]
             if not rows:
@@ -306,7 +300,7 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
                         if x:
                             row[base + mj] = sign * x % field.p
             mat.row_labels += [upper[0]] * len(rows)
-            mat.rows += rows
+            body += rows
         matrices.append(mat)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 
@@ -330,12 +324,12 @@ def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     indices (not bits) read into a set, which becomes m's own there.  The
     tuples take their ints from one list, `ints`, so an index held costs a
     slot, not an int (sets held at every element took several times the
-    memory).  Only row buckets, packed rows and column counts are built."""
+    memory).  Only row buckets and column counts are built; rows are `m.packed()`."""
     index, up, out = m.poset.index, m.poset.up_indices, {}
     rows, counts = _buckets(m.poset, m.row_labels), [0] * len(index)
     for lab in m.col_labels:
         counts[index[lab]] += 1
-    packed, ints = [packed_row(m.field, row) for row in m.rows], [*range(m.ncols)]
+    packed, ints = m.packed(), [*range(m.ncols)]
     for e in m.poset.elements:
         cleared = set(tops.pop(e, ()))
         if width := sum(map(counts.__getitem__, up(e))):

@@ -26,6 +26,7 @@ from conftest import (
     GF2,
     GF3,
     check_resolution_health,
+    extension_by_zero_sheaf,
     incidence_kernel_sheaf,
     random_poset,
     random_sheaf,
@@ -110,17 +111,22 @@ class TestMakeExact:
         # on skel(6,3), 259 of the 392 MakeExact calls know from the carried
         # ranks that the kernel is zero and skip the star rows' top pivots;
         # each step packs only its own rows, the previous step's packed rows
-        # being its image, and the hull's image row is packed once
+        # being its image, and the hull's image row is packed once; the
+        # matrices hold those rows through the ranks read afterwards
         from unittest import mock
 
-        from posheaf import resolution
+        from posheaf import derived, matrix, resolution
 
         with mock.patch("posheaf.resolution._eliminate",
                         wraps=resolution._eliminate) as top_pivots, \
                 mock.patch("posheaf.resolution.packed_row",
-                           wraps=resolution.packed_row) as packs:
-            minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
-        assert (top_pivots.call_count, packs.call_count) == (133, 302)
+                           wraps=resolution.packed_row) as packs, \
+                mock.patch("posheaf.matrix.packed_row", wraps=matrix.packed_row) as repacks:
+            res = minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
+            assert (top_pivots.call_count, packs.call_count) == (133, 302)
+            cohomology_sheaf_dims(res), derived.hypercohomology(res)
+        assert not [row for _, row in (c.args for c in repacks.call_args_list)
+                    if type(row) is dict]  # packed rows pass through
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_star_scan_leaves_out_rows_found_dependent_above(self, p):
@@ -574,3 +580,71 @@ class TestUniqueness:
             peeled = peel(order_complex_resolution(sheaf))
             assert mult_table(direct) == mult_table(peeled)
             done += 1
+
+
+# -- the packed rows a driver-built matrix holds ---------------------------------------
+
+
+def _held_form_build(p: int, build: str) -> InjectiveComplex:
+    """A fixed complex over GF(p): the minimal resolution of the sum of the
+    constant sheaves on three vertex stars of skel(4,3), extended by zero,
+    its pullback to the closed star of a vertex, or the proper pushforward
+    of the constant sheaf on the open star of a vertex."""
+    from posheaf.derived import proper_pushforward, pullback
+    from posheaf.field import PrimeField
+    from posheaf.poset import LocallyClosedSet, MonotoneMap
+
+    field, complex_ = PrimeField(p), skeleton_of_simplex(4, 3)
+    poset = complex_.face_poset
+    if build == "proper pushforward":
+        zset = LocallyClosedSet(poset, poset.star("0"))
+        return proper_pushforward(zset, minimal_resolution_sheaf(
+            constant_sheaf(zset.restricted_poset(), field)))
+    stars = [poset.star(v) for v in "012"]
+    res = minimal_resolution_sheaf(extension_by_zero_sheaf(poset, field, stars))
+    if build == "pullback":
+        sub = poset.restrict(poset.closure(poset.star("0")))
+        return pullback(MonotoneMap.inclusion(sub, poset), res)
+    return res
+
+
+@pytest.mark.parametrize("build", ["resolution", "pullback", "proper pushforward"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestHeldPackedRows:
+    def test_held_rows_are_the_packed_dict_rows_and_give_the_oracle_dims(self, p, build):
+        # the matrices the driver builds hold their packed rows (a pullback's
+        # are cut from its cone, so hold none); ranks read on a fresh
+        # complex agree with the oracle's, run afterwards
+        import rank_oracle
+        from posheaf.derived import hypercohomology
+        from posheaf.matrix import packed_row
+
+        complex_ = _held_form_build(p, build)
+        held = [m.packed() for m in complex_.matrices]
+        assert all((m._packed is held_m) == (build != "pullback")
+                   for m, held_m in zip(complex_.matrices, held) if m.nrows)
+        dims, hyper = cohomology_sheaf_dims(complex_), hypercohomology(complex_)
+        assert held == [[packed_row(m.field, row) for row in m.rows] for m in complex_.matrices]
+        assert dims and hyper
+        assert dims == rank_oracle.cohomology_sheaf_dims(complex_)
+        assert hyper == rank_oracle.hypercohomology(complex_)
+
+    def test_an_entry_edited_after_the_rows_are_read_is_seen(self, p, build):
+        # drop an entry of a row whose column of the next matrix is nonzero:
+        # the composition breaks and the ranks move, read from the edited
+        # dict rows as on a copy that never held packed rows (not the oracle:
+        # clearing assumes the composition is zero)
+        from posheaf.derived import hypercohomology
+
+        complex_ = _held_form_build(p, build)
+        before = cohomology_sheaf_dims(complex_), hypercohomology(complex_)
+        ms = complex_.matrices
+        k, i = next((k, i) for k, (a, b) in enumerate(zip(ms, ms[1:]))
+                    for i, row in enumerate(a.packed()) if row and any(i in r for r in b.rows))
+        ms[k].rows[i].pop(next(iter(ms[k].rows[i])))
+        after = cohomology_sheaf_dims(complex_), hypercohomology(complex_)
+        copy = InjectiveComplex(complex_.poset, complex_.field, [m.copy() for m in ms],
+                                complex_.degree_offset)
+        assert after != before and after == (cohomology_sheaf_dims(copy), hypercohomology(copy))
+        assert f"composition at degree {complex_.degree_offset + k} is nonzero" in (
+            complex_.validate().issues)
