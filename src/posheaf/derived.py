@@ -10,9 +10,7 @@ entries.
 from __future__ import annotations
 
 from .errors import InputError, SizeCapExceeded
-from .field import PrimeField
-from .matrix import (InjectiveComplex, LabeledMatrix, _column_index, _product_is_zero, _row_add,
-                     _rows_meeting, _sparse_rank)
+from .matrix import InjectiveComplex, LabeledMatrix, _column_index, _product_is_zero, _sparse_rank
 from .poset import LocallyClosedSet, MonotoneMap, mapping_cylinder
 from .resolution import cohomology_sheaf_dims, force_exact
 
@@ -39,55 +37,68 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
     row additions are made, and row i of d, row j of ms[k - 1] and column i
     of ms[k + 1] are emptied.
 
-    Every matrix keeps a column -> rows index of plain lists, so a pivot
-    costs time in proportion to the entries it touches.  Split-off rows and
-    columns are emptied and marked dead instead of deleted, and each matrix
-    is compacted once at the end, keeping the order of rows, columns and
-    entries.  Within one visit to a matrix the diagonal scan resumes at the
-    row of the last pivot: rows above it have no same-label entry, and adding
-    the pivot row into them cannot create one, since their labels lie
-    strictly below the pivot's.  So a visit leaves its matrix with no
-    same-label entry, and one pass over the matrices splits every pivot: a
-    later pivot in ms[k] adds rows within ms[k] only, and on its neighbours
-    only empties a row and a column, which creates no entry.  The output's
-    multiplicity table is independent of the scan order.
+    A visit to a matrix scans each row once, in order, for its first
+    same-label entry.  Rows above a pivot row have none, and adding the pivot
+    row into them cannot create one, since their labels lie strictly below
+    the pivot's.  So a visit leaves its matrix with no same-label entry, and
+    one pass over the matrices splits every pivot: a later pivot in ms[k]
+    adds rows within ms[k] only, and on its neighbours only empties a row and
+    a column, which creates no entry.  The output's multiplicity table is
+    independent of the scan order.
+
+    The pivot entry c leaves row i before the additions: each row that a
+    column -> rows index lists for column j loses its entry v there and
+    gains -v/c times the rest of row i in place, new entries at the end in
+    row i's order, as adding row i whole would leave them.  The index lists
+    only grow, so a listed row without the entry (it vanished, or the row is
+    listed twice) is skipped; additions into distinct rows commute, so a
+    list is neither sorted nor written back.  Split-off rows and columns are
+    emptied and marked dead, and each matrix is compacted once at the end,
+    keeping the order of rows, columns and entries.
     """
     ms = [m.copy() for m in complex_.matrices]
     for k, (a, b) in enumerate(zip(ms, ms[1:])):
         if not _product_is_zero(b, a):
             raise InputError(f"matrices {k} and {k + 1} do not compose to zero")
-    field = complex_.field
-    cols = [_column_index(m.rows, m.ncols) for m in ms]
+    field, p = complex_.field, complex_.field.p
+    body = [m.rows for m in ms]
+    cols = [_column_index(rows, m.ncols) for rows, m in zip(body, ms)]
     # dead[k]: split-off summands of term k, i.e. columns of ms[k] and rows of ms[k - 1]
     dead: list[set[int]] = [set() for _ in range(len(ms) + 1)]
     for k in _scan_order if _scan_order is not None else range(len(ms)):
-        start = 0
-        while (hit := ms[k].diagonal_entry(start)) is not None:
-            i, j, c = hit
-            start = i
-            _split_pivot(field, ms, cols, k, i, j, c)
+        rows, index, col_labels = body[k], cols[k], ms[k].col_labels
+        for i, lab in enumerate(ms[k].row_labels):
+            pivot = rows[i]
+            for j in pivot:
+                if col_labels[j] == lab:
+                    break
+            else:
+                continue
+            inv = field.inv(pivot.pop(j))
+            for i2 in index[j]:
+                target = rows[i2]
+                if (v := target.pop(j, None)) is None:
+                    continue
+                s = -v * inv % p
+                for j2, w in pivot.items():
+                    if new := (target.get(j2, 0) + s * w) % p:
+                        if j2 not in target:
+                            index[j2].append(i2)
+                        target[j2] = new
+                    else:
+                        target.pop(j2, None)
+            rows[i] = {}
+            if k > 0:
+                body[k - 1][j] = {}
+            if k + 1 < len(ms):
+                above = body[k + 1]
+                for r in cols[k + 1][i]:
+                    above[r].pop(i, None)
             dead[k].add(j)
             dead[k + 1].add(i)
     for k, m in enumerate(ms):
         _compact(m, dead[k + 1], dead[k])
     return InjectiveComplex(complex_.poset, field, ms, complex_.degree_offset).trimmed()
-
-
-def _split_pivot(field: PrimeField, ms, cols, k, i, j, c):
-    """Clear column j of ms[k] with the pivot row i, then empty row i of
-    ms[k], row j of ms[k - 1] and column i of ms[k + 1] (see `peel`)."""
-    inv = field.inv(c)
-    rows = ms[k].rows
-    for i2 in _rows_meeting(rows, cols[k], j):
-        if i2 != i:
-            _row_add(field, rows, i, i2, -rows[i2][j] * inv, cols[k])
-    rows[i] = {}
-    if k > 0:
-        ms[k - 1].rows[j] = {}
-    if k + 1 < len(ms):
-        above = ms[k + 1].rows
-        for r in _rows_meeting(above, cols[k + 1], i):
-            del above[r][i]
 
 
 def _compact(m: LabeledMatrix, dead_rows: set[int], dead_cols: set[int]):

@@ -125,12 +125,11 @@ class LabeledMatrix:
             out._rows[k] = {col_pos[j]: v for j, v in self._rows[i].items() if j in col_pos}
         return out
 
-    def diagonal_entry(self, start: int = 0) -> tuple[int, int, int] | None:
+    def diagonal_entry(self) -> tuple[int, int, int] | None:
         """First nonzero entry (row, column, value) in a same-label diagonal
-        block, scanning rows in order from row `start`; None if every such
-        block there is zero."""
+        block, scanning rows in order; None if every such block is zero."""
         col_labels, rows = self.col_labels, self._rows
-        for i in range(start, self.nrows):
+        for i in range(self.nrows):
             row_lab = self.row_labels[i]
             for j, v in rows[i].items():
                 if col_labels[j] == row_lab:
@@ -219,22 +218,16 @@ def _line_op(m: LabeledMatrix, kind: str, i: int, j: int | None, scalar: int, no
     return out
 
 
-def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int, cols=None):
-    """rows[dest] += scalar * rows[src].  `cols`, if given, is a column -> rows
-    index (see `_rows_meeting`) that learns every entry the addition creates;
-    entries it removes stay listed."""
+def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int):
+    """rows[dest] += scalar * rows[src]."""
     if scalar % field.p:
-        _axpy(rows[dest], rows[src], scalar % field.p, field.p, cols, dest)
+        _axpy(rows[dest], rows[src], scalar % field.p, field.p)
 
 
-def _axpy(target: dict, src: dict, s: int, p: int, cols=None, dest: int | None = None):
-    """target += s * src over GF(p), new entries going in at the end in src's
-    order; a column index `cols` learns that row `dest` (the target) has them."""
+def _axpy(target: dict, src: dict, s: int, p: int):
+    """target += s * src over GF(p), new entries going in at the end in src's order."""
     for j, v in src.items():
-        new = (target.get(j, 0) + s * v) % p
-        if new:
-            if cols is not None and j not in target:
-                cols[j].append(dest)
+        if new := (target.get(j, 0) + s * v) % p:
             target[j] = new
         else:
             target.pop(j, None)
@@ -247,16 +240,6 @@ def _column_index(rows, ncols: int) -> list[list[int]]:
         for j in row:
             cols[j].append(r)
     return cols
-
-
-def _rows_meeting(rows, cols, j: int) -> list[int]:
-    """Rows with an entry in column j, ascending.  The index lists only grow:
-    an entry that vanishes, in a row addition or when peel empties a row or
-    column, leaves its row behind, and one that reappears lists it again.  So
-    the list is filtered, sorted and stored back on each read."""
-    live = sorted({r for r in cols[j] if j in rows[r]})
-    cols[j] = live
-    return live
 
 
 # -- the elimination kernel -----------------------------------------------------

@@ -571,14 +571,12 @@ def _chains(poset: Poset) -> list[list[tuple[str, ...]]]:
     """The strictly increasing chains as element tuples, grouped by length:
     group k holds the chains on k + 1 elements, in lexicographic order of
     their element indices.  Each chain of a group is extended, in index
-    order, by every element strictly above its last one."""
+    order, by every element strictly above its last one (one list per element)."""
+    index = poset.index
+    above = {e: poset.elements_of(poset.up_bits(e) & ~(1 << index[e])) for e in poset.elements}
     groups = [[(e,) for e in poset.elements]]
     while groups[-1]:
-        groups.append([
-            chain + (e,)
-            for chain in groups[-1]
-            for e in poset.elements_of(poset.up_bits(chain[-1]) & ~(1 << poset.index[chain[-1]]))
-        ])
+        groups.append([chain + (e,) for chain in groups[-1] for e in above[chain[-1]]])
     return groups[:-1]
 
 

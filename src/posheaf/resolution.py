@@ -272,10 +272,15 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
     at the last position, composes with the sheaf restriction from the new
     last element to the old.  Chains with a zero stalk at their last element
     give no rows or columns.  Generally not minimal.
+
+    A row takes the identity entries of the other faces at their offsets, in
+    drop order, then the signed sparse pattern of F(x <= y) at the last
+    face's, for the chain's last two elements x and y: within one chain
+    length that pattern is built once per pair.
     """
     sheaf.validate().raise_if_failed()
     poset, field = sheaf.poset, sheaf.field
-    dims, minus_one = sheaf.stalk_dim, field.neg(1)
+    dims, p, minus_one = sheaf.stalk_dim, field.p, field.neg(1)
     groups = _chains(poset)
     matrices = []
     for lowers, uppers in zip(groups, groups[1:] + [[]]):
@@ -284,23 +289,22 @@ def order_complex_resolution(sheaf: Sheaf) -> InjectiveComplex:
             offset[chain] = len(col_labels)
             col_labels += [chain[0]] * dims[chain[-1]]
         body = (mat := LabeledMatrix(poset, field, col_labels)).rows  # read once: it is a property
+        signs = [minus_one if drop % 2 else 1 for drop in range(len(lowers[0]) + 1)]
+        patterns = {}  # (x, y) -> the last face's signed rows of F(x <= y)
         for upper in uppers:
-            rows = [{} for _ in range(dims[upper[-1]])]
-            if not rows:
+            if not dims[upper[-1]]:
                 continue
-            for drop in range(len(upper)):
-                lower = upper[:drop] + upper[drop + 1:]
-                sign, base = minus_one if drop % 2 else 1, offset[lower]
-                if drop < len(lower):  # the last element stays, and F(e <= e) is 1
-                    for mi, row in enumerate(rows):
-                        row[base + mi] = sign
-                    continue
-                for row, entries in zip(rows, sheaf.restriction_map(lower[-1], upper[-1])):
-                    for mj, x in enumerate(entries):
-                        if x:
-                            row[base + mj] = sign * x % field.p
-            mat.row_labels += [upper[0]] * len(rows)
-            body += rows
+            if (pattern := patterns.get(pair := upper[-2:])) is None:
+                pattern = patterns[pair] = [[(mj, signs[-1] * x % p) for mj, x in enumerate(entries) if x]
+                                            for entries in sheaf.restriction_map(*pair)]
+            faces = [(offset[upper[:drop] + upper[drop + 1:]], signs[drop]) for drop in range(len(upper) - 1)]
+            base = offset[upper[:-1]]
+            for mi, entries in enumerate(pattern):
+                row = {at + mi: sign for at, sign in faces}
+                for mj, v in entries:
+                    row[base + mj] = v
+                body.append(row)
+            mat.row_labels += [upper[0]] * len(pattern)
         matrices.append(mat)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
 

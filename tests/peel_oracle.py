@@ -3,13 +3,15 @@ the library now makes only the row additions that clear the pivot column
 and empties the split-off row and columns, and the tests check that its
 output, dict entry order included, is what this version gives.  Each pivot
 here also checks, as the old peel did, that the mirrored row feeding it and
-the mirrored column above it come out zero.
+the mirrored column above it come out zero.  It keeps its own copies of the
+helpers the library no longer needs: the resumable diagonal scan, the row
+addition that a column index learns from, and the sorted index read.
 """
 
 from __future__ import annotations
 
 from posheaf.derived import _compact
-from posheaf.matrix import InjectiveComplex, _column_index, _row_add, _rows_meeting
+from posheaf.matrix import InjectiveComplex, _column_index
 
 
 def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
@@ -25,7 +27,7 @@ def peel(complex_: InjectiveComplex, _scan_order=None) -> InjectiveComplex:
         for k in order:
             m = ms[k]
             start = 0
-            while (hit := m.diagonal_entry(start)) is not None:
+            while (hit := _diagonal_entry(m, start)) is not None:
                 progress = True
                 i, j, c = hit
                 start = i
@@ -79,3 +81,40 @@ def _col_add(field, rows, src: int, dest: int, scalar: int, cols):
             row[dest] = new
         else:
             row.pop(dest, None)
+
+
+def _diagonal_entry(m, start: int):
+    """First nonzero entry (row, column, value) in a same-label diagonal block
+    of m, scanning rows in order from row `start`; None if there is none."""
+    for i in range(start, m.nrows):
+        for j, v in m.rows[i].items():
+            if m.col_labels[j] == m.row_labels[i]:
+                return i, j, v
+    return None
+
+
+def _row_add(field, rows, src: int, dest: int, scalar: int, cols):
+    """rows[dest] += scalar * rows[src], new entries at the end in src's
+    order; the column index `cols` learns every entry the addition creates,
+    and entries it removes stay listed."""
+    p = field.p
+    s = scalar % p
+    if not s:
+        return
+    target = rows[dest]
+    for j, v in rows[src].items():
+        new = (target.get(j, 0) + s * v) % p
+        if new:
+            if j not in target:
+                cols[j].append(dest)
+            target[j] = new
+        else:
+            target.pop(j, None)
+
+
+def _rows_meeting(rows, cols, j: int) -> list[int]:
+    """Rows with an entry in column j, ascending.  The index lists only grow,
+    so the list is filtered, sorted and stored back on each read."""
+    live = sorted({r for r in cols[j] if j in rows[r]})
+    cols[j] = live
+    return live

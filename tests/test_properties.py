@@ -13,7 +13,9 @@ f^* -| Rf_* and i_! -| i^! as equal derived Hom dimensions on both sides,
 the maximal vectors against a dense nullspace, pullback against its
 proper-functor expression and the pullback of a composite against the
 composite of pullbacks, the invariants of peel and of double dualization,
-peel against the mirrored version it replaced (`peel_oracle`), MakeExact
+peel against the mirrored version it replaced (`peel_oracle`), the
+order-complex resolution against its per-chain build
+(`order_complex_oracle`), MakeExact
 against the row-basis screen it replaced (`screen_oracle`) and, cleared,
 against its uncleared star scan (`star_scan_oracle`), the Morse
 tables and fiber dims against the per-level restrictions they replaced
@@ -64,7 +66,7 @@ from posheaf.matrix import _eliminate, _sparse_rank, image_complement_rows, pack
 from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, compact_support_cohomology,
                           multiplicity_oracle, restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
-                           mapping_cylinder, order_complex, star_subposet)
+                           mapping_cylinder, order_complex, skeleton_of_simplex, star_subposet)
 from posheaf import cli, morse, resolution
 from posheaf.resolution import (
     cohomology_sheaf_dims,
@@ -88,6 +90,7 @@ from conftest import (
     zero_stalk_diamond,
 )
 import morse_oracle
+import order_complex_oracle
 import peel_oracle
 import rank_oracle
 import screen_oracle
@@ -922,6 +925,31 @@ def holed_skeleton_sheaf(draw):
     if draw(st.booleans(), label="kernel"):
         return incidence_kernel_sheaf(complex_, field, draw(st.integers(d - 1, d + 1)))
     return Sheaf.constant(complex_.face_poset, field)
+
+
+@st.composite
+def vertex_star_sums(draw):
+    """The sum of the constant sheaves on one to three vertex stars of a
+    skeleton, over GF(2), GF(3) or GF(5): stalks of dims 0 to 3, and maps
+    that project, so are neither identities nor square."""
+    n = draw(st.integers(2, 5), label="n")
+    complex_ = skeleton_of_simplex(n, draw(st.integers(1, min(n, 3)), label="d"))
+    poset = complex_.face_poset
+    vertices = draw(st.lists(st.sampled_from(complex_.simplices_of_dim(0)), min_size=1, max_size=3),
+                    label="stars")
+    field = PrimeField(draw(st.sampled_from([2, 3, 5]), label="p"))
+    return extension_by_zero_sheaf(poset, field, [poset.star(v) for v in vertices])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(sheaf=zero_stalk_chain())
+@example(sheaf=zero_stalk_diamond())
+@given(sheaf=st.one_of(functorial_sheaves(max_generators=3), vertex_star_sums(), holed_skeleton_sheaf()))
+def test_order_complex_resolution_matches_the_per_chain_oracle(sheaf):
+    """The per-pair face patterns give the per-chain build's labels, degree
+    offset and rows, dict entry order included."""
+    expected = order_complex_oracle.raw(order_complex_oracle.order_complex_resolution(sheaf))
+    assert order_complex_oracle.raw(order_complex_resolution(sheaf)) == expected
 
 
 # -- MakeExact against the row-basis screen ------------------------------------------
