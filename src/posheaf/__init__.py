@@ -19,7 +19,6 @@ from .sheaf import NaturalTransformation, Sheaf, constant_sheaf, hom_dim_injecti
 from .resolution import (
     cohomology_sheaf_dims,
     is_minimal,
-    make_exact,
     minimal_resolution_constant,
     minimal_resolution_sheaf,
     order_complex_resolution,

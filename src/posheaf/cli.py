@@ -201,10 +201,6 @@ def cmd_morse(args) -> int:
     return EXIT_OK
 
 
-def _row_text(row: dict[int, int], degrees: list[int]) -> str:
-    return ",".join(str(row.get(d, 0)) for d in degrees)
-
-
 def _table_degrees(tables) -> list[int]:
     degs = set()
     for table in tables.values():
@@ -225,7 +221,7 @@ def _print_morse_text(mf, crit, tables):
         print(f"{direction} {variant} (dims in degrees {degrees}):")
         width = max(len(x) for x in mf.total_order)
         for x in mf.total_order:
-            print(f"  {x:>{width}}  {_row_text(table[x], degrees)}")
+            print(f"  {x:>{width}}  " + ",".join(str(table[x].get(d, 0)) for d in degrees))
 
 
 def _print_morse_csv(mf, crit, tables):

@@ -10,7 +10,8 @@ entries.
 from __future__ import annotations
 
 from .errors import InputError, SizeCapExceeded
-from .matrix import InjectiveComplex, LabeledMatrix, _column_index, _product_is_zero, _sparse_rank
+from .matrix import (InjectiveComplex, LabeledMatrix, ValidationReport, _column_index,
+                     _product_is_zero, _sparse_rank)
 from .poset import LocallyClosedSet, MonotoneMap, mapping_cylinder
 from .resolution import cohomology_sheaf_dims, force_exact
 
@@ -192,8 +193,7 @@ def hypercohomology(complex_: InjectiveComplex) -> dict[int, int]:
 
 
 def _whole_ranks(m: LabeledMatrix, tops: dict) -> dict[None, tuple[int, int]]:
-    """{None: (columns, rank)} of m, less the rows whose indices are in
-    `tops[None]`, a set of row indices (not bits), which becomes m's own."""
+    """{None: (columns, rank)} of m, cleared by `tops[None]` (`InjectiveComplex.dims`)."""
     cleared, table = tops.get(None, ()), {}
     rank = _sparse_rank(m.field, m.packed(cleared), table)
     tops[None] = set(table)
@@ -243,9 +243,7 @@ class ComplexMorphism:
         return m if m is not None else LabeledMatrix(
             self.source.poset, self.source.field, self.source.term(d), self.target.term(d))
 
-    def validate(self):
-        from .matrix import ValidationReport
-
+    def validate(self) -> ValidationReport:
         issues = []
         for d in sorted(set(self.source.degrees) | set(self.target.degrees)):
             alpha_d = self.component(d)

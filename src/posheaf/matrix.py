@@ -6,15 +6,10 @@ codomain summands, and an entry in a row labeled ``s`` and a column labeled
 ``p`` can be nonzero only if ``s <= p``.  Rows are stored sparsely as
 ``column index -> nonzero value`` dicts, so extracting the stalk map at an
 element is just a row selection (held packed too: see `LabeledMatrix`).
-One kernel, `_eliminate`, reduces on the highest coordinate: ranks and top
-pivots read its pivot table, complements the combinations that take rows to
-zero.  It takes rows in one of three forms (`packed_row`): over GF(2) an int
-bitset, over GF(3) a plane pair (ones, twos) of bitsets, the coordinates
-holding 1 and those holding 2 (after Boothby and Bradshaw, arXiv:0901.1413),
-and over p >= 5 the dict.  A witness rides below the columns: in the low bits
-of the GF(2) int and of both GF(3) planes, in the negative keys of a dict.  It
-is decoded straight into the caller's coordinates: complement vectors come out
-keyed by the caller's column indices, in ascending order.
+One kernel, `_eliminate`, reduces on the highest coordinate, on rows in the
+forms of `packed_row`: ranks and top pivots read its pivot table,
+complements the combinations that take rows to zero, decoded straight into
+the caller's coordinates (keyed by its column indices, ascending).
 """
 
 from __future__ import annotations
@@ -198,30 +193,25 @@ def _line_op(m: LabeledMatrix, kind: str, i: int, j: int | None, scalar: int, no
     """`row_op`, naming the lines `noun` in its errors."""
     if j is None and kind in ("add", "swap"):
         raise OperationNotAllowed(f"{kind} needs a second {noun}")
-    out = m.copy()
+    out, p = m.copy(), m.field.p
     if kind == "add":
         if i == j:
             raise OperationNotAllowed(f"source and destination {noun}s coincide")
         if not m.poset.leq(m.row_labels[i], m.row_labels[j]):
             raise OperationNotAllowed(f"cannot add {noun} labeled {m.row_labels[j]} into "
                                       f"{noun} labeled {m.row_labels[i]}")
-        _row_add(m.field, out.rows, j, i, scalar)
+        if scalar % p:
+            _axpy(out.rows[i], out.rows[j], scalar % p, p)
     elif kind == "scale":
-        if scalar % m.field.p == 0:
+        if scalar % p == 0:
             raise OperationNotAllowed("scaling by zero")
-        out.rows[i] = {c: v * scalar % m.field.p for c, v in out.rows[i].items()}
+        out.rows[i] = {c: v * scalar % p for c, v in out.rows[i].items()}
     elif kind == "swap":
         out.rows[i], out.rows[j] = out.rows[j], out.rows[i]
         out.row_labels[i], out.row_labels[j] = out.row_labels[j], out.row_labels[i]
     else:
         raise InputError(f"unknown {noun} operation {kind!r}")
     return out
-
-
-def _row_add(field: PrimeField, rows, src: int, dest: int, scalar: int):
-    """rows[dest] += scalar * rows[src]."""
-    if scalar % field.p:
-        _axpy(rows[dest], rows[src], scalar % field.p, field.p)
 
 
 def _axpy(target: dict, src: dict, s: int, p: int):
@@ -248,8 +238,9 @@ def _column_index(rows, ncols: int) -> list[list[int]]:
 def packed_row(field: PrimeField, row):
     """A row in the kernel's form: over GF(2) an int whose bit j is set iff
     column j holds an odd entry; over GF(3) the pair (ones, twos) of ints
-    whose bit j is set iff column j holds 1, resp. 2, mod 3 (never both);
-    over p >= 5 the dict.  Rows already in that form pass through."""
+    whose bit j is set iff column j holds 1, resp. 2, mod 3 (never both;
+    after Boothby and Bradshaw, arXiv:0901.1413); over p >= 5 the dict.
+    Rows already in that form pass through."""
     if field.p == 2:
         if type(row) is int:
             return row
@@ -374,11 +365,10 @@ def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None) -
     """Basis of the orthogonal complement of the column space of a stalk matrix.
 
     `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
-    by global column indices; call this matrix M.  The vectors come off
-    `_eliminate`: one u_t, with u_t M = 0, per row t that reduces to zero,
-    in row order.  Coordinates are stalk row positions (0-based), ascending;
-    given the ascending list `coords`, position pos is keyed `coords[pos]`
-    (MakeExact passes the stalk's global columns, so its rows need no remap).
+    by global column indices; call this matrix M.  The vectors are
+    `_eliminate`'s witnesses, keyed by `coords` as there: one u_t, with
+    u_t M = 0, per row t that reduces to zero, in row order (MakeExact
+    passes the stalk's global columns, so its rows need no remap).
     Positions in `skip` are not reduced and give no vector; each must be a
     row that would reduce to zero, so that the other vectors come out as
     without it.

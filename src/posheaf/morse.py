@@ -10,8 +10,9 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from .errors import InputError
+from .field import PrimeField
 from .matrix import InjectiveComplex, _eliminate, _sparse_rank, packed_row
-from .poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, image_poset
+from .poset import LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _vertex_key, image_poset
 from .resolution import cohomology_sheaf_dims, is_minimal
 from .derived import hypercohomology, proper_pullback, proper_pushforward, pullback
 
@@ -132,17 +133,9 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
     cylinder pullback.  On an open set Ri^* = Ri^!, so superlevel rows of
     both variants restrict by submatrices.
 
-    Each table walks the filtration.  Sublevel-star rows are those of
-    `_sublevel_walk` (`_sublevels` if given).  The
-    submatrix rows come off one elimination per degree: number a matrix's
-    columns so that levels later in the walk (up for sublevels, down for
-    superlevels) get lower indices, and feed its rows to `_eliminate` one
-    level at a time in walk order.  After the rows R of the first k levels,
-    the pivot table is a basis of span R with distinct top columns, and the
-    columns of those levels are the indices from some cut c up, so the block
-    of R on them is span R projected to the coordinates >= c.  Stored rows
-    with top < c project to zero; those with top >= c keep distinct tops and
-    stay independent.  So the block's rank is the number of tops >= c.
+    Each table walks the filtration: sublevel-star rows are those of
+    `_sublevel_walk` (`_sublevels` if given), submatrix rows come off one
+    elimination per degree (`_filtration_ranks`).
     """
     if complex_.poset != mf.map.source:
         raise InputError("complex does not live on the Morse function's domain")
@@ -160,18 +153,23 @@ def betti_table(mf: MorseFunction, complex_: InjectiveComplex, direction: str, v
 def _filtration_ranks(m, step, walk, tops) -> dict[str, tuple[int, int]]:
     """Per level, the k-th of `walk`: the number of m's columns whose label
     has `step` <= k and the rank of m's block on the rows and columns of such
-    labels, from one elimination (see `betti_table`).  Cleared as
-    `InjectiveComplex.dims` clears, per level: the rows whose indices are in
-    `tops[x]`, a set of indices (not bits), are left out of level x's
-    bucket, and `tops[x]` becomes the set of the block's top pivots, m's
-    column indices (the keys >= the cut, through the renumbering).  The
-    lemma holds per level: the labels of step <= k form a sublevel
-    (down-closed) or superlevel (up-closed) set, which is convex, so an
-    entry of the product of consecutive blocks sums over the same indices
-    as the full product's, and the blocks compose to zero.  The tops of a
-    level only grow with k, so each row left out is at a top of every later
-    level: a level's fed rows contain all of its block's rows at no top, and
-    these span the block's rows."""
+    labels, from one elimination.  Columns are numbered so that levels later in
+    the walk (up for sublevels, down for superlevels) get lower indices, and
+    rows are fed to `_eliminate` one level at a time in walk order.  After the
+    rows R of the first k levels, the pivot table is a basis of span R with
+    distinct top columns, and the columns of those levels are the indices from
+    some cut c up, so the block of R on them is span R projected to the
+    coordinates >= c.  Stored rows with top < c project to zero; those with
+    top >= c keep distinct tops and stay independent.  So the block's rank is
+    the number of tops >= c.  Cleared per level as `InjectiveComplex.dims`
+    clears, `tops[x]` becoming the block's top pivots, m's column indices (the
+    keys >= the cut, through the renumbering).  The lemma holds per level: the
+    labels of step <= k form a sublevel (down-closed) or superlevel
+    (up-closed) set, which is convex, so an entry of the product of
+    consecutive blocks sums over the same indices as the full product's, and
+    the blocks compose to zero.  The tops of a level only grow with k, so each
+    row left out is at a top of every later level: a level's fed rows contain
+    all of its block's rows at no top, and these span the block's rows."""
     order = sorted(range(m.ncols), key=lambda j: -step[m.col_labels[j]])
     index = {j: c for c, j in enumerate(order)}
     buckets = [[] for _ in walk]
@@ -363,9 +361,6 @@ def compact_support_cohomology(
     minimal resolution of the constant sheaf equals the (d + dim s)-dimension
     computed here for the open star of s.
     """
-    from .field import PrimeField
-    from .poset import signed_incidence_simplices
-
     field = PrimeField(p)
     poset = simplicial.face_poset
     members = set(open_set)
@@ -387,12 +382,11 @@ def compact_support_cohomology(
         for upper in rows:
             entries = {}
             uface = simplicial.face_of[upper]
-            for v in uface:
-                lower = uface - {v}
-                lname = simplicial.name_of.get(lower)
+            # the coboundary sign (-1)^i, i the dropped vertex's sorted position
+            for i, v in enumerate(sorted(uface, key=lambda x: _vertex_key(str(x)))):
+                lname = simplicial.name_of.get(uface - {v})
                 if lname in col_pos:
-                    sign = signed_incidence_simplices(uface, v)
-                    entries[col_pos[lname]] = sign % p
+                    entries[col_pos[lname]] = (-1) ** i % p
             matrix.append({k: v for k, v in entries.items() if v})
         ranks[d] = _sparse_rank(field, matrix)
     out = {}

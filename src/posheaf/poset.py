@@ -590,12 +590,3 @@ def order_complex(poset: Poset) -> tuple[SimplicialComplex, MonotoneMap]:
     complex_ = SimplicialComplex(list(last))
     terminal = {complex_.name_of[face]: last[face] for face in complex_.faces}
     return complex_, MonotoneMap(complex_.face_poset, poset, terminal)
-
-
-def signed_incidence_simplices(upper_face: frozenset, dropped_vertex: str) -> int:
-    """Coboundary sign for a simplex and one of its facets: (-1)^i for the
-    position of the dropped vertex in the sorted vertex list."""
-    verts = sorted((str(v) for v in upper_face), key=_vertex_key)
-    i = verts.index(str(dropped_vertex))
-    return -1 if i % 2 else 1
-

@@ -26,28 +26,6 @@ from .poset import Poset, SimplicialComplex, _chains
 from .sheaf import Sheaf, injective_hull
 
 
-def make_exact(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str) -> LabeledMatrix:
-    """Extend eta_cur by new rows labeled `element` so that the stalk sequence
-    at it is exact in the middle.  Returns a new matrix; inputs unchanged.
-
-    Precondition, checked: eta_cur . eta_prev = 0 (every row of eta_cur
-    composes to zero with eta_prev)."""
-    if eta_prev.row_labels != eta_cur.col_labels:
-        raise InputError("columns of the current matrix must match rows of the previous")
-    _check_elements(eta_cur.poset, [element])
-    if not _composes_to_zero(eta_cur, eta_prev):
-        raise InputError("the current matrix does not compose to zero with the previous")
-    out = eta_cur.copy()
-    _make_exact_inplace(eta_prev, out, element)
-    return out
-
-
-def _check_elements(poset: Poset, elements) -> None:
-    unknown = [e for e in elements if e not in poset.index]
-    if unknown:
-        raise InputError(f"element {unknown[0]!r} is not in the poset")
-
-
 def _buckets(poset: Poset, labels) -> list[list[int]]:
     """The indices of `labels`, ascending, in one list per poset index."""
     buckets = [[] for _ in poset.index]
@@ -71,7 +49,8 @@ class _Stalks:
     A step hands the next (`carry`) its row buckets, the next column buckets
     (same indices), and `ranks`, the next `prev_ranks`, and it holds its
     packed rows, the next `image`.  Buckets and ranks live through the step
-    that builds them and the one that reads them, no longer."""
+    that builds them and the one that reads them, no longer: `force_exact`
+    keeps them only in its one carry list, which each step refills."""
 
     def __init__(self, m: LabeledMatrix, image=None, cols=None,
                  prev_ranks: dict[str, int] | None = None):
@@ -103,28 +82,21 @@ class _Stalks:
 
 
 def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str,
-                        _stalks: _Stalks | None = None) -> int:
-    """In-place MakeExact against the stalk image of eta_prev, whose rows are
-    eta_cur's columns; returns the number of rows added.  `resolution_step`
-    passes the step's `_Stalks`, whose image is eta_prev's packed rows."""
-    stalks = _stalks or _Stalks(eta_cur, eta_prev.packed())
-    return _append_complement(stalks, element)
+                        _stalks: _Stalks) -> int:
+    """`_append_complement` on eta_cur (`_stalks.m`) against eta_prev's packed
+    rows (`_stalks.image`), eta_prev's rows being eta_cur's columns."""
+    return _append_complement(_stalks, element)
 
 
 def _make_exact_against_image(image_rows, stalks: _Stalks, element: str) -> int:
-    """In-place MakeExact on `stalks.m` against an image given explicitly:
-    `image_rows[pos]` is the image matrix's row at the element's `pos`-th
-    star-labeled column.  Returns the number of rows added."""
+    """`_append_complement` against the image rows given."""
     return _append_complement(stalks, element, image_rows)
 
 
 def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
-    """The MakeExact body.  The stalk is the matrix's star-labeled columns at
-    `element`, ascending; `image_rows[pos]` is the row of the image matrix at
-    stalk coordinate `stalk[pos]`, by default the one in `stalks.image`.  Each
-    basis vector of the image's complement that is independent of the
-    matrix's star-labeled rows is appended as a row labeled `element`, and
-    the rank of the star rows afterwards is recorded in `stalks.ranks`.
+    """MakeExact (module docstring) on `stalks.m` at `element`; returns the
+    number of rows added.  The stalk is the star-labeled columns, ascending,
+    and `image_rows[pos]` the image's row at `stalk[pos]` (`stalks.image`'s).
 
     In stalk coordinates (ascending columns) let M be the image rows,
     A = {u : uM = 0}, and W the span of the star-labeled rows.  The
@@ -133,28 +105,24 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     per row t that reduces to zero, so dim A = |stalk| - rank M of them, and
     they span A.  Of these, the ones skipped below are exactly W's top
     pivots, one per dimension of W (next paragraph), so the rows appended
-    number dim A - |tops| and the star rows then span W + those rows = A: the rank
-    recorded, |tops| + added, is |stalk| - rank M.  M is the previous
-    matrix's star rows at the element, so where the previous step recorded
-    their rank, |stalk| - that rank == |tops| means nothing is added, and
-    the complement is not computed.
+    number dim A - |tops| and the star rows then span W + those rows = A:
+    the rank recorded, |tops| + added, is |stalk| - rank M.  M is the
+    previous matrix's star rows at the element, so where the previous step
+    recorded their rank, dim A = |stalk| - that rank is known.  If it equals
+    |tops|, nothing is added and the complement is not computed; if it is 0,
+    W in A gives W = 0, so 0 is recorded and the top pivots are not computed.
 
-    Where that rank is known, so is dim A = |stalk| - it.  If dim A = 0,
-    W in A gives W = 0: 0 is recorded, nothing is added, and neither the
-    star rows nor their top pivots are computed.
-
-    Which vectors are appended is read off the star rows' top pivots,
-    without reducing any vector against those rows.  u_t has its highest
-    coordinate at t, and the u_t' with t' <= t span the vectors of A
-    supported on positions <= t.  By induction on t, W plus the u_t'
-    accepted so far spans W plus every u_t' with t' < t, so u_t is dependent
-    exactly when some w in W has its highest coordinate at t (subtract w
-    from u_t; what is left lies in A below t).  Those t are W's top pivots,
-    and WM = 0 makes each a row of M that reduces to zero (the lemma of
-    `InjectiveComplex.dims`), so skipping them in the reduction stores
-    nothing another row's witness would see: the vectors left are exactly
-    the independent ones, in the order and form `image_complement_rows`
-    gives.
+    The top pivots tell which u_t to append, without reducing any of them
+    against the star rows.  u_t has its highest coordinate at t, and the u_t'
+    with t' <= t span the vectors of A supported on positions <= t.  By
+    induction on t, W plus the u_t' accepted so far spans W plus every u_t'
+    with t' < t, so u_t is dependent exactly when some w in W has its
+    highest coordinate at t (subtract w from u_t; what is left lies in A
+    below t).  Those t are W's top pivots, and WM = 0 makes each a row of M
+    that reduces to zero (the lemma of `InjectiveComplex.dims`), so skipping
+    them in the reduction stores nothing another row's witness would see:
+    the vectors left are exactly the independent ones, in the order and form
+    `image_complement_rows` gives.
 
     Clearing (after Chen and Kerber): the star rows go in bucket order, label
     index then row index, which at c >= `element` restricts to c's, and rows
@@ -189,17 +157,23 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
 def resolution_step(
     eta_prev: LabeledMatrix, elements=None, seed: LabeledMatrix | None = None, _carry=None
 ) -> LabeledMatrix:
-    """One degree of the resolution: start from a copy of the rows of `seed`
-    (none by default) over the rows of eta_prev and run MakeExact over
-    `elements` (default: the whole poset) in non-increasing order.
+    """One degree of the resolution, and the checked MakeExact entry: start
+    from a copy of the rows of `seed` (none by default) over the rows of
+    eta_prev and run MakeExact over `elements` (default: the whole poset) in
+    non-increasing order.  MakeExact at one element e is
+    `resolution_step(eta_prev, [e], seed=eta_cur)`, a new matrix.
 
     Precondition: seed . eta_prev = 0, as MakeExact needs; the rows it adds
-    keep the product zero.  `force_exact` passes `_carry`, the
-    `_Stalks.carry` parts of the step that built eta_prev (empty where none
-    did), and gets this step's parts back in the same list."""
+    keep the product zero.  Checked (`InputError`) unless `force_exact`
+    calls, passing `_carry` (see `_Stalks`), which gets this step's parts."""
     poset = eta_prev.poset
     order = list(elements if elements is not None else poset.linear_extension)
-    _check_elements(poset, order)
+    if unknown := [e for e in order if e not in poset.index]:
+        raise InputError(f"element {unknown[0]!r} is not in the poset")
+    if seed is not None and _carry is None and (
+            seed.col_labels != eta_prev.row_labels or seed.validate()
+            or not _composes_to_zero(seed, eta_prev)):
+        raise InputError("the seed must be valid on eta_prev's rows and compose to zero with it")
     eta_next = LabeledMatrix(poset, eta_prev.field, eta_prev.row_labels)
     if seed is not None:
         eta_next.row_labels += seed.row_labels
@@ -213,11 +187,10 @@ def resolution_step(
 
 
 def force_exact(prev: LabeledMatrix, elements, seeds=(), _carry=None) -> list[LabeledMatrix]:
-    """The exactness-forcing driver: one resolution_step per degree, each
-    starting from that degree's seed matrix, if any, and taking the previous
-    step's matrix as its eta_prev.  Returns the matrices in degree order.
-    `_carry` is the `_Stalks.carry` of the MakeExact run over `elements`
-    that built `prev`, where the caller made one; the list is used up.
+    """The exactness-forcing driver (module docstring): one `resolution_step`
+    per degree, on that degree's seed matrix, if any, and the previous step's
+    matrix; returns the matrices in degree order.  `_carry` is that of the
+    MakeExact run over `elements` that built `prev`.
 
     Stops at the first matrix with no rows from the step that takes the last
     seed on; any later step would have no columns and add nothing."""
@@ -232,17 +205,15 @@ def force_exact(prev: LabeledMatrix, elements, seeds=(), _carry=None) -> list[La
 
 
 def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> InjectiveComplex:
-    """The minimal resolution of a sheaf from its minimal injective hull, given
-    as `injective_hull` returns it: the summand `labels` and, at each element
-    e, `rows[e]`, the inclusion's stalk rows, one per summand above e in label
-    order.  Degree 0 is made exact against that image; later degrees are
-    `force_exact`, which starts from degree 0's `_Stalks.carry`."""
+    """The minimal resolution of a sheaf from its minimal injective hull, as
+    `injective_hull` returns it.  Degree 0 is made exact against the
+    inclusion's stalk rows, later degrees by `force_exact` from its carry."""
     eta0 = LabeledMatrix(poset, field, labels)
     stalks = _Stalks(eta0)
     for element in reversed(poset.linear_extension):
         _make_exact_against_image(rows[element], stalks, element)
     matrices, carry = [eta0], stalks.carry()
-    del stalks  # force_exact frees each carried part once the next step has read it
+    del stalks  # the carry list holds the only references (`_Stalks`)
     if eta0.nrows:
         matrices += force_exact(eta0, poset.linear_extension, _carry=carry)
     return InjectiveComplex(poset, field, matrices, 0).trimmed()
@@ -324,9 +295,8 @@ def cohomology_sheaf_dims(complex_: InjectiveComplex) -> dict[int, dict[str, int
 def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     """{element: (stalk width, rank of the star rows)} at each element where
     m's stalk is nonzero: its columns and rows labeled above the element,
-    less the rows whose indices are in the element's `tops`, a tuple of row
-    indices (not bits) read into a set, which becomes m's own there.  The
-    tuples take their ints from one list, `ints`, so an index held costs a
+    cleared by the element's `tops` (`InjectiveComplex.dims`), held as
+    tuples whose ints come from one list, `ints`, so an index held costs a
     slot, not an int (sets held at every element took several times the
     memory).  Only row buckets and column counts are built; rows are `m.packed()`."""
     index, up, out = m.poset.index, m.poset.up_indices, {}

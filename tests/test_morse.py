@@ -502,6 +502,24 @@ class TestCompactSupportOracle:
                     }
                     assert got == expected, (n, d, face)
 
+    def test_coboundary_signs_follow_the_vertex_order(self):
+        # (-1)^i for the dropped vertex's position i in vertex order (2 before
+        # 10).  Flipping every sign keeps every rank, so the dims cannot tell:
+        # the rows fed to the rank are pinned
+        from unittest import mock
+
+        from posheaf import morse
+
+        sc = SimplicialComplex.from_facets([["1", "2", "10"]])
+        with mock.patch("posheaf.morse._sparse_rank", wraps=morse._sparse_rank) as ranks:
+            assert compact_support_cohomology(sc, sc.face_poset.elements, 3) == {0: 1}
+        names = {d: [e for e in sc.face_poset.elements if sc.dim(e) == d] for d in range(4)}
+        signed = {upper: {names[d][j]: v for j, v in row.items()}
+                  for d, call in enumerate(ranks.call_args_list)
+                  for upper, row in zip(names[d + 1], call.args[1])}
+        assert signed == {"1,2": {"2": 1, "1": 2}, "1,10": {"10": 1, "1": 2},
+                          "2,10": {"10": 1, "2": 2}, "1,2,10": {"2,10": 1, "1,10": 2, "1,2": 1}}
+
     def test_signs_on_projective_plane(self):
         # a minimal triangulation of the projective plane: the torsion is
         # visible over GF(2) and invisible over GF(3), so the signed

@@ -13,7 +13,8 @@ f^* -| Rf_* and i_! -| i^! as equal derived Hom dimensions on both sides,
 the maximal vectors against a dense nullspace, pullback against its
 proper-functor expression and the pullback of a composite against the
 composite of pullbacks, the invariants of peel and of double dualization,
-peel against the mirrored version it replaced (`peel_oracle`), the
+peel against the mirrored version it replaced (`peel_oracle`), on
+order-complex resolutions and on cones of the identity, the
 order-complex resolution against its per-chain build
 (`order_complex_oracle`), MakeExact
 against the row-basis screen it replaced (`screen_oracle`) and, cleared,
@@ -47,10 +48,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posheaf.derived import (
+    ComplexMorphism,
     dualize,
     euler_characteristic,
     hom_space_dims,
     hypercohomology,
+    mapping_cone,
     peel,
     proper_pullback,
     proper_pushforward,
@@ -156,12 +159,20 @@ def test_peel_reaches_the_minimal_resolution(sheaf, data):
 def test_peel_matches_the_mirrored_oracle(p, seed, data):
     """Peel without the mirrored neighbour operations gives the JSON, entry
     order included, of the peel that mirrored them and checked at every
-    pivot that the split-off neighbour row and column vanish."""
+    pivot that the split-off neighbour row and column vanish: on an
+    order-complex resolution and on the cones of the identity on it and on
+    the minimal resolution, which are not order-complex and peel to zero."""
     rng = random.Random(seed)
-    raw = order_complex_resolution(random_sheaf(rng, random_poset(rng, 8), PrimeField(p)))
-    order = data.draw(st.permutations(range(len(raw.matrices))), label="scan order")
-    expected = dumps(complex_to_json(peel_oracle.peel(raw, _scan_order=order)))
-    assert dumps(complex_to_json(peel(raw, _scan_order=order))) == expected
+    sheaf = random_sheaf(rng, random_poset(rng, 8), PrimeField(p))
+    raw = order_complex_resolution(sheaf)
+    cones = [mapping_cone(ComplexMorphism.identity(x))
+             for x in (raw, minimal_resolution_sheaf(sheaf))]
+    for complex_ in [raw, *cones]:
+        order = data.draw(st.permutations(range(len(complex_.matrices))), label="scan order")
+        expected = dumps(complex_to_json(peel_oracle.peel(complex_, _scan_order=order)))
+        assert dumps(complex_to_json(peel(complex_, _scan_order=order))) == expected
+    for cone in cones:
+        assert peel(cone).is_empty()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

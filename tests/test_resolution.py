@@ -11,7 +11,6 @@ from posheaf.poset import Poset, skeleton_of_simplex
 from posheaf.resolution import (
     cohomology_sheaf_dims,
     is_minimal,
-    make_exact,
     minimal_resolution_constant,
     minimal_resolution_sheaf,
     order_complex_resolution,
@@ -47,7 +46,7 @@ class TestMakeExact:
         poset = tetra.face_poset
         res = minimal_resolution_constant(poset)
         eta0, eta1 = res.matrices[0], res.matrices[1]
-        extended = make_exact(eta0, eta1, "0")
+        extended = resolution_step(eta0, ["0"], seed=eta1)
         assert extended == eta1
 
     def test_extra_edges_triangle_row(self, simplex_star):
@@ -73,7 +72,7 @@ class TestMakeExact:
         poset = tetra.face_poset
         res = minimal_resolution_constant(poset)
         with pytest.raises(Exception):
-            make_exact(res.matrices[1], res.matrices[0], "0")
+            resolution_step(res.matrices[1], ["0"], seed=res.matrices[0])
 
     def test_nonzero_composition_refused(self, tetra):
         res = minimal_resolution_constant(tetra.face_poset)
@@ -83,13 +82,26 @@ class TestMakeExact:
         eta1.add_row(eta0.row_labels[j], {j: 1})
         assert not eta1.multiply(eta0).is_zero()
         with pytest.raises(InputError, match="compose to zero"):
-            make_exact(eta0, eta1, "0")
+            resolution_step(eta0, ["0"], seed=eta1)
+
+    def test_seed_off_the_previous_rows_refused(self, tetra):
+        # a seed with no rows composes to zero with anything: only the label
+        # comparison refuses one whose columns are not eta_prev's rows; an
+        # entry past eta_prev's rows is refused before the product reads it
+        res = minimal_resolution_constant(tetra.face_poset)
+        eta0 = res.matrices[0]
+        labels = eta0.row_labels
+        for seed in (LabeledMatrix(eta0.poset, GF2, labels[::-1]),
+                     LabeledMatrix(eta0.poset, GF2, labels, [labels[0]], [{len(labels): 1}])):
+            assert seed.col_labels != labels or seed.validate()
+            with pytest.raises(InputError, match="compose to zero"):
+                resolution_step(eta0, ["0"], seed=seed)
 
     def test_unknown_element_is_an_input_error(self, tetra):
         res = minimal_resolution_constant(tetra.face_poset)
         eta0, eta1 = res.matrices[0], res.matrices[1]
         with pytest.raises(InputError, match="'zz' is not in the poset"):
-            make_exact(eta0, eta1, "zz")
+            resolution_step(eta0, ["zz"], seed=eta1)
         with pytest.raises(InputError, match="'zz' is not in the poset"):
             resolution_step(eta0, ["zz"])
 
@@ -188,9 +200,9 @@ def _extra_edges_first_step_at(element, star_poset, run_all=False):
     order = list(reversed(star_poset.linear_extension))
     for e in order:
         if not run_all and e == element:
-            eta0 = make_exact(seed, eta0, e)
+            eta0 = resolution_step(seed, [e], seed=eta0)
             break
-        eta0 = make_exact(seed, eta0, e)
+        eta0 = resolution_step(seed, [e], seed=eta0)
     return eta0, seed
 
 
