@@ -202,13 +202,8 @@ def cmd_morse(args) -> int:
 
 
 def _table_degrees(tables) -> list[int]:
-    degs = set()
-    for table in tables.values():
-        for row in table.values():
-            degs |= set(row)
-    if not degs:
-        return [0]
-    return list(range(min(degs), max(degs) + 1))
+    degs = set().union(*(row for table in tables.values() for row in table.values()))
+    return list(range(min(degs), max(degs) + 1)) if degs else [0]
 
 
 def _print_morse_text(mf, crit, tables):

@@ -260,7 +260,7 @@ def packed_row(field: PrimeField, row):
     return ones, twos
 
 
-def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=None, coords=None):
+def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None, coords=None, packed=None):
     """The elimination kernel, on the highest coordinate.  Each of `rows`
     (`packed_row`s; dict entries are reduced mod p and zeros dropped) is
     reduced against the rows stored before it and, if nonzero, stored under
@@ -270,7 +270,8 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     that reduce to zero, in the span of a resumed table and the rows fed
     before them: their positions, or with `witness` the combinations u_t of
     `rows` the reduction took to zero, as dicts in ascending positions keyed
-    by `coords[position]` (`coords`, ascending, defaults to the positions).
+    by `coords[position]` (`coords`, ascending, defaults to the positions);
+    a list `packed` also gets their `packed_row`s, built in the same loop.
     Positions in `skip` are passed over; `rows` are unchanged.  A `table`
     from an earlier call without `witness` is resumed and extended in place,
     so rows fed in chunks give the table of one call on all of them.
@@ -289,7 +290,7 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
     with the rest: over GF(2) and in both GF(3) planes column j becomes bit
     n + j and bit t (of the ones) is set; over p >= 5 key t - n is set to 1.
     A row reduces to zero when no column coordinate is left."""
-    p, zeros = field.p, []
+    p, zeros, packed = field.p, [], [] if packed is None else packed
     table = {} if table is None else table
     n = len(rows) if witness else 0
     coords = range(n) if coords is None else coords
@@ -311,10 +312,13 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                 table[top] = row
                 continue
             zeros.append(u := {})  # the combination: the bits left in the row
+            bits = 0
             while row:
                 low = row & -row
-                u[coords[low.bit_length() - 1]] = 1
+                u[c := coords[low.bit_length() - 1]] = 1
+                bits |= 1 << c
                 row ^= low
+            packed.append(bits)
     elif p == 3:
         for t, (one, two) in live:
             if witness:  # tested per row: a lifting generator measured slower here
@@ -330,13 +334,20 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                     raise AssertionError(f"a reduction step left the top at {top}")
             if top >= n:
                 table[top] = (one, two) if a > b else (two, one)
+            elif not witness:
+                zeros.append(t)
             else:  # the combination: the bits left in `one`, 2 where `two` has them
-                zeros.append(u := {} if witness else t)  # without witness, t: no bit is left
-                one |= two
+                zeros.append(u := {})
+                one, x, y = one | two, 0, 0  # (x, y): u's planes
                 while one:
                     low = one & -one
-                    u[coords[low.bit_length() - 1]] = 2 if two & low else 1
+                    bit = 1 << (c := coords[low.bit_length() - 1])
+                    if two & low:
+                        u[c], y = 2, y | bit
+                    else:
+                        u[c], x = 1, x | bit
                     one ^= low
+                packed.append((x, y))
     else:
         live = ((t, {**row, t - n: 1}) for t, row in live) if witness else live
         for t, row in live:
@@ -350,6 +361,7 @@ def _eliminate(field: PrimeField, rows, witness: bool = False, skip=(), table=No
                 table[top] = {j: (v * inv) % p for j, v in row.items()}
             else:
                 zeros.append({coords[j + n]: v for j, v in sorted(row.items())} if witness else t)
+        packed += zeros if witness else ()  # over p >= 5 a row is its own packed form
     return table, zeros
 
 
@@ -361,14 +373,15 @@ def _sparse_rank(field: PrimeField, rows, table=None) -> int:
     return len(_eliminate(field, (packed_row(field, row) for row in rows), table=table)[0])
 
 
-def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None) -> list[dict]:
+def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None, packed=None) -> list[dict]:
     """Basis of the orthogonal complement of the column space of a stalk matrix.
 
     `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
     by global column indices; call this matrix M.  The vectors are
-    `_eliminate`'s witnesses, keyed by `coords` as there: one u_t, with
-    u_t M = 0, per row t that reduces to zero, in row order (MakeExact
-    passes the stalk's global columns, so its rows need no remap).
+    `_eliminate`'s witnesses, keyed by `coords` and packed into a list
+    `packed` as there: one u_t, with u_t M = 0, per row t that reduces to
+    zero, in row order (MakeExact passes the stalk's global columns, so its
+    rows need no remap, and takes their packed forms).
     Positions in `skip` are not reduced and give no vector; each must be a
     row that would reduce to zero, so that the other vectors come out as
     without it.
@@ -382,8 +395,8 @@ def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None) -
     vanishing combination of them).  A skipped row would store nothing, so
     it changes no other vector.
     """
-    packed = [packed_row(field, row) if type(row) is dict else row for row in stalk_rows]
-    return _eliminate(field, packed, witness=True, skip=skip, coords=coords)[1]
+    rows = [packed_row(field, row) if type(row) is dict else row for row in stalk_rows]
+    return _eliminate(field, rows, witness=True, skip=skip, coords=coords, packed=packed)[1]
 
 
 def _product_rows(b: LabeledMatrix, a: LabeledMatrix):

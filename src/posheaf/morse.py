@@ -25,18 +25,12 @@ def supp_shriek(complex_: InjectiveComplex) -> set[str]:
     must be minimal for this to agree with the !-support."""
     if not is_minimal(complex_):
         raise InputError("supp^! via multiplicities requires a minimal complex")
-    out = set()
-    for counts in complex_.multiplicities().values():
-        out.update(counts)
-    return out
+    return set().union(*complex_.multiplicities().values())
 
 
 def supp_star(complex_: InjectiveComplex) -> set[str]:
     """Elements with a nonzero stalkwise cohomology dimension."""
-    out = set()
-    for per_element in cohomology_sheaf_dims(complex_).values():
-        out.update(per_element)
-    return out
+    return set().union(*cohomology_sheaf_dims(complex_).values())
 
 
 # -- microsupport -------------------------------------------------------------
@@ -389,12 +383,8 @@ def compact_support_cohomology(
                     entries[col_pos[lname]] = (-1) ** i % p
             matrix.append({k: v for k, v in entries.items() if v})
         ranks[d] = _sparse_rank(field, matrix)
-    out = {}
-    for d in range(lo, hi + 1):
-        h = len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-        if h:
-            out[d] = h
-    return out
+    return {d: h for d in range(lo, hi + 1)
+            if (h := len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d - 1, 0))}
 
 
 def multiplicity_oracle(simplicial: SimplicialComplex, face: str, p: int = 2) -> dict[int, int]:

@@ -39,13 +39,16 @@ class _Stalks:
     columns per label (`counts`), as `image` the packed rows of the previous
     matrix, `found` (see `_append_complement`), and `packed`, the matrix's
     held packed form (`LabeledMatrix`), which `append` extends in lockstep
-    with the dict rows.  For one step or call only: any other change to the
-    matrix (swaps, peel, outside appends) leaves the rest stale.
+    with the dict rows, new rows coming packed from the kernel's decode.
+    For one step or call only: any other change to the matrix (swaps, peel,
+    outside appends) leaves the rest stale.
 
     `ranks` maps each element MakeExact has processed to the rank of the
     matrix's star rows there, final once the element is processed (every row
-    labeled above it is in by then).  `prev_ranks` is the previous matrix's
-    map from the step that built it, or empty where that step is not known.
+    labeled above it is in by then); an element whose stalk is empty gets 0
+    without a MakeExact call.  `prev_ranks` is the previous matrix's map from
+    the step that built it, for degree 0 of the constant sheaf the hull
+    rows' ranks, or empty where neither is known.
     A step hands the next (`carry`) its row buckets, the next column buckets
     (same indices), and `ranks`, the next `prev_ranks`, and it holds its
     packed rows, the next `image`.  Buckets and ranks live through the step
@@ -147,9 +150,9 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     if image_rows is None:
         image_rows = [stalks.image[i] for i in stalk]
     skip = {pos for pos, j in enumerate(stalk) if j in tops}
-    vectors = image_complement_rows(field, image_rows, skip, stalk)
-    for row in vectors:
-        stalks.append(element, row, packed_row(field, row))
+    vectors = image_complement_rows(field, image_rows, skip, stalk, packed := [])
+    for row, bits in zip(vectors, packed):
+        stalks.append(element, row, bits)
     ranks[element] += len(vectors)
     return len(vectors)
 
@@ -179,8 +182,12 @@ def resolution_step(
         eta_next.row_labels += seed.row_labels
         eta_next.rows += [dict(row) for row in seed.rows]
     stalks = _Stalks(eta_next, eta_prev.packed(), *(_carry or ()))
+    colbits, up_bits = poset.bits_of(set(eta_next.col_labels)), poset.up_bits
     for element in reversed(order):
-        _make_exact_inplace(eta_prev, eta_next, element, stalks)
+        if up_bits(element) & colbits:
+            _make_exact_inplace(eta_prev, eta_next, element, stalks)
+        else:  # an empty stalk: nothing to add, and the star rows have rank 0
+            stalks.ranks[element] = 0
     if _carry is not None:
         _carry[:] = stalks.carry()
     return eta_next
@@ -204,12 +211,13 @@ def force_exact(prev: LabeledMatrix, elements, seeds=(), _carry=None) -> list[La
     raise AssertionError("exactness forcing did not terminate within the length bound")
 
 
-def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> InjectiveComplex:
+def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows, ranks=None) -> InjectiveComplex:
     """The minimal resolution of a sheaf from its minimal injective hull, as
     `injective_hull` returns it.  Degree 0 is made exact against the
-    inclusion's stalk rows, later degrees by `force_exact` from its carry."""
+    inclusion's stalk rows, whose rank at each element `ranks` gives where
+    known (`_Stalks.prev_ranks`), later degrees by `force_exact` from its carry."""
     eta0 = LabeledMatrix(poset, field, labels)
-    stalks = _Stalks(eta0)
+    stalks = _Stalks(eta0, prev_ranks=ranks)
     for element in reversed(poset.linear_extension):
         _make_exact_against_image(rows[element], stalks, element)
     matrices, carry = [eta0], stalks.carry()
@@ -221,11 +229,12 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows) -> Injecti
 
 def minimal_resolution_constant(poset: Poset, field: PrimeField | None = None) -> InjectiveComplex:
     """Minimal injective resolution of the constant sheaf, whose hull is one
-    [m] per maximal element m, the inclusion 1 on each."""
+    [m] per maximal element m, the inclusion 1 on each: at an element, one
+    unit row per maximal element above it, of rank 1 (there is at least one)."""
     maximal, field = poset.maximal_elements(), field or PrimeField(2)
     bits, one = poset.bits_of(maximal), packed_row(field, {0: 1})
     rows = {e: [one] * (poset.up_bits(e) & bits).bit_count() for e in poset.elements}
-    return _resolve_from_hull(poset, field, maximal, rows)
+    return _resolve_from_hull(poset, field, maximal, rows, dict.fromkeys(rows, 1))
 
 
 def minimal_resolution_sheaf(sheaf: Sheaf) -> InjectiveComplex:
@@ -299,14 +308,14 @@ def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     tuples whose ints come from one list, `ints`, so an index held costs a
     slot, not an int (sets held at every element took several times the
     memory).  Only row buckets and column counts are built; rows are `m.packed()`."""
-    index, up, out = m.poset.index, m.poset.up_indices, {}
-    rows, counts = _buckets(m.poset, m.row_labels), [0] * len(index)
-    for lab in m.col_labels:
-        counts[index[lab]] += 1
+    poset, out = m.poset, {}
+    rows, counts = _buckets(poset, m.row_labels), [*map(len, _buckets(poset, m.col_labels))]
     packed, ints = m.packed(), [*range(m.ncols)]
-    for e in m.poset.elements:
+    colbits, up = poset.bits_of(set(m.col_labels)), poset.up_indices
+    for e in poset.elements:
         cleared = set(tops.pop(e, ()))
-        if width := sum(map(counts.__getitem__, up(e))):
+        if poset.up_bits(e) & colbits:
+            width = sum(map(counts.__getitem__, up(e)))
             pivots = _eliminate(m.field, [packed[i] for k in up(e) for i in rows[k]
                                           if i not in cleared])[0]
             out[e], tops[e] = (width, len(pivots)), tuple(map(ints.__getitem__, pivots))

@@ -229,9 +229,5 @@ def injective_hull(sheaf: Sheaf) -> tuple[list[str], dict[str, list[dict[int, in
 
 def hom_dim_injective(i_decomposition: dict, j_decomposition: dict, poset: Poset) -> int:
     """dim Hom(I, J) for injectives given as label -> multiplicity tables."""
-    total = 0
-    for pi, p_mult in i_decomposition.items():
-        for sigma, s_mult in j_decomposition.items():
-            if poset.leq(sigma, pi):
-                total += p_mult * s_mult
-    return total
+    return sum(p_mult * s_mult for pi, p_mult in i_decomposition.items()
+               for sigma, s_mult in j_decomposition.items() if poset.leq(sigma, pi))

@@ -40,15 +40,18 @@ def append_complement(stalks, element: str, image_rows=None) -> int:
     return added
 
 
-def checked_complement(field, stalk_rows, skip=(), coords=None):
+def checked_complement(field, stalk_rows, skip=(), coords=None, packed=None):
     """`image_complement_rows` that asserts each skipped position reduces to
     zero (the complement vector of row t has its highest coordinate at t)
     and that skipping leaves the other vectors as they were, keyed through
-    `coords` if it is given."""
+    `coords` if it is given, and their packed forms too if `packed` is."""
     full = image_complement_rows(field, stalk_rows)
     assert set(skip) <= {max(u) for u in full}
     key = range(len(stalk_rows)) if coords is None else coords
-    got = image_complement_rows(field, stalk_rows, skip, coords)
+    start = 0 if packed is None else len(packed)
+    got = image_complement_rows(field, stalk_rows, skip, coords, packed)
+    if packed is not None:
+        assert packed[start:] == [packed_row(field, u) for u in got]
     assert [list(u.items()) for u in got] == [[(key[pos], v) for pos, v in u.items()]
                                               for u in full if max(u) not in skip]
     return got

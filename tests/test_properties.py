@@ -1154,6 +1154,10 @@ def test_carried_ranks_match_the_dense_oracle(sheaf, source, data):
     res, known = assert_carried_ranks_match_the_dense_oracle(lambda: minimal_resolution_sheaf(sheaf))
     # degree 1 reads degree 0's ranks wherever the hull has a cokernel
     assert known or not any(m.rows for m in res.matrices)
+    # the constant sheaf's degree 0 is given the hull rows' ranks at every element
+    _, known = assert_carried_ranks_match_the_dense_oracle(
+        lambda: minimal_resolution_constant(poset, sheaf.field))
+    assert known >= len(poset.elements)
     star = poset.star(data.draw(st.sampled_from(poset.elements), label="open"))
     tops = data.draw(st.lists(st.sampled_from(sorted(star)), min_size=1, max_size=2), label="closed")
     zset = LocallyClosedSet(poset, star & poset.closure(tops))
