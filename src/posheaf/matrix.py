@@ -8,8 +8,8 @@ codomain summands, and an entry in a row labeled ``s`` and a column labeled
 element is just a row selection (held packed too: see `LabeledMatrix`).
 One kernel, `_eliminate`, reduces on the highest coordinate, on rows in the
 forms of `packed_row`: ranks and top pivots read its pivot table,
-complements the combinations that take rows to zero, decoded straight into
-the caller's coordinates (keyed by its column indices, ascending).
+complements the combinations that take rows to zero, which `_witness_rows`
+decodes into the caller's coordinates (its column indices, ascending).
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def packed_row(field: PrimeField, row):
     return ones, twos
 
 
-def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None, coords=None, packed=None):
+def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None):
     """The elimination kernel, on the highest coordinate.  Each of `rows`
     (`packed_row`s; dict entries are reduced mod p and zeros dropped) is
     reduced against the rows stored before it and, if nonzero, stored under
@@ -268,13 +268,11 @@ def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None, coor
     table, whose keys are the span's top pivots (the highest coordinates of
     its vectors, one per dimension, whatever the row order), and the rows t
     that reduce to zero, in the span of a resumed table and the rows fed
-    before them: their positions, or with `witness` the combinations u_t of
-    `rows` the reduction took to zero, as dicts in ascending positions keyed
-    by `coords[position]` (`coords`, ascending, defaults to the positions);
-    a list `packed` also gets their `packed_row`s, built in the same loop.
-    Positions in `skip` are passed over; `rows` are unchanged.  A `table`
-    from an earlier call without `witness` is resumed and extended in place,
-    so rows fed in chunks give the table of one call on all of them.
+    before them: their positions, or with `witness` pairs (t, u_t), u_t the
+    raw combination of `rows` taken to zero (`_witness_rows`).  Positions in
+    `skip` are passed over; `rows` are unchanged.  A `table` from an earlier
+    call without `witness` is resumed and extended in place, so rows fed in
+    chunks give the table of one call on all of them.
 
     Each step adds to the row the multiple of a stored pivot that clears its
     top.  Over GF(3) that is the pivot or its negative, the planes swapped;
@@ -286,14 +284,13 @@ def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None, coor
     with a pivot of the same top always clears it.
 
     With `witness`, `rows` is a list of n rows, and row t carries its
-    combination in coordinates below the columns, which each step updates
-    with the rest: over GF(2) and in both GF(3) planes column j becomes bit
-    n + j and bit t (of the ones) is set; over p >= 5 key t - n is set to 1.
-    A row reduces to zero when no column coordinate is left."""
-    p, zeros, packed = field.p, [], [] if packed is None else packed
+    combination below the columns, which each step updates with the rest:
+    column j moves to coordinate n + j (a bit, in both planes over GF(3), or
+    a key), coordinate t (of the ones) is set to 1, and the table's keys are
+    n above the columns.  A row reduces to zero when no column is left."""
+    p, zeros = field.p, []
     table = {} if table is None else table
     n = len(rows) if witness else 0
-    coords = range(n) if coords is None else coords
     live = ((t, row) for t, row in enumerate(rows) if t not in skip) if skip else enumerate(rows)
     if p == 2 and not witness:
         for t, row in live:
@@ -310,15 +307,8 @@ def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None, coor
                 row ^= piv
             if top >= n:
                 table[top] = row
-                continue
-            zeros.append(u := {})  # the combination: the bits left in the row
-            bits = 0
-            while row:
-                low = row & -row
-                u[c := coords[low.bit_length() - 1]] = 1
-                bits |= 1 << c
-                row ^= low
-            packed.append(bits)
+            else:
+                zeros.append((t, row))
     elif p == 3:
         for t, (one, two) in live:
             if witness:  # tested per row: a lifting generator measured slower here
@@ -334,35 +324,52 @@ def _eliminate(field: PrimeField, rows, witness=False, skip=(), table=None, coor
                     raise AssertionError(f"a reduction step left the top at {top}")
             if top >= n:
                 table[top] = (one, two) if a > b else (two, one)
-            elif not witness:
-                zeros.append(t)
-            else:  # the combination: the bits left in `one`, 2 where `two` has them
-                zeros.append(u := {})
-                one, x, y = one | two, 0, 0  # (x, y): u's planes
-                while one:
-                    low = one & -one
-                    bit = 1 << (c := coords[low.bit_length() - 1])
-                    if two & low:
-                        u[c], y = 2, y | bit
-                    else:
-                        u[c], x = 1, x | bit
-                    one ^= low
-                packed.append((x, y))
+            else:
+                zeros.append((t, (one, two)) if witness else t)
     else:
         live = ((t, {**row, t - n: 1}) for t, row in live) if witness else live
         for t, row in live:
-            row = {j: v % p for j, v in row.items() if v % p}
-            while row and (top := max(row)) >= 0 and (piv := table.get(top)) is not None:
+            row = {j + n: v % p for j, v in row.items() if v % p}
+            while row and (top := max(row)) >= n and (piv := table.get(top)) is not None:
                 _axpy(row, piv, p - row[top], p)
                 if top in row:
                     raise AssertionError(f"a reduction step left the top at {top}")
-            if row and top >= 0:
+            if row and top >= n:
                 inv = field.inv(row[top])
                 table[top] = {j: (v * inv) % p for j, v in row.items()}
             else:
-                zeros.append({coords[j + n]: v for j, v in sorted(row.items())} if witness else t)
-        packed += zeros if witness else ()  # over p >= 5 a row is its own packed form
+                zeros.append((t, row) if witness else t)
     return table, zeros
+
+
+def _witness_rows(field: PrimeField, zeros, coords, drop=()) -> tuple[list, list]:
+    """`_eliminate`'s witnesses `zeros` as dicts keyed by `coords` (ascending) and
+    their `packed_row`s, built in one loop, less those of rows t with coords[t] in `drop`."""
+    p, dicts, packed = field.p, [], []
+    for t, row in zeros:
+        if coords[t] in drop:
+            continue
+        if p == 2:  # the bits left
+            u, bits = {}, 0
+            while row:
+                low = row & -row
+                u[c := coords[low.bit_length() - 1]] = 1
+                bits |= 1 << c
+                row ^= low
+        elif p == 3:  # the bits left in either plane, 2 where `two` has them
+            (one, two), u, x, y = row, {}, 0, 0  # (x, y): u's planes
+            one |= two
+            while one:
+                low = one & -one
+                bit = 1 << (c := coords[low.bit_length() - 1])
+                u[c], x, y = (2, x, y | bit) if two & low else (1, x | bit, y)
+                one ^= low
+            bits = x, y
+        else:  # a dict is its own packed form
+            u = bits = {coords[j]: v for j, v in sorted(row.items())}
+        dicts.append(u)
+        packed.append(bits)
+    return dicts, packed
 
 
 def _sparse_rank(field: PrimeField, rows, table=None) -> int:
@@ -376,27 +383,26 @@ def _sparse_rank(field: PrimeField, rows, table=None) -> int:
 def image_complement_rows(field: PrimeField, stalk_rows, skip=(), coords=None, packed=None) -> list[dict]:
     """Basis of the orthogonal complement of the column space of a stalk matrix.
 
-    `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s keyed
-    by global column indices; call this matrix M.  The vectors are
-    `_eliminate`'s witnesses, keyed by `coords` and packed into a list
-    `packed` as there: one u_t, with u_t M = 0, per row t that reduces to
-    zero, in row order (MakeExact passes the stalk's global columns, so its
-    rows need no remap, and takes their packed forms).
-    Positions in `skip` are not reduced and give no vector; each must be a
-    row that would reduce to zero, so that the other vectors come out as
-    without it.
+    `stalk_rows` are the rows of eta^{d-1}(pi), dicts or `packed_row`s; call
+    this matrix M.  The vectors are `_eliminate`'s witnesses, keyed by
+    `coords` (default: the positions) and packed into a list `packed`
+    (`_witness_rows`): one u_t, with u_t M = 0, per row t that reduces to
+    zero, in row order.  Positions in `skip` are not reduced and give no
+    vector; each must be a row that would reduce to zero, so that, storing
+    nothing, it changes no other vector.
 
     The vectors depend only on M's rows and their order, not on the pivot
     rule.  Row t reduces to zero exactly when it lies in the span of the rows
     before it.  The witness stored with a row lives on that row and stored
-    rows before it, so u_t is 1 at t and otherwise lives on the rows before t
-    that do not reduce to zero.  Those rows are independent, so u_t is the
-    only vector with that support and u_t M = 0 (two would differ by a
-    vanishing combination of them).  A skipped row would store nothing, so
-    it changes no other vector.
-    """
+    rows before it, so u_t is 1 at t and otherwise on the earlier rows that
+    do not reduce to zero.  Those are independent, so u_t is the only vector
+    with that support (two would differ by a vanishing combination)."""
     rows = [packed_row(field, row) if type(row) is dict else row for row in stalk_rows]
-    return _eliminate(field, rows, witness=True, skip=skip, coords=coords, packed=packed)[1]
+    dicts, bits = _witness_rows(field, _eliminate(field, rows, witness=True, skip=skip)[1],
+                                range(len(rows)) if coords is None else coords)
+    if packed is not None:
+        packed += bits
+    return dicts
 
 
 def _product_rows(b: LabeledMatrix, a: LabeledMatrix):

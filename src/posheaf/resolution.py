@@ -5,7 +5,8 @@ sequence becomes exact there: the basis vectors of the complement of the
 previous matrix's stalk image that the current star-labeled rows do not
 already span.  It reads which ones those are off the top pivots of the star
 rows (see `_append_complement`), which needs the current matrix to compose
-to zero with the previous one.  `resolution_step` runs it over a list of
+to zero with the previous one; the next degree's complement there is read
+off that scan's witnesses.  `resolution_step` runs it over a list of
 elements in non-increasing order, and `force_exact` repeats that step degree
 by degree until a matrix comes out empty.  `force_exact` is the single
 exactness-forcing path: the minimal resolutions here and the pullback and
@@ -21,7 +22,7 @@ import math
 from .errors import InputError
 from .field import PrimeField
 from .matrix import (InjectiveComplex, LabeledMatrix, _composes_to_zero, _eliminate,
-                     image_complement_rows, packed_row)
+                     _witness_rows, image_complement_rows, packed_row)
 from .poset import Poset, SimplicialComplex, _chains
 from .sheaf import Sheaf, injective_hull
 
@@ -46,21 +47,20 @@ class _Stalks:
     `ranks` maps each element MakeExact has processed to the rank of the
     matrix's star rows there, final once the element is processed (every row
     labeled above it is in by then); an element whose stalk is empty gets 0
-    without a MakeExact call.  `prev_ranks` is the previous matrix's map from
-    the step that built it, for degree 0 of the constant sheaf the hull
-    rows' ranks, or empty where neither is known.
-    A step hands the next (`carry`) its row buckets, the next column buckets
-    (same indices), and `ranks`, the next `prev_ranks`, and it holds its
-    packed rows, the next `image`.  Buckets and ranks live through the step
-    that builds them and the one that reads them, no longer: `force_exact`
-    keeps them only in its one carry list, which each step refills."""
+    without a MakeExact call.  `held` maps an element whose star scan found
+    zero rows to the scan's rows and raw witnesses.  A step hands the next
+    (`carry`) its row buckets, the next column buckets (same indices),
+    `ranks` and `held`, the next `prev_ranks` (for degree 0 of the constant
+    sheaf, the hull rows') and `prev_held`, and it holds its packed rows, the
+    next `image`.  Each lives through the step that builds it and the one
+    that reads it, no longer: `force_exact` keeps them only in its one carry
+    list, which each step refills, and MakeExact pops each `prev_held` entry
+    it visits, read or not (every element held has a nonempty stalk)."""
 
     def __init__(self, m: LabeledMatrix, image=None, cols=None,
-                 prev_ranks: dict[str, int] | None = None):
-        self.m = m
-        self.image = image
-        self.ranks: dict[str, int] = {}
-        self.prev_ranks = prev_ranks if prev_ranks is not None else {}
+                 prev_ranks: dict[str, int] | None = None, prev_held: dict | None = None):
+        self.m, self.image, self.ranks, self.held = m, image, {}, {}
+        self.prev_ranks, self.prev_held = prev_ranks or {}, prev_held or {}
         self.up = m.poset.up_indices  # element -> poset indices above it, ascending
         self.cols = cols if cols is not None else _buckets(m.poset, m.col_labels)
         self.counts = [*map(len, self.cols)]
@@ -69,11 +69,10 @@ class _Stalks:
         self.found = [0] * len(self.packed)
 
     def carry(self) -> list:
-        return [self.rows, self.ranks]
+        return [self.rows, self.ranks, self.held]
 
     def at(self, buckets, element: str) -> list[int]:
-        """The indices in `buckets` whose labels are above `element`, ascending
-        (where only their span or number matters, callers walk `up` unsorted)."""
+        """The indices in `buckets` whose labels are above `element`, ascending."""
         return sorted([i for k in self.up(element) for i in buckets[k]])
 
     def append(self, label: str, row: dict[int, int], packed) -> None:
@@ -86,8 +85,7 @@ class _Stalks:
 
 def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str,
                         _stalks: _Stalks) -> int:
-    """`_append_complement` on eta_cur (`_stalks.m`) against eta_prev's packed
-    rows (`_stalks.image`), eta_prev's rows being eta_cur's columns."""
+    """`_append_complement` on eta_cur (`_stalks.m`) against eta_prev's rows (`_stalks.image`)."""
     return _append_complement(_stalks, element)
 
 
@@ -101,56 +99,52 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     number of rows added.  The stalk is the star-labeled columns, ascending,
     and `image_rows[pos]` the image's row at `stalk[pos]` (`stalks.image`'s).
 
-    In stalk coordinates (ascending columns) let M be the image rows,
-    A = {u : uM = 0}, and W the span of the star-labeled rows.  The
-    precondition eta_cur . eta_prev = 0 gives W in A (for the hull seed, by
-    naturality of the inclusion).  `image_complement_rows` yields one u_t
-    per row t that reduces to zero, so dim A = |stalk| - rank M of them, and
-    they span A.  Of these, the ones skipped below are exactly W's top
-    pivots, one per dimension of W (next paragraph), so the rows appended
-    number dim A - |tops| and the star rows then span W + those rows = A:
-    the rank recorded, |tops| + added, is |stalk| - rank M.  M is the
-    previous matrix's star rows at the element, so where the previous step
-    recorded their rank, dim A = |stalk| - that rank is known.  If it equals
-    |tops|, nothing is added and the complement is not computed; if it is 0,
-    W in A gives W = 0, so 0 is recorded and the top pivots are not computed.
+    In stalk coordinates let M be the image rows, A = {u : uM = 0}, and W the
+    span of the star rows; eta_cur . eta_prev = 0 gives W in A (for the hull
+    seed, by naturality of the inclusion).  M's complement vectors u_t
+    (`image_complement_rows`), u_t with its top at t, are a basis of A, those
+    with t' < t of A below t.  So u_t depends on W and them exactly when some
+    w in W has its top at t (less w, it lies in A below t): the u_t at no top
+    of W are appended, and dim A = |stalk| - rank M is the rank recorded.  A
+    top's row of M reduces to zero (`InjectiveComplex.dims`' lemma): skipped.
+    Where the previous step recorded rank M, dim A is known: if it is |tops|,
+    no complement is computed; if 0, W = 0 and no scan runs.
 
-    The top pivots tell which u_t to append, without reducing any of them
-    against the star rows.  u_t has its highest coordinate at t, and the u_t'
-    with t' <= t span the vectors of A supported on positions <= t.  By
-    induction on t, W plus the u_t' accepted so far spans W plus every u_t'
-    with t' < t, so u_t is dependent exactly when some w in W has its
-    highest coordinate at t (subtract w from u_t; what is left lies in A
-    below t).  Those t are W's top pivots, and WM = 0 makes each a row of M
-    that reduces to zero (the lemma of `InjectiveComplex.dims`), so skipping
-    them in the reduction stores nothing another row's witness would see:
-    the vectors left are exactly the independent ones, in the order and form
-    `image_complement_rows` gives.
-
-    Clearing (after Chen and Kerber): the star rows go in bucket order, label
-    index then row index, which at c >= `element` restricts to c's, and rows
-    are only appended; so a row i that reduced to zero in c's scan (bit c of
-    `stalks.found[i]`) lies in the span of the star rows before it here too,
-    and by induction in that of the kept ones: leaving it out keeps the tops."""
+    The scan takes the star rows ascending, less each row i found zero at an
+    element c above (bit c of `stalks.found[i]`; clearing, after Chen and
+    Kerber): restricted to c's star the order is c's, and rows are only
+    appended, so i lies in the span of the rows before it here too, and by
+    induction of the kept ones; the tops, independent of the order, stay.
+    Its witnesses are held for the next degree, whose M here is the star
+    rows: it appends those at no top of its W, decoded, as its u_t, for the
+    rows appended here come last in M and are independent (they change no
+    witness), and a row i left out is a top of its W(c) (u_i lies in A(c) =
+    W(c)), so of its W here.  It needs a complement only where A exceeds W,
+    so at a zero held here, and eliminates M afresh only where no scan did."""
     field, ranks = stalks.m.field, stalks.ranks
-    prev_rank = stalks.prev_ranks.get(element)
+    prev_rank, held = stalks.prev_ranks.get(element), stalks.prev_held.pop(element, None)
     size = sum(map(stalks.counts.__getitem__, stalks.up(element)))
-    tops = {}  # where prev_rank == size, dim A = 0 and so W = 0
+    table, star = {}, ()  # where prev_rank == size, dim A = 0 and so W = 0
     if prev_rank != size:
         poset, found = stalks.m.poset, stalks.found
         above, bit = poset.up_bits(element), 1 << poset.index[element]
-        star = [i for k in stalks.up(element) for i in stalks.rows[k] if not found[i] & above]
-        tops, zeros = _eliminate(field, map(stalks.packed.__getitem__, star))
-        for pos in zeros:
+        star = sorted([i for k in stalks.up(element) for i in stalks.rows[k] if not found[i] & above])
+        table, zeros = _eliminate(field, [*map(stalks.packed.__getitem__, star)], witness=True)
+        for pos, _ in zeros:
             found[star[pos]] |= bit
-    ranks[element] = len(tops)
-    if prev_rank is not None and size - prev_rank <= len(tops):
+        if zeros:  # only these are ever read (below)
+            stalks.held[element] = star, zeros
+    ranks[element] = len(table)
+    if prev_rank is not None and size - prev_rank <= len(table):
         return 0
-    stalk = stalks.at(stalks.cols, element)
-    if image_rows is None:
-        image_rows = [stalks.image[i] for i in stalk]
-    skip = {pos for pos, j in enumerate(stalk) if j in tops}
-    vectors = image_complement_rows(field, image_rows, skip, stalk, packed := [])
+    tops = {top - len(star) for top in table}  # W's tops: the columns sit above the witness bits
+    if held is None:
+        stalk = stalks.at(stalks.cols, element)
+        image_rows = [stalks.image[i] for i in stalk] if image_rows is None else image_rows
+        skip = {pos for pos, j in enumerate(stalk) if j in tops}
+        vectors = image_complement_rows(field, image_rows, skip, stalk, packed := [])
+    else:
+        vectors, packed = _witness_rows(field, held[1], held[0], tops)
     for row, bits in zip(vectors, packed):
         stalks.append(element, row, bits)
     ranks[element] += len(vectors)
@@ -182,12 +176,11 @@ def resolution_step(
         eta_next.row_labels += seed.row_labels
         eta_next.rows += [dict(row) for row in seed.rows]
     stalks = _Stalks(eta_next, eta_prev.packed(), *(_carry or ()))
+    stalks.ranks = dict.fromkeys(order, 0)  # kept where the stalk is empty: no call, no rows
     colbits, up_bits = poset.bits_of(set(eta_next.col_labels)), poset.up_bits
     for element in reversed(order):
         if up_bits(element) & colbits:
             _make_exact_inplace(eta_prev, eta_next, element, stalks)
-        else:  # an empty stalk: nothing to add, and the star rows have rank 0
-            stalks.ranks[element] = 0
     if _carry is not None:
         _carry[:] = stalks.carry()
     return eta_next
@@ -218,8 +211,10 @@ def _resolve_from_hull(poset: Poset, field: PrimeField, labels, rows, ranks=None
     known (`_Stalks.prev_ranks`), later degrees by `force_exact` from its carry."""
     eta0 = LabeledMatrix(poset, field, labels)
     stalks = _Stalks(eta0, prev_ranks=ranks)
+    stalks.ranks = dict.fromkeys(poset.elements, 0)  # kept where the stalk is empty (`resolution_step`)
     for element in reversed(poset.linear_extension):
-        _make_exact_against_image(rows[element], stalks, element)
+        if rows[element]:
+            _make_exact_against_image(rows[element], stalks, element)
     matrices, carry = [eta0], stalks.carry()
     del stalks  # the carry list holds the only references (`_Stalks`)
     if eta0.nrows:

@@ -108,9 +108,11 @@ class TestMakeExact:
 
     def test_complement_skipped_where_the_star_rows_span_the_kernel(self):
         # every degree knows the previous star-row ranks (degree 0 the hull
-        # rows', rank 1), so only 63 of skel(6,3)'s 196 MakeExact calls compute
-        # a complement; the 196 other visits (35, 70 and 91 elements in
-        # degrees 1 to 3) find the stalk empty, record rank 0 and make no call
+        # rows', rank 1), so only 63 of skel(6,3)'s 196 MakeExact calls need
+        # a complement, and only degree 0's 35 eliminate the image afresh: the
+        # 28 in later degrees read the witnesses the previous scan held there;
+        # the 196 other visits (35, 70 and 91 elements in degrees 1 to 3) find
+        # the stalk empty, record rank 0 and make no call
         from unittest import mock
 
         from posheaf import resolution
@@ -120,7 +122,7 @@ class TestMakeExact:
                 mock.patch("posheaf.resolution.image_complement_rows",
                            wraps=resolution.image_complement_rows) as complements:
             minimal_resolution_constant(skeleton_of_simplex(6, 3).face_poset)
-        assert (make_exact_calls.call_count, complements.call_count) == (196, 63)
+        assert (make_exact_calls.call_count, complements.call_count) == (196, 35)
 
     def test_star_scan_skipped_where_the_carried_rank_shows_a_zero_kernel(self):
         # on skel(6,3), 98 of the 196 MakeExact calls know from the carried
@@ -143,6 +145,53 @@ class TestMakeExact:
         assert not [row for _, row in (c.args for c in repacks.call_args_list)
                     if type(row) is dict]  # packed rows pass through
 
+    def test_hull_degree_zero_makes_no_call_where_the_stalk_is_empty(self):
+        # on skel(6,3) with the extension by zero of the stars of 0 and 12, 9
+        # of the 98 elements have no hull summand above them: degree 0 records
+        # rank 0 there, as `resolution_step` does, and calls MakeExact at the
+        # other 89; the result still resolves the sheaf
+        from unittest import mock
+
+        from posheaf import resolution
+        from posheaf.sheaf import injective_hull
+
+        poset = skeleton_of_simplex(6, 3).face_poset
+        sheaf = extension_by_zero_sheaf(poset, GF2, [poset.star("0"), poset.star("12")])
+        empty = [e for e, rows in injective_hull(sheaf)[1].items() if not rows]
+        with mock.patch("posheaf.resolution._make_exact_against_image",
+                        wraps=resolution._make_exact_against_image) as calls:
+            res = minimal_resolution_sheaf(sheaf)
+        assert (len(empty), calls.call_count) == (9, 89)
+        assert not {e for (_, _, e), _ in calls.call_args_list} & set(empty)
+        assert res.validate().ok and is_minimal(res)
+        assert cohomology_sheaf_dims(res) == {0: {e: d for e, d in sheaf.stalk_dim.items() if d}}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_held_witnesses_are_gone_after_the_next_whole_poset_step(self, p):
+        # each step holds its star scans' witnesses for the next (`_Stalks`),
+        # and the next step, run over the whole poset, drops every entry it
+        # visits, read or not: once it returns, none is left
+        from unittest import mock
+
+        from posheaf import resolution
+        from posheaf.field import PrimeField
+
+        step, sizes = resolution.resolution_step, []
+
+        def checked(eta_prev, elements=None, seed=None, _carry=None):
+            held = _carry[2] if _carry else {}
+            sizes.append(len(held))
+            out = step(eta_prev, elements, seed, _carry)
+            assert held == {} and _carry[2] is not held
+            return out
+
+        poset = skeleton_of_simplex(6, 3).face_poset
+        field = PrimeField(p)
+        with mock.patch("posheaf.resolution.resolution_step", checked):
+            minimal_resolution_constant(poset, field)
+            minimal_resolution_sheaf(extension_by_zero_sheaf(poset, field, [poset.star("0")]))
+        assert sizes and all(sizes[:2]) and sizes[-1] == 0
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_star_scan_leaves_out_rows_found_dependent_above(self, p):
         # skel(6,3)'s star scans feed the kernel 700 rows, of which 196 reduce
@@ -155,9 +204,9 @@ class TestMakeExact:
 
         kernel, fed = resolution._eliminate, []
 
-        def counted(field, rows):
+        def counted(field, rows, **kwargs):
             rows = list(rows)
-            table, zeros = kernel(field, rows)
+            table, zeros = kernel(field, rows, **kwargs)
             fed.append((len(rows), len(zeros)))
             return table, zeros
 
