@@ -234,10 +234,6 @@ class ComplexMorphism:
             comps[d] = m
         return cls(complex_, complex_, comps)
 
-    @classmethod
-    def zero(cls, source: InjectiveComplex, target: InjectiveComplex) -> "ComplexMorphism":
-        return cls(source, target, {})
-
     def component(self, d: int) -> LabeledMatrix:
         m = self.components.get(d)
         return m if m is not None else LabeledMatrix(
@@ -289,24 +285,20 @@ def mapping_cone(alpha: ComplexMorphism) -> InjectiveComplex:
 # -- morphism spaces --------------------------------------------------------------
 
 
-def hom_space_dims(
-    I: InjectiveComplex,
-    J: InjectiveComplex,
-    variable_cap: int = HOM_SYSTEM_VARIABLE_CAP,
-) -> tuple[int, int, int]:
+def hom_space_dims(I: InjectiveComplex, J: InjectiveComplex) -> tuple[int, int, int]:
     """(dim morphisms, dim null-homotopic morphisms, dim derived hom).
 
     Degreewise maps alpha^d are unknowns constrained to the label order and to
     commute with the differentials; the null-homotopic subspace is the image
     of h -> (delta^{d-1} h^d + h^{d+1} eta^d).  Refuses systems above
-    `variable_cap` unknowns.
+    `HOM_SYSTEM_VARIABLE_CAP` unknowns.
     """
     _same_poset_and_field(I, J)
     alphas, homotopies = _hom_unknowns(I, J, 0), _hom_unknowns(I, J, -1)
-    if len(alphas) + len(homotopies) > variable_cap:
+    if len(alphas) + len(homotopies) > HOM_SYSTEM_VARIABLE_CAP:
         raise SizeCapExceeded(
             f"morphism system has {len(alphas) + len(homotopies)} unknowns, "
-            f"above the cap of {variable_cap}"
+            f"above the cap of {HOM_SYSTEM_VARIABLE_CAP}"
         )
     morphism_dim = len(alphas) - _hom_rank(I, J, 0, -1, alphas)
     null_homotopic_dim = _hom_rank(I, J, -1, 1, homotopies)

@@ -105,12 +105,6 @@ def map_from_json(data: dict, source: Poset, target: Poset) -> MonotoneMap:
     return MonotoneMap(source, target, _assignment_from_json(data))
 
 
-def vertex_map_from_json(
-    data: dict, source: SimplicialComplex, target: SimplicialComplex
-) -> MonotoneMap:
-    return MonotoneMap.simplicial(source, target, _assignment_from_json(data))
-
-
 def sheaf_from_json(data: dict, poset: Poset, field: PrimeField,
                     max_total: float = math.inf) -> Sheaf:
     """{"stalks": {"elem": dim}, "maps": {"a<b": [[...]]}}; omitted maps are

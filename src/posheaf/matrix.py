@@ -66,9 +66,6 @@ class LabeledMatrix:
     def copy(self) -> "LabeledMatrix":
         return LabeledMatrix(self.poset, self.field, self.col_labels, self.row_labels, self._rows)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self._rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, LabeledMatrix)
@@ -463,13 +460,6 @@ class InjectiveComplex:
     def empty(cls, poset: Poset, field: PrimeField) -> "InjectiveComplex":
         return cls(poset, field, [], 0)
 
-    @classmethod
-    def single_term(cls, poset, field, labels, degree: int = 0) -> "InjectiveComplex":
-        return cls(poset, field, [LabeledMatrix(poset, field, labels)], degree)
-
-    def is_empty(self) -> bool:
-        return not self.matrices
-
     @property
     def degrees(self) -> range:
         return range(self.degree_offset, self.degree_offset + len(self.matrices))
@@ -577,10 +567,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    @property
-    def first_violation(self) -> str | None:
-        return self.issues[0] if self.issues else None
 
     def raise_if_failed(self):
         if self.issues:

@@ -107,9 +107,6 @@ class MorseFunction:
     def superlevel(self, x: str) -> set[str]:
         return set().union(*(self.fibers[y] for y in self.total_order[self.position[x]:]))
 
-    def fiber_set(self, x: str) -> LocallyClosedSet:
-        return LocallyClosedSet(self.map.source, self.fibers[x])
-
 
 def critical_elements(
     mf: MorseFunction, complex_: InjectiveComplex, variant: str
@@ -169,12 +166,13 @@ def _filtration_ranks(m, step, walk, tops) -> dict[str, tuple[int, int]]:
     buckets = [[] for _ in walk]
     for i, lab in enumerate(m.row_labels):
         buckets[step[lab]].append(i)
-    table, out, rows = {}, {}, m.rows
+    counts = Counter(step[lab] for lab in m.col_labels)
+    table, out, rows, cut = {}, {}, m.rows, m.ncols
     for k, x in enumerate(walk):
         cleared = tops.get(x, ())
         _eliminate(m.field, [packed_row(m.field, {index[j]: v for j, v in rows[i].items()})
                              for i in buckets[k] if i not in cleared], table=table)
-        cut = sum(step[lab] > k for lab in m.col_labels)
+        cut -= counts[k]
         out[x] = (m.ncols - cut, sum(top >= cut for top in table))
         tops[x] = {order[top] for top in table if top >= cut}
     return out

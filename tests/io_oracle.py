@@ -67,7 +67,7 @@ def validate_complex(self: InjectiveComplex) -> ValidationReport:
     for d, a, b in zip(self.degrees, self.matrices, self.matrices[1:]):
         if a.row_labels != b.col_labels:
             issues.append(f"rows of degree {d} do not match columns of degree {d + 1}")
-        elif not b.multiply(a).is_zero():
+        elif any(b.multiply(a).rows):
             issues.append(f"composition at degree {d} is nonzero")
     if self.matrices and self.matrices[-1].nrows:
         issues.append("last matrix has rows; complex is not closed off")

@@ -46,4 +46,5 @@ def fiber_dims(mf, complex_, variant: str) -> dict[str, dict[int, int]]:
     """Drop-in for `posheaf.morse.MorseAnalysis.fiber_dims`: one restriction
     per non-empty fiber."""
     dims = {"star": star_microsupport_dims, "shriek": shriek_microsupport_dims}[variant]
-    return {x: dims(mf.fiber_set(x), complex_) for x in mf.total_order if mf.fibers[x]}
+    return {x: dims(LocallyClosedSet(mf.map.source, mf.fibers[x]), complex_)
+            for x in mf.total_order if mf.fibers[x]}

@@ -243,7 +243,7 @@ def test_criterion_07_morse_inequalities(sphere_morse, pushforward_complexes):
         poset = random_poset(rng, 8)
         mf = _random_chain_morse(rng, poset)
         res = minimal_resolution_sheaf(random_sheaf(rng, poset, GF2))
-        if res.is_empty():
+        if not res.matrices:
             continue
         for variant in ("shriek", "star"):
             report = morse_inequalities(mf, res, variant)
@@ -280,7 +280,7 @@ def test_criterion_08_pullback_via_proper():
         if f is None:
             continue
         res = minimal_resolution_sheaf(random_sheaf(rng, tgt, rng.choice((GF2, GF3))))
-        if res.is_empty():
+        if not res.matrices:
             continue
         ok = ok and pullback_via_proper_check(f, res)
         done += 1
@@ -322,7 +322,7 @@ def test_criterion_10_length_bound_and_condition4(sphere_wedge, pushforward_comp
         poset = random_poset(rng, 8)
         field = rng.choice((GF2, GF3))
         res = minimal_resolution_sheaf(random_sheaf(rng, poset, field))
-        if res.is_empty():
+        if not res.matrices:
             continue
         try:
             check_resolution_health(res, poset)

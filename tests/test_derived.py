@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from posheaf import derived
 from posheaf.errors import InputError, SizeCapExceeded
 from posheaf.matrix import InjectiveComplex, LabeledMatrix
 from posheaf.poset import LocallyClosedSet, MonotoneMap, Poset
@@ -49,7 +50,7 @@ def mult_table(complex_):
 
 def point_complex(field=GF2):
     pt = Poset.from_covers(["pt"], [])
-    return pt, InjectiveComplex.single_term(pt, field, ["pt"])
+    return pt, InjectiveComplex(pt, field, [LabeledMatrix(pt, field, ["pt"])])
 
 
 class TestPeel:
@@ -62,7 +63,7 @@ class TestPeel:
         eta = LabeledMatrix(p, GF2, ["a"])
         eta.add_row("a", {0: 1})
         complex_ = InjectiveComplex(p, GF2, [eta, LabeledMatrix(p, GF2, ["a"])])
-        assert peel(complex_).is_empty()
+        assert not peel(complex_).matrices
 
     def test_rg_block_reduction(self, sphere_wedge, pushforward_complexes):
         # the relabeled complex has a rank-3 block of four 4-rows against
@@ -183,7 +184,7 @@ class TestPeel:
         first = LabeledMatrix(pt, GF2, ["pi"], ["pi", "pi"], [{0: 1}, {0: 1}])
         second = LabeledMatrix(pt, GF2, ["pi", "pi"], ["pi"], [{0: 1, 1: 1}])
         complex_ = InjectiveComplex(pt, GF2, [first, second, LabeledMatrix(pt, GF2, ["pi"])])
-        assert peel(complex_, _scan_order=[1, 0]).is_empty()
+        assert not peel(complex_, _scan_order=[1, 0]).matrices
 
     def test_agrees_with_identity_pullback_minimization(self):
         # two independent minimization routes: pivot peeling and the exact
@@ -197,7 +198,7 @@ class TestPeel:
             field = rng.choice((GF2, GF3))
             sheaf = random_sheaf(rng, poset, field)
             res = order_complex_resolution(sheaf)
-            if res.is_empty():
+            if not res.matrices:
                 continue
             via_peel = peel(res)
             via_cone = pullback(MonotoneMap.identity(poset), res)
@@ -278,7 +279,7 @@ class TestPullback:
         pulled = pullback(inclusion, pushforward_complexes["Rg"])
         assert mult_table(pulled) == {0: {"24": 1}, 1: {"4": 1}}
         # the differential [24] -> [4] is the zero map
-        assert pulled.matrices[0].is_zero()
+        assert not any(pulled.matrices[0].rows)
 
     def test_section7_pull_rh(self, sphere_wedge, pushforward_complexes):
         lam = sphere_wedge["lambda"].face_poset
@@ -413,7 +414,7 @@ class TestProperPullback:
             sub = zset.restricted_poset()
             sheaf = random_sheaf(rng, sub, GF2)
             res = minimal_resolution_sheaf(sheaf)
-            if res.is_empty():
+            if not res.matrices:
                 continue
             back = proper_pullback(zset, proper_pushforward(zset, res))
             assert mult_table(back) == mult_table(res)
@@ -497,7 +498,7 @@ class TestEulerCharacteristic:
                 continue
             sheaf = random_sheaf(rng, poset, GF2)
             res = minimal_resolution_sheaf(sheaf)
-            if res.is_empty():
+            if not res.matrices:
                 continue
             closed_set = LocallyClosedSet(poset, closed)
             open_set = LocallyClosedSet(poset, open_part)
@@ -527,7 +528,7 @@ class TestMappingCone:
 
     def test_zero_map_shifts(self, tetra_resolution):
         empty = InjectiveComplex.empty(tetra_resolution.poset, GF2)
-        cone = mapping_cone(ComplexMorphism.zero(tetra_resolution, empty))
+        cone = mapping_cone(ComplexMorphism(tetra_resolution, empty, {}))
         shifted = tetra_resolution.shifted(1)
         assert mult_table(cone) == mult_table(shifted)
         assert hypercohomology(cone) == {
@@ -543,10 +544,10 @@ class TestMappingCone:
         negated = [LabeledMatrix(poset, GF3, m.col_labels, m.row_labels,
                                  [{j: GF3.neg(v) for j, v in row.items()} for row in m.rows])
                    for m in res.matrices]
-        assert mapping_cone(ComplexMorphism.zero(empty, res)) == res
-        assert mapping_cone(ComplexMorphism.zero(res, empty)) == InjectiveComplex(
+        assert mapping_cone(ComplexMorphism(empty, res, {})) == res
+        assert mapping_cone(ComplexMorphism(res, empty, {})) == InjectiveComplex(
             poset, GF3, negated, res.degree_offset - 1)
-        assert mapping_cone(ComplexMorphism.zero(empty, empty)) == empty
+        assert mapping_cone(ComplexMorphism(empty, empty, {})) == empty
 
     @pytest.mark.parametrize("fault, message", [
         ("labels", "component 0 has mismatched labels"),
@@ -584,16 +585,16 @@ class TestMappingCone:
     def test_cone_detects_quasi_isomorphism(self):
         # a non-surjective morphism between different resolutions: cone not exact
         p = Poset.from_covers(["y", "x"], [("y", "x")])
-        single = InjectiveComplex.single_term(p, GF2, ["x"])
-        double = InjectiveComplex.single_term(p, GF2, ["y"])
-        cone = mapping_cone(ComplexMorphism.zero(single, double))
+        single = InjectiveComplex(p, GF2, [LabeledMatrix(p, GF2, ["x"])])
+        double = InjectiveComplex(p, GF2, [LabeledMatrix(p, GF2, ["y"])])
+        cone = mapping_cone(ComplexMorphism(single, double, {}))
         assert cohomology_sheaf_dims(cone) != {}
 
 
 class TestHomSpaceDims:
     def test_single_summand(self):
         p = Poset.from_covers(["a"], [])
-        single = InjectiveComplex.single_term(p, GF2, ["a"])
+        single = InjectiveComplex(p, GF2, [LabeledMatrix(p, GF2, ["a"])])
         assert hom_space_dims(single, single) == (1, 0, 1)
 
     def test_identity_differential_homotopy(self):
@@ -611,9 +612,10 @@ class TestHomSpaceDims:
         # identity is not null-homotopic on a minimal complex
         assert derived_dim >= 1
 
-    def test_size_cap(self, tetra_resolution):
+    def test_size_cap(self, tetra_resolution, monkeypatch):
+        monkeypatch.setattr(derived, "HOM_SYSTEM_VARIABLE_CAP", 3)
         with pytest.raises(SizeCapExceeded):
-            hom_space_dims(tetra_resolution, tetra_resolution, variable_cap=3)
+            hom_space_dims(tetra_resolution, tetra_resolution)
 
     def test_refuses_complexes_over_different_fields(self):
         from posheaf.poset import skeleton_of_simplex
@@ -653,8 +655,8 @@ class TestHomSpaceDims:
             field = rng.choice((GF2, GF3))
             i_labels = [rng.choice(poset.elements) for _ in range(rng.randint(1, 3))]
             j_labels = [rng.choice(poset.elements) for _ in range(rng.randint(1, 3))]
-            I = InjectiveComplex.single_term(poset, field, i_labels)
-            J = InjectiveComplex.single_term(poset, field, j_labels)
+            I = InjectiveComplex(poset, field, [LabeledMatrix(poset, field, i_labels)])
+            J = InjectiveComplex(poset, field, [LabeledMatrix(poset, field, j_labels)])
             expected = hom_dim_injective(Counter(i_labels), Counter(j_labels), poset)
             assert hom_space_dims(I, J) == (expected, 0, expected)
 
@@ -668,7 +670,7 @@ class TestDualize:
 
     def test_single_summand(self):
         p = Poset.from_covers(["a", "b"], [("a", "b")])
-        single = InjectiveComplex.single_term(p, GF2, ["b"])
+        single = InjectiveComplex(p, GF2, [LabeledMatrix(p, GF2, ["b"])])
         dual = dualize(single)
         assert dual.degree_offset == 0
         assert mult_table(dual) == {0: {"b": 1}}
@@ -706,7 +708,7 @@ class TestPullbackViaProper:
             if f is None:
                 continue
             res = minimal_resolution_sheaf(random_sheaf(rng, tgt, GF2))
-            if res.is_empty():
+            if not res.matrices:
                 continue
             assert pullback_via_proper_check(f, res)
             done += 1

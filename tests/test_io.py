@@ -20,10 +20,9 @@ from posheaf.io import (
     render_multiplicity_table,
     sheaf_from_json,
     sheaf_to_json,
-    vertex_map_from_json,
 )
 from posheaf.matrix import LabeledMatrix
-from posheaf.poset import Poset, skeleton_of_simplex
+from posheaf.poset import MonotoneMap, Poset, skeleton_of_simplex
 from posheaf.resolution import minimal_resolution_constant
 
 from conftest import GF2, GF3
@@ -118,10 +117,8 @@ class TestMapJson:
         assert all(f(e) == e for e in lam.elements)
 
     def test_vertex_map_extends_to_faces(self, sphere_wedge):
-        f = vertex_map_from_json(
-            {"assignment": {"5": "4", "6": "4"}},
-            sphere_wedge["sigma"],
-            sphere_wedge["lambda"],
+        f = MonotoneMap.simplicial(
+            sphere_wedge["sigma"], sphere_wedge["lambda"], {"5": "4", "6": "4"}
         )
         assert f("56") == "4"
         assert f("45") == "4"

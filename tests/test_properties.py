@@ -172,7 +172,7 @@ def test_peel_matches_the_mirrored_oracle(p, seed, data):
         expected = dumps(complex_to_json(peel_oracle.peel(complex_, _scan_order=order)))
         assert dumps(complex_to_json(peel(complex_, _scan_order=order))) == expected
     for cone in cones:
-        assert peel(cone).is_empty()
+        assert not peel(cone).matrices
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -198,7 +198,7 @@ def test_pullback_agrees_with_the_proper_route(sheaf, source, data):
     sheaf's poset; values are drawn freely, so f is often not injective."""
     f = _draw_monotone_map(data, source, sheaf.poset)
     complex_ = minimal_resolution_sheaf(sheaf)
-    assume(not complex_.is_empty())
+    assume(complex_.matrices)
     assert pullback_via_proper_check(f, complex_)
 
 
@@ -211,7 +211,7 @@ def test_pullback_of_a_composite_is_the_composite_of_pullbacks(sheaf, sources, d
     draws are chains Z1 ⊂ Z2 ⊂ X of closed inclusions, or a map drawn freely
     among those that are not injective."""
     complex_ = minimal_resolution_sheaf(sheaf)
-    assume(not complex_.is_empty())
+    assume(complex_.matrices)
     maps, target = [], sheaf.poset
     for source in sources:
         if data.draw(st.booleans(), label="closed inclusion"):
@@ -578,7 +578,7 @@ def _decoded(row) -> dict[int, int]:
 
 
 @st.composite
-def prime_row_lists(draw, primes=(2, 3, 5)):
+def prime_row_lists(draw, primes=(2, 3, 5, 7, 11)):
     """Sparse rows over GF(p), p drawn from `primes`, as dicts, with entries
     from -2p to 2p (zeros, negatives and entries >= p included) and repeats
     and combinations of earlier rows mixed in, so that some rows are
@@ -977,8 +977,13 @@ def assert_same_as_the_screen(build):
 
 
 @PROPERTY_SETTINGS
+@example(sheaf=incidence_kernel_sheaf(  # skel(5,4) less the face 01234, kernel on the 4-faces
+    SimplicialComplex.from_facets([*combinations(range(6), 5)][1:] + [*combinations(range(6), 4)]),
+    PrimeField(3), 4))
 @given(sheaf=st.one_of(functorial_sheaves(max_generators=3), holed_skeleton_sheaf()))
 def test_make_exact_matches_the_screen_on_resolutions(sheaf):
+    """The pinned example holds zero-row witnesses at tops of the next
+    degree's W, so it reaches the filter that leaves those out."""
     assert_same_as_the_screen(lambda: minimal_resolution_constant(sheaf.poset, sheaf.field))
     assert_same_as_the_screen(lambda: minimal_resolution_sheaf(sheaf))
 

@@ -81,7 +81,7 @@ class TestMakeExact:
         # one allowed entry, in a column that eta0 maps nonzero
         j = next(j for j, row in enumerate(eta0.rows) if row)
         eta1.add_row(eta0.row_labels[j], {j: 1})
-        assert not eta1.multiply(eta0).is_zero()
+        assert any(eta1.multiply(eta0).rows)
         with pytest.raises(InputError, match="compose to zero"):
             resolution_step(eta0, ["0"], seed=eta1)
 
@@ -425,7 +425,7 @@ class TestMinimalResolutionSheaf:
             field = rng.choice((GF2, GF3))
             sheaf = random_sheaf(rng, poset, field)
             res = minimal_resolution_sheaf(sheaf)
-            if not res.is_empty():
+            if res.matrices:
                 check_resolution_health(res, poset)
             stalkwise_exactness_against_sheaf(res, sheaf)
 

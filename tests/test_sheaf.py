@@ -119,7 +119,7 @@ class TestValidateSheaf:
         sheaf = Sheaf(diamond, GF3, {e: 1 for e in diamond.elements}, bad)
         report = sheaf.validate()
         assert not report.ok
-        assert "functoriality" in report.first_violation
+        assert "functoriality" in report.issues[0]
 
 
     def test_hexagon_paths_of_length_three_disagree(self):
@@ -133,7 +133,7 @@ class TestValidateSheaf:
         assert Sheaf(p, GF3, {e: 1 for e in p.elements}, maps).validate().ok
         maps[("d2", "c")] = [[0]]
         report = Sheaf(p, GF3, {e: 1 for e in p.elements}, maps).validate()
-        assert report.first_violation == (
+        assert report.issues[0] == (
             "functoriality fails between a and c: paths via b1 and d1 disagree"
         )
 
