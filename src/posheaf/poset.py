@@ -40,7 +40,7 @@ class Poset:
         if len(self.index) != len(self.elements):
             raise InputError("duplicate element ids")
         self._up = leq_bits  # up[i] = bitset of {j : elements[i] <= elements[j]}
-        self._up_lists: dict[str, list[int]] = {}  # see `up_indices`
+        self._down_lists: dict[str, list[int]] = {}  # see `down_indices`
         self.covers = covers
         self._down, self._height_below = self._down_sets_and_heights()
         order = sorted(range(len(self.elements)), key=self._height_below.__getitem__)  # stable
@@ -111,14 +111,14 @@ class Poset:
     def down_bits(self, e: str) -> int:
         return self._down[self.index[e]]
 
-    def up_indices(self, e: str) -> list[int]:
-        """The indices of the elements above e, ascending; built on first use
-        and kept.  The lists hold the int objects of `index`, one per index."""
-        up = self._up_lists.get(e)
-        if up is None:
+    def down_indices(self, e: str) -> list[int]:
+        """The indices of the elements below e, e included, ascending; built
+        on first use and kept.  The lists hold the int objects of `index`."""
+        down = self._down_lists.get(e)
+        if down is None:
             index, elements = self.index, self.elements
-            up = self._up_lists[e] = [index[elements[k]] for k in _bit_indices(self.up_bits(e))]
-        return up
+            down = self._down_lists[e] = [index[elements[k]] for k in _bit_indices(self.down_bits(e))]
+        return down
 
     def bits_of(self, members) -> int:
         """The members as a bitset; InputError naming an unknown element."""

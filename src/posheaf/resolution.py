@@ -11,13 +11,17 @@ elements in non-increasing order, and `force_exact` repeats that step degree
 by degree until a matrix comes out empty.  `force_exact` is the single
 exactness-forcing path: the minimal resolutions here and the pullback and
 proper pushforward in `derived` all call it, differing only in the starting
-matrix, the element list and the rows each degree is seeded with.  What
-one step hands the next is listed in `_Stalks`.
+matrix, the element list and the rows each degree is seeded with.  An
+element's stalk and star rows are read off star lists, kept ascending as
+rows are appended, not gathered and sorted; what one step hands the next
+is listed in `_Stalks`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import groupby
 
 from .errors import InputError
 from .field import PrimeField
@@ -27,20 +31,27 @@ from .poset import Poset, SimplicialComplex, _chains
 from .sheaf import Sheaf, injective_hull
 
 
-def _buckets(poset: Poset, labels) -> list[list[int]]:
-    """The indices of `labels`, ascending, in one list per poset index."""
-    buckets = [[] for _ in poset.index]
-    for i, lab in enumerate(labels):
-        buckets[poset.index[lab]].append(i)
-    return buckets
+def _stars(poset: Poset, labels) -> list[list[int]]:
+    """Star lists: per poset index k, the indices of `labels` at or above
+    element k, ascending.  Each run of equal labels goes onto every element
+    below its label with one `extend`, in index order."""
+    stars, down = [[] for _ in poset.elements], poset.down_indices
+    for label, run in groupby(range(len(labels)), labels.__getitem__):
+        batch = [*run]
+        for k in down(label):
+            stars[k].extend(batch)
+    return stars
 
 
 class _Stalks:
-    """Row and column indices of a matrix bucketed by label, the number of
-    columns per label (`counts`), as `image` the packed rows of the previous
-    matrix, `found` (see `_append_complement`), and `packed`, the matrix's
-    held packed form (`LabeledMatrix`), which `append` extends in lockstep
-    with the dict rows, new rows coming packed from the kernel's decode.
+    """The star lists (`_stars`) of a matrix's rows and columns, `rows[k]`
+    and `cols[k]`, so that element k's stalk is `cols[k]` and its star rows
+    `rows[k]`; as `image` the packed rows of the previous matrix, `found`
+    (see `_append_complement`), and `packed`, the matrix's held packed form
+    (`LabeledMatrix`), which `append` extends in lockstep with the dict rows,
+    new rows coming packed from the kernel's decode.  `append` takes one
+    MakeExact call's rows as one batch, whose indices follow every row's
+    before, onto each element below their label: the lists stay ascending.
     For one step or call only: any other change to the matrix (swaps, peel,
     outside appends) leaves the rest stale.
 
@@ -49,7 +60,7 @@ class _Stalks:
     labeled above it is in by then); an element whose stalk is empty gets 0
     without a MakeExact call.  `held` maps an element whose star scan found
     zero rows to the scan's rows and raw witnesses.  A step hands the next
-    (`carry`) its row buckets, the next column buckets (same indices),
+    (`carry`) its row star lists, the next column star lists (same indices),
     `ranks` and `held`, the next `prev_ranks` (for degree 0 of the constant
     sheaf, the hull rows') and `prev_held`, and it holds its packed rows, the
     next `image`.  Each lives through the step that builds it and the one
@@ -61,26 +72,22 @@ class _Stalks:
                  prev_ranks: dict[str, int] | None = None, prev_held: dict | None = None):
         self.m, self.image, self.ranks, self.held = m, image, {}, {}
         self.prev_ranks, self.prev_held = prev_ranks or {}, prev_held or {}
-        self.up = m.poset.up_indices  # element -> poset indices above it, ascending
-        self.cols = cols if cols is not None else _buckets(m.poset, m.col_labels)
-        self.counts = [*map(len, self.cols)]
-        self.rows = _buckets(m.poset, m.row_labels)
+        self.cols = cols if cols is not None else _stars(m.poset, m.col_labels)
+        self.rows = _stars(m.poset, m.row_labels)
         self.packed = m._packed = m.packed()
         self.found = [0] * len(self.packed)
 
     def carry(self) -> list:
         return [self.rows, self.ranks, self.held]
 
-    def at(self, buckets, element: str) -> list[int]:
-        """The indices in `buckets` whose labels are above `element`, ascending."""
-        return sorted([i for k in self.up(element) for i in buckets[k]])
-
-    def append(self, label: str, row: dict[int, int], packed) -> None:
-        self.rows[self.m.poset.index[label]].append(len(self.packed))
-        self.packed.append(packed)
-        self.found.append(0)
-        self.m.row_labels.append(label)
-        self.m._rows.append(row)
+    def append(self, label: str, rows: list[dict[int, int]], packed: list) -> None:
+        batch = [*range(len(self.packed), len(self.packed) + len(rows))]
+        for k in self.m.poset.down_indices(label):
+            self.rows[k].extend(batch)
+        self.packed += packed
+        self.found += [0] * len(rows)
+        self.m.row_labels += [label] * len(rows)
+        self.m._rows += rows
 
 
 def _make_exact_inplace(eta_prev: LabeledMatrix, eta_cur: LabeledMatrix, element: str,
@@ -96,8 +103,9 @@ def _make_exact_against_image(image_rows, stalks: _Stalks, element: str) -> int:
 
 def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     """MakeExact (module docstring) on `stalks.m` at `element`; returns the
-    number of rows added.  The stalk is the star-labeled columns, ascending,
-    and `image_rows[pos]` the image's row at `stalk[pos]` (`stalks.image`'s).
+    number of rows added.  The stalk is the element's column star list, the
+    star-labeled columns, ascending, and `image_rows[pos]` the image's row
+    at `stalk[pos]` (`stalks.image`'s).
 
     In stalk coordinates let M be the image rows, A = {u : uM = 0}, and W the
     span of the star rows; eta_cur . eta_prev = 0 gives W in A (for the hull
@@ -112,8 +120,9 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
 
     The scan takes the star rows ascending, less each row i found zero at an
     element c above (bit c of `stalks.found[i]`; clearing, after Chen and
-    Kerber): restricted to c's star the order is c's, and rows are only
-    appended, so i lies in the span of the rows before it here too, and by
+    Kerber): rows are appended in index order, so c's star list is this
+    star list restricted to rows labeled above c, in the same order, and i
+    lies in the span of the rows before it here too, and by
     induction of the kept ones; the tops, independent of the order, stay.
     Its witnesses are held for the next degree, whose M here is the star
     rows: it appends those at no top of its W, decoded, as its u_t, for the
@@ -121,14 +130,13 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
     witness), and a row i left out is a top of its W(c) (u_i lies in A(c) =
     W(c)), so of its W here.  It needs a complement only where A exceeds W,
     so at a zero held here, and eliminates M afresh only where no scan did."""
-    field, ranks = stalks.m.field, stalks.ranks
+    field, ranks, poset = stalks.m.field, stalks.ranks, stalks.m.poset
     prev_rank, held = stalks.prev_ranks.get(element), stalks.prev_held.pop(element, None)
-    size = sum(map(stalks.counts.__getitem__, stalks.up(element)))
-    table, star = {}, ()  # where prev_rank == size, dim A = 0 and so W = 0
-    if prev_rank != size:
-        poset, found = stalks.m.poset, stalks.found
-        above, bit = poset.up_bits(element), 1 << poset.index[element]
-        star = sorted([i for k in stalks.up(element) for i in stalks.rows[k] if not found[i] & above])
+    stalk = stalks.cols[k := poset.index[element]]
+    table, star = {}, ()  # where prev_rank == |stalk|, dim A = 0 and so W = 0
+    if prev_rank != (size := len(stalk)):
+        found, above, bit = stalks.found, poset.up_bits(element), 1 << k
+        star = [i for i in stalks.rows[k] if not found[i] & above]
         table, zeros = _eliminate(field, [*map(stalks.packed.__getitem__, star)], witness=True)
         for pos, _ in zeros:
             found[star[pos]] |= bit
@@ -139,14 +147,12 @@ def _append_complement(stalks: _Stalks, element: str, image_rows=None) -> int:
         return 0
     tops = {top - len(star) for top in table}  # W's tops: the columns sit above the witness bits
     if held is None:
-        stalk = stalks.at(stalks.cols, element)
         image_rows = [stalks.image[i] for i in stalk] if image_rows is None else image_rows
         skip = {pos for pos, j in enumerate(stalk) if j in tops}
         vectors = image_complement_rows(field, image_rows, skip, stalk, packed := [])
     else:
         vectors, packed = _witness_rows(field, held[1], held[0], tops)
-    for row, bits in zip(vectors, packed):
-        stalks.append(element, row, bits)
+    stalks.append(element, vectors, packed)
     ranks[element] += len(vectors)
     return len(vectors)
 
@@ -177,9 +183,9 @@ def resolution_step(
         eta_next.rows += [dict(row) for row in seed.rows]
     stalks = _Stalks(eta_next, eta_prev.packed(), *(_carry or ()))
     stalks.ranks = dict.fromkeys(order, 0)  # kept where the stalk is empty: no call, no rows
-    colbits, up_bits = poset.bits_of(set(eta_next.col_labels)), poset.up_bits
+    cols, index = stalks.cols, poset.index
     for element in reversed(order):
-        if up_bits(element) & colbits:
+        if cols[index[element]]:
             _make_exact_inplace(eta_prev, eta_next, element, stalks)
     if _carry is not None:
         _carry[:] = stalks.carry()
@@ -302,18 +308,20 @@ def _star_ranks(m: LabeledMatrix, tops: dict) -> dict[str, tuple[int, int]]:
     cleared by the element's `tops` (`InjectiveComplex.dims`), held as
     tuples whose ints come from one list, `ints`, so an index held costs a
     slot, not an int (sets held at every element took several times the
-    memory).  Only row buckets and column counts are built; rows are `m.packed()`."""
-    poset, out = m.poset, {}
-    rows, counts = _buckets(poset, m.row_labels), [*map(len, _buckets(poset, m.col_labels))]
-    packed, ints = m.packed(), [*range(m.ncols)]
-    colbits, up = poset.bits_of(set(m.col_labels)), poset.up_indices
-    for e in poset.elements:
+    memory).  The row star lists (`_stars`) and the widths, each label's
+    column count added onto every element below it, are built once per
+    matrix; the rank and the top pivots do not depend on the rows' order.
+    Rows are `m.packed()`."""
+    poset, out, widths = m.poset, {}, [0] * len(m.poset.elements)
+    for label, n in Counter(m.col_labels).items():
+        for k in poset.down_indices(label):
+            widths[k] += n
+    rows, packed, ints = _stars(poset, m.row_labels), m.packed(), [*range(m.ncols)]
+    for e, k in poset.index.items():
         cleared = set(tops.pop(e, ()))
-        if poset.up_bits(e) & colbits:
-            width = sum(map(counts.__getitem__, up(e)))
-            pivots = _eliminate(m.field, [packed[i] for k in up(e) for i in rows[k]
-                                          if i not in cleared])[0]
-            out[e], tops[e] = (width, len(pivots)), tuple(map(ints.__getitem__, pivots))
+        if widths[k]:
+            pivots = _eliminate(m.field, [packed[i] for i in rows[k] if i not in cleared])[0]
+            out[e], tops[e] = (widths[k], len(pivots)), tuple(map(ints.__getitem__, pivots))
     return out
 
 

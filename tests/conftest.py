@@ -18,7 +18,7 @@ from posheaf.poset import (
     skeleton_of_simplex,
     star_subposet,
 )
-from posheaf.resolution import _Stalks, minimal_resolution_constant
+from posheaf.resolution import minimal_resolution_constant
 from posheaf.sheaf import NaturalTransformation, Sheaf, injective_hull
 
 from dense_oracle import nullspace, zeros
@@ -208,19 +208,22 @@ def random_labeled_matrix(
 
 
 def stalk_cols(matrix: LabeledMatrix, e: str) -> list[int]:
-    """Indices of the columns labeled above `e`, ascending, found by the
-    library's stalk index `_Stalks`."""
-    stalks = _Stalks(matrix)
-    return stalks.at(stalks.cols, e)
+    """Indices of the columns labeled above `e`, ascending, read off
+    `poset.leq` label by label (no index the library keeps)."""
+    return [j for j, lab in enumerate(matrix.col_labels) if matrix.poset.leq(e, lab)]
+
+
+def star_rows(matrix: LabeledMatrix, e: str) -> list[int]:
+    """Indices of the rows labeled above `e`, ascending, as `stalk_cols`."""
+    return [i for i, lab in enumerate(matrix.row_labels) if matrix.poset.leq(e, lab)]
 
 
 def stalk_matrix(matrix: LabeledMatrix, e: str) -> list[list[int]]:
-    """Dense stalk map at `e`: the rows and columns labeled above it, found
-    by `_Stalks`."""
-    stalks = _Stalks(matrix)
-    pos = {j: k for k, j in enumerate(stalks.at(stalks.cols, e))}
+    """Dense stalk map at `e`: the rows and columns labeled above it
+    (`star_rows`, `stalk_cols`)."""
+    pos = {j: k for k, j in enumerate(stalk_cols(matrix, e))}
     out = []
-    for i in stalks.at(stalks.rows, e):
+    for i in star_rows(matrix, e):
         out.append([0] * len(pos))
         for j, v in matrix.rows[i].items():
             out[-1][pos[j]] = v

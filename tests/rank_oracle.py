@@ -8,8 +8,8 @@ and ranks every star row, and every row, afresh.
 
 from __future__ import annotations
 
+from conftest import stalk_cols, star_rows
 from posheaf.matrix import _eliminate
-from posheaf.resolution import _Stalks
 
 
 def dims(complex_, ranks) -> dict[int, dict]:
@@ -29,11 +29,10 @@ def dims(complex_, ranks) -> dict[int, dict]:
 def star_ranks(m) -> dict[str, tuple[int, int]]:
     """{element: (stalk width, rank of the star rows)} at each element where
     m's stalk is nonzero: its columns and rows labeled above the element."""
-    s, out = _Stalks(m), {}
+    packed, out = m.packed(), {}
     for e in m.poset.elements:
-        if width := sum(len(s.cols[k]) for k in s.up(e)):
-            star_rows = [s.packed[i] for k in s.up(e) for i in s.rows[k]]
-            out[e] = (width, len(_eliminate(m.field, star_rows)[0]))
+        if width := len(stalk_cols(m, e)):
+            out[e] = (width, len(_eliminate(m.field, [packed[i] for i in star_rows(m, e)])[0]))
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
+from conftest import stalk_cols, star_rows
 from dense_oracle import rank
 from posheaf.matrix import image_complement_rows, packed_row
 
@@ -18,16 +19,17 @@ def append_complement(stalks, element: str, image_rows=None) -> int:
     """Drop-in for `posheaf.resolution._append_complement`: screen every basis
     vector of the image's complement against the matrix's star-labeled rows
     and append the independent ones as rows labeled `element`.  The image
-    rows default to the stalk's rows of `stalks.image`."""
+    rows default to the stalk's rows of `stalks.image`.  The stalk and the
+    star rows are read off the labels (`stalk_cols`, `star_rows`)."""
     field = stalks.m.field
-    stalk = stalks.at(stalks.cols, element)
+    stalk = stalk_cols(stalks.m, element)
     if image_rows is None:
         image_rows = [stalks.image[i] for i in stalk]
 
     def dense(row):  # star rows have entries in stalk columns only
         return [row.get(j, 0) % field.p for j in stalk]
 
-    screen = [dense(stalks.m.rows[i]) for i in stalks.at(stalks.rows, element)]
+    screen = [dense(stalks.m.rows[i]) for i in star_rows(stalks.m, element)]
     screened = rank(field, screen)
     added = 0
     for vector in image_complement_rows(field, image_rows):
@@ -35,7 +37,7 @@ def append_complement(stalks, element: str, image_rows=None) -> int:
         if rank(field, screen + [dense(row)]) > screened:
             screen.append(dense(row))
             screened += 1
-            stalks.append(element, row, packed_row(field, row))
+            stalks.append(element, [row], [packed_row(field, row)])
             added += 1
     return added
 

@@ -8,27 +8,27 @@ as this version does, which feeds the kernel every star row.
 
 from __future__ import annotations
 
+from conftest import stalk_cols, star_rows
 from posheaf.matrix import _eliminate, image_complement_rows, packed_row
 
 
 def append_complement(stalks, element: str, image_rows=None) -> int:
-    """Drop-in for `posheaf.resolution._append_complement`, uncleared."""
-    field, ranks = stalks.m.field, stalks.ranks
-    prev_rank = stalks.prev_ranks.get(element)
-    size = sum(map(stalks.counts.__getitem__, stalks.up(element)))
-    tops = {}  # where prev_rank == size, dim A = 0 and so W = 0
-    if prev_rank != size:
-        star_rows = [stalks.packed[i] for k in stalks.up(element) for i in stalks.rows[k]]
-        tops = _eliminate(field, star_rows)[0]
+    """Drop-in for `posheaf.resolution._append_complement`, uncleared.  The
+    stalk and the star rows are read off the labels (`stalk_cols`,
+    `star_rows`), not off `stalks`' star lists."""
+    m, ranks = stalks.m, stalks.ranks
+    field, prev_rank = m.field, stalks.prev_ranks.get(element)
+    stalk = stalk_cols(m, element)
+    tops = {}  # where prev_rank == |stalk|, dim A = 0 and so W = 0
+    if prev_rank != len(stalk):
+        tops = _eliminate(field, [stalks.packed[i] for i in star_rows(m, element)])[0]
     ranks[element] = len(tops)
-    if prev_rank is not None and size - prev_rank <= len(tops):
+    if prev_rank is not None and len(stalk) - prev_rank <= len(tops):
         return 0
-    stalk = stalks.at(stalks.cols, element)
     if image_rows is None:
         image_rows = [stalks.image[i] for i in stalk]
     skip = {pos for pos, j in enumerate(stalk) if j in tops}
     vectors = image_complement_rows(field, image_rows, skip, stalk)
-    for row in vectors:
-        stalks.append(element, row, packed_row(field, row))
+    stalks.append(element, vectors, [packed_row(field, row) for row in vectors])
     ranks[element] += len(vectors)
     return len(vectors)

@@ -65,7 +65,7 @@ from posheaf.derived import (
 from posheaf.errors import InputError
 from posheaf.field import PrimeField
 from posheaf.io import complex_to_json, dumps
-from posheaf.matrix import _eliminate, _sparse_rank, image_complement_rows, packed_row
+from posheaf.matrix import LabeledMatrix, _eliminate, _sparse_rank, image_complement_rows, packed_row
 from posheaf.morse import (MorseAnalysis, MorseFunction, betti_table, compact_support_cohomology,
                           multiplicity_oracle, restrict_star)
 from posheaf.poset import (LocallyClosedSet, MonotoneMap, Poset, SimplicialComplex, _chains,
@@ -77,6 +77,7 @@ from posheaf.resolution import (
     minimal_resolution_constant,
     minimal_resolution_sheaf,
     order_complex_resolution,
+    resolution_step,
 )
 from posheaf.sheaf import Sheaf
 
@@ -88,6 +89,8 @@ from conftest import (
     random_monotone_map,
     random_poset,
     random_sheaf,
+    stalk_cols,
+    star_rows,
     with_top,
     zero_stalk_chain,
     zero_stalk_diamond,
@@ -1117,25 +1120,25 @@ def assert_carried_ranks_match_the_dense_oracle(build):
     image rows and the recorded rank is |stalk| minus it.  Every call against
     a previous matrix also checks the state carried from the step that built
     it against state built afresh: the image is that matrix's packed rows,
-    and the column buckets are the current matrix's columns by label.
+    and the column star lists are the current matrix's columns labeled at
+    or above each element, ascending (`stalk_cols`).
     Returns what `build()` does and how many calls had the previous rank."""
     append, make_exact_inplace = resolution._append_complement, resolution._make_exact_inplace
     known = 0
 
     def fresh(eta_prev, eta_cur, element, stalks):
         assert stalks.image == [packed_row(eta_cur.field, row) for row in eta_prev.rows]
-        assert stalks.cols == [[j for j, lab in enumerate(eta_cur.col_labels) if lab == e]
-                               for e in eta_cur.poset.elements]
+        assert stalks.cols == [stalk_cols(eta_cur, e) for e in eta_cur.poset.elements]
         return make_exact_inplace(eta_prev, eta_cur, element, stalks)
 
     def checked(stalks, element, image_rows=None):
         nonlocal known
         added = append(stalks, element, image_rows)
         m = stalks.m
-        stalk = stalks.at(stalks.cols, element)
+        stalk = stalk_cols(m, element)
         if image_rows is None:
             image_rows = [stalks.image[i] for i in stalk]
-        star = _dense([m.rows[i] for i in stalks.at(stalks.rows, element)])
+        star = _dense([m.rows[i] for i in star_rows(m, element)])
         assert stalks.ranks[element] == rank(m.field, star)
         prev = stalks.prev_ranks.get(element)
         if prev is not None:
@@ -1172,6 +1175,80 @@ def test_carried_ranks_match_the_dense_oracle(sheaf, source, data):
     if len(set(f.assignment.values())) < len(f.assignment):
         complex_ = minimal_resolution_sheaf(sheaf)
         assert_carried_ranks_match_the_dense_oracle(lambda: pullback(f, complex_))
+
+
+# -- the star lists MakeExact reads its stalks and star rows off ---------------------
+
+
+def assert_star_lists_hold(build):
+    """Run `build()` with the star lists checked after every MakeExact call:
+    `rows[k]` and `cols[k]` are the indices, ascending, of the matrix's rows
+    and columns labeled at or above element k.  The expected lists are read
+    off the labels (`star_rows`, `stalk_cols`) when a step's first call
+    starts, then kept by this test itself: the rows a call adds, all labeled
+    with its element, go after every row before them on the list of each
+    element below it (`poset.leq`).  Returns what `build()` does and how many
+    calls appended rows onto a list that already held some."""
+    append, expected, onto = resolution._append_complement, {}, 0
+
+    def checked(stalks, element, image_rows=None):
+        nonlocal onto
+        m = stalks.m
+        poset, start = m.poset, m.nrows
+        if stalks not in expected:  # a step's first call: nothing appended yet
+            expected[stalks] = ([star_rows(m, e) for e in poset.elements],
+                                [stalk_cols(m, e) for e in poset.elements])
+        rows, cols = expected[stalks]
+        below = [k for k, e in enumerate(poset.elements) if poset.leq(e, element)]
+        added = append(stalks, element, image_rows)
+        assert m.row_labels[start:] == [element] * added
+        onto += added > 0 and any(rows[k] for k in below)
+        for k in below:
+            rows[k] += range(start, m.nrows)
+        assert stalks.rows == rows
+        assert stalks.cols == cols
+        return added
+
+    with mock.patch("posheaf.resolution._append_complement", checked):
+        return build(), onto
+
+
+@PROPERTY_SETTINGS
+@given(case=holed_skeleta(), data=st.data())
+def test_star_lists_hold_on_resolutions_and_proper_pushforward(case, data):
+    """The constant sheaf's and a kernel sheaf's resolutions, a proper
+    pushforward from an open star cut down to a closure, and a public
+    `resolution_step` at one element seeded with some of the next matrix's
+    rows (so its seed rows are not grouped by label)."""
+    complex_, d, field = case
+    poset = complex_.face_poset
+    res, onto = assert_star_lists_hold(lambda: minimal_resolution_constant(poset, field))
+    assert onto  # a batch went onto a list holding earlier rows
+    for sheaf in holed_skeleton_sheaves(data, complex_, d, field):
+        on_all, _ = assert_star_lists_hold(lambda: minimal_resolution_sheaf(sheaf))
+    star = poset.star(data.draw(st.sampled_from(poset.elements), label="open"))
+    tops = data.draw(st.lists(st.sampled_from(sorted(star)), min_size=1, max_size=2), label="closed")
+    zset = LocallyClosedSet(poset, star & poset.closure(tops))
+    on_z = proper_pullback(zset, on_all)
+    assert_star_lists_hold(lambda: proper_pushforward(zset, on_z))
+    eta0, eta1 = res.matrices[:2]
+    keep = data.draw(st.lists(st.booleans(), min_size=eta1.nrows, max_size=eta1.nrows), label="kept rows")
+    seed = LabeledMatrix(poset, field, eta1.col_labels, [lab for lab, k in zip(eta1.row_labels, keep) if k],
+                         [row for row, k in zip(eta1.rows, keep) if k])
+    element = data.draw(st.sampled_from(poset.elements), label="element")
+    step, _ = assert_star_lists_hold(lambda: resolution_step(eta0, [element], seed=seed))
+    assert step.row_labels[:seed.nrows] == seed.row_labels
+
+
+@PROPERTY_SETTINGS
+@given(sheaf=st.one_of(functorial_sheaves(), holed_skeleton_sheaf()), source=dags(max_elements=5),
+       data=st.data())
+def test_star_lists_hold_on_pullbacks(sheaf, source, data):
+    """Pullback along a random monotone map: every degree after the first
+    is seeded and carries its star lists."""
+    f = _draw_monotone_map(data, source, sheaf.poset)
+    complex_ = minimal_resolution_sheaf(sheaf)
+    assert_star_lists_hold(lambda: pullback(f, complex_))
 
 
 def _dense_dims(complex_, supports):
